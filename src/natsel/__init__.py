@@ -60,20 +60,13 @@ from .model import (
     ConvSpec,
     LossConfig,
     load_checkpoint,
-    per_sample_loss,
+    sample_losses,
     save_checkpoint,
-    softmax,
+    softmax_rows,
 )
-from .nscore import (
-    GroupSpec,
-    NSResult,
-    batch_ns_scores,
-    group_ns_scores,
-    params_hash,
-    partition_groups,
-)
+from .nscore import NSResult, batch_ns_scores, params_hash
 from .seeds import derive_seed
-from .tensor import GradTape, Tensor, backward, elementwise, matmul
+from .tensor import GradTape, Tensor, backward, matmul
 from .trainer import (
     MetricsRecord,
     TrainConfig,
@@ -91,16 +84,15 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # tensor core
-    "Tensor", "GradTape", "backward", "matmul", "elementwise",
+    "Tensor", "GradTape", "backward", "matmul",
     # model
-    "Classifier", "ClassifierConfig", "ConvSpec", "LossConfig", "softmax",
-    "per_sample_loss", "save_checkpoint", "load_checkpoint",
+    "Classifier", "ClassifierConfig", "ConvSpec", "LossConfig",
+    "softmax_rows", "sample_losses", "save_checkpoint", "load_checkpoint",
     # image ops
     "GridLayout", "Normalization", "STANDARD_LAYOUTS", "stitch",
     "bilinear_resize", "channel_normalize",
     # competition scoring
-    "GroupSpec", "NSResult", "partition_groups", "group_ns_scores",
-    "batch_ns_scores", "params_hash",
+    "NSResult", "batch_ns_scores", "params_hash",
     # weighting
     "WeightingConfig", "compute_weights", "weight_curve",
     # data

@@ -75,27 +75,29 @@ class RunSummary:
 
 
 class _ScoreLog:
-    """Collects per-sample scoring rows during training."""
+    """Collects the score arrays of every scored batch during training."""
 
     def __init__(self):
-        self.rows = []
+        self.batches = []
 
     def __call__(self, epoch, step, result, weights, batch_idx):
-        for pos, sample in enumerate(batch_idx):
-            self.rows.append((
-                epoch, step, int(sample), int(result.group_ids[pos]),
-                float(result.raw[pos]), float(result.score[pos]),
-                float(weights[pos]),
-            ))
+        self.batches.append((epoch, step, batch_idx, result.group_ids,
+                             result.raw, result.score, weights))
 
 
-def _write_scores(path, rows, labels) -> None:
+def _write_scores(path, batches, labels) -> None:
+    """One CSV row per logged sample.  Every field is an integer or a
+    float repr, which the csv module would never quote, so rows are
+    formatted directly, in its default dialect (comma, CRLF)."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SCORE_COLUMNS)
-        for epoch, step, sample, gid, q, s, w in rows:
-            writer.writerow([epoch, step, gid, sample, int(labels[sample]),
-                             repr(q), repr(s), repr(w)])
+        csv.writer(fh).writerow(_SCORE_COLUMNS)
+        for epoch, step, idx, gids, q, s, w in batches:
+            head = f"{epoch},{step},"
+            fh.write("".join(
+                f"{head}{gid},{sample},{label},{qi!r},{si!r},{wi!r}\r\n"
+                for gid, sample, label, qi, si, wi in zip(
+                    gids.tolist(), idx.tolist(), labels[idx].tolist(),
+                    q.tolist(), s.tolist(), w.tolist())))
 
 
 def _read_scores(path):
@@ -132,7 +134,7 @@ def run_experiment(config: ExperimentConfig, echo=print) -> RunSummary:
         write_metrics_csv(run_dir / f"metrics_{seed}.csv", records)
         save_checkpoint(model, run_dir / f"checkpoint_{seed}.bin")
         if sink is not None:
-            _write_scores(run_dir / f"scores_{seed}.csv", log.rows,
+            _write_scores(run_dir / f"scores_{seed}.csv", log.batches,
                           train_set.labels)
         per_seed_records[seed] = records
         final_acc = [r.accuracy for r in records if r.split == "test"][-1]

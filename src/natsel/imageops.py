@@ -6,11 +6,14 @@ composite-image path is inference-only by design.
 Coordinate convention for resizing: output pixel (i, j) samples the source
 at half-pixel centers, ``((i + 0.5) * H / H' - 0.5, (j + 0.5) * W / W' - 0.5)``,
 clamped to the valid range before the bilinear blend (edge clamping).
+That blend is linear and separable, so a resize is two matrix products,
+``Ry @ x @ Rx.T``, with the maps cached per input and target shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -107,6 +110,50 @@ def _assemble_grid(members: np.ndarray, layout: GridLayout) -> np.ndarray:
     return np.ascontiguousarray(grid.reshape(n, layout.rows * h, layout.cols * w, c))
 
 
+def _stitch_resize(members: np.ndarray, layout: GridLayout,
+                   target: tuple[int, int]) -> np.ndarray:
+    """[G, m, H, W, C] member stacks -> [G, H', W', C] resized composites.
+
+    Stitching and resizing are both linear, so for small images they fold
+    into one cached map applied to each group's flat member stack: one
+    matrix product per batch instead of a grid copy and two products.
+    Larger images take the grid-then-separable route, which costs far
+    fewer operations there.
+    """
+    g, m, h, w, c = members.shape
+    out_h, out_w = target
+    fused = _composite_map(layout, h, w, c, out_h, out_w)
+    if fused is None:
+        return _resize_batch(_assemble_grid(members, layout), target)
+    return (members.reshape(g, -1) @ fused).reshape(g, out_h, out_w, c)
+
+
+# Largest folded stitch+resize map, in entries (512 KiB of float64).
+_FUSED_MAP_LIMIT = 1 << 16
+
+
+@lru_cache(maxsize=16)
+def _composite_map(layout: GridLayout, h: int, w: int, c: int, out_h: int,
+                   out_w: int) -> np.ndarray | None:
+    """[m*H*W*C, H'*W'*C] map from a flat member stack to the flat resized
+    composite, or None when it would exceed ``_FUSED_MAP_LIMIT``.
+
+    Entry ((r, q, y, x, k), (i, j, k)) is Ry[i, r*H + y] * Rx[j, q*W + x]
+    for the member in grid cell (r, q): the product of the separable maps,
+    rounded once, so results differ from the two-pass route by rounding.
+    """
+    m = layout.group_size
+    if (m * h * w * c) * (out_h * out_w * c) > _FUSED_MAP_LIMIT:
+        return None
+    ry, rx = _resize_maps(layout.rows * h, layout.cols * w, out_h, out_w)
+    fused = np.einsum("iry,jqx,ab->rqyxaijb",
+                      ry.reshape(out_h, layout.rows, h),
+                      rx.reshape(out_w, layout.cols, w), np.eye(c))
+    fused = fused.reshape(m * h * w * c, out_h * out_w * c)
+    fused.setflags(write=False)
+    return fused
+
+
 def bilinear_resize(img: Tensor, target: tuple[int, int]) -> Tensor:
     """Resize an HxWxC image to target (H', W') with bilinear interpolation."""
     if len(img.shape) != 3:
@@ -119,22 +166,38 @@ def bilinear_resize(img: Tensor, target: tuple[int, int]) -> Tensor:
 
 def _resize_batch(images: np.ndarray, target: tuple[int, int]) -> np.ndarray:
     """Bilinear resize of an [N, H, W, C] stack to [N, H', W', C]."""
-    _, h, w, _ = images.shape
+    n, h, w, c = images.shape
     out_h, out_w = target
-    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
-    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, np.newaxis, np.newaxis]
-    fx = (xs - x0)[np.newaxis, :, np.newaxis]
+    ry, rx = _resize_maps(h, w, out_h, out_w)
+    rows = np.matmul(ry, images.reshape(n, h, w * c))
+    out = np.matmul(rx, rows.reshape(n * out_h, w, c))
+    return out.reshape(n, out_h, out_w, c)
 
-    rows0 = images[:, y0]
-    rows1 = images[:, y1]
-    top = rows0[:, :, x0] * (1.0 - fx) + rows0[:, :, x1] * fx
-    bottom = rows1[:, :, x0] * (1.0 - fx) + rows1[:, :, x1] * fx
-    return top * (1.0 - fy) + bottom * fy
+
+@lru_cache(maxsize=64)
+def _resize_maps(h: int, w: int, out_h: int, out_w: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column interpolation matrices, [H', H] and [W', W]."""
+    return _interpolation_map(h, out_h), _interpolation_map(w, out_w)
+
+
+def _interpolation_map(size: int, out_size: int) -> np.ndarray:
+    """[out_size, size] two-tap blend at half-pixel centers, edge-clamped.
+
+    For out_size == size every center lands on a pixel, so the map is the
+    identity and a same-size resize is exact.
+    """
+    centers = np.clip((np.arange(out_size) + 0.5) * (size / out_size) - 0.5,
+                      0.0, size - 1.0)
+    lo = np.floor(centers).astype(np.int64)
+    hi = np.minimum(lo + 1, size - 1)
+    frac = centers - lo
+    rows = np.arange(out_size)
+    m = np.zeros((out_size, size))
+    np.add.at(m, (rows, lo), 1.0 - frac)
+    np.add.at(m, (rows, hi), frac)
+    m.setflags(write=False)
+    return m
 
 
 def channel_normalize(img: Tensor, norm: Normalization) -> Tensor:

@@ -24,21 +24,12 @@ from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .tensor import (
     GradTape,
     Tensor,
-    add,
-    clamp_min,
-    exp,
-    log,
+    add_row,
     matmul,
-    mul,
-    pick,
-    powc,
     relu,
     reshape,
-    scale,
-    sub,
     take_flat,
     take_row,
-    tsum,
 )
 
 __all__ = [
@@ -46,9 +37,8 @@ __all__ = [
     "ClassifierConfig",
     "LossConfig",
     "Classifier",
-    "softmax",
     "softmax_rows",
-    "per_sample_loss",
+    "sample_losses",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -212,15 +202,14 @@ class Classifier:
                 f"batch shape {xs.shape} does not match model "
                 f"input {self.config.input_shape}"
             )
+        if tape is None:
+            return Tensor(self.logits(xs.values))
         n = xs.shape[0]
         if self._conv_idx is not None:
-            per_image = int(np.prod(self.config.input_shape))
-            offsets = (np.arange(n, dtype=np.int64) * per_image)
-            gather = (offsets[:, None, None] + self._conv_idx[None]).reshape(
-                n * self._conv_patches, self._conv_idx.shape[1])
+            gather = self._conv_gather(n)
             cols = take_flat(xs, gather, gather.shape, tape=tape)
-            pre = add(matmul(cols, self._conv_w, tape=tape),
-                      self._tile_bias(self._conv_b, cols.shape[0], tape), tape=tape)
+            pre = add_row(matmul(cols, self._conv_w, tape=tape), self._conv_b,
+                          tape=tape)
             act = relu(pre, tape=tape)
             out = reshape(act, (n, self._conv_patches * self.config.conv.channels),
                           tape=tape)
@@ -229,65 +218,108 @@ class Classifier:
 
         last = len(self._dense) - 1
         for i, (weight, bias) in enumerate(self._dense):
-            out = add(matmul(out, weight, tape=tape),
-                      self._tile_bias(bias, out.shape[0], tape), tape=tape)
+            out = add_row(matmul(out, weight, tape=tape), bias, tape=tape)
             if i != last:
                 out = relu(out, tape=tape)
         return out
 
-    @staticmethod
-    def _tile_bias(bias: Tensor, rows: int, tape: GradTape | None) -> Tensor:
-        # Row broadcast via matmul with a constant ones column, keeping the
-        # tape free of non-scalar broadcasting.
-        ones = Tensor(np.ones((rows, 1)))
-        return matmul(ones, bias, tape=tape)
+    def logits(self, xs: np.ndarray) -> np.ndarray:
+        """Untaped logits [N, K] of an [N, H, W, C] array.
 
+        The same arithmetic as the taped ``forward_batch``, on plain
+        arrays and without per-operation finiteness checks:
+        :func:`softmax_rows` checks the logits once.
+        """
+        n = xs.shape[0]
+        if self._conv_idx is not None:
+            cols = xs.reshape(-1)[self._conv_gather(n)]
+            out = np.maximum(cols @ self._conv_w.values + self._conv_b.values,
+                             0.0).reshape(n, -1)
+        else:
+            out = xs.reshape(n, -1)
+        last = len(self._dense) - 1
+        for i, (weight, bias) in enumerate(self._dense):
+            out = out @ weight.values + bias.values
+            if i != last:
+                out = np.maximum(out, 0.0)
+        return out
 
-def softmax(z: Tensor, tape: GradTape | None = None) -> Tensor:
-    """Probabilities from a logit vector [K], max-subtracted for stability.
-
-    Computed as exp(z - max - logsumexp); subtracting the max as a constant
-    is exact for gradients because the softmax Jacobian annihilates uniform
-    shifts.
-    """
-    if len(z.shape) != 1 or z.shape[0] < 1:
-        raise ShapeError(f"softmax expects a non-empty vector, got {z.shape}")
-    if not np.all(np.isfinite(z.values)):
-        raise NumericError("softmax of non-finite logits")
-    shifted = sub(z, float(np.max(z.values)), tape=tape)
-    log_norm = log(tsum(exp(shifted, tape=tape), tape=tape), tape=tape)
-    return exp(sub(shifted, log_norm, tape=tape), tape=tape)
+    def _conv_gather(self, n: int) -> np.ndarray:
+        """Flat im2col indices for a stack of n inputs, one patch per row."""
+        per_image = int(np.prod(self.config.input_shape))
+        offsets = np.arange(n, dtype=np.int64) * per_image
+        return (offsets[:, None, None] + self._conv_idx[None]).reshape(
+            n * self._conv_patches, self._conv_idx.shape[1])
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax on a plain [N, K] array; untaped evaluation path."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """Row-wise softmax of [N, K] logits, max-subtracted for stability.
+
+    Computed as exp(z - max - logsumexp).  This is the one finiteness
+    check on the untaped paths: non-finite logits raise NumericError.
+    """
+    if logits.ndim != 2 or logits.shape[1] < 1:
+        raise ShapeError(f"softmax expects [N, K] logits, got {logits.shape}")
+    if not np.isfinite(logits).all():
+        raise NumericError("softmax of non-finite logits")
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(shifted)
-    return np.exp(shifted - np.log(e.sum(axis=1, keepdims=True)))
+    return np.exp(shifted - np.log(np.add.reduce(e, axis=1, keepdims=True)))
 
 
-def per_sample_loss(p: Tensor, y: int, cfg: LossConfig,
-                    tape: GradTape | None = None) -> Tensor:
-    """Scalar loss of one sample from its probability vector and true class."""
-    k = p.shape[0] if len(p.shape) == 1 else 0
-    if k < 1:
-        raise ShapeError(f"probabilities must be a vector, got shape {p.shape}")
-    if not 0 <= y < k:
-        raise ConfigError(f"label {y} out of range for {k} classes")
+def sample_losses(logits: np.ndarray, labels: np.ndarray, cfg: LossConfig,
+                  grad: bool = False):
+    """Per-sample losses [N] of [N, K] logits, and optionally their
+    gradients with respect to the logits, [N, K], in closed form.
 
-    p_y = clamp_min(pick(p, y, tape=tape), PROB_FLOOR, tape=tape)
-    nll = scale(log(p_y, tape=tape), -1.0, tape=tape)
+    With p = softmax(z) and p_y floored at PROB_FLOOR:
 
+        cross_entropy    -log p_y
+        focal            (1 - p_y)^gamma * -log p_y
+        label_smoothing  (1 - eps) * -log p_y + eps/K * sum_k -log p_k
+
+    A floored probability passes no gradient, and the focal modulator's
+    derivative is taken as 0 where 1 - p_y is exactly 0.  The gradient
+    is u - p * sum_k u_k with u = p * dloss/dp, the softmax pullback.
+    """
+    p = softmax_rows(logits)
+    n, k = p.shape
+    if labels.shape != (n,):
+        raise ShapeError(f"{labels.shape} labels for {n} rows of logits")
+    if n and (labels.min() < 0 or labels.max() >= k):
+        raise ConfigError(f"label out of range for {k} classes")
+    rows = np.arange(n)
+    p_y = p[rows, labels]
+    q = np.maximum(p_y, PROB_FLOOR)
+    nll = -np.log(q)
     if cfg.kind == "cross_entropy":
-        return nll
+        losses = nll
+    elif cfg.kind == "focal":
+        modulator = (1.0 - q) ** cfg.focal_gamma
+        losses = modulator * nll
+    else:
+        eps = cfg.smoothing_epsilon
+        all_logs = np.log(np.maximum(p, PROB_FLOOR)).sum(axis=1)
+        losses = (1.0 - eps) * nll + (-eps / k) * all_logs
+    if not grad:
+        return losses
+
+    # p_y * d(-log p_y)/dp_y = -1 wherever the floor is not active
+    u_y = -(p_y > PROB_FLOOR).astype(np.float64)
     if cfg.kind == "focal":
-        modulator = powc(sub(1.0, p_y, tape=tape), cfg.focal_gamma, tape=tape)
-        return mul(modulator, nll, tape=tape)
-    # label smoothing: (1-eps) * nll + eps/K * sum_k -log p_k
-    eps = cfg.smoothing_epsilon
-    all_logs = log(clamp_min(p, PROB_FLOOR, tape=tape), tape=tape)
-    smoothed = scale(tsum(all_logs, tape=tape), -eps / k, tape=tape)
-    return add(scale(nll, 1.0 - eps, tape=tape), smoothed, tape=tape)
+        gamma = cfg.focal_gamma
+        base = 1.0 - q
+        d_mod = np.zeros(n)
+        np.power(base, gamma - 1.0, out=d_mod, where=base > 0.0)
+        u_y *= gamma * d_mod * nll * q + modulator
+        u = np.zeros((n, k))
+    elif cfg.kind == "label_smoothing":
+        u_y *= 1.0 - eps
+        u = (p > PROB_FLOOR) * (-eps / k)
+    else:
+        u = np.zeros((n, k))
+    u[rows, labels] += u_y
+    return losses, u - p * u.sum(axis=1, keepdims=True)
 
 
 def save_checkpoint(model: Classifier, path: str | Path) -> None:

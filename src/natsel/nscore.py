@@ -14,7 +14,8 @@ optimizer state.  ``params_hash`` exists so tests can assert this exactly.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,21 +23,13 @@ from .errors import ConfigError, ShapeError
 from .imageops import (
     GridLayout,
     Normalization,
-    _assemble_grid,
     _normalize_batch,
-    _resize_batch,
-    bilinear_resize,
-    channel_normalize,
-    stitch,
+    _stitch_resize,
 )
-from .model import Classifier, softmax, softmax_rows
-from .tensor import Tensor
+from .model import Classifier, softmax_rows
 
 __all__ = [
-    "GroupSpec",
     "NSResult",
-    "partition_groups",
-    "group_ns_scores",
     "batch_ns_scores",
     "params_hash",
 ]
@@ -50,77 +43,18 @@ _DEGENERATE_FLOOR = 1e-12
 LEFTOVER_GROUP_ID = -1
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """One competition group: a grid layout plus member batch positions."""
+class NSResult(NamedTuple):
+    """Per-sample raw scores, competition scores, and group membership.
 
-    layout: GridLayout
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.members) != self.layout.group_size:
-            raise ConfigError(
-                f"group of {len(self.members)} members does not fill "
-                f"a {self.layout} grid"
-            )
-        if len(set(self.members)) != len(self.members):
-            raise ConfigError("group members must be distinct")
-        if any(i < 0 for i in self.members):
-            raise ConfigError("group members must be non-negative batch positions")
-
-
-@dataclass(frozen=True)
-class NSResult:
-    """Per-sample raw scores, competition scores, and group membership."""
+    Group g holds the batch positions [g*m, (g+1)*m); positions past the
+    last full group are leftovers with group id -1.  One is built per
+    scored batch, so it is a named tuple, the cheapest immutable record.
+    """
 
     raw: np.ndarray        # q_i, in (0, 1); leftovers carry the neutral 1/m
     score: np.ndarray      # s_i, in (0, 1), summing to 1 within each group
     group_ids: np.ndarray  # group index per sample; -1 marks leftovers
-    groups: tuple[GroupSpec, ...]
-    leftover: tuple[int, ...]
-
-
-def partition_groups(batch_size: int, layout: GridLayout
-                     ) -> tuple[list[GroupSpec], tuple[int, ...]]:
-    """Split batch positions [0, B) into contiguous groups of m.
-
-    The batch is assumed already shuffled, so contiguous runs are an
-    unbiased grouping.  When m does not divide B the trailing remainder is
-    returned as a leftover set that competes with nobody.
-    """
-    m = layout.group_size
-    if m < 2:
-        raise ConfigError(f"group size must be at least 2, got {m}")
-    if batch_size < 1:
-        raise ConfigError("batch must be non-empty")
-    full = batch_size // m
-    groups = [
-        GroupSpec(layout, tuple(range(g * m, (g + 1) * m)))
-        for g in range(full)
-    ]
-    return groups, tuple(range(full * m, batch_size))
-
-
-def group_ns_scores(group: GroupSpec, samples, labels, model: Classifier,
-                    normalization: Normalization | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw and normalized competition scores for one group.
-
-    ``samples`` is anything indexable by batch position yielding HxWxC
-    tensors; ``labels`` likewise yields integer classes.
-    """
-    h0, w0, _ = model.config.input_shape
-    members = [_as_tensor(samples[i]) for i in group.members]
-    composite = stitch(members, group.layout)
-    resized = bilinear_resize(composite, (h0, w0))
-    if normalization is not None:
-        resized = channel_normalize(resized, normalization)
-    probs = softmax(model.forward(resized))
-    return _scores_from_posterior(
-        _bound_posterior(probs.values[np.newaxis]),
-        np.array([[int(labels[i]) for i in group.members]]),
-        model.config.class_count,
-    )
+    group_count: int       # full groups, one composite forward each
 
 
 def batch_ns_scores(images: np.ndarray, labels: np.ndarray, model: Classifier,
@@ -128,40 +62,51 @@ def batch_ns_scores(images: np.ndarray, labels: np.ndarray, model: Classifier,
                     normalization: Normalization | None = None) -> NSResult:
     """Score a whole batch; one composite forward pass per full group.
 
-    ``images`` is a [B, H, W, C] stack in batch order.  All groups are
-    stitched and resized as one array and pushed through a single batched
-    forward, which is arithmetically the per-group pipeline.
+    ``images`` is a [B, H, W, C] stack in batch order, assumed already
+    shuffled, so contiguous runs of m are an unbiased grouping.  When m
+    does not divide B the trailing remainder competes with nobody.  All
+    groups are stitched and resized as one array and pushed through a
+    single untaped forward.
     """
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4:
         raise ShapeError(f"expected [B,H,W,C] images, got shape {images.shape}")
-    batch = images.shape[0]
-    groups, leftover = partition_groups(batch, layout)
     m = layout.group_size
-    h0, w0, _ = model.config.input_shape
-
-    raw = np.full(batch, 1.0 / m)
-    score = np.full(batch, 1.0 / m)
-    group_ids = np.full(batch, LEFTOVER_GROUP_ID, dtype=np.int64)
-
-    if groups:
-        g = len(groups)
-        members = images[:g * m].reshape((g, m) + images.shape[1:])
-        composites = _assemble_grid(members, layout)
-        resized = _resize_batch(composites, (h0, w0))
+    if m < 2:
+        raise ConfigError(f"group size must be at least 2, got {m}")
+    batch = images.shape[0]
+    if batch < 1:
+        raise ConfigError("batch must be non-empty")
+    g = batch // m
+    n = g * m
+    raw = score = np.empty(0)
+    if g:
+        h0, w0, _ = model.config.input_shape
+        members = images[:n].reshape((g, m) + images.shape[1:])
+        resized = _stitch_resize(members, layout, (h0, w0))
         if normalization is not None:
             resized = _normalize_batch(resized, normalization)
-        logits = model.forward_batch(Tensor(resized)).values
-        posteriors = _bound_posterior(softmax_rows(logits))
-        member_labels = np.asarray(labels[:g * m], dtype=np.int64).reshape(g, m)
+        posteriors = _bound_posterior(softmax_rows(model.logits(resized)))
+        member_labels = np.asarray(labels[:n], dtype=np.int64).reshape(g, m)
         q, s = _scores_from_posterior(posteriors, member_labels,
                                       model.config.class_count)
-        raw[:g * m] = q.reshape(-1)
-        score[:g * m] = s.reshape(-1)
-        group_ids[:g * m] = np.repeat(np.arange(g, dtype=np.int64), m)
+        raw, score = q.reshape(-1), s.reshape(-1)
+    if n < batch:
+        neutral = np.full(batch - n, 1.0 / m)
+        raw = np.concatenate((raw, neutral))
+        score = np.concatenate((score, neutral))
+    return NSResult(raw=raw, score=score, group_ids=_group_ids(batch, m),
+                    group_count=g)
 
-    return NSResult(raw=raw, score=score, group_ids=group_ids,
-                    groups=tuple(groups), leftover=leftover)
+
+@lru_cache(maxsize=64)
+def _group_ids(batch: int, m: int) -> np.ndarray:
+    """Read-only group id per batch position: contiguous runs of m, with
+    the trailing remainder marked as leftovers."""
+    ids = np.arange(batch) // m
+    ids[batch // m * m:] = LEFTOVER_GROUP_ID
+    ids.setflags(write=False)
+    return ids
 
 
 def _bound_posterior(posteriors: np.ndarray) -> np.ndarray:
@@ -171,25 +116,29 @@ def _bound_posterior(posteriors: np.ndarray) -> np.ndarray:
     0.0 or 1.0; downstream normalization would then round a dominated
     member's score onto the boundary, which the weighting stage rejects.
     """
-    return np.clip(posteriors, _DEGENERATE_FLOOR, 1.0 - _DEGENERATE_FLOOR)
+    return np.minimum(np.maximum(posteriors, _DEGENERATE_FLOOR),
+                      1.0 - _DEGENERATE_FLOOR)
 
 
 def _scores_from_posterior(posteriors: np.ndarray, member_labels: np.ndarray,
                            class_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """q and s per member from [G, K] posteriors and [G, m] labels."""
-    if member_labels.min(initial=0) < 0 or \
-            member_labels.max(initial=0) >= class_count:
+    """q and s per member from [G, K] posteriors and [G, m] labels.
+
+    A group whose raw scores sum below the floor gets neutral 1/m scores.
+    Bounded posteriors never do (m members of at least the floor each), so
+    the fallback costs only one comparison on the scoring path.
+    """
+    # As unsigned integers negative labels wrap past any class count, so
+    # one maximum checks both ends of the range.
+    if member_labels.astype(np.uint64).max() >= class_count:
         raise ConfigError("label out of range for the model's class count")
     g, m = member_labels.shape
-    q = posteriors[np.arange(g)[:, None], member_labels]
-    denom = q.sum(axis=1, keepdims=True)
+    q = posteriors[np.arange(g)[:, np.newaxis], member_labels]
+    denom = np.add.reduce(q, axis=1, keepdims=True)
+    if denom.min() >= _DEGENERATE_FLOOR:
+        return q, q / denom
     safe = denom >= _DEGENERATE_FLOOR
-    s = np.where(safe, q / np.where(safe, denom, 1.0), 1.0 / m)
-    return q, s
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return q, np.where(safe, q / np.where(safe, denom, 1.0), 1.0 / m)
 
 
 def params_hash(model: Classifier) -> str:

@@ -12,7 +12,8 @@ entries in exact reverse order, accumulating adjoints additively.  Passing
 
 Broadcasting is restricted to scalar-with-tensor: an operand must either
 match the other's shape exactly or be a scalar (shape ``()``); Python
-numbers are lifted to constant scalar tensors.
+numbers are lifted to constant scalar tensors.  The one row broadcast is
+:func:`add_row`, the bias add of a dense layer.
 """
 
 from __future__ import annotations
@@ -28,18 +29,16 @@ __all__ = [
     "GradTape",
     "backward",
     "matmul",
-    "elementwise",
     "add",
+    "add_row",
     "sub",
     "mul",
     "scale",
     "relu",
     "exp",
     "log",
-    "powc",
     "clamp_min",
     "tsum",
-    "pick",
     "take_row",
     "take_flat",
     "reshape",
@@ -100,7 +99,9 @@ class GradTape:
     def parameters(self) -> tuple[Tensor, ...]:
         return tuple(self._parameters)
 
-    def _record(self, output: Tensor, pull: _Pull) -> None:
+    def record(self, output: Tensor, pull: _Pull) -> None:
+        """Append one entry; ``pull`` maps the output adjoint to
+        (input, adjoint contribution) pairs."""
         self._entries.append((output, pull))
         self._outputs.add(id(output))
 
@@ -146,7 +147,7 @@ def _finite(compute, op: str) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         values = compute()
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericError(f"{op} produced non-finite values")
     return values
 
@@ -186,7 +187,7 @@ def matmul(a: Tensor, b: Tensor, tape: GradTape | None = None) -> Tensor:
         def pull(g: np.ndarray):
             return ((a, g @ bv.T), (b, av.T @ g))
 
-        tape._record(out, pull)
+        tape.record(out, pull)
     return out
 
 
@@ -198,7 +199,21 @@ def add(a, b, tape: GradTape | None = None) -> Tensor:
         def pull(g: np.ndarray):
             return ((a, _reduce_to(g, a.shape)), (b, _reduce_to(g, b.shape)))
 
-        tape._record(out, pull)
+        tape.record(out, pull)
+    return out
+
+
+def add_row(a: Tensor, row: Tensor, tape: GradTape | None = None) -> Tensor:
+    """Add a [1, M] row to every row of an [N, M] tensor (a bias add)."""
+    if len(a.shape) != 2 or row.shape != (1, a.shape[1]):
+        raise ShapeError(f"add_row: cannot add a {row.shape} row to "
+                         f"shape {a.shape}")
+    out = Tensor(_finite(lambda: a.values + row.values, "add_row"))
+    if tape is not None:
+        def pull(g: np.ndarray):
+            return ((a, g), (row, g.sum(axis=0, keepdims=True)))
+
+        tape.record(out, pull)
     return out
 
 
@@ -210,7 +225,7 @@ def sub(a, b, tape: GradTape | None = None) -> Tensor:
         def pull(g: np.ndarray):
             return ((a, _reduce_to(g, a.shape)), (b, _reduce_to(-g, b.shape)))
 
-        tape._record(out, pull)
+        tape.record(out, pull)
     return out
 
 
@@ -225,7 +240,7 @@ def mul(a, b, tape: GradTape | None = None) -> Tensor:
             return ((a, _reduce_to(g * bv, a.shape)),
                     (b, _reduce_to(g * av, b.shape)))
 
-        tape._record(out, pull)
+        tape.record(out, pull)
     return out
 
 
@@ -234,7 +249,7 @@ def scale(a: Tensor, factor: float, tape: GradTape | None = None) -> Tensor:
     factor = float(factor)
     out = Tensor(_finite(lambda: a.values * factor, "scale"))
     if tape is not None:
-        tape._record(out, lambda g: ((a, g * factor),))
+        tape.record(out, lambda g: ((a, g * factor),))
     return out
 
 
@@ -246,7 +261,7 @@ def relu(a: Tensor, tape: GradTape | None = None) -> Tensor:
         def pull(g: np.ndarray):
             return ((a, g * mask),)
 
-        tape._record(out, pull)
+        tape.record(out, pull)
     return out
 
 
@@ -254,7 +269,7 @@ def exp(a: Tensor, tape: GradTape | None = None) -> Tensor:
     out = Tensor(_finite(lambda: np.exp(a.values), "exp"))
     if tape is not None:
         ov = out.values
-        tape._record(out, lambda g: ((a, g * ov),))
+        tape.record(out, lambda g: ((a, g * ov),))
     return out
 
 
@@ -264,26 +279,7 @@ def log(a: Tensor, tape: GradTape | None = None) -> Tensor:
     out = Tensor(np.log(a.values))
     if tape is not None:
         av = a.values
-        tape._record(out, lambda g: ((a, g / av),))
-    return out
-
-
-def powc(a: Tensor, exponent: float, tape: GradTape | None = None) -> Tensor:
-    """Elementwise power to a constant exponent; base must be non-negative."""
-    exponent = float(exponent)
-    if np.any(a.values < 0.0):
-        raise NumericError("powc of negative base")
-    out = Tensor(_finite(lambda: np.power(a.values, exponent), "powc"))
-    if tape is not None:
-        av = a.values
-        # At a zero base the one-sided derivative may be infinite; report 0
-        # there so gradients stay finite.
-        local = np.where(av > 0.0, exponent * np.power(av, exponent - 1.0), 0.0)
-
-        def pull(g: np.ndarray):
-            return ((a, g * local),)
-
-        tape._record(out, pull)
+        tape.record(out, lambda g: ((a, g / av),))
     return out
 
 
@@ -297,7 +293,7 @@ def clamp_min(a: Tensor, floor: float, tape: GradTape | None = None) -> Tensor:
         def pull(g: np.ndarray):
             return ((a, g * mask),)
 
-        tape._record(out, pull)
+        tape.record(out, pull)
     return out
 
 
@@ -310,25 +306,7 @@ def tsum(a: Tensor, tape: GradTape | None = None) -> Tensor:
         def pull(g: np.ndarray):
             return ((a, np.full(shape, float(g))),)
 
-        tape._record(out, pull)
-    return out
-
-
-def pick(a: Tensor, index: int, tape: GradTape | None = None) -> Tensor:
-    """Extract one element by flat row-major index, as a scalar tensor."""
-    flat = a.values.reshape(-1)
-    if not 0 <= index < flat.size:
-        raise ShapeError(f"pick index {index} out of range for size {flat.size}")
-    out = Tensor(flat[index])
-    if tape is not None:
-        shape = a.shape
-
-        def pull(g: np.ndarray):
-            z = np.zeros(shape)
-            z.reshape(-1)[index] = g
-            return ((a, z),)
-
-        tape._record(out, pull)
+        tape.record(out, pull)
     return out
 
 
@@ -347,7 +325,7 @@ def take_row(a: Tensor, row: int, tape: GradTape | None = None) -> Tensor:
             z[row] = g
             return ((a, z),)
 
-        tape._record(out, pull)
+        tape.record(out, pull)
     return out
 
 
@@ -374,7 +352,7 @@ def take_flat(a: Tensor, indices: np.ndarray, out_shape: Sequence[int],
             np.add.at(z.reshape(-1), indices, g.reshape(-1))
             return ((a, z),)
 
-        tape._record(out, pull)
+        tape.record(out, pull)
     return out
 
 
@@ -387,29 +365,5 @@ def reshape(a: Tensor, shape: Sequence[int], tape: GradTape | None = None) -> Te
         def pull(g: np.ndarray):
             return ((a, g.reshape(old)),)
 
-        tape._record(out, pull)
+        tape.record(out, pull)
     return out
-
-
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "relu": relu,
-    "exp": exp,
-    "log": log,
-    "scale": scale,
-}
-
-
-def elementwise(op: str, *operands, tape: GradTape | None = None) -> Tensor:
-    """Dispatch an elementwise operation by name.
-
-    Supported: add, sub, mul (two operands, scalar broadcasting only),
-    relu, exp, log (one operand), scale (tensor plus constant factor).
-    """
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}") from None
-    return fn(*operands, tape=tape)

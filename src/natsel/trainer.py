@@ -23,16 +23,9 @@ import numpy as np
 from .data import Dataset, SamplerConfig, epoch_indices
 from .errors import ConfigError, NumericError, ShapeError, TrainingDiverged
 from .imageops import GridLayout, Normalization, _normalize_batch
-from .model import (
-    PROB_FLOOR,
-    Classifier,
-    LossConfig,
-    per_sample_loss,
-    softmax,
-    softmax_rows,
-)
+from .model import Classifier, LossConfig, sample_losses
 from .nscore import batch_ns_scores
-from .tensor import GradTape, Tensor, add, backward, mul, scale, take_row
+from .tensor import GradTape, Tensor, backward
 from .weighting import WeightingConfig, compute_weights
 
 __all__ = [
@@ -143,24 +136,42 @@ class EvalResult:
     per_class_accuracy: tuple[float, ...]
 
 
-def weighted_batch_loss(losses, weights, tape: GradTape | None = None) -> Tensor:
-    """(1/B) * sum_i w_i * loss_i as a taped scalar.
+def weighted_batch_loss(logits: Tensor, labels, weights,
+                        loss_cfg: LossConfig = LossConfig(),
+                        tape: GradTape | None = None) -> Tensor:
+    """(1/B) * sum_i w_i * loss_i of [B, K] logits, as one taped scalar.
 
-    Weights enter as constants (no gradient flows into them), which is
-    what keeps the scoring stage outside the optimization.
+    The whole batch is one tape record whose pullback is the closed-form
+    logit gradient of :func:`natsel.model.sample_losses`, scaled by
+    w_i / B.  Weights enter as constants (no gradient flows into them),
+    which is what keeps the scoring stage outside the optimization.
     """
+    z = logits.values
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or len(losses) != w.shape[0]:
-        raise ShapeError(
-            f"{len(losses)} losses but {w.shape} weights"
-        )
-    if not losses:
+    labels = np.asarray(labels, dtype=np.int64)
+    if z.ndim != 2:
+        raise ShapeError(f"logits must be [B, K], got shape {z.shape}")
+    b = z.shape[0]
+    if b == 0:
         raise ShapeError("empty batch")
-    total = None
-    for loss_i, w_i in zip(losses, w):
-        term = mul(loss_i, float(w_i), tape=tape)
-        total = term if total is None else add(total, term, tape=tape)
-    return scale(total, 1.0 / len(losses), tape=tape)
+    if w.shape != (b,) or labels.shape != (b,):
+        raise ShapeError(
+            f"{b} rows of logits but {labels.shape} labels and "
+            f"{w.shape} weights"
+        )
+    if tape is None:
+        losses = sample_losses(z, labels, loss_cfg)
+    else:
+        losses, dlogits = sample_losses(z, labels, loss_cfg, grad=True)
+    out = Tensor(float(np.sum(w * losses)) / b)
+    if tape is not None:
+        row_scale = (w / b)[:, np.newaxis]
+
+        def pull(g: np.ndarray):
+            return ((logits, dlogits * (row_scale * g)),)
+
+        tape.record(out, pull)
+    return out
 
 
 def sgd_momentum_step(params, grads, velocity, learning_rate: float,
@@ -178,21 +189,6 @@ def sgd_momentum_step(params, grads, velocity, learning_rate: float,
         v *= momentum
         v += gv
         p.values -= learning_rate * v
-
-
-def _eval_losses(posteriors: np.ndarray, labels: np.ndarray,
-                 cfg: LossConfig) -> np.ndarray:
-    """Untaped per-sample losses mirroring the taped formulas exactly."""
-    n, k = posteriors.shape
-    p_y = np.maximum(posteriors[np.arange(n), labels], PROB_FLOOR)
-    nll = -np.log(p_y)
-    if cfg.kind == "cross_entropy":
-        return nll
-    if cfg.kind == "focal":
-        return (1.0 - p_y) ** cfg.focal_gamma * nll
-    eps = cfg.smoothing_epsilon
-    all_logs = np.log(np.maximum(posteriors, PROB_FLOOR)).sum(axis=1)
-    return (1.0 - eps) * nll + (-eps / k) * all_logs
 
 
 def _accuracy_stats(predictions: np.ndarray, labels: np.ndarray,
@@ -224,9 +220,8 @@ def evaluate(model: Classifier, dataset: Dataset,
         if normalization is not None:
             images = _normalize_batch(images, normalization)
         logits = model.forward_batch(Tensor(images)).values
-        posteriors = softmax_rows(logits)
         labels = dataset.labels[start:stop]
-        loss_sum += float(_eval_losses(posteriors, labels, loss_cfg).sum())
+        loss_sum += float(sample_losses(logits, labels, loss_cfg).sum())
         predictions[start:stop] = np.argmax(logits, axis=1)
     overall, per_class = _accuracy_stats(predictions, dataset.labels,
                                          dataset.class_count)
@@ -294,17 +289,14 @@ class _EpochTally:
         )
 
 
-def _taped_batch_losses(model, images, labels, loss_cfg, tape):
-    """Taped forward for one batch: per-sample losses plus predictions."""
+def _taped_step(model, images, labels, weights, loss_cfg):
+    """Tape one batch: forward, weighted loss, and the predictions."""
+    tape = GradTape()
+    model.register_on(tape)
     logits = model.forward_batch(Tensor(images), tape=tape)
-    predictions = np.argmax(logits.values, axis=1)
-    losses = []
-    for i in range(labels.shape[0]):
-        row = take_row(logits, i, tape=tape)
-        probs = softmax(row, tape=tape)
-        losses.append(per_sample_loss(probs, int(labels[i]), loss_cfg,
-                                      tape=tape))
-    return losses, predictions
+    batch_loss = weighted_batch_loss(logits, labels, weights, loss_cfg,
+                                     tape=tape)
+    return tape, batch_loss, np.argmax(logits.values, axis=1)
 
 
 def _check_finite(value: float, epoch: int, step: int, quantity: str):
@@ -355,19 +347,16 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
                 ns_start = time.perf_counter()
                 result = batch_ns_scores(images, labels, model, config.layout)
                 weights = compute_weights(result.score, config.weighting)
-                tally.record_scores(labels, result.score, len(result.groups),
+                tally.record_scores(labels, result.score, result.group_count,
                                     time.perf_counter() - ns_start)
                 if score_sink is not None:
                     score_sink(epoch, step, result, weights.copy(), batch_idx)
             else:
                 weights = np.full(labels.shape[0], config.weighting.sigma)
 
-            tape = GradTape()
-            model.register_on(tape)
             try:
-                losses, predictions = _taped_batch_losses(
-                    model, images, labels, config.loss, tape)
-                batch_loss = weighted_batch_loss(losses, weights, tape=tape)
+                tape, batch_loss, predictions = _taped_step(
+                    model, images, labels, weights, config.loss)
             except NumericError as err:
                 raise TrainingDiverged(epoch, step, str(err),
                                        float("nan")) from err
@@ -422,14 +411,8 @@ def train_erm(config: TrainConfig, train_set: Dataset, test_set: Dataset,
             labels = train_set.labels[batch_idx]
             if config.normalization is not None:
                 images = _normalize_batch(images, config.normalization)
-            tape = GradTape()
-            model.register_on(tape)
-            losses, predictions = _taped_batch_losses(
-                model, images, labels, config.loss, tape)
-            total = losses[0]
-            for extra in losses[1:]:
-                total = add(total, extra, tape=tape)
-            batch_loss = scale(total, 1.0 / len(losses), tape=tape)
+            tape, batch_loss, predictions = _taped_step(
+                model, images, labels, np.ones(labels.shape[0]), config.loss)
             loss_value = batch_loss.item()
             _check_finite(loss_value, epoch, step, "batch loss")
             grads = backward(tape, batch_loss)
@@ -508,7 +491,7 @@ def duality_check(candidates, dataset: Dataset, fitness_ceiling: float,
     risks = []
     for candidate in candidates:
         logits = candidate.forward_batch(Tensor(dataset.images)).values
-        losses = _eval_losses(softmax_rows(logits), dataset.labels, loss_cfg)
+        losses = sample_losses(logits, dataset.labels, loss_cfg)
         if losses.max() >= fitness_ceiling:
             raise ConfigError(
                 f"fitness ceiling {fitness_ceiling} not above max loss "

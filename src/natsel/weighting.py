@@ -9,6 +9,7 @@ directly with no batch renormalization.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ class WeightingConfig:
     The label must agree with the sign of rho: ns_ws needs rho > 0,
     ns_lf needs rho < 0, uniform and focal_like need rho == 0 (the
     focal variant gets its shape from the loss, not from weights).
+    Scores lie in (0, 1), so sigma + rho >= 0 is exactly the condition
+    for never emitting a negative weight; it is checked here, before any
+    training starts.
     """
 
     sigma: float
@@ -46,6 +50,11 @@ class WeightingConfig:
             )
         if self.sigma < 0:
             raise ConfigError(f"sigma must be non-negative, got {self.sigma}")
+        if self.sigma + self.rho < 0:
+            raise ConfigError(
+                f"sigma={self.sigma} with rho={self.rho} can emit negative "
+                f"weights; sigma must be at least {-self.rho}"
+            )
         wanted = _strategy_for(self.rho)
         actual = "uniform" if self.strategy == "focal_like" else self.strategy
         if actual != wanted:
@@ -81,11 +90,10 @@ def _strategy_for(rho: float) -> str:
 
 
 def compute_weights(scores, cfg: WeightingConfig) -> np.ndarray:
-    """w_i = sigma + rho * s_i, refusing to emit negative weights.
+    """w_i = sigma + rho * s_i for scores strictly inside (0, 1).
 
-    A negative weight means sigma is too small for the chosen rho < 0;
-    that is a configuration problem, not a numeric one, so it raises
-    instead of silently flipping gradient signs.
+    ``WeightingConfig`` guarantees sigma + rho >= 0, so no weight is
+    negative; a non-finite weight is a configuration problem and raises.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.size and (s.min() <= 0.0 or s.max() >= 1.0):
@@ -93,16 +101,11 @@ def compute_weights(scores, cfg: WeightingConfig) -> np.ndarray:
             "scores must lie strictly inside (0, 1); "
             f"got range [{s.min()}, {s.max()}]"
         )
-    w = cfg.sigma + cfg.rho * s
-    if s.size and w.min() < 0.0:
-        raise ConfigError(
-            f"sigma={cfg.sigma} with rho={cfg.rho} yields negative weight "
-            f"{w.min()} at score {s[np.argmin(w)]}; raise sigma to at least "
-            f"{abs(cfg.rho)}"
-        )
-    if not np.all(np.isfinite(w)):
+    # Every weight lies between the two bounds, so finite bounds are
+    # enough to make every weight finite.
+    if not all(math.isfinite(b) for b in cfg.bounds):
         raise ConfigError("non-finite weight produced; check sigma and rho")
-    return w
+    return cfg.sigma + cfg.rho * s
 
 
 def weight_curve(n: int, cfg: WeightingConfig) -> list[tuple[int, float]]:

@@ -107,3 +107,69 @@ def centroid_model(dataset, scale=1.0, init_seed=0):
     model.parameters[0].values[...] = weight
     model.parameters[1].values[...] = bias
     return model
+
+
+def softmax_vector(z: np.ndarray) -> np.ndarray:
+    """Per-vector softmax oracle: exp(z - max - log sum exp(z - max))."""
+    shifted = z - np.max(z)
+    return np.exp(shifted - np.log(np.sum(np.exp(shifted))))
+
+
+def loss_oracle(p: np.ndarray, y: int, cfg) -> float:
+    """Loss of one sample from its probability vector, written out per
+    kind with the 1e-12 probability floor; no tape, no batching."""
+    p_y = max(float(p[y]), 1e-12)
+    nll = -np.log(p_y)
+    if cfg.kind == "cross_entropy":
+        return float(nll)
+    if cfg.kind == "focal":
+        return float((1.0 - p_y) ** cfg.focal_gamma * nll)
+    eps = cfg.smoothing_epsilon
+    return float((1.0 - eps) * nll
+                 + (eps / p.shape[0]) * np.sum(-np.log(np.maximum(p, 1e-12))))
+
+
+def group_members(result, group: int) -> np.ndarray:
+    """Batch positions of one group of an NSResult, read from group_ids."""
+    return np.flatnonzero(result.group_ids == group)
+
+
+class GroupSpec:
+    """One competition group for the per-group oracle: a grid layout plus
+    member batch positions, validated like a real grouping."""
+
+    def __init__(self, layout, members):
+        from natsel.errors import ConfigError
+
+        members = tuple(int(i) for i in members)
+        if len(members) != layout.group_size:
+            raise ConfigError(f"group of {len(members)} members does not "
+                              f"fill a {layout} grid")
+        if len(set(members)) != len(members):
+            raise ConfigError("group members must be distinct")
+        if any(i < 0 for i in members):
+            raise ConfigError("group members must be non-negative")
+        self.layout = layout
+        self.members = members
+
+
+def group_ns_scores(group, samples, labels, model, normalization=None):
+    """Per-group scoring oracle: stitch, resize and normalize one image at
+    a time, then the per-image forward and a per-vector softmax.
+
+    Returns raw and normalized scores as [1, m] arrays.  Posteriors are
+    kept inside [1e-12, 1 - 1e-12], as in the batched path.
+    """
+    from natsel.imageops import bilinear_resize, channel_normalize, stitch
+    from natsel.tensor import Tensor
+
+    h0, w0, _ = model.config.input_shape
+    members = [s if isinstance(s, Tensor) else Tensor(s)
+               for s in (samples[i] for i in group.members)]
+    composite = bilinear_resize(stitch(members, group.layout), (h0, w0))
+    if normalization is not None:
+        composite = channel_normalize(composite, normalization)
+    probs = softmax_vector(model.forward(composite).values)
+    q = np.array([[probs[int(labels[i])] for i in group.members]])
+    q = np.clip(q, 1e-12, 1.0 - 1e-12)
+    return q, q / q.sum()

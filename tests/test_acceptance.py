@@ -16,6 +16,7 @@ import numpy as np
 from conftest import (
     centroid_model,
     finite_difference,
+    group_members,
     max_relative_error,
     reference_resize,
     taped_gradients,
@@ -30,13 +31,7 @@ from natsel.config import (
 )
 from natsel.data import DatasetRecipe, gen_synthetic
 from natsel.imageops import GridLayout, bilinear_resize
-from natsel.model import (
-    Classifier,
-    ClassifierConfig,
-    LossConfig,
-    per_sample_loss,
-    softmax,
-)
+from natsel.model import Classifier, ClassifierConfig, LossConfig
 from natsel.nscore import batch_ns_scores, params_hash
 from natsel.tensor import Tensor
 from natsel.trainer import (
@@ -95,8 +90,8 @@ def test_criterion_01_group_normalization(capsys):
             images = rng.random((batch, 3, 3, 1))
             labels = rng.integers(0, k, size=batch)
             result = batch_ns_scores(images, labels, model, layout)
-            for group in result.groups:
-                idx = list(group.members)
+            for group in range(result.group_count):
+                idx = group_members(result, group)
                 total = result.score[idx].sum()
                 ok = ok and abs(total - 1.0) <= 1e-9
                 ok = ok and np.all(result.score[idx] > 0.0)
@@ -153,36 +148,36 @@ def test_criterion_03_plain_training_equivalence(capsys):
 
 
 def test_criterion_04_weighted_gradient_fidelity(capsys):
+    # The path training runs: batched taped logits into the fused loss.
     rng = np.random.default_rng(404)
-    loss_cfg = LossConfig()
+    loss_cfgs = (LossConfig(),
+                 LossConfig(kind="focal", focal_gamma=2.0),
+                 LossConfig(kind="label_smoothing", smoothing_epsilon=0.1))
     worst = 0.0
-    for case in range(50):
-        model = Classifier(ClassifierConfig(
-            input_shape=(4, 4, 1), hidden=(6,), class_count=3,
-            init_seed=1000 + case))
-        assert sum(p.size for p in model.parameters) <= 1000
-        images = rng.random((3, 4, 4, 1))
-        labels = rng.integers(0, 3, size=3)
-        weights = rng.uniform(0.5, 2.0, size=3)
+    for loss_cfg in loss_cfgs:
+        for case in range(50):
+            model = Classifier(ClassifierConfig(
+                input_shape=(4, 4, 1), hidden=(6,), class_count=3,
+                init_seed=1000 + case))
+            assert sum(p.size for p in model.parameters) <= 1000
+            images = Tensor(rng.random((3, 4, 4, 1)))
+            labels = rng.integers(0, 3, size=3)
+            weights = rng.uniform(0.5, 2.0, size=3)
 
-        def batch_loss(params, tape=None):
-            losses = [
-                per_sample_loss(
-                    softmax(model.forward(Tensor(images[i]), tape=tape),
-                            tape=tape),
-                    int(labels[i]), loss_cfg, tape=tape)
-                for i in range(3)
-            ]
-            return weighted_batch_loss(losses, weights, tape=tape)
+            def batch_loss(params, tape=None):
+                logits = model.forward_batch(images, tape=tape)
+                return weighted_batch_loss(logits, labels, weights, loss_cfg,
+                                           tape=tape)
 
-        analytic = taped_gradients(batch_loss, model.parameters)
-        numeric = finite_difference(
-            lambda params: float(batch_loss(params).values),
-            model.parameters, step=1e-6)
-        worst = max(worst, max_relative_error(analytic, numeric))
+            analytic = taped_gradients(batch_loss, model.parameters)
+            numeric = finite_difference(
+                lambda params: float(batch_loss(params).values),
+                model.parameters, step=1e-6)
+            worst = max(worst, max_relative_error(analytic, numeric))
     ok = worst <= 1e-5
     _verdict(capsys, 4, "weighted loss gradients match finite differences",
-             ok, f"max rel err {worst:.2e} over 50 cases")
+             ok, f"max rel err {worst:.2e} over 50 cases x "
+                 f"{len(loss_cfgs)} losses")
 
 
 def test_criterion_05_resize_matches_oracle(capsys):

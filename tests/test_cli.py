@@ -10,6 +10,7 @@ from natsel.cli import (
     RHO_AXIS,
     SIGMA_AXIS,
     _read_scores,
+    _write_scores,
     main,
     run_experiment,
     sweep,
@@ -129,6 +130,31 @@ class TestRun:
             assert label in (0, 1)
             assert 0.0 < s < 1.0 or (gid == -1 and s == 0.5)
             assert abs(w - (sigma + rho * s)) <= 1e-12
+
+    def test_score_log_bytes_match_csv_writer(self, tmp_path):
+        # The score log formats rows itself; its bytes must be what the
+        # csv module writes for the same per-sample rows.
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, 3, size=20)
+        batches = []
+        for step in range(3):
+            idx = rng.permutation(20)[:6]
+            gids = np.array([0, 0, 1, 1, -1, -1])
+            batches.append((step // 2, step, idx, gids, rng.random(6),
+                            rng.random(6), rng.random(6) * 1e-20))
+        _write_scores(tmp_path / "fast.csv", batches, labels)
+        with open(tmp_path / "plain.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["epoch", "step", "group_id", "sample_index",
+                             "label", "q", "s", "w"])
+            for epoch, step, idx, gids, q, s, w in batches:
+                for pos in range(idx.shape[0]):
+                    writer.writerow([
+                        epoch, step, int(gids[pos]), int(idx[pos]),
+                        int(labels[idx[pos]]), repr(float(q[pos])),
+                        repr(float(s[pos])), repr(float(w[pos]))])
+        assert (tmp_path / "fast.csv").read_bytes() == \
+            (tmp_path / "plain.csv").read_bytes()
 
     def test_single_seed_flag(self, tmp_path):
         cfg_path = write_config(tmp_path)

@@ -160,6 +160,17 @@ class TestStrictness:
         with pytest.raises(ConfigError):
             parse_config("[weighting]\nsigma = -0.1\n")
 
+    def test_weights_that_can_go_negative_fail_before_epoch_0(self):
+        # sigma + rho < 0 would make compute_weights raise mid-training,
+        # once some score crossed sigma/|rho|; parsing refuses it instead.
+        text = "[weighting]\nsigma = 0.5\nrho = -1.0\nstrategy = ns_lf\n"
+        with pytest.raises(ConfigError, match="sigma must be at least 1.0"):
+            parse_config(text)
+        edge = parse_config(text.replace("sigma = 0.5", "sigma = 1.0"))
+        assert edge.train.weighting.bounds == (0.0, 1.0)
+        with pytest.raises(ConfigError):
+            apply_overrides(parse_config(FULL_TEXT), sigma=0.5)
+
     def test_syntax_error(self):
         with pytest.raises(ConfigError, match="syntax"):
             parse_config("[experiment\nlabel = x\n")

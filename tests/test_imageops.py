@@ -10,7 +10,9 @@ from natsel.imageops import (
     Normalization,
     _assemble_grid,
     _normalize_batch,
+    _composite_map,
     _resize_batch,
+    _stitch_resize,
     bilinear_resize,
     channel_normalize,
     stitch,
@@ -189,6 +191,34 @@ class TestBatchHelpersMatchPublicOps:
         for n in range(4):
             single = bilinear_resize(Tensor(images[n]), (6, 4))
             assert np.array_equal(batched[n], single.values)
+
+    @pytest.mark.parametrize("shape,layout,target,fused", [
+        ((8, 8, 1), GridLayout(2, 2), (8, 8), True),
+        ((3, 5, 2), GridLayout(1, 2), (4, 6), True),
+        ((8, 8, 1), GridLayout(4, 4), (8, 8), True),
+        ((32, 32, 3), GridLayout(1, 2), (32, 32), False),
+    ])
+    def test_stitch_resize(self, shape, layout, target, fused):
+        # The folded map (small images) and the grid-then-separable route
+        # both match stitching and resizing one group at a time.
+        rng = np.random.default_rng(74)
+        m = layout.group_size
+        members = rng.random((3, m) + shape)
+        assert (_composite_map(layout, *shape, *target) is not None) == fused
+        batched = _stitch_resize(members, layout, target)
+        for n in range(3):
+            composite = stitch([Tensor(members[n, k]) for k in range(m)],
+                               layout)
+            single = bilinear_resize(composite, target).values
+            assert np.max(np.abs(batched[n] - single)) <= 1e-12
+
+    def test_resize_maps_are_cached(self):
+        from natsel.imageops import _resize_maps
+        ry, rx = _resize_maps(4, 6, 3, 5)
+        assert _resize_maps(4, 6, 3, 5)[0] is ry
+        assert ry.shape == (3, 4) and rx.shape == (5, 6)
+        assert np.all(ry.sum(axis=1) == 1.0)
+        assert np.array_equal(_resize_maps(5, 7, 5, 7)[0], np.eye(5))
 
     def test_normalize_batch(self):
         rng = np.random.default_rng(73)

@@ -1,4 +1,8 @@
-"""Classifier forward pass, softmax, losses, init, and checkpoints."""
+"""Classifier forward pass, softmax, losses, init, and checkpoints.
+
+Loss values and gradients go through the fused batch loss,
+``natsel.trainer.weighted_batch_loss``, the only loss path training runs.
+"""
 
 import math
 
@@ -12,20 +16,36 @@ from natsel.model import (
     ConvSpec,
     LossConfig,
     load_checkpoint,
-    per_sample_loss,
     save_checkpoint,
-    softmax,
     softmax_rows,
 )
 from natsel.tensor import GradTape, Tensor, backward
+from natsel.trainer import weighted_batch_loss
 
-from conftest import finite_difference, max_relative_error, taped_gradients
+from conftest import (
+    finite_difference,
+    loss_oracle,
+    max_relative_error,
+    softmax_vector,
+    taped_gradients,
+)
 
 
 def small_config(**overrides):
     base = dict(input_shape=(2, 2, 1), hidden=(), class_count=2, init_seed=0)
     base.update(overrides)
     return ClassifierConfig(**base)
+
+
+def loss_of(p, y: int, cfg: LossConfig) -> float:
+    """One sample's loss through the fused op, from a probability vector.
+
+    The logits are log p; a zero probability becomes a logit of -690,
+    whose softmax value is far below the 1e-12 floor.
+    """
+    logits = np.log(np.maximum(np.asarray(p, dtype=np.float64), 1e-300))
+    return weighted_batch_loss(Tensor(logits[np.newaxis]), [y], [1.0],
+                               cfg).item()
 
 
 def manual_forward(model: Classifier, x: np.ndarray) -> np.ndarray:
@@ -92,6 +112,18 @@ class TestForward:
             single = model.forward(Tensor(xs[i])).values
             assert np.array_equal(batch[i], single)
 
+    @pytest.mark.parametrize("conv", [None, ConvSpec(kernel=2, channels=3)])
+    def test_taped_and_untaped_paths_agree(self, conv):
+        cfg = ClassifierConfig(input_shape=(4, 3, 2), hidden=(5,),
+                               class_count=3, init_seed=8, conv=conv)
+        model = Classifier(cfg)
+        xs = np.random.default_rng(12).random((6, 4, 3, 2))
+        tape = GradTape()
+        model.register_on(tape)
+        taped = model.forward_batch(Tensor(xs), tape=tape).values
+        assert np.array_equal(taped, model.forward_batch(Tensor(xs)).values)
+        assert np.array_equal(taped, model.logits(xs))
+
     def test_shape_mismatch_rejected(self):
         model = Classifier(small_config())
         with pytest.raises(ShapeError):
@@ -126,59 +158,57 @@ class TestConvStage:
 
 class TestSoftmax:
     def test_uniform_logits(self):
-        p = softmax(Tensor([0.0, 0.0, 0.0, 0.0])).values
+        p = softmax_rows(np.zeros((1, 4)))
         assert np.max(np.abs(p - 0.25)) <= 1e-12
 
     def test_log_counts(self):
-        z = Tensor([math.log(1), math.log(2), math.log(3), math.log(4)])
-        p = softmax(z).values
-        assert np.max(np.abs(p - [0.1, 0.2, 0.3, 0.4])) <= 1e-12
+        z = np.log([[1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0]])
+        p = softmax_rows(z)
+        assert np.max(np.abs(p[0] - [0.1, 0.2, 0.3, 0.4])) <= 1e-12
+        assert np.max(np.abs(p[1] - [0.4, 0.3, 0.2, 0.1])) <= 1e-12
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
-            z = rng.normal(size=6)
-            c = float(rng.normal() * 10)
-            diff = softmax(Tensor(z + c)).values - softmax(Tensor(z)).values
+            z = rng.normal(size=(3, 6))
+            c = rng.normal(size=(3, 1)) * 10
+            diff = softmax_rows(z + c) - softmax_rows(z)
             assert np.max(np.abs(diff)) <= 1e-12
 
     def test_valid_distribution_even_with_extreme_logits(self):
         # Gaps stay under ~745 so exp(z - max) is representable in float64.
         for z in ([350.0, 0.0, -350.0], [-700.0, -701.0], [50.0] * 3):
-            p = softmax(Tensor(z)).values
+            p = softmax_rows(np.array([z]))
             assert np.all(p > 0.0)
             assert abs(p.sum() - 1.0) <= 1e-12
 
     def test_rejects_bad_input(self):
         with pytest.raises(NumericError):
-            softmax(Tensor([1.0, float("nan")]))
+            softmax_rows(np.array([[1.0, float("nan")]]))
         with pytest.raises(NumericError):
-            softmax(Tensor([1.0, float("inf")]))
+            softmax_rows(np.array([[1.0, float("inf")]]))
         with pytest.raises(ShapeError):
-            softmax(Tensor([[1.0, 2.0]]))
+            softmax_rows(np.array([1.0, 2.0]))
 
     def test_softmax_rows_matches_vector_path(self):
         logits = np.random.default_rng(23).normal(size=(4, 5)) * 3
         rows = softmax_rows(logits)
         for i in range(4):
-            single = softmax(Tensor(logits[i])).values
+            single = softmax_vector(logits[i])
             assert np.max(np.abs(rows[i] - single)) <= 1e-15
 
 
 class TestPerSampleLoss:
     def test_cross_entropy_certain_prediction(self):
-        p = Tensor([1.0, 0.0])
-        assert per_sample_loss(p, 0, LossConfig()).item() == 0.0
+        assert loss_of([1.0, 0.0], 0, LossConfig()) == 0.0
 
     def test_cross_entropy_uniform_ten_classes(self):
-        p = Tensor(np.full(10, 0.1))
-        got = per_sample_loss(p, 7, LossConfig()).item()
+        got = loss_of(np.full(10, 0.1), 7, LossConfig())
         assert abs(got - math.log(10)) <= 1e-12
 
     def test_focal_half_confidence(self):
-        p = Tensor([0.5, 0.5])
-        got = per_sample_loss(p, 0, LossConfig(kind="focal", focal_gamma=2.0))
-        assert abs(got.item() - 0.25 * math.log(2)) <= 1e-12
+        got = loss_of([0.5, 0.5], 0, LossConfig(kind="focal", focal_gamma=2.0))
+        assert abs(got - 0.25 * math.log(2)) <= 1e-12
 
     def test_focal_gamma_zero_is_cross_entropy(self):
         rng = np.random.default_rng(6)
@@ -186,9 +216,9 @@ class TestPerSampleLoss:
         focal0 = LossConfig(kind="focal", focal_gamma=0.0)
         for _ in range(20):
             raw = rng.random(5) + 1e-3
-            p = Tensor(raw / raw.sum())
+            p = raw / raw.sum()
             y = int(rng.integers(5))
-            diff = per_sample_loss(p, y, focal0).item() - per_sample_loss(p, y, ce).item()
+            diff = loss_of(p, y, focal0) - loss_of(p, y, ce)
             assert abs(diff) <= 1e-12
 
     def test_smoothing_zero_is_cross_entropy(self):
@@ -197,9 +227,9 @@ class TestPerSampleLoss:
         ls0 = LossConfig(kind="label_smoothing", smoothing_epsilon=0.0)
         for _ in range(20):
             raw = rng.random(4) + 1e-3
-            p = Tensor(raw / raw.sum())
+            p = raw / raw.sum()
             y = int(rng.integers(4))
-            diff = per_sample_loss(p, y, ls0).item() - per_sample_loss(p, y, ce).item()
+            diff = loss_of(p, y, ls0) - loss_of(p, y, ce)
             assert abs(diff) <= 1e-12
 
     def test_smoothing_closed_form(self):
@@ -207,24 +237,25 @@ class TestPerSampleLoss:
         eps = 0.2
         expected = (1 - eps) * -math.log(0.5) + (eps / 3) * float(
             np.sum(-np.log(p)))
-        got = per_sample_loss(Tensor(p), 1,
-                              LossConfig(kind="label_smoothing",
-                                         smoothing_epsilon=eps)).item()
+        got = loss_of(p, 1, LossConfig(kind="label_smoothing",
+                                       smoothing_epsilon=eps))
         assert abs(got - expected) <= 1e-12
 
     def test_probability_floor_keeps_loss_finite(self):
-        got = per_sample_loss(Tensor([0.0, 1.0]), 0, LossConfig()).item()
+        got = loss_of([0.0, 1.0], 0, LossConfig())
         assert got == -math.log(1e-12)
 
     def test_label_out_of_range(self):
+        logits = Tensor([[0.0, 0.0]])
         with pytest.raises(ConfigError):
-            per_sample_loss(Tensor([0.5, 0.5]), 2, LossConfig())
+            weighted_batch_loss(logits, [2], [1.0], LossConfig())
         with pytest.raises(ConfigError):
-            per_sample_loss(Tensor([0.5, 0.5]), -1, LossConfig())
+            weighted_batch_loss(logits, [-1], [1.0], LossConfig())
 
     def test_requires_vector(self):
+        # One logit vector per row: the batch is [B, K], never flat.
         with pytest.raises(ShapeError):
-            per_sample_loss(Tensor([[0.5, 0.5]]), 0, LossConfig())
+            weighted_batch_loss(Tensor([0.5, 0.5]), [0], [1.0], LossConfig())
 
     def test_loss_config_validation(self):
         with pytest.raises(ConfigError):
@@ -239,16 +270,15 @@ class TestLossGradients:
     def test_cross_entropy_logit_gradient_closed_form(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            z = Tensor(rng.normal(size=6))
+            z = Tensor(rng.normal(size=(1, 6)))
             y = int(rng.integers(6))
             tape = GradTape()
             tape.register(z)
-            p = softmax(z, tape=tape)
-            loss = per_sample_loss(p, y, LossConfig(), tape=tape)
-            grad = backward(tape, loss)[z].values
+            loss = weighted_batch_loss(z, [y], [1.0], LossConfig(), tape=tape)
+            grad = backward(tape, loss)[z].values[0]
             one_hot = np.zeros(6)
             one_hot[y] = 1.0
-            expected = softmax(z).values - one_hot
+            expected = softmax_vector(z.values[0]) - one_hot
             assert np.max(np.abs(grad - expected)) <= 1e-10
 
     @pytest.mark.parametrize("cfg", [
@@ -257,21 +287,14 @@ class TestLossGradients:
     ])
     def test_loss_gradients_against_finite_differences(self, cfg):
         rng = np.random.default_rng(29)
-        z = Tensor(rng.normal(size=5))
+        z = Tensor(rng.normal(size=(1, 5)))
         y = 2
 
         def taped(params, tape):
-            p = softmax(params[0], tape=tape)
-            return per_sample_loss(p, y, cfg, tape=tape)
+            return weighted_batch_loss(params[0], [y], [1.0], cfg, tape=tape)
 
         def plain(params):
-            p = softmax(params[0]).values
-            p_y = max(p[y], 1e-12)
-            if cfg.kind == "focal":
-                return float((1 - p_y) ** cfg.focal_gamma * -math.log(p_y))
-            eps = cfg.smoothing_epsilon
-            return float((1 - eps) * -math.log(p_y)
-                         + (eps / 5) * np.sum(-np.log(np.maximum(p, 1e-12))))
+            return loss_oracle(softmax_vector(params[0].values[0]), y, cfg)
 
         analytic = taped_gradients(taped, [z])
         numeric = finite_difference(plain, [z])
@@ -285,12 +308,13 @@ class TestLossGradients:
         y = 1
 
         def taped(params, tape):
-            p = softmax(model.forward(Tensor(x), tape=tape), tape=tape)
-            return per_sample_loss(p, y, LossConfig(), tape=tape)
+            logits = model.forward_batch(Tensor(x[np.newaxis]), tape=tape)
+            return weighted_batch_loss(logits, [y], [1.0], LossConfig(),
+                                       tape=tape)
 
         def plain(params):
-            p = softmax(Tensor(manual_forward(model, x))).values
-            return float(-math.log(max(p[y], 1e-12)))
+            p = softmax_vector(manual_forward(model, x))
+            return loss_oracle(p, y, LossConfig())
 
         analytic = taped_gradients(taped, model.parameters)
         numeric = finite_difference(plain, model.parameters)

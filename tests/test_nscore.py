@@ -10,15 +10,14 @@ from natsel.imageops import GridLayout, Normalization
 from natsel.model import Classifier, ClassifierConfig, ConvSpec
 from natsel.nscore import (
     LEFTOVER_GROUP_ID,
-    GroupSpec,
     _scores_from_posterior,
     batch_ns_scores,
-    group_ns_scores,
     params_hash,
-    partition_groups,
 )
 from natsel.tensor import Tensor
 from natsel.weighting import WeightingConfig, compute_weights
+
+from conftest import GroupSpec, group_members, group_ns_scores
 
 
 def make_model(seed=0, class_count=2, hidden=(), conv=None, shape=(2, 2, 1)):
@@ -35,20 +34,31 @@ def constant_model(class_count=2):
     return model
 
 
+def partition_groups(batch_size, layout):
+    """Group members and leftovers as batch_ns_scores assigns them."""
+    result = batch_ns_scores(np.zeros((batch_size, 2, 2, 1)),
+                             np.zeros(batch_size, dtype=np.int64),
+                             make_model(), layout)
+    groups = [tuple(group_members(result, g).tolist())
+              for g in range(result.group_count)]
+    leftover = np.flatnonzero(result.group_ids == LEFTOVER_GROUP_ID)
+    return groups, tuple(leftover.tolist())
+
+
 class TestPartitionGroups:
     def test_exact_division(self):
         groups, leftover = partition_groups(8, GridLayout(2, 2))
-        assert [g.members for g in groups] == [(0, 1, 2, 3), (4, 5, 6, 7)]
+        assert groups == [(0, 1, 2, 3), (4, 5, 6, 7)]
         assert leftover == ()
 
     def test_pairs(self):
         groups, leftover = partition_groups(4, GridLayout(1, 2))
-        assert [g.members for g in groups] == [(0, 1), (2, 3)]
+        assert groups == [(0, 1), (2, 3)]
         assert leftover == ()
 
     def test_remainder_becomes_leftover(self):
         groups, leftover = partition_groups(6, GridLayout(2, 2))
-        assert [g.members for g in groups] == [(0, 1, 2, 3)]
+        assert groups == [(0, 1, 2, 3)]
         assert leftover == (4, 5)
 
     def test_batch_smaller_than_group(self):
@@ -66,6 +76,8 @@ class TestPartitionGroups:
 
 
 class TestGroupSpec:
+    """The per-group oracle accepts only well-formed groups."""
+
     def test_member_count_must_fill_grid(self):
         with pytest.raises(ConfigError):
             GroupSpec(GridLayout(2, 2), (0, 1, 2))
@@ -146,7 +158,8 @@ class TestScores:
         assert np.all(weights >= 1.5) and np.all(weights <= 2.5)
 
         samples = [Tensor(images[i]) for i in range(2)]
-        q, s = group_ns_scores(result.groups[0], samples, labels, model)
+        group = GroupSpec(GridLayout(1, 2), group_members(result, 0))
+        q, s = group_ns_scores(group, samples, labels, model)
         assert np.array_equal(s[0], result.score)
 
     @pytest.mark.parametrize("conv", [None, ConvSpec(kernel=2, channels=3)])
@@ -161,9 +174,11 @@ class TestScores:
         result = batch_ns_scores(images, labels, model, layout, norm)
 
         samples = [Tensor(images[i]) for i in range(9)]
-        for gid, group in enumerate(result.groups):
+        assert result.group_count == 2
+        for gid in range(result.group_count):
+            idx = list(range(4 * gid, 4 * gid + 4))
+            group = GroupSpec(layout, idx)
             q, s = group_ns_scores(group, samples, labels, model, norm)
-            idx = list(group.members)
             assert np.max(np.abs(result.raw[idx] - q[0])) <= 1e-12
             assert np.max(np.abs(result.score[idx] - s[0])) <= 1e-12
             assert np.all(result.group_ids[idx] == gid)
@@ -177,8 +192,8 @@ class TestScores:
             result = batch_ns_scores(images, labels, model, layout)
             assert np.all(result.score > 0.0)
             assert np.all(result.score < 1.0)
-            for group in result.groups:
-                total = result.score[list(group.members)].sum()
+            for group in range(result.group_count):
+                total = result.score[group_members(result, group)].sum()
                 assert abs(total - 1.0) <= 1e-9
 
     def test_leftover_samples_get_neutral_scores(self):
@@ -186,7 +201,9 @@ class TestScores:
         images = np.random.default_rng(5).random((6, 2, 2, 1))
         labels = np.zeros(6, dtype=np.int64)
         result = batch_ns_scores(images, labels, model, GridLayout(2, 2))
-        assert result.leftover == (4, 5)
+        assert result.group_count == 1
+        leftover = np.flatnonzero(result.group_ids == LEFTOVER_GROUP_ID)
+        assert leftover.tolist() == [4, 5]
         assert np.all(result.raw[4:] == 0.25)
         assert np.all(result.score[4:] == 0.25)
         assert np.all(result.group_ids[4:] == LEFTOVER_GROUP_ID)
@@ -241,8 +258,8 @@ class TestDetachment:
         images = rng.random((10, 2, 2, 1))
         labels = rng.integers(0, 3, size=10)
         result = batch_ns_scores(images, labels, model, GridLayout(2, 2))
-        group_ns_scores(result.groups[0], [Tensor(images[i]) for i in range(10)],
-                        labels, model)
+        group_ns_scores(GroupSpec(GridLayout(2, 2), group_members(result, 0)),
+                        [Tensor(images[i]) for i in range(10)], labels, model)
         assert params_hash(model) == before
 
     def test_hash_tracks_parameter_changes(self):

@@ -8,15 +8,13 @@ from natsel.tensor import (
     GradTape,
     Tensor,
     add,
+    add_row,
     backward,
     clamp_min,
-    elementwise,
     exp,
     log,
     matmul,
     mul,
-    pick,
-    powc,
     relu,
     reshape,
     scale,
@@ -127,23 +125,6 @@ class TestElementwise:
         x = Tensor([2.0, 4.0])
         assert mul(x, 0.5).values.tolist() == [1.0, 2.0]
         assert sub(10.0, x).values.tolist() == [8.0, 6.0]
-
-    def test_dispatcher_matches_named_ops(self):
-        x = Tensor([0.3, 1.2])
-        assert np.array_equal(elementwise("relu", x).values, relu(x).values)
-        assert np.array_equal(elementwise("add", x, 1.0).values,
-                              add(x, 1.0).values)
-        assert np.array_equal(elementwise("scale", x, 2.0).values,
-                              scale(x, 2.0).values)
-
-    def test_dispatcher_covers_documented_ops(self):
-        from natsel.tensor import _ELEMENTWISE
-        assert set(_ELEMENTWISE) == {"add", "sub", "mul", "relu", "exp",
-                                     "log", "scale"}
-
-    def test_dispatcher_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            elementwise("tanh", Tensor([1.0]))
 
 
 class TestBackward:
@@ -281,8 +262,6 @@ class TestOpGradients:
          lambda v: np.maximum(v, 0.0), -1.0, 1.0),
         ("scale", lambda x, t: scale(x, -2.5, tape=t),
          lambda v: v * -2.5, -1.0, 1.0),
-        ("powc", lambda x, t: powc(x, 1.7, tape=t),
-         lambda v: np.power(v, 1.7), 0.2, 2.0),
         ("clamp", lambda x, t: clamp_min(x, 0.5, tape=t),
          lambda v: np.maximum(v, 0.5), 0.6, 2.0),
     ])
@@ -321,7 +300,8 @@ class TestOpGradients:
         def taped(p, t):
             g = take_flat(p[0], idx, (2, 3), tape=t)
             r = take_row(g, 1, tape=t)
-            total = add(tsum(r, tape=t), pick(p[0], 3, tape=t), tape=t)
+            total = add(tsum(r, tape=t), take_flat(p[0], [3], (), tape=t),
+                        tape=t)
             return add(total, tsum(reshape(g, (6,), tape=t), tape=t), tape=t)
 
         def plain(p):
@@ -331,6 +311,23 @@ class TestOpGradients:
 
         analytic = taped_gradients(taped, [x])
         numeric = finite_difference(plain, [x])
+        assert max_relative_error(analytic, numeric) <= 1e-5
+
+    def test_add_row_gradient(self):
+        rng = np.random.default_rng(37)
+        a = random_tensor(rng, (4, 3))
+        row = random_tensor(rng, (1, 3))
+        weights = rng.normal(size=(4, 3))
+
+        def taped(p, t):
+            return tsum(mul(add_row(p[0], p[1], tape=t), Tensor(weights),
+                            tape=t), tape=t)
+
+        def plain(p):
+            return float(np.sum((p[0].values + p[1].values) * weights))
+
+        analytic = taped_gradients(taped, [a, row])
+        numeric = finite_difference(plain, [a, row])
         assert max_relative_error(analytic, numeric) <= 1e-5
 
     def test_composed_network_loss_gradcheck(self):
@@ -355,10 +352,6 @@ class TestOpGradients:
 
 
 class TestValidation:
-    def test_pick_out_of_range(self):
-        with pytest.raises(ShapeError):
-            pick(Tensor([1.0, 2.0]), 2)
-
     def test_take_row_needs_2d(self):
         with pytest.raises(ShapeError):
             take_row(Tensor([1.0, 2.0]), 0)
@@ -370,6 +363,13 @@ class TestValidation:
         with pytest.raises(ShapeError):
             take_flat(x, np.array([0, 1]), (3,))
 
-    def test_powc_rejects_negative_base(self):
-        with pytest.raises(NumericError):
-            powc(Tensor([-1.0]), 2.0)
+    def test_add_row_validates(self):
+        a = Tensor(np.ones((2, 3)))
+        assert add_row(a, Tensor([[1.0, 2.0, 3.0]])).values.tolist() == \
+            [[2.0, 3.0, 4.0], [2.0, 3.0, 4.0]]
+        with pytest.raises(ShapeError):
+            add_row(a, Tensor([1.0, 2.0, 3.0]))
+        with pytest.raises(ShapeError):
+            add_row(a, Tensor([[1.0, 2.0]]))
+        with pytest.raises(ShapeError):
+            add_row(Tensor([1.0, 2.0, 3.0]), Tensor([[1.0, 2.0, 3.0]]))

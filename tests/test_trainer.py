@@ -8,7 +8,7 @@ import pytest
 from natsel.data import DatasetRecipe, SamplerConfig, build_splits, gen_synthetic
 from natsel.errors import ConfigError, ShapeError, TrainingDiverged
 from natsel.imageops import GridLayout
-from natsel.model import Classifier, ClassifierConfig, LossConfig, softmax
+from natsel.model import Classifier, ClassifierConfig, LossConfig
 from natsel.nscore import params_hash
 from natsel.tensor import GradTape, Tensor, backward
 from natsel.trainer import (
@@ -26,7 +26,13 @@ from natsel.trainer import (
 )
 from natsel.weighting import WeightingConfig
 
-from conftest import centroid_model, finite_difference, max_relative_error
+from conftest import (
+    centroid_model,
+    finite_difference,
+    loss_oracle,
+    max_relative_error,
+    softmax_vector,
+)
 
 
 def toy_sets(per_class=(10, 10), noise=0.05, seed=3, test_per_class=4,
@@ -51,60 +57,70 @@ def base_config(**overrides):
     return TrainConfig(**base)
 
 
+LOSS_CONFIGS = [
+    LossConfig(),
+    LossConfig(kind="focal", focal_gamma=2.0),
+    LossConfig(kind="label_smoothing", smoothing_epsilon=0.1),
+]
+
+
 class TestWeightedBatchLoss:
-    def losses(self, values):
-        return [Tensor(float(v)) for v in values]
+    def logits(self, rows, seed=4):
+        return Tensor(np.random.default_rng(seed).normal(size=(rows, 5)))
+
+    def single(self, logits, row, label):
+        """One sample's loss: the op on a one-row batch with weight 1."""
+        return weighted_batch_loss(Tensor(logits.values[row:row + 1]),
+                                   [label], [1.0]).item()
 
     def test_unit_weights_give_plain_mean(self):
-        values = [0.3, 1.7, 0.9]
-        got = weighted_batch_loss(self.losses(values), np.ones(3)).item()
-        expected = (values[0] * 1.0 + values[1] * 1.0 + values[2] * 1.0) \
-            * (1.0 / 3.0)
-        assert got == expected
-        assert abs(got - np.mean(values)) <= 1e-12
+        z = self.logits(3)
+        labels = [1, 4, 0]
+        got = weighted_batch_loss(z, labels, np.ones(3)).item()
+        values = [self.single(z, i, y) for i, y in enumerate(labels)]
+        oracle = [loss_oracle(softmax_vector(z.values[i]), y, LossConfig())
+                  for i, y in enumerate(labels)]
+        assert got == float(np.sum(values)) / 3
+        assert abs(got - np.mean(oracle)) <= 1e-12
 
     def test_constant_sigma_factorizes(self):
         # Power-of-two sigma: multiplication commutes with rounding, so the
         # factorization sigma * mean is bitwise exact.
-        values = [0.31, 1.72, 0.95, 0.11]
-        uniform = weighted_batch_loss(self.losses(values), np.ones(4)).item()
-        scaled = weighted_batch_loss(self.losses(values),
-                                     np.full(4, 2.0)).item()
+        z = self.logits(4)
+        labels = [0, 1, 2, 3]
+        uniform = weighted_batch_loss(z, labels, np.ones(4)).item()
+        scaled = weighted_batch_loss(z, labels, np.full(4, 2.0)).item()
         assert scaled == 2.0 * uniform
 
     def test_zero_weight_drops_sample(self):
-        got = weighted_batch_loss(self.losses([0.5, 9.9]),
-                                  np.array([2.0, 0.0])).item()
-        assert got == 0.5
+        z = self.logits(2)
+        got = weighted_batch_loss(z, [3, 1], np.array([2.0, 0.0])).item()
+        assert got == self.single(z, 0, 3)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            weighted_batch_loss(self.losses([1.0]), np.ones(2))
+            weighted_batch_loss(self.logits(1), [0], np.ones(2))
         with pytest.raises(ShapeError):
-            weighted_batch_loss([], np.ones(0))
+            weighted_batch_loss(self.logits(2), [0], np.ones(2))
+        with pytest.raises(ShapeError):
+            weighted_batch_loss(Tensor(np.zeros((0, 5))), [], np.ones(0))
 
     def test_gradient_is_weighted_mean_of_per_sample_gradients(self):
         # d/dz of (1/B) sum w_i * l_i(z_i) against finite differences.
-        rng = np.random.default_rng(8)
-        z = Tensor(rng.normal(size=(3, 4)))
+        z = self.logits(3, seed=8)
         labels = [1, 0, 3]
         weights = np.array([0.5, 2.0, 1.0])
         cfg = LossConfig()
 
         def taped(params, tape):
-            from natsel.model import per_sample_loss
-            from natsel.tensor import take_row
-            losses = []
-            for i, y in enumerate(labels):
-                probs = softmax(take_row(params[0], i, tape=tape), tape=tape)
-                losses.append(per_sample_loss(probs, y, cfg, tape=tape))
-            return weighted_batch_loss(losses, weights, tape=tape)
+            return weighted_batch_loss(params[0], labels, weights, cfg,
+                                       tape=tape)
 
         def plain(params):
             total = 0.0
             for i, y in enumerate(labels):
-                p = softmax(Tensor(params[0].values[i])).values
-                total += weights[i] * -math.log(max(p[y], 1e-12))
+                p = softmax_vector(params[0].values[i])
+                total += weights[i] * loss_oracle(p, y, cfg)
             return total / 3.0
 
         tape = GradTape()
@@ -112,6 +128,34 @@ class TestWeightedBatchLoss:
         analytic = [backward(tape, taped([z], tape))[z].values]
         numeric = finite_difference(plain, [z])
         assert max_relative_error(analytic, numeric) <= 1e-5
+
+    def test_one_tape_record_per_batch(self):
+        z = self.logits(32)
+        tape = GradTape()
+        tape.register(z)
+        weighted_batch_loss(z, np.arange(32) % 5, np.ones(32), tape=tape)
+        assert len(tape._entries) == 1
+
+    @pytest.mark.parametrize("cfg", LOSS_CONFIGS, ids=lambda c: c.kind)
+    def test_untaped_loss_equals_taped_value_exactly(self, cfg):
+        # evaluate and duality_check use the untaped losses; with unit
+        # weights over one chunk they must reproduce the taped op's value.
+        train_set, _ = toy_sets(noise=0.3)
+        model = fresh_model(train_set)
+        tape = GradTape()
+        model.register_on(tape)
+        logits = model.forward_batch(Tensor(train_set.images), tape=tape)
+        taped = weighted_batch_loss(logits, train_set.labels,
+                                    np.ones(len(train_set)), cfg,
+                                    tape=tape).item()
+        untaped = weighted_batch_loss(
+            Tensor(logits.values), train_set.labels,
+            np.ones(len(train_set)), cfg).item()
+        assert untaped == taped
+        assert evaluate(model, train_set, cfg).mean_loss == taped
+        report = duality_check([model], train_set, fitness_ceiling=100.0,
+                               loss_cfg=cfg)
+        assert report.mean_risks[0] == taped
 
 
 class TestSgdMomentumStep:

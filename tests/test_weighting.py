@@ -39,6 +39,13 @@ class TestWeightingConfig:
         with pytest.raises(ConfigError):
             WeightingConfig(sigma=-0.1, rho=0.0)
 
+    def test_sigma_must_cover_negative_rho(self):
+        with pytest.raises(ConfigError):
+            WeightingConfig(sigma=0.5, rho=-1.0, strategy="ns_lf")
+        edge = WeightingConfig.from_parameters(1.0, -1.0)
+        w = compute_weights([1.0 - 1e-12, 1e-12], edge)
+        assert np.all(w >= 0.0)
+
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
             WeightingConfig(sigma=1.0, rho=0.0, strategy="softmax")
@@ -104,9 +111,10 @@ class TestComputeWeights:
             compute_weights([-0.1], cfg)
 
     def test_negative_weight_is_a_config_error(self):
-        cfg = WeightingConfig.from_parameters(0.5, -1.0)
+        # A config that could emit a negative weight never gets built, so
+        # compute_weights cannot meet one partway through training.
         with pytest.raises(ConfigError):
-            compute_weights([0.9], cfg)
+            WeightingConfig.from_parameters(0.5, -1.0)
 
     def test_non_finite_weight_rejected(self):
         cfg = WeightingConfig(float("inf"), 0.0)

@@ -19,18 +19,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, FormatError, NumericError, ShapeError
-from .tensor import (
-    GradTape,
-    Tensor,
-    add_row,
-    matmul,
-    relu,
-    reshape,
-    take_flat,
-    take_row,
-)
+from .tensor import GradTape, Tensor, add_row, matmul, relu, reshape
 
 __all__ = [
     "ConvSpec",
@@ -121,18 +113,16 @@ class LossConfig:
             raise ConfigError("smoothing epsilon must lie in [0, 1)")
 
 
-def _im2col_indices(h: int, w: int, c: int, kernel: int) -> tuple[np.ndarray, int, int]:
-    """Flat gather indices turning one HxWxC image into patch rows.
+def _patches(xs: np.ndarray, kernel: int) -> np.ndarray:
+    """Patch rows [N*P, k*k*C] of an [N, H, W, C] stack.
 
-    Valid padding, stride 1: output is (h-k+1)*(w-k+1) rows of k*k*c values.
+    Valid padding, stride 1: P = (H-k+1)*(W-k+1) windows per image in
+    row-major (y0, x0) order, each flattened in (dy, dx, c) order.
     """
-    out_h, out_w = h - kernel + 1, w - kernel + 1
-    base = np.arange(h * w * c).reshape(h, w, c)
-    patches = np.empty((out_h, out_w, kernel, kernel, c), dtype=np.int64)
-    for dy in range(kernel):
-        for dx in range(kernel):
-            patches[:, :, dy, dx, :] = base[dy:dy + out_h, dx:dx + out_w, :]
-    return patches.reshape(out_h * out_w, kernel * kernel * c), out_h, out_w
+    windows = sliding_window_view(xs, (kernel, kernel), axis=(1, 2))
+    # [N, H', W', C, k, k] -> [N, H', W', k, k, C], copied row-major
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(
+        -1, kernel * kernel * xs.shape[3])
 
 
 class Classifier:
@@ -148,16 +138,12 @@ class Classifier:
         rng = np.random.default_rng(config.init_seed)
         self.parameters: list[Tensor] = []
 
-        self._conv_idx = None
         if config.conv is not None:
             k, f = config.conv.kernel, config.conv.channels
-            idx, out_h, out_w = _im2col_indices(h, w, c, k)
-            self._conv_idx = idx
-            self._conv_patches = out_h * out_w
             self._conv_w = self._init_param(rng, k * k * c, (k * k * c, f))
             self._conv_b = self._init_param(rng, k * k * c, (1, f))
             self.parameters += [self._conv_w, self._conv_b]
-            flat_in = out_h * out_w * f
+            flat_in = (h - k + 1) * (w - k + 1) * f
         else:
             flat_in = h * w * c
 
@@ -184,17 +170,6 @@ class Classifier:
     def register_on(self, tape: GradTape) -> None:
         tape.register(*self.parameters)
 
-    def forward(self, x: Tensor, tape: GradTape | None = None) -> Tensor:
-        """Logits [K] for a single HxWxC input."""
-        if x.shape != self.config.input_shape:
-            raise ShapeError(
-                f"input shape {x.shape} does not match model "
-                f"input {self.config.input_shape}"
-            )
-        batched = reshape(x, (1,) + x.shape, tape=tape)
-        logits = self.forward_batch(batched, tape=tape)
-        return take_row(logits, 0, tape=tape)
-
     def forward_batch(self, xs: Tensor, tape: GradTape | None = None) -> Tensor:
         """Logits [N, K] for a stack of N inputs."""
         if len(xs.shape) != 4 or xs.shape[1:] != self.config.input_shape:
@@ -205,14 +180,8 @@ class Classifier:
         if tape is None:
             return Tensor(self.logits(xs.values))
         n = xs.shape[0]
-        if self._conv_idx is not None:
-            gather = self._conv_gather(n)
-            cols = take_flat(xs, gather, gather.shape, tape=tape)
-            pre = add_row(matmul(cols, self._conv_w, tape=tape), self._conv_b,
-                          tape=tape)
-            act = relu(pre, tape=tape)
-            out = reshape(act, (n, self._conv_patches * self.config.conv.channels),
-                          tape=tape)
+        if self.config.conv is not None:
+            out = self._conv_stage(xs, tape)
         else:
             out = reshape(xs, (n, int(np.prod(self.config.input_shape))), tape=tape)
 
@@ -231,10 +200,9 @@ class Classifier:
         :func:`softmax_rows` checks the logits once.
         """
         n = xs.shape[0]
-        if self._conv_idx is not None:
-            cols = xs.reshape(-1)[self._conv_gather(n)]
-            out = np.maximum(cols @ self._conv_w.values + self._conv_b.values,
-                             0.0).reshape(n, -1)
+        if self.config.conv is not None:
+            pre = self._conv_pre(xs)[1]
+            out = np.maximum(pre, 0.0, out=pre).reshape(n, -1)
         else:
             out = xs.reshape(n, -1)
         last = len(self._dense) - 1
@@ -244,12 +212,36 @@ class Classifier:
                 out = np.maximum(out, 0.0)
         return out
 
-    def _conv_gather(self, n: int) -> np.ndarray:
-        """Flat im2col indices for a stack of n inputs, one patch per row."""
-        per_image = int(np.prod(self.config.input_shape))
-        offsets = np.arange(n, dtype=np.int64) * per_image
-        return (offsets[:, None, None] + self._conv_idx[None]).reshape(
-            n * self._conv_patches, self._conv_idx.shape[1])
+    def _conv_pre(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Patch rows of an [N, H, W, C] array and the conv stage's
+        pre-activations [N*P, F] computed from them, in a fresh array
+        that callers may overwrite."""
+        cols = _patches(xs, self.config.conv.kernel)
+        pre = cols @ self._conv_w.values
+        pre += self._conv_b.values
+        return cols, pre
+
+    def _conv_stage(self, xs: Tensor, tape: GradTape) -> Tensor:
+        """ReLU conv activations [N, P*F] as one tape record.
+
+        The pullback returns the weight and bias adjoints only: the input
+        is data, so no adjoint is formed for it.
+        """
+        weight, bias = self._conv_w, self._conv_b
+        with np.errstate(over="ignore", invalid="ignore"):
+            cols, pre = self._conv_pre(xs.values)
+        if not np.isfinite(pre).all():
+            raise NumericError("conv stage produced non-finite values")
+        mask = pre > 0.0  # derivative at exactly 0 taken as 0
+        out = Tensor(np.maximum(pre, 0.0, out=pre).reshape(xs.shape[0], -1))
+
+        def pull(g: np.ndarray):
+            gm = g.reshape(mask.shape) * mask
+            return ((weight, cols.T @ gm),
+                    (bias, gm.sum(axis=0, keepdims=True)))
+
+        tape.record(out, pull)
+        return out
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -39,8 +39,6 @@ __all__ = [
     "log",
     "clamp_min",
     "tsum",
-    "take_row",
-    "take_flat",
     "reshape",
 ]
 
@@ -305,52 +303,6 @@ def tsum(a: Tensor, tape: GradTape | None = None) -> Tensor:
 
         def pull(g: np.ndarray):
             return ((a, np.full(shape, float(g))),)
-
-        tape.record(out, pull)
-    return out
-
-
-def take_row(a: Tensor, row: int, tape: GradTape | None = None) -> Tensor:
-    """Extract row ``row`` of a 2-D tensor as a 1-D tensor."""
-    if len(a.shape) != 2:
-        raise ShapeError(f"take_row needs a 2-D tensor, got {a.shape}")
-    if not 0 <= row < a.shape[0]:
-        raise ShapeError(f"row {row} out of range for shape {a.shape}")
-    out = Tensor(a.values[row])
-    if tape is not None:
-        shape = a.shape
-
-        def pull(g: np.ndarray):
-            z = np.zeros(shape)
-            z[row] = g
-            return ((a, z),)
-
-        tape.record(out, pull)
-    return out
-
-
-def take_flat(a: Tensor, indices: np.ndarray, out_shape: Sequence[int],
-              tape: GradTape | None = None) -> Tensor:
-    """Gather elements by flat row-major indices into a new shape.
-
-    Indices may repeat; the adjoint scatter-adds back, which is what makes
-    this the building block for im2col-style convolution.
-    """
-    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-    flat = a.values.reshape(-1)
-    if indices.size and (indices.min() < 0 or indices.max() >= flat.size):
-        raise ShapeError("take_flat index out of range")
-    out_shape = tuple(int(d) for d in out_shape)
-    if int(np.prod(out_shape, dtype=np.int64)) != indices.size:
-        raise ShapeError("take_flat output shape does not match index count")
-    out = Tensor(flat[indices].reshape(out_shape))
-    if tape is not None:
-        shape = a.shape
-
-        def pull(g: np.ndarray):
-            z = np.zeros(shape)
-            np.add.at(z.reshape(-1), indices, g.reshape(-1))
-            return ((a, z),)
 
         tape.record(out, pull)
     return out

@@ -50,6 +50,11 @@ def max_relative_error(analytic, numeric, floor=1e-3):
     return worst
 
 
+def forward_one(model, x: np.ndarray) -> np.ndarray:
+    """Logits [K] of one HxWxC input: a one-image untaped batch."""
+    return model.forward_batch(Tensor(x[np.newaxis])).values[0]
+
+
 def random_tensor(rng, shape, lo=-1.0, hi=1.0):
     return Tensor(rng.uniform(lo, hi, size=shape))
 
@@ -169,7 +174,7 @@ def group_ns_scores(group, samples, labels, model, normalization=None):
     composite = bilinear_resize(stitch(members, group.layout), (h0, w0))
     if normalization is not None:
         composite = channel_normalize(composite, normalization)
-    probs = softmax_vector(model.forward(composite).values)
+    probs = softmax_vector(forward_one(model, composite.values))
     q = np.array([[probs[int(labels[i])] for i in group.members]])
     q = np.clip(q, 1e-12, 1.0 - 1e-12)
     return q, q / q.sum()

@@ -15,6 +15,7 @@ from natsel.model import (
     ClassifierConfig,
     ConvSpec,
     LossConfig,
+    _patches,
     load_checkpoint,
     save_checkpoint,
     softmax_rows,
@@ -24,6 +25,7 @@ from natsel.trainer import weighted_batch_loss
 
 from conftest import (
     finite_difference,
+    forward_one,
     loss_oracle,
     max_relative_error,
     softmax_vector,
@@ -79,8 +81,8 @@ class TestForward:
         model = Classifier(small_config(hidden=(3,), init_seed=9))
         model.parameters[-2].values[...] = 0.0
         model.parameters[-1].values[...] = 0.0
-        logits = model.forward(Tensor(np.random.default_rng(1).random((2, 2, 1))))
-        assert logits.values.tolist() == [0.0, 0.0]
+        logits = forward_one(model, np.random.default_rng(1).random((2, 2, 1)))
+        assert logits.tolist() == [0.0, 0.0]
 
     def test_identity_selector_weights(self):
         # Linear model whose weight rows pick out the two payload pixels,
@@ -89,8 +91,8 @@ class TestForward:
         model.parameters[0].values[...] = np.array(
             [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         model.parameters[1].values[...] = 0.0
-        x = Tensor(np.array([0.3, -1.2, 9.0, 9.0]).reshape(2, 2, 1))
-        assert model.forward(x).values.tolist() == [0.3, -1.2]
+        x = np.array([0.3, -1.2, 9.0, 9.0]).reshape(2, 2, 1)
+        assert forward_one(model, x).tolist() == [0.3, -1.2]
 
     @pytest.mark.parametrize("conv", [None, ConvSpec(kernel=3, channels=4)])
     def test_matches_straight_line_oracle(self, conv):
@@ -100,7 +102,7 @@ class TestForward:
         rng = np.random.default_rng(3)
         for _ in range(5):
             x = rng.random((6, 5, 2))
-            got = model.forward(Tensor(x)).values
+            got = forward_one(model, x)
             assert np.max(np.abs(got - manual_forward(model, x))) <= 1e-12
 
     def test_batch_rows_match_single_forward(self):
@@ -109,7 +111,7 @@ class TestForward:
         xs = rng.random((5, 2, 2, 1))
         batch = model.forward_batch(Tensor(xs)).values
         for i in range(5):
-            single = model.forward(Tensor(xs[i])).values
+            single = forward_one(model, xs[i])
             assert np.array_equal(batch[i], single)
 
     @pytest.mark.parametrize("conv", [None, ConvSpec(kernel=2, channels=3)])
@@ -127,7 +129,7 @@ class TestForward:
     def test_shape_mismatch_rejected(self):
         model = Classifier(small_config())
         with pytest.raises(ShapeError):
-            model.forward(Tensor(np.zeros((3, 2, 1))))
+            model.forward_batch(Tensor(np.zeros((1, 3, 2, 1))))
         with pytest.raises(ShapeError):
             model.forward_batch(Tensor(np.zeros((2, 2, 1))))
 
@@ -138,17 +140,53 @@ class TestForward:
 
 
 class TestConvStage:
-    def test_patch_indices_enumerate_valid_windows(self):
-        from natsel.model import _im2col_indices
-        idx, out_h, out_w = _im2col_indices(3, 4, 2, kernel=2)
-        assert (out_h, out_w) == (2, 3)
-        base = np.arange(3 * 4 * 2).reshape(3, 4, 2)
-        row = 0
-        for y0 in range(2):
-            for x0 in range(3):
-                window = base[y0:y0 + 2, x0:x0 + 2, :].reshape(-1)
-                assert idx[row].tolist() == window.tolist()
-                row += 1
+    @pytest.mark.parametrize("shape,kernel", [
+        ((3, 4, 2), 2),
+        ((5, 3, 3), 1),
+        ((4, 6, 2), 4),
+        ((6, 5, 1), 5),
+    ], ids=["nonsquare_c2_k2", "kernel_1", "kernel_min_h", "kernel_min_w"])
+    def test_patch_rows_enumerate_valid_windows(self, shape, kernel):
+        h, w, c = shape
+        xs = np.random.default_rng(h * w + kernel).random((3,) + shape)
+        rows = [xs[i, y0:y0 + kernel, x0:x0 + kernel, :].reshape(-1)
+                for i in range(3)
+                for y0 in range(h - kernel + 1)
+                for x0 in range(w - kernel + 1)]
+        got = _patches(xs, kernel)
+        assert got.shape == (len(rows), kernel * kernel * c)
+        assert np.array_equal(got, np.stack(rows))
+
+    def test_taped_step_is_seven_records(self):
+        # One conv record, matmul/add_row/relu and matmul/add_row for the
+        # dense layers, one loss record; the pullback of the conv record
+        # reaches only the conv weight and bias, never the input.
+        model = Classifier(ClassifierConfig(
+            input_shape=(5, 4, 2), hidden=(3,), class_count=3, init_seed=4,
+            conv=ConvSpec(kernel=2, channels=3)))
+        rng = np.random.default_rng(6)
+        xs = Tensor(rng.random((4, 5, 4, 2)))
+        tape = GradTape()
+        model.register_on(tape)
+        logits = model.forward_batch(xs, tape=tape)
+        weighted_batch_loss(logits, [0, 1, 2, 0], np.ones(4), LossConfig(),
+                            tape=tape)
+        assert len(tape._entries) == 7
+        conv_out, conv_pull = tape._entries[0]
+        reached = [t for t, _ in conv_pull(np.ones(conv_out.shape))]
+        assert reached == model.parameters[:2]
+
+    def test_non_finite_pre_activation_raises(self):
+        # -inf pre-activations would leave the ReLU as finite zeros, so
+        # only the conv stage's own check can see them.
+        model = Classifier(ClassifierConfig(
+            input_shape=(3, 4, 2), hidden=(), class_count=2, init_seed=0,
+            conv=ConvSpec(kernel=2, channels=2)))
+        model.parameters[0].values[...] = -1e308
+        tape = GradTape()
+        model.register_on(tape)
+        with pytest.raises(NumericError):
+            model.forward_batch(Tensor(np.ones((2, 3, 4, 2))), tape=tape)
 
     def test_kernel_must_fit(self):
         with pytest.raises(ConfigError):
@@ -319,6 +357,41 @@ class TestLossGradients:
         analytic = taped_gradients(taped, model.parameters)
         numeric = finite_difference(plain, model.parameters)
         assert max_relative_error(analytic, numeric) <= 1e-5
+
+    @pytest.mark.parametrize("cfg", [
+        LossConfig(),
+        LossConfig(kind="focal", focal_gamma=2.0),
+        LossConfig(kind="label_smoothing", smoothing_epsilon=0.1),
+    ], ids=lambda c: c.kind)
+    def test_conv_model_gradcheck(self, cfg):
+        # The conv stage is one tape record with a hand-written pullback;
+        # the oracle is the per-window loop of manual_forward.
+        rng = np.random.default_rng(41)
+        worst = 0.0
+        for case in range(20):
+            kernel = 2 + case % 2
+            model = Classifier(ClassifierConfig(
+                input_shape=(5, 4, 2), hidden=(3,), class_count=3,
+                init_seed=500 + case, conv=ConvSpec(kernel, 2)))
+            xs = rng.random((3, 5, 4, 2))
+            labels = rng.integers(0, 3, size=3)
+            weights = rng.uniform(0.5, 2.0, size=3)
+
+            def taped(params, tape):
+                logits = model.forward_batch(Tensor(xs), tape=tape)
+                return weighted_batch_loss(logits, labels, weights, cfg,
+                                           tape=tape)
+
+            def plain(params):
+                return sum(
+                    w * loss_oracle(softmax_vector(manual_forward(model, x)),
+                                    int(y), cfg)
+                    for x, y, w in zip(xs, labels, weights)) / 3
+
+            analytic = taped_gradients(taped, model.parameters)
+            numeric = finite_difference(plain, model.parameters)
+            worst = max(worst, max_relative_error(analytic, numeric))
+        assert worst <= 1e-5
 
 
 class TestInitialization:

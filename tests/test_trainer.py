@@ -8,7 +8,13 @@ import pytest
 from natsel.data import DatasetRecipe, SamplerConfig, build_splits, gen_synthetic
 from natsel.errors import ConfigError, ShapeError, TrainingDiverged
 from natsel.imageops import GridLayout
-from natsel.model import Classifier, ClassifierConfig, LossConfig
+from natsel.model import (
+    Classifier,
+    ClassifierConfig,
+    ConvSpec,
+    LossConfig,
+    save_checkpoint,
+)
 from natsel.nscore import params_hash
 from natsel.tensor import GradTape, Tensor, backward
 from natsel.trainer import (
@@ -346,6 +352,46 @@ class TestTrainLoop:
         empty = train_set.subset([])
         with pytest.raises(ConfigError):
             train(base_config(), empty, test_set, fresh_model(train_set))
+
+
+class TestConvTraining:
+    """A tiny conv model through the real loops: 8x8x3 input, one 3x3
+    stage with 4 channels, paired groups, two epochs."""
+
+    def setup_method(self):
+        self.train_set, self.test_set = toy_sets(
+            per_class=(6, 6, 6), noise=0.3, shape=(8, 8, 3))
+
+    def conv_model(self):
+        return Classifier(ClassifierConfig(
+            input_shape=(8, 8, 3), hidden=(5,), class_count=3, init_seed=7,
+            conv=ConvSpec(kernel=3, channels=4)))
+
+    def conv_config(self, sigma, rho):
+        return base_config(learning_rate=0.05, layout=GridLayout(1, 2),
+                           weighting=WeightingConfig.from_parameters(sigma,
+                                                                     rho))
+
+    def test_rho_zero_matches_erm_bitwise(self):
+        cfg = self.conv_config(1.0, 0.0)
+        model_a, model_b = self.conv_model(), self.conv_model()
+        _, records_a = train(cfg, self.train_set, self.test_set, model_a)
+        _, records_b = train_erm(cfg, self.train_set, self.test_set, model_b)
+        assert params_hash(model_a) == params_hash(model_b)
+        assert params_hash(model_a) != params_hash(self.conv_model())
+        assert [r.deterministic_key() for r in records_a] == \
+            [r.deterministic_key() for r in records_b]
+
+    def test_weighted_rerun_gives_identical_checkpoint(self, tmp_path):
+        cfg = self.conv_config(2.5, -1.0)
+        blobs = []
+        for name in ("a.bin", "b.bin"):
+            model = self.conv_model()
+            _, records = train(cfg, self.train_set, self.test_set, model)
+            assert records[0].ns_forward_passes > 0
+            save_checkpoint(model, tmp_path / name)
+            blobs.append((tmp_path / name).read_bytes())
+        assert blobs[0] == blobs[1]
 
 
 class TestEvaluate:

@@ -123,19 +123,7 @@ def run_experiment(config: ExperimentConfig, echo=print) -> RunSummary:
     per_seed_records = {}
     finals = []
     for seed in config.seeds:
-        train_set, test_set = datasets_for(config, seed)
-        model = Classifier(classifier_for(
-            config, seed, image_shape=train_set.image_shape,
-            class_count=train_set.class_count))
-        log = _ScoreLog()
-        sink = log if config.train.weighting.rho != 0.0 else None
-        _, records = train(train_for(config, seed), train_set, test_set,
-                           model, score_sink=sink)
-        write_metrics_csv(run_dir / f"metrics_{seed}.csv", records)
-        save_checkpoint(model, run_dir / f"checkpoint_{seed}.bin")
-        if sink is not None:
-            _write_scores(run_dir / f"scores_{seed}.csv", log.batches,
-                          train_set.labels)
+        records = _train_seed(config, seed, run_dir)
         per_seed_records[seed] = records
         final_acc = [r.accuracy for r in records if r.split == "test"][-1]
         finals.append((seed, final_acc))
@@ -155,6 +143,28 @@ def run_experiment(config: ExperimentConfig, echo=print) -> RunSummary:
          f"{summary.mean_accuracy:.4f} +/- {summary.std_accuracy:.4f} "
          f"over {accs.size} seed(s){flag}")
     return summary
+
+
+def _train_seed(config: ExperimentConfig, seed: int, run_dir: Path):
+    """Train one seed and write its metrics, checkpoint and score log.
+
+    Only the metrics records outlive the call: the seed's datasets, model
+    and score log are released before the next seed's data is built.
+    """
+    train_set, test_set = datasets_for(config, seed)
+    model = Classifier(classifier_for(
+        config, seed, image_shape=train_set.image_shape,
+        class_count=train_set.class_count))
+    log = _ScoreLog()
+    sink = log if config.train.weighting.rho != 0.0 else None
+    _, records = train(train_for(config, seed), train_set, test_set,
+                       model, score_sink=sink)
+    write_metrics_csv(run_dir / f"metrics_{seed}.csv", records)
+    save_checkpoint(model, run_dir / f"checkpoint_{seed}.bin")
+    if sink is not None:
+        _write_scores(run_dir / f"scores_{seed}.csv", log.batches,
+                      train_set.labels)
+    return records
 
 
 def _write_aggregate(path, seeds, per_seed_records) -> None:

@@ -10,7 +10,7 @@ generation is bitwise reproducible and per-class parallelizable.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,6 +153,46 @@ def _class_template(shape: tuple[int, int, int], rng: np.random.Generator
     return 0.2 + 0.6 * (canvas - lo) / (hi - lo)
 
 
+def _fill_class(recipe: DatasetRecipe, k: int, *parts: np.ndarray) -> None:
+    """Class k's samples, written in place into each of ``parts`` in turn.
+
+    One noise stream per class: the parts continue it, so splitting a
+    class's rows across arrays draws exactly what one array would.
+    """
+    template = _class_template(
+        recipe.image_shape,
+        np.random.default_rng(derive_seed(recipe.seed, "template", k)),
+    )
+    noise_rng = np.random.default_rng(derive_seed(recipe.seed, "samples", k))
+    for rows in parts:
+        noise_rng.standard_normal(out=rows)
+        rows *= recipe.noise_std
+        rows += template
+        np.clip(rows, 0.0, 1.0, out=rows)
+
+
+def _synthesize(recipe: DatasetRecipe, *split_counts) -> list[Dataset]:
+    """Class-ordered synthetic splits, split j holding split_counts[j][k]
+    samples of class k.  Class k's noise stream runs through the splits
+    in order, each sample written straight into its split's array."""
+    if recipe.kind != "synthetic_blobs":
+        raise ConfigError(f"cannot synthesize dataset kind {recipe.kind!r}")
+    splits = []
+    for counts in split_counts:
+        labels = np.repeat(np.arange(recipe.class_count, dtype=np.int64),
+                           counts)
+        images = np.empty((labels.shape[0],) + recipe.image_shape)
+        splits.append(Dataset(images=images, labels=labels,
+                              clean_labels=labels.copy(),
+                              class_count=recipe.class_count))
+    ends = [np.cumsum(counts) for counts in split_counts]
+    for k in range(recipe.class_count):
+        _fill_class(recipe, k, *(
+            ds.images[end[k] - counts[k]:end[k]]
+            for ds, counts, end in zip(splits, split_counts, ends)))
+    return splits
+
+
 def gen_synthetic(recipe: DatasetRecipe) -> Dataset:
     """Class templates plus per-sample Gaussian pixel noise, clamped to [0,1].
 
@@ -160,24 +200,7 @@ def gen_synthetic(recipe: DatasetRecipe) -> Dataset:
     Each class draws from its own derived stream, so output is independent
     of generation order.
     """
-    if recipe.kind != "synthetic_blobs":
-        raise ConfigError(f"gen_synthetic cannot build kind {recipe.kind!r}")
-    chunks = []
-    labels = []
-    for k in range(recipe.class_count):
-        template = _class_template(
-            recipe.image_shape,
-            np.random.default_rng(derive_seed(recipe.seed, "template", k)),
-        )
-        n_k = recipe.per_class_counts[k]
-        noise_rng = np.random.default_rng(derive_seed(recipe.seed, "samples", k))
-        noise = noise_rng.normal(0.0, 1.0, size=(n_k,) + recipe.image_shape)
-        chunks.append(np.clip(template + recipe.noise_std * noise, 0.0, 1.0))
-        labels.append(np.full(n_k, k, dtype=np.int64))
-    images = np.concatenate(chunks, axis=0)
-    y = np.concatenate(labels)
-    ds = Dataset(images=images, labels=y, clean_labels=y.copy(),
-                 class_count=recipe.class_count)
+    ds, = _synthesize(recipe, recipe.per_class_counts)
     if recipe.label_noise_rate > 0.0:
         ds = inject_label_noise(ds, recipe.label_noise_rate, recipe.seed)
     return ds
@@ -187,28 +210,14 @@ def build_splits(recipe: DatasetRecipe, test_per_class: int
                  ) -> tuple[Dataset, Dataset]:
     """Train/test pair sharing class templates but with disjoint samples.
 
-    The recipe's per-class counts are the train counts; ``test_per_class``
-    extra samples per class are generated from the same streams and split
-    off.  Label noise from the recipe lands on the train split only.
+    The recipe's per-class counts are the train counts; each class's
+    stream then continues into ``test_per_class`` test samples.  Label
+    noise from the recipe lands on the train split only.
     """
     if test_per_class < 1:
         raise ConfigError("need at least one test sample per class")
-    combined = replace(
-        recipe,
-        per_class_counts=tuple(n + test_per_class
-                               for n in recipe.per_class_counts),
-        label_noise_rate=0.0,
-    )
-    full = gen_synthetic(combined)
-    train_idx, test_idx = [], []
-    start = 0
-    for k in range(recipe.class_count):
-        n_train = recipe.per_class_counts[k]
-        train_idx.extend(range(start, start + n_train))
-        test_idx.extend(range(start + n_train, start + n_train + test_per_class))
-        start += n_train + test_per_class
-    train = full.subset(train_idx)
-    test = full.subset(test_idx)
+    train, test = _synthesize(recipe, recipe.per_class_counts,
+                              (test_per_class,) * recipe.class_count)
     if recipe.label_noise_rate > 0.0:
         train = inject_label_noise(train, recipe.label_noise_rate, recipe.seed)
     return train, test

@@ -113,6 +113,14 @@ class LossConfig:
             raise ConfigError("smoothing epsilon must lie in [0, 1)")
 
 
+# Working-set budget of one conv block: its patch rows [B*P, k*k*C] and
+# its pre-activations [B*P, F].  At 1 MiB a block stays in a 2 MiB L2
+# cache while it is built, multiplied and rectified, and the full
+# [N*P, k*k*C] patch matrix is never formed.  32x32x3 inputs with a 3x3
+# kernel and 8 channels give 4-image blocks.
+_BLOCK_BYTES = 1 << 20
+
+
 def _patches(xs: np.ndarray, kernel: int) -> np.ndarray:
     """Patch rows [N*P, k*k*C] of an [N, H, W, C] stack.
 
@@ -143,7 +151,8 @@ class Classifier:
             self._conv_w = self._init_param(rng, k * k * c, (k * k * c, f))
             self._conv_b = self._init_param(rng, k * k * c, (1, f))
             self.parameters += [self._conv_w, self._conv_b]
-            flat_in = (h - k + 1) * (w - k + 1) * f
+            self._windows = (h - k + 1) * (w - k + 1)
+            flat_in = self._windows * f
         else:
             flat_in = h * w * c
 
@@ -201,8 +210,7 @@ class Classifier:
         """
         n = xs.shape[0]
         if self.config.conv is not None:
-            pre = self._conv_pre(xs)[1]
-            out = np.maximum(pre, 0.0, out=pre).reshape(n, -1)
+            out = self._conv_act(xs)
         else:
             out = xs.reshape(n, -1)
         last = len(self._dense) - 1
@@ -212,33 +220,63 @@ class Classifier:
                 out = np.maximum(out, 0.0)
         return out
 
-    def _conv_pre(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Patch rows of an [N, H, W, C] array and the conv stage's
-        pre-activations [N*P, F] computed from them, in a fresh array
-        that callers may overwrite."""
-        cols = _patches(xs, self.config.conv.kernel)
-        pre = cols @ self._conv_w.values
-        pre += self._conv_b.values
-        return cols, pre
+    def _conv_step(self) -> int:
+        """Images per conv block: as many as keep a block's patch rows and
+        pre-activations within ``_BLOCK_BYTES``, and at least one."""
+        width = sum(self._conv_w.shape)  # k*k*C + F float64 per window
+        return max(1, _BLOCK_BYTES // (8 * self._windows * width))
+
+    def _conv_act(self, xs: np.ndarray, mask: np.ndarray | None = None
+                  ) -> np.ndarray:
+        """ReLU conv activations [N, P*F] of an [N, H, W, C] array.
+
+        The batch is walked in blocks of ``_conv_step`` images: a block's
+        patch rows are built, multiplied, biased and rectified while they
+        are in cache, then dropped.  Given a boolean ``mask`` [N*P, F]
+        (the taped path), each block is also checked for finiteness and
+        the mask records where its pre-activations are positive.
+        """
+        n, p, k = xs.shape[0], self._windows, self.config.conv.kernel
+        weight, bias = self._conv_w.values, self._conv_b.values
+        step = self._conv_step()
+        act = np.empty((n * p, weight.shape[1]))
+        for s in range(0, n, step):
+            rows = slice(s * p, (s + step) * p)
+            blk = act[rows]
+            np.matmul(_patches(xs[s:s + step], k), weight, out=blk)
+            blk += bias
+            if mask is not None:
+                if not np.isfinite(blk).all():
+                    raise NumericError("conv stage produced non-finite values")
+                # derivative at exactly 0 taken as 0
+                np.greater(blk, 0.0, out=mask[rows])
+            np.maximum(blk, 0.0, out=blk)
+        return act.reshape(n, -1)
 
     def _conv_stage(self, xs: Tensor, tape: GradTape) -> Tensor:
         """ReLU conv activations [N, P*F] as one tape record.
 
         The pullback returns the weight and bias adjoints only: the input
-        is data, so no adjoint is formed for it.
+        is data, so no adjoint is formed for it.  No patch rows are kept
+        from the forward; each block's rows are rebuilt from the input.
         """
         weight, bias = self._conv_w, self._conv_b
+        n, p, k = xs.shape[0], self._windows, self.config.conv.kernel
+        step = self._conv_step()
+        mask = np.empty((n * p, weight.shape[1]), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
-            cols, pre = self._conv_pre(xs.values)
-        if not np.isfinite(pre).all():
-            raise NumericError("conv stage produced non-finite values")
-        mask = pre > 0.0  # derivative at exactly 0 taken as 0
-        out = Tensor(np.maximum(pre, 0.0, out=pre).reshape(xs.shape[0], -1))
+            out = Tensor(self._conv_act(xs.values, mask))
 
         def pull(g: np.ndarray):
-            gm = g.reshape(mask.shape) * mask
-            return ((weight, cols.T @ gm),
-                    (bias, gm.sum(axis=0, keepdims=True)))
+            g = g.reshape(mask.shape)
+            ones = np.ones((1, min(n, step) * p))
+            gw, gb = np.zeros(weight.shape), np.zeros(bias.shape)
+            for s in range(0, n, step):
+                rows = slice(s * p, (s + step) * p)
+                gm = g[rows] * mask[rows]
+                gw += _patches(xs.values[s:s + step], k).T @ gm
+                gb += ones[:, :gm.shape[0]] @ gm
+            return ((weight, gw), (bias, gb))
 
         tape.record(out, pull)
         return out

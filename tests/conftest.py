@@ -178,3 +178,52 @@ def group_ns_scores(group, samples, labels, model, normalization=None):
     q = np.array([[probs[int(labels[i])] for i in group.members]])
     q = np.clip(q, 1e-12, 1.0 - 1e-12)
     return q, q / q.sum()
+
+
+def reference_synthetic(recipe):
+    """Combine-then-subset oracle for synthetic data: each class's noise
+    drawn as one array, added to its template and clipped, the classes
+    concatenated, then label noise."""
+    from natsel.data import Dataset, _class_template, inject_label_noise
+    from natsel.seeds import derive_seed
+
+    chunks = []
+    for k, n_k in enumerate(recipe.per_class_counts):
+        template = _class_template(
+            recipe.image_shape,
+            np.random.default_rng(derive_seed(recipe.seed, "template", k)))
+        noise_rng = np.random.default_rng(
+            derive_seed(recipe.seed, "samples", k))
+        noise = noise_rng.normal(0.0, 1.0, size=(n_k,) + recipe.image_shape)
+        chunks.append(np.clip(template + recipe.noise_std * noise, 0.0, 1.0))
+    y = np.repeat(np.arange(recipe.class_count, dtype=np.int64),
+                  recipe.per_class_counts)
+    ds = Dataset(images=np.concatenate(chunks, axis=0), labels=y,
+                 clean_labels=y.copy(), class_count=recipe.class_count)
+    if recipe.label_noise_rate > 0.0:
+        ds = inject_label_noise(ds, recipe.label_noise_rate, recipe.seed)
+    return ds
+
+
+def reference_splits(recipe, test_per_class):
+    """Train/test oracle: generate train plus test counts per class in one
+    class-ordered array, then copy the two splits out of it."""
+    from dataclasses import replace
+
+    from natsel.data import inject_label_noise
+
+    full = reference_synthetic(replace(
+        recipe, label_noise_rate=0.0,
+        per_class_counts=tuple(n + test_per_class
+                               for n in recipe.per_class_counts)))
+    train_idx, test_idx = [], []
+    start = 0
+    for n_train in recipe.per_class_counts:
+        train_idx.extend(range(start, start + n_train))
+        start += n_train
+        test_idx.extend(range(start, start + test_per_class))
+        start += test_per_class
+    train, test = full.subset(train_idx), full.subset(test_idx)
+    if recipe.label_noise_rate > 0.0:
+        train = inject_label_noise(train, recipe.label_noise_rate, recipe.seed)
+    return train, test

@@ -1,10 +1,13 @@
 """End-to-end command line: run, sweep, analyze, exit codes."""
 
 import csv
+import weakref
 
 import numpy as np
 import pytest
 
+import natsel.cli
+import natsel.model
 from natsel.cli import (
     LAYOUT_AXIS,
     RHO_AXIS,
@@ -168,6 +171,36 @@ class TestRun:
         assert summary.mean_accuracy == summary.seed_accuracy[0][1]
         full = run_experiment(config, echo=quiet)
         assert not full.single_seed
+
+
+    def test_each_seed_is_released_before_the_next(self, tmp_path,
+                                                   monkeypatch):
+        # Weak references to every seed's datasets and model: when the
+        # next seed's data is requested, nothing of the last one is alive.
+        built = []
+        alive_at_request = []
+        build_datasets = natsel.cli.datasets_for
+
+        def datasets_for(config, seed):
+            alive_at_request.append([ref() is not None for ref in built])
+            pair = build_datasets(config, seed)
+            built.extend(weakref.ref(ds) for ds in pair)
+            return pair
+
+        def classifier(cfg):
+            model = natsel.model.Classifier(cfg)
+            built.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(natsel.cli, "datasets_for", datasets_for)
+        monkeypatch.setattr(natsel.cli, "Classifier", classifier)
+        lines = []
+        config = parse_config(write_config(tmp_path).read_text().replace(
+            "seeds = 1,2", "seeds = 1,2,3"))
+        run_experiment(config, echo=lines.append)
+        assert alive_at_request == [[], [False] * 3, [False] * 6]
+        assert [line.split(":")[0] for line in lines] == \
+            ["seed 1", "seed 2", "seed 3", "demo"]
 
 
 class TestExitCodes:

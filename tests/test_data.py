@@ -22,6 +22,8 @@ from natsel.data import (
 )
 from natsel.errors import ConfigError, FormatError
 
+from conftest import reference_splits, reference_synthetic
+
 
 def recipe(**overrides):
     base = dict(kind="synthetic_blobs", class_count=2, image_shape=(4, 4, 1),
@@ -113,6 +115,45 @@ class TestBuildSplits:
     def test_needs_test_samples(self):
         with pytest.raises(ConfigError):
             build_splits(recipe(), 0)
+
+
+def same_bytes(a: Dataset, b: Dataset) -> bool:
+    return all(x.dtype == y.dtype and x.shape == y.shape
+               and x.tobytes() == y.tobytes()
+               for x, y in ((a.images, b.images), (a.labels, b.labels),
+                            (a.clean_labels, b.clean_labels)))
+
+
+IN_PLACE_RECIPES = {
+    "long_tail": recipe(class_count=5, image_shape=(6, 5, 3),
+                        per_class_counts=longtail_counts(40, 5, 10.0),
+                        noise_std=0.3, seed=11),
+    "label_noise": recipe(class_count=3, image_shape=(4, 4, 2),
+                          per_class_counts=(20, 20, 20), noise_std=0.8,
+                          label_noise_rate=0.3, seed=5),
+}
+
+
+class TestInPlaceGeneration:
+    """Writing each class's rows straight into the output arrays gives
+    the bytes of the combine-then-subset route, draw for draw."""
+
+    @pytest.mark.parametrize("name", list(IN_PLACE_RECIPES))
+    def test_gen_synthetic_matches_reference(self, name):
+        r = IN_PLACE_RECIPES[name]
+        assert same_bytes(gen_synthetic(r), reference_synthetic(r))
+
+    @pytest.mark.parametrize("name", list(IN_PLACE_RECIPES))
+    def test_build_splits_matches_reference(self, name):
+        r = IN_PLACE_RECIPES[name]
+        got, ref = build_splits(r, 7), reference_splits(r, 7)
+        assert same_bytes(got[0], ref[0]) and same_bytes(got[1], ref[1])
+        if r.label_noise_rate > 0.0:
+            assert (got[0].labels != got[0].clean_labels).any()
+
+    def test_build_splits_rejects_other_kinds(self):
+        with pytest.raises(ConfigError):
+            build_splits(recipe(kind="idx_files"), 2)
 
 
 class TestLongtailCounts:

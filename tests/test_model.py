@@ -11,6 +11,7 @@ import pytest
 
 from natsel.errors import ConfigError, FormatError, NumericError, ShapeError
 from natsel.model import (
+    _BLOCK_BYTES,
     Classifier,
     ClassifierConfig,
     ConvSpec,
@@ -37,6 +38,13 @@ def small_config(**overrides):
     base = dict(input_shape=(2, 2, 1), hidden=(), class_count=2, init_seed=0)
     base.update(overrides)
     return ClassifierConfig(**base)
+
+
+# CIFAR-shaped conv model: 900 windows per image, so a batch of more
+# than 4 images spans several conv blocks.
+CIFAR_CONV = ClassifierConfig(
+    input_shape=(32, 32, 3), hidden=(32,), class_count=10, init_seed=11,
+    conv=ConvSpec(kernel=3, channels=8))
 
 
 def loss_of(p, y: int, cfg: LossConfig) -> float:
@@ -187,11 +195,87 @@ class TestConvStage:
         model.register_on(tape)
         with pytest.raises(NumericError):
             model.forward_batch(Tensor(np.ones((2, 3, 4, 2))), tape=tape)
+        # The same with only the last image of a multi-block batch
+        # non-finite: zero images give finite (bias-only) pre-activations.
+        model = Classifier(CIFAR_CONV)
+        model.parameters[0].values[...] = -1e308
+        xs = np.zeros((2 * model._conv_step() + 1, 32, 32, 3))
+        xs[-1] = 1.0
+        tape = GradTape()
+        model.register_on(tape)
+        with pytest.raises(NumericError):
+            model.forward_batch(Tensor(xs), tape=tape)
 
     def test_kernel_must_fit(self):
         with pytest.raises(ConfigError):
             ClassifierConfig(input_shape=(2, 2, 1), hidden=(), class_count=2,
                              init_seed=0, conv=ConvSpec(kernel=3, channels=1))
+
+
+def unblocked_conv(model: Classifier, xs: np.ndarray):
+    """Unblocked reference of the conv stage: the full patch matrix
+    [N*P, k*k*C] and the pre-activations ``cols @ W + b`` [N*P, F]."""
+    cols = _patches(xs, model.config.conv.kernel)
+    return cols, cols @ model.parameters[0].values + model.parameters[1].values
+
+
+def relative_error(got: np.ndarray, ref: np.ndarray) -> float:
+    """max |got - ref| over max |ref|."""
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+class TestConvBlocks:
+    """The conv stage walks a batch in blocks of ``_conv_step`` images; at
+    32x32x3 with a 3x3 kernel and 8 channels a block is B = 4 images.
+    Batches of 1, B, B+1 and 3B-1 images are checked against the
+    unblocked reference."""
+
+    # batch size a*B + c
+    COUNTS = pytest.mark.parametrize("a,c", [(0, 1), (1, 0), (1, 1), (3, -1)],
+                                     ids=["1", "B", "B+1", "3B-1"])
+
+    def setup_method(self):
+        self.model = Classifier(CIFAR_CONV)
+        self.step = self.model._conv_step()
+        self.rng = np.random.default_rng(29)
+
+    def batch(self, a: int, c: int) -> np.ndarray:
+        return self.rng.random((a * self.step + c, 32, 32, 3)) - 0.3
+
+    def taped_conv_record(self, xs: np.ndarray):
+        tape = GradTape()
+        self.model.register_on(tape)
+        logits = self.model.forward_batch(Tensor(xs), tape=tape)
+        return tape._entries[0], logits.values
+
+    def test_block_is_four_images_within_budget(self):
+        assert self.step == 4
+        assert 8 * 900 * (27 + 8) * self.step <= _BLOCK_BYTES
+
+    @COUNTS
+    def test_forward_matches_unblocked(self, a, c):
+        xs = self.batch(a, c)
+        _, pre = unblocked_conv(self.model, xs)
+        act = np.maximum(pre, 0.0).reshape(xs.shape[0], -1)
+        (conv_out, _), taped = self.taped_conv_record(xs)
+        assert relative_error(conv_out.values, act) <= 1e-12
+        (w1, b1), (w2, b2) = [(w.values, b.values)
+                              for w, b in self.model._dense]
+        ref_logits = np.maximum(act @ w1 + b1, 0.0) @ w2 + b2
+        assert relative_error(self.model.logits(xs), ref_logits) <= 1e-12
+        assert np.array_equal(taped, self.model.logits(xs))
+
+    @COUNTS
+    def test_gradients_match_unblocked(self, a, c):
+        xs = self.batch(a, c)
+        (conv_out, pull), _ = self.taped_conv_record(xs)
+        g = self.rng.standard_normal(conv_out.shape)
+        cols, pre = unblocked_conv(self.model, xs)
+        gm = g.reshape(pre.shape) * (pre > 0.0)
+        (weight, gw), (bias, gb) = pull(g)
+        assert [weight, bias] == self.model.parameters[:2]
+        assert relative_error(gw, cols.T @ gm) <= 1e-12
+        assert relative_error(gb, gm.sum(axis=0, keepdims=True)) <= 1e-12
 
 
 class TestSoftmax:

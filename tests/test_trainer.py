@@ -1,11 +1,19 @@
 """Training loop, optimizer, evaluation, duality, and metrics I/O."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from natsel.data import DatasetRecipe, SamplerConfig, build_splits, gen_synthetic
+import natsel.model
+from natsel.data import (
+    Dataset,
+    DatasetRecipe,
+    SamplerConfig,
+    build_splits,
+    gen_synthetic,
+)
 from natsel.errors import ConfigError, ShapeError, TrainingDiverged
 from natsel.imageops import GridLayout
 from natsel.model import (
@@ -20,6 +28,7 @@ from natsel.tensor import GradTape, Tensor, backward
 from natsel.trainer import (
     MetricsRecord,
     TrainConfig,
+    _taped_step,
     deterministic_csv_bytes,
     duality_check,
     evaluate,
@@ -392,6 +401,72 @@ class TestConvTraining:
             save_checkpoint(model, tmp_path / name)
             blobs.append((tmp_path / name).read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestConvTrainingMultiBlock(TestConvTraining):
+    """The same checks with a conv budget that gives 2-image blocks, so
+    every training batch, composite stack and test split spans several
+    blocks."""
+
+    @pytest.fixture(autouse=True)
+    def two_image_blocks(self, monkeypatch):
+        # 36 windows of 27 patch values and 4 pre-activations per image
+        monkeypatch.setattr(natsel.model, "_BLOCK_BYTES", 2 * 8 * 36 * 31)
+        assert self.conv_model()._conv_step() == 2
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak traced allocation while ``fn()`` runs, above what was live
+    before, in MB."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestConvMemory:
+    """Allocation peaks of a CIFAR-shaped conv model (32x32x3, 3x3 kernel,
+    8 channels, hidden 32).  A full patch matrix is 194 kB per image,
+    39 MB for 200 images and 6.2 MB for 32, so building one for a whole
+    batch, or keeping one until the pullback, breaks these bounds."""
+
+    def setup_method(self):
+        self.model = Classifier(ClassifierConfig(
+            input_shape=(32, 32, 3), hidden=(32,), class_count=10,
+            init_seed=3, conv=ConvSpec(kernel=3, channels=8)))
+        self.rng = np.random.default_rng(17)
+
+    def test_evaluate_200_images(self):
+        # about 55 MB with a full patch matrix, 17 MB with blocks
+        dataset = Dataset(images=self.rng.random((200, 32, 32, 3)),
+                          labels=self.rng.integers(0, 10, 200),
+                          clean_labels=self.rng.integers(0, 10, 200),
+                          class_count=10)
+        assert traced_peak_mb(lambda: evaluate(self.model, dataset)) < 24.0
+
+    def test_taped_step_32_images(self):
+        # forward and loss: about 10.9 MB with full-batch patch rows and
+        # 4.7 MB with blocks; with backward, 13.9 MB and 8.4 MB
+        images = self.rng.random((32, 32, 32, 3))
+        labels = self.rng.integers(0, 10, 32)
+
+        def taped():
+            return _taped_step(self.model, images, labels, np.ones(32),
+                               LossConfig())
+
+        def with_backward():
+            tape, loss, _ = taped()
+            backward(tape, loss)
+
+        assert traced_peak_mb(taped) < 7.0
+        assert traced_peak_mb(with_backward) < 11.0
 
 
 class TestEvaluate:

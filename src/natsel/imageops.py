@@ -165,12 +165,19 @@ def bilinear_resize(img: Tensor, target: tuple[int, int]) -> Tensor:
 
 
 def _resize_batch(images: np.ndarray, target: tuple[int, int]) -> np.ndarray:
-    """Bilinear resize of an [N, H, W, C] stack to [N, H', W', C]."""
+    """Bilinear resize of an [N, H, W, C] stack to [N, H', W', C].
+
+    An axis whose size does not change has the identity as its map (see
+    :func:`_interpolation_map`), so its product is skipped.
+    """
     n, h, w, c = images.shape
     out_h, out_w = target
     ry, rx = _resize_maps(h, w, out_h, out_w)
-    rows = np.matmul(ry, images.reshape(n, h, w * c))
-    out = np.matmul(rx, rows.reshape(n * out_h, w, c))
+    out = images
+    if out_h != h:
+        out = np.matmul(ry, out.reshape(n, h, w * c))
+    if out_w != w:
+        out = np.matmul(rx, out.reshape(n * out_h, w, c))
     return out.reshape(n, out_h, out_w, c)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .tensor import GradTape, Tensor, add_row, matmul, relu, reshape
@@ -113,24 +113,35 @@ class LossConfig:
             raise ConfigError("smoothing epsilon must lie in [0, 1)")
 
 
-# Working-set budget of one conv block: its patch rows [B*P, k*k*C] and
-# its pre-activations [B*P, F].  At 1 MiB a block stays in a 2 MiB L2
-# cache while it is built, multiplied and rectified, and the full
-# [N*P, k*k*C] patch matrix is never formed.  32x32x3 inputs with a 3x3
-# kernel and 8 channels give 4-image blocks.
+# Working-set budget of one conv block: its channel planes
+# [B, C, H*W + k-1], its patch columns [k*k*C, B*H'*W] and its
+# pre-activations [B*H'*W, F].  At 1 MiB a block stays in a 2 MiB L2
+# cache while it is built, multiplied and rectified, and no role forms
+# the columns of a whole batch.  32x32x3 inputs with a 3x3 kernel and
+# 8 channels give 3-image blocks.
 _BLOCK_BYTES = 1 << 20
 
 
-def _patches(xs: np.ndarray, kernel: int) -> np.ndarray:
-    """Patch rows [N*P, k*k*C] of an [N, H, W, C] stack.
+def _columns(xs: np.ndarray, kernel: int) -> np.ndarray:
+    """Patch columns [k*k*C, N*H'*W] of an [N, H, W, C] stack.
 
-    Valid padding, stride 1: P = (H-k+1)*(W-k+1) windows per image in
-    row-major (y0, x0) order, each flattened in (dy, dx, c) order.
+    Each image is copied into channel planes [C, H*W + k-1] whose zero
+    tail keeps every shifted window in bounds.  Row (dy, dx, c) of the
+    columns is then plane c read from offset dy*W + dx for H'*W values,
+    so column (i, y0, x0) holds pixel (y0 + dy, x0 + dx, c) of image i:
+    one strided view, copied in runs of H'*W values.  Columns with
+    x0 >= W' = W-k+1 wrap into the next row (or the zero tail); they
+    are computed alongside the valid windows and discarded by callers.
     """
-    windows = sliding_window_view(xs, (kernel, kernel), axis=(1, 2))
-    # [N, H', W', C, k, k] -> [N, H', W', k, k, C], copied row-major
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(
-        -1, kernel * kernel * xs.shape[3])
+    n, h, w, c = xs.shape
+    span = (h - kernel + 1) * w
+    planes = np.empty((n, c, h * w + kernel - 1))
+    planes[:, :, :h * w] = xs.reshape(n, h * w, c).transpose(0, 2, 1)
+    planes[:, :, h * w:] = 0.0
+    sn, sc, sp = planes.strides
+    view = as_strided(planes, (kernel, kernel, c, n, span),
+                      (w * sp, sp, sc, sn, sp), writeable=False)
+    return view.reshape(kernel * kernel * c, n * span)
 
 
 class Classifier:
@@ -151,8 +162,7 @@ class Classifier:
             self._conv_w = self._init_param(rng, k * k * c, (k * k * c, f))
             self._conv_b = self._init_param(rng, k * k * c, (1, f))
             self.parameters += [self._conv_w, self._conv_b]
-            self._windows = (h - k + 1) * (w - k + 1)
-            flat_in = self._windows * f
+            flat_in = (h - k + 1) * (w - k + 1) * f
         else:
             flat_in = h * w * c
 
@@ -221,60 +231,79 @@ class Classifier:
         return out
 
     def _conv_step(self) -> int:
-        """Images per conv block: as many as keep a block's patch rows and
-        pre-activations within ``_BLOCK_BYTES``, and at least one."""
-        width = sum(self._conv_w.shape)  # k*k*C + F float64 per window
-        return max(1, _BLOCK_BYTES // (8 * self._windows * width))
+        """Images per conv block: as many as keep a block's channel
+        planes, patch columns and pre-activations within
+        ``_BLOCK_BYTES``, and at least one."""
+        h, w, c = self.config.input_shape
+        k, f = self.config.conv.kernel, self.config.conv.channels
+        per_image = c * (h * w + k - 1) + (k * k * c + f) * (h - k + 1) * w
+        return max(1, _BLOCK_BYTES // (8 * per_image))
 
     def _conv_act(self, xs: np.ndarray, mask: np.ndarray | None = None
                   ) -> np.ndarray:
-        """ReLU conv activations [N, P*F] of an [N, H, W, C] array.
+        """ReLU conv activations [N, H'*W'*F] of an [N, H, W, C] array.
 
         The batch is walked in blocks of ``_conv_step`` images: a block's
-        patch rows are built, multiplied, biased and rectified while they
-        are in cache, then dropped.  Given a boolean ``mask`` [N*P, F]
-        (the taped path), each block is also checked for finiteness and
-        the mask records where its pre-activations are positive.
+        patch columns are built, multiplied (``cols.T @ W``, over all
+        H'*W window starts), biased and rectified while they are in
+        cache, then dropped.  The bias is added as a [1, W*F] row.  Only
+        the valid windows (x0 < W') are kept: one rectifying pass
+        compacts them into the output.  Given a boolean ``mask``
+        [N, H', W', F] (the taped path), each block's valid windows are
+        also checked for finiteness and the mask records where their
+        pre-activations are positive.
         """
-        n, p, k = xs.shape[0], self._windows, self.config.conv.kernel
-        weight, bias = self._conv_w.values, self._conv_b.values
+        n, h, w, _ = xs.shape
+        k = self.config.conv.kernel
+        weight = self._conv_w.values
+        f = weight.shape[1]
+        out_h, out_w = h - k + 1, w - k + 1
+        bias_row = np.tile(self._conv_b.values, (1, w))
         step = self._conv_step()
-        act = np.empty((n * p, weight.shape[1]))
+        act = np.empty((n, out_h, out_w, f))
         for s in range(0, n, step):
-            rows = slice(s * p, (s + step) * p)
-            blk = act[rows]
-            np.matmul(_patches(xs[s:s + step], k), weight, out=blk)
-            blk += bias
+            blk = slice(s, s + step)
+            pre = _columns(xs[blk], k).T @ weight
+            rows = pre.reshape(-1, w * f)
+            rows += bias_row
+            valid = pre.reshape(-1, out_h, w, f)[:, :, :out_w]
             if mask is not None:
-                if not np.isfinite(blk).all():
+                if not np.isfinite(valid).all():
                     raise NumericError("conv stage produced non-finite values")
                 # derivative at exactly 0 taken as 0
-                np.greater(blk, 0.0, out=mask[rows])
-            np.maximum(blk, 0.0, out=blk)
+                np.greater(valid, 0.0, out=mask[blk])
+            np.maximum(valid, 0.0, out=act[blk])
         return act.reshape(n, -1)
 
     def _conv_stage(self, xs: Tensor, tape: GradTape) -> Tensor:
-        """ReLU conv activations [N, P*F] as one tape record.
+        """ReLU conv activations [N, H'*W'*F] as one tape record.
 
         The pullback returns the weight and bias adjoints only: the input
-        is data, so no adjoint is formed for it.  No patch rows are kept
-        from the forward; each block's rows are rebuilt from the input.
+        is data, so no adjoint is formed for it.  No patch columns are
+        kept from the forward; each block's columns are rebuilt from the
+        input and meet the masked adjoint scattered into a zeroed
+        [B, H', W, F] buffer, so the wrapped windows contribute nothing.
         """
         weight, bias = self._conv_w, self._conv_b
-        n, p, k = xs.shape[0], self._windows, self.config.conv.kernel
+        n, h, w, _ = xs.shape
+        k, f = self.config.conv.kernel, weight.shape[1]
+        out_h, out_w = h - k + 1, w - k + 1
         step = self._conv_step()
-        mask = np.empty((n * p, weight.shape[1]), dtype=bool)
+        mask = np.empty((n, out_h, out_w, f), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             out = Tensor(self._conv_act(xs.values, mask))
 
         def pull(g: np.ndarray):
             g = g.reshape(mask.shape)
-            ones = np.ones((1, min(n, step) * p))
+            buf = np.zeros((min(n, step), out_h, w, f))
+            ones = np.ones((1, buf.size // f))
             gw, gb = np.zeros(weight.shape), np.zeros(bias.shape)
             for s in range(0, n, step):
-                rows = slice(s * p, (s + step) * p)
-                gm = g[rows] * mask[rows]
-                gw += _patches(xs.values[s:s + step], k).T @ gm
+                blk = slice(s, s + step)
+                part = buf[:min(step, n - s)]
+                np.multiply(g[blk], mask[blk], out=part[:, :, :out_w])
+                gm = part.reshape(-1, f)
+                gw += _columns(xs.values[blk], k) @ gm
                 gb += ones[:, :gm.shape[0]] @ gm
             return ((weight, gw), (bias, gb))
 

@@ -5,6 +5,14 @@ the single documented exception, see :func:`natsel.trainer.sgd_momentum_step`).
 Every public operation validates that its output is finite and raises
 :class:`NumericError` otherwise.
 
+Aliasing: a :class:`Tensor` wraps a float64 C-contiguous array as it is,
+without a copy, so a tensor may share memory with the array it was built
+from, with another tensor (``reshape`` returns a view) or with an adjoint
+(:func:`backward` can hand back the accumulated adjoint itself).  This is
+safe because no tensor operation, pullback or caller writes to the array
+a tensor wraps; the optimizer's in-place parameter update is the one
+exception, and parameters wrap arrays of their own.
+
 Gradients are recorded on an explicit :class:`GradTape`: operations called
 with ``tape=...`` append one entry each, and :func:`backward` replays the
 entries in exact reverse order, accumulating adjoints additively.  Passing
@@ -44,12 +52,16 @@ __all__ = [
 
 
 class Tensor:
-    """A dense multi-dimensional array of float64, row-major."""
+    """A dense multi-dimensional array of float64, row-major.
+
+    A float64 C-contiguous array is wrapped, not copied; anything else
+    (lists, numbers, other dtypes, non-contiguous views) is converted.
+    """
 
     __slots__ = ("values",)
 
     def __init__(self, values):
-        self.values = np.array(values, dtype=np.float64, order="C")
+        self.values = np.asarray(values, dtype=np.float64, order="C")
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -35,8 +35,9 @@ class WeightingConfig:
     ns_lf needs rho < 0, uniform and focal_like need rho == 0 (the
     focal variant gets its shape from the loss, not from weights).
     Scores lie in (0, 1), so sigma + rho >= 0 is exactly the condition
-    for never emitting a negative weight; it is checked here, before any
-    training starts.
+    for never emitting a negative weight, and finite sigma and sigma + rho
+    for never emitting a non-finite one (every weight lies between the
+    two); both are checked here, before any training starts.
     """
 
     sigma: float
@@ -47,6 +48,11 @@ class WeightingConfig:
         if self.strategy not in STRATEGIES:
             raise ConfigError(
                 f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}"
+            )
+        if not all(math.isfinite(b) for b in self.bounds):
+            raise ConfigError(
+                f"sigma={self.sigma} with rho={self.rho} gives non-finite "
+                "weights; sigma and sigma + rho must be finite"
             )
         if self.sigma < 0:
             raise ConfigError(f"sigma must be non-negative, got {self.sigma}")
@@ -92,8 +98,8 @@ def _strategy_for(rho: float) -> str:
 def compute_weights(scores, cfg: WeightingConfig) -> np.ndarray:
     """w_i = sigma + rho * s_i for scores strictly inside (0, 1).
 
-    ``WeightingConfig`` guarantees sigma + rho >= 0, so no weight is
-    negative; a non-finite weight is a configuration problem and raises.
+    ``WeightingConfig`` guarantees finite sigma and sigma + rho >= 0, so
+    every weight is finite and none is negative.
     """
     s = np.asarray(scores, dtype=np.float64)
     if s.size and (s.min() <= 0.0 or s.max() >= 1.0):
@@ -101,10 +107,6 @@ def compute_weights(scores, cfg: WeightingConfig) -> np.ndarray:
             "scores must lie strictly inside (0, 1); "
             f"got range [{s.min()}, {s.max()}]"
         )
-    # Every weight lies between the two bounds, so finite bounds are
-    # enough to make every weight finite.
-    if not all(math.isfinite(b) for b in cfg.bounds):
-        raise ConfigError("non-finite weight produced; check sigma and rho")
     return cfg.sigma + cfg.rho * s
 
 

@@ -171,6 +171,15 @@ class TestStrictness:
         with pytest.raises(ConfigError):
             apply_overrides(parse_config(FULL_TEXT), sigma=0.5)
 
+    @pytest.mark.parametrize("setting", ["sigma = nan", "sigma = inf",
+                                         "rho = inf"])
+    def test_non_finite_weights_fail_before_epoch_0(self, setting):
+        # A non-finite sigma or sigma + rho would first show as a
+        # non-finite weight at the first scored batch; parsing refuses it.
+        text = f"[weighting]\n{setting}\n"
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_config(text)
+
     def test_syntax_error(self):
         with pytest.raises(ConfigError, match="syntax"):
             parse_config("[experiment\nlabel = x\n")

@@ -192,6 +192,21 @@ class TestBatchHelpersMatchPublicOps:
             single = bilinear_resize(Tensor(images[n]), (6, 4))
             assert np.array_equal(batched[n], single.values)
 
+    @pytest.mark.parametrize("layout", [GridLayout(1, 2), GridLayout(2, 1)],
+                             ids=["1x2", "2x1"])
+    def test_identity_axis_matches_two_products(self, layout):
+        # Resizing a 1x2 (2x1) composite to the member size keeps its
+        # height (width): skipping that identity product changes no bit.
+        from natsel.imageops import _resize_maps
+        rng = np.random.default_rng(75)
+        h, w, c = 32, 32, 3
+        big_h, big_w = layout.rows * h, layout.cols * w
+        composites = rng.random((4, big_h, big_w, c)) - 0.5
+        ry, rx = _resize_maps(big_h, big_w, h, w)
+        rows = np.matmul(ry, composites.reshape(4, big_h, big_w * c))
+        ref = np.matmul(rx, rows.reshape(4 * h, big_w, c)).reshape(4, h, w, c)
+        assert _resize_batch(composites, (h, w)).tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("shape,layout,target,fused", [
         ((8, 8, 1), GridLayout(2, 2), (8, 8), True),
         ((3, 5, 2), GridLayout(1, 2), (4, 6), True),

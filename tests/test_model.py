@@ -16,7 +16,7 @@ from natsel.model import (
     ClassifierConfig,
     ConvSpec,
     LossConfig,
-    _patches,
+    _columns,
     load_checkpoint,
     save_checkpoint,
     softmax_rows,
@@ -41,10 +41,23 @@ def small_config(**overrides):
 
 
 # CIFAR-shaped conv model: 900 windows per image, so a batch of more
-# than 4 images spans several conv blocks.
+# than 3 images spans several conv blocks.
 CIFAR_CONV = ClassifierConfig(
     input_shape=(32, 32, 3), hidden=(32,), class_count=10, init_seed=11,
     conv=ConvSpec(kernel=3, channels=8))
+
+
+def patch_rows(xs: np.ndarray, kernel: int) -> np.ndarray:
+    """Reference patch rows [N*P, k*k*C] of an [N, H, W, C] stack.
+
+    Valid padding, stride 1: P = (H-k+1)*(W-k+1) windows per image in
+    row-major (y0, x0) order, each flattened in (dy, dx, c) order.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(
+        xs, (kernel, kernel), axis=(1, 2))
+    # [N, H', W', C, k, k] -> [N, H', W', k, k, C], copied row-major
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(
+        -1, kernel * kernel * xs.shape[3])
 
 
 def loss_of(p, y: int, cfg: LossConfig) -> float:
@@ -161,9 +174,41 @@ class TestConvStage:
                 for i in range(3)
                 for y0 in range(h - kernel + 1)
                 for x0 in range(w - kernel + 1)]
-        got = _patches(xs, kernel)
+        got = patch_rows(xs, kernel)
         assert got.shape == (len(rows), kernel * kernel * c)
         assert np.array_equal(got, np.stack(rows))
+
+    @pytest.mark.parametrize("count,shape,kernel", [
+        (3, (3, 4, 2), 2),
+        (3, (5, 3, 3), 1),
+        (3, (4, 6, 2), 4),
+        (3, (6, 5, 1), 5),
+        (7, (32, 32, 3), 3),
+    ], ids=["nonsquare_c2_k2", "kernel_1", "kernel_min_h", "kernel_min_w",
+            "cifar_multi_block"])
+    def test_columns_hold_patch_rows(self, count, shape, kernel):
+        # Every valid window's column equals its patch row exactly; the
+        # wrapped windows (x0 >= W') read on into the next image row or
+        # the zero tail of the image's flat channel plane.
+        h, w, c = shape
+        xs = np.random.default_rng(h * w + kernel).random((count,) + shape)
+        cols = _columns(xs, kernel)
+        out_h, out_w = h - kernel + 1, w - kernel + 1
+        span = out_h * w
+        assert cols.shape == (kernel * kernel * c, count * span)
+        valid = cols.reshape(-1, count, out_h, w)[:, :, :, :out_w]
+        assert np.array_equal(valid.reshape(cols.shape[0], -1).T,
+                              patch_rows(xs, kernel))
+        planes = np.concatenate(
+            [xs.transpose(0, 3, 1, 2).reshape(count, c, h * w),
+             np.zeros((count, c, kernel - 1))], axis=2)
+        by_offset = cols.reshape(kernel, kernel, c, count, span)
+        for dy in range(kernel):
+            for dx in range(kernel):
+                start = dy * w + dx
+                assert np.array_equal(
+                    by_offset[dy, dx],
+                    planes[:, :, start:start + span].transpose(1, 0, 2))
 
     def test_taped_step_is_seven_records(self):
         # One conv record, matmul/add_row/relu and matmul/add_row for the
@@ -215,7 +260,7 @@ class TestConvStage:
 def unblocked_conv(model: Classifier, xs: np.ndarray):
     """Unblocked reference of the conv stage: the full patch matrix
     [N*P, k*k*C] and the pre-activations ``cols @ W + b`` [N*P, F]."""
-    cols = _patches(xs, model.config.conv.kernel)
+    cols = patch_rows(xs, model.config.conv.kernel)
     return cols, cols @ model.parameters[0].values + model.parameters[1].values
 
 
@@ -226,7 +271,7 @@ def relative_error(got: np.ndarray, ref: np.ndarray) -> float:
 
 class TestConvBlocks:
     """The conv stage walks a batch in blocks of ``_conv_step`` images; at
-    32x32x3 with a 3x3 kernel and 8 channels a block is B = 4 images.
+    32x32x3 with a 3x3 kernel and 8 channels a block is B = 3 images.
     Batches of 1, B, B+1 and 3B-1 images are checked against the
     unblocked reference."""
 
@@ -248,9 +293,12 @@ class TestConvBlocks:
         logits = self.model.forward_batch(Tensor(xs), tape=tape)
         return tape._entries[0], logits.values
 
-    def test_block_is_four_images_within_budget(self):
-        assert self.step == 4
-        assert 8 * 900 * (27 + 8) * self.step <= _BLOCK_BYTES
+    def test_block_is_three_images_within_budget(self):
+        # float64 per image: channel planes 3 x (32*32 + 2), patch columns
+        # 27 x (30*32) and pre-activations (30*32) x 8
+        per_image = 8 * (3 * 1026 + 27 * 960 + 960 * 8)
+        assert self.step == 3
+        assert per_image * self.step <= _BLOCK_BYTES < per_image * 4
 
     @COUNTS
     def test_forward_matches_unblocked(self, a, c):

@@ -45,6 +45,27 @@ class TestTensorBasics:
         with pytest.raises(ShapeError):
             Tensor([1.0, 2.0]).item()
 
+    def test_float64_contiguous_array_is_wrapped(self):
+        a = np.arange(6.0).reshape(2, 3)
+        assert Tensor(a).values is a
+        assert np.shares_memory(Tensor(a[1:]).values, a)
+
+    @pytest.mark.parametrize("source", [
+        [[1, 2, 3], [4, 5, 6]],
+        7,
+        np.arange(6, dtype=np.float32).reshape(2, 3),
+        np.arange(6, dtype=np.int64).reshape(2, 3),
+        np.arange(12.0).reshape(2, 6)[:, ::2],
+        np.arange(6.0).reshape(3, 2).T,
+    ], ids=["list", "int", "float32", "int64", "strided", "transposed"])
+    def test_other_input_is_converted(self, source):
+        t = Tensor(source)
+        assert t.values.dtype == np.float64
+        assert t.values.flags.c_contiguous
+        assert np.array_equal(t.values, np.asarray(source))
+        if isinstance(source, np.ndarray):
+            assert not np.shares_memory(t.values, source)
+
 
 class TestMatmul:
     def test_identity(self):
@@ -156,6 +177,18 @@ class TestBackward:
         g = backward(tape, tsum(used, tape=tape))
         assert g[unused].shape == (2, 2)
         assert np.all(g[unused].values == 0.0)
+
+    def test_same_shape_gradient_shares_its_adjoint(self):
+        # backward wraps a parameter's accumulated adjoint without a copy
+        p = Tensor(np.ones((2, 3)))
+        adjoint = np.arange(6.0).reshape(2, 3)
+        tape = GradTape()
+        tape.register(p)
+        root = Tensor(0.0)
+        tape.record(root, lambda g: ((p, adjoint),))
+        grad = backward(tape, root)[p].values
+        assert np.shares_memory(grad, adjoint)
+        assert np.array_equal(grad, adjoint)
 
     def test_root_must_be_scalar(self):
         p = Tensor([1.0, 2.0])

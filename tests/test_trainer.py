@@ -410,8 +410,10 @@ class TestConvTrainingMultiBlock(TestConvTraining):
 
     @pytest.fixture(autouse=True)
     def two_image_blocks(self, monkeypatch):
-        # 36 windows of 27 patch values and 4 pre-activations per image
-        monkeypatch.setattr(natsel.model, "_BLOCK_BYTES", 2 * 8 * 36 * 31)
+        # float64 per image: channel planes 3 x (8*8 + 2), patch columns
+        # 27 x (6*8) and pre-activations (6*8) x 4
+        monkeypatch.setattr(natsel.model, "_BLOCK_BYTES",
+                            2 * 8 * (3 * 66 + 27 * 48 + 48 * 4))
         assert self.conv_model()._conv_step() == 2
 
 
@@ -444,7 +446,7 @@ class TestConvMemory:
         self.rng = np.random.default_rng(17)
 
     def test_evaluate_200_images(self):
-        # about 55 MB with a full patch matrix, 17 MB with blocks
+        # about 55 MB with a full patch matrix, 12.5 MB with blocks
         dataset = Dataset(images=self.rng.random((200, 32, 32, 3)),
                           labels=self.rng.integers(0, 10, 200),
                           clean_labels=self.rng.integers(0, 10, 200),
@@ -453,7 +455,7 @@ class TestConvMemory:
 
     def test_taped_step_32_images(self):
         # forward and loss: about 10.9 MB with full-batch patch rows and
-        # 4.7 MB with blocks; with backward, 13.9 MB and 8.4 MB
+        # 3.1 MB with blocks; with backward, 13.9 MB and 7.3 MB
         images = self.rng.random((32, 32, 32, 3))
         labels = self.rng.integers(0, 10, 32)
 

@@ -202,12 +202,13 @@ def sweep(config: ExperimentConfig, axis: str, values=None,
     if not values:
         raise ConfigError("sweep needs at least one value")
 
-    results = []
+    # every value's config is built, and so checked, before the first run
+    subs = []
     for value in values:
         tag = str(value).replace(".", "p")
-        sub = apply_overrides(override(config, value),
-                              label=f"{config.label}_{axis}_{tag}")
-        results.append((str(value), run_experiment(sub, echo=echo)))
+        subs.append((str(value), apply_overrides(
+            override(config, value), label=f"{config.label}_{axis}_{tag}")))
+    results = [(value, run_experiment(sub, echo=echo)) for value, sub in subs]
 
     table = Path(config.output_dir) / f"sweep_{axis}.csv"
     table.parent.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, FormatError, NumericError, ShapeError
 from .tensor import GradTape, Tensor, add_row, matmul, relu, reshape
@@ -139,8 +138,9 @@ def _columns(xs: np.ndarray, kernel: int) -> np.ndarray:
     planes[:, :, :h * w] = xs.reshape(n, h * w, c).transpose(0, 2, 1)
     planes[:, :, h * w:] = 0.0
     sn, sc, sp = planes.strides
-    view = as_strided(planes, (kernel, kernel, c, n, span),
-                      (w * sp, sp, sc, sn, sp), writeable=False)
+    view = np.ndarray((kernel, kernel, c, n, span), planes.dtype, planes, 0,
+                      (w * sp, sp, sc, sn, sp))
+    view.flags.writeable = False
     return view.reshape(kernel * kernel * c, n * span)
 
 
@@ -216,28 +216,54 @@ class Classifier:
 
         The same arithmetic as the taped ``forward_batch``, on plain
         arrays and without per-operation finiteness checks:
-        :func:`softmax_rows` checks the logits once.
+        :func:`softmax_rows` checks the logits once.  A conv model's
+        input is walked in chunks of ``_chunk_images`` whole images:
+        each chunk's conv activations are multiplied by the first dense
+        weight into their output rows and dropped, so no more than one
+        chunk of activations is ever alive.
         """
-        n = xs.shape[0]
-        if self.config.conv is not None:
-            out = self._conv_act(xs)
+        (weight, bias), *rest = self._dense
+        if self.config.conv is None:
+            out = xs.reshape(xs.shape[0], -1) @ weight.values + bias.values
         else:
-            out = xs.reshape(n, -1)
-        last = len(self._dense) - 1
-        for i, (weight, bias) in enumerate(self._dense):
-            out = out @ weight.values + bias.values
-            if i != last:
-                out = np.maximum(out, 0.0)
+            step = self._chunk_images()
+            out = np.empty((xs.shape[0], weight.shape[1]))
+            for s in range(0, xs.shape[0], step):
+                np.matmul(self._conv_act(xs[s:s + step]), weight.values,
+                          out=out[s:s + step])
+            out += bias.values
+        for weight, bias in rest:
+            out = np.maximum(out, 0.0) @ weight.values + bias.values
         return out
 
-    def _conv_step(self) -> int:
-        """Images per conv block: as many as keep a block's channel
-        planes, patch columns and pre-activations within
-        ``_BLOCK_BYTES``, and at least one."""
+    def _conv_bytes_per_image(self) -> int:
+        """Bytes of one image's channel planes, patch columns and
+        pre-activations in a conv block."""
         h, w, c = self.config.input_shape
         k, f = self.config.conv.kernel, self.config.conv.channels
-        per_image = c * (h * w + k - 1) + (k * k * c + f) * (h - k + 1) * w
-        return max(1, _BLOCK_BYTES // (8 * per_image))
+        return 8 * (c * (h * w + k - 1) + (k * k * c + f) * (h - k + 1) * w)
+
+    def _conv_step(self) -> int:
+        """Images per conv block: as many as keep a block's working set
+        within ``_BLOCK_BYTES``, and at least one."""
+        return max(1, _BLOCK_BYTES // self._conv_bytes_per_image())
+
+    def _chunk_images(self) -> int:
+        """Images per chunk of the untaped conv forward: as many as keep
+        a chunk's conv activations within two block budgets, rounded
+        down to a multiple of 8, and at least 8.
+
+        The multiple of 8 keeps the logits' bits independent of the
+        chunking: with OpenBLAS, a product whose row count is a multiple
+        of 4 and at least 8 gives each row the same bits as the product
+        over the whole batch, while 1-4, 6, 9 or 18 rows may not.  Only
+        a final partial chunk can then differ in the last bits (200 test
+        images stream as six 32-image chunks and one of 8).
+        """
+        h, w, _ = self.config.input_shape
+        k, f = self.config.conv.kernel, self.config.conv.channels
+        per_image = 8 * (h - k + 1) * (w - k + 1) * f
+        return max(8, 2 * _BLOCK_BYTES // per_image // 8 * 8)
 
     def _conv_act(self, xs: np.ndarray, mask: np.ndarray | None = None
                   ) -> np.ndarray:

@@ -77,6 +77,11 @@ class TrainConfig:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.epochs < 1:
             raise ConfigError("need at least one epoch")
+        if self.weighting.rho != 0.0 and self.layout.group_size < 2:
+            raise ConfigError(
+                f"rho={self.weighting.rho} needs groups of at least 2 "
+                f"samples to compete, but layout {self.layout} stitches 1"
+            )
         if self.batch_size < self.layout.group_size:
             raise ConfigError(
                 f"batch size {self.batch_size} smaller than group size "

@@ -209,6 +209,17 @@ class TestExitCodes:
         path.write_text("[train]\nbatch_sizes = 8\n")
         assert main(["run", str(path)]) == 1
 
+    def test_one_member_groups_exit_one_without_run_dir(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        cfg_path.write_text(cfg_path.read_text().replace("layout = 1x2",
+                                                         "layout = 1x1"))
+        assert main(["run", str(cfg_path)]) == 1
+        assert main(["run", str(write_config(tmp_path, "ok.ini")),
+                     "--layout", "1x1"]) == 1
+        assert main(["sweep", str(write_config(tmp_path, "ok.ini")),
+                     "--axis", "layout", "--values", "2x2,1x1"]) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.ini")]) == 2
 

@@ -180,6 +180,19 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="must be finite"):
             parse_config(text)
 
+    def test_one_member_groups_fail_before_epoch_0_when_scoring(self):
+        # A 1x1 layout leaves nobody to compete with; with rho != 0 the
+        # first scored batch would fail, so parsing refuses it instead.
+        text = "[grouping]\nlayout = 1x1\n[weighting]\nrho = 1.0\n"
+        with pytest.raises(ConfigError, match="groups of at least 2"):
+            parse_config(text)
+        plain = parse_config(text.replace("rho = 1.0", "rho = 0.0"))
+        assert plain.train.layout.group_size == 1
+        with pytest.raises(ConfigError, match="groups of at least 2"):
+            apply_overrides(parse_config(FULL_TEXT), layout="1x1")
+        with pytest.raises(ConfigError, match="groups of at least 2"):
+            apply_overrides(plain, rho=1.0)
+
     def test_syntax_error(self):
         with pytest.raises(ConfigError, match="syntax"):
             parse_config("[experiment\nlabel = x\n")

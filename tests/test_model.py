@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import natsel.model
 from natsel.errors import ConfigError, FormatError, NumericError, ShapeError
 from natsel.model import (
     _BLOCK_BYTES,
@@ -324,6 +325,62 @@ class TestConvBlocks:
         assert [weight, bias] == self.model.parameters[:2]
         assert relative_error(gw, cols.T @ gm) <= 1e-12
         assert relative_error(gb, gm.sum(axis=0, keepdims=True)) <= 1e-12
+
+
+class TestConvStreaming:
+    """The untaped forward walks its input in chunks of ``_chunk_images``
+    whole images and multiplies each chunk's conv activations by the
+    first dense weight; at 32x32x3 with a 3x3 kernel and 8 channels a
+    chunk is S = 32 images.  Inputs of 1, S-1, S, S+1 and 3S+5 images
+    are checked against the unstreamed forward."""
+
+    def setup_method(self):
+        self.model = Classifier(CIFAR_CONV)
+        self.chunk = self.model._chunk_images()
+        self.rng = np.random.default_rng(31)
+
+    def unstreamed(self, xs: np.ndarray) -> np.ndarray:
+        (w1, b1), (w2, b2) = [(w.values, b.values)
+                              for w, b in self.model._dense]
+        hidden = self.model._conv_act(xs) @ w1 + b1
+        return np.maximum(hidden, 0.0) @ w2 + b2
+
+    def test_chunk_is_32_images_within_two_block_budgets(self):
+        # float64 conv activations per image: 30 x 30 x 8
+        per_image = 8 * 30 * 30 * 8
+        assert self.chunk == 32
+        assert self.chunk * per_image <= 2 * _BLOCK_BYTES
+        assert 2 * _BLOCK_BYTES < (self.chunk + 8) * per_image
+
+    @pytest.mark.parametrize("budget,chunk", [(1, 8), (1 << 18, 8),
+                                              (1 << 19, 16), (1 << 22, 144)])
+    def test_chunk_is_a_multiple_of_eight_and_at_least_eight(
+            self, monkeypatch, budget, chunk):
+        monkeypatch.setattr(natsel.model, "_BLOCK_BYTES", budget)
+        assert self.model._chunk_images() == chunk
+
+    # input size a*S + c
+    @pytest.mark.parametrize("a,c", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
+                             ids=["1", "S-1", "S", "S+1", "3S+5"])
+    def test_streamed_logits_match_unstreamed(self, a, c):
+        xs = self.rng.random((a * self.chunk + c, 32, 32, 3)) - 0.3
+        assert relative_error(self.model.logits(xs),
+                              self.unstreamed(xs)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [8, 32, 72, 200])
+    def test_chunks_of_multiples_of_eight_are_exact(self, n):
+        # 200 test images stream as six 32-image chunks and one of 8
+        xs = self.rng.random((n, 32, 32, 3)) - 0.3
+        assert np.array_equal(self.model.logits(xs), self.unstreamed(xs))
+
+    def test_conv_model_without_hidden_layers(self):
+        model = Classifier(ClassifierConfig(
+            input_shape=(8, 8, 3), hidden=(), class_count=3, init_seed=2,
+            conv=ConvSpec(kernel=3, channels=4)))
+        xs = self.rng.random((2 * model._chunk_images() + 3, 8, 8, 3))
+        weight, bias = model._dense[0]
+        ref = model._conv_act(xs) @ weight.values + bias.values
+        assert relative_error(model.logits(xs), ref) <= 1e-12
 
 
 class TestSoftmax:

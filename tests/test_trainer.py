@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -406,15 +407,15 @@ class TestConvTraining:
 class TestConvTrainingMultiBlock(TestConvTraining):
     """The same checks with a conv budget that gives 2-image blocks, so
     every training batch, composite stack and test split spans several
-    blocks."""
+    blocks, and the untaped forward streams the 12-image test split as
+    chunks of 8 and 4 images."""
 
     @pytest.fixture(autouse=True)
     def two_image_blocks(self, monkeypatch):
-        # float64 per image: channel planes 3 x (8*8 + 2), patch columns
-        # 27 x (6*8) and pre-activations (6*8) x 4
+        model = self.conv_model()
         monkeypatch.setattr(natsel.model, "_BLOCK_BYTES",
-                            2 * 8 * (3 * 66 + 27 * 48 + 48 * 4))
-        assert self.conv_model()._conv_step() == 2
+                            2 * model._conv_bytes_per_image())
+        assert model._conv_step() == 2
 
 
 def traced_peak_mb(fn) -> float:
@@ -469,6 +470,26 @@ class TestConvMemory:
 
         assert traced_peak_mb(taped) < 7.0
         assert traced_peak_mb(with_backward) < 11.0
+
+    def cifar_set(self, n: int) -> Dataset:
+        return Dataset(images=self.rng.random((n, 32, 32, 3)),
+                       labels=self.rng.integers(0, 10, n),
+                       clean_labels=self.rng.integers(0, 10, n),
+                       class_count=10)
+
+    def test_evaluate_200_images_streams_conv_activations(self):
+        # about 12.5 MB with the activations of the whole split, 2.9 MB
+        # with one 32-image chunk of them at a time
+        dataset = self.cifar_set(200)
+        assert traced_peak_mb(lambda: evaluate(self.model, dataset)) < 4.0
+
+    def test_duality_check_1000_images(self):
+        # about 58.7 MB with the activations of the whole dataset, 3.2 MB
+        # streamed
+        dataset = self.cifar_set(1000)
+        other = Classifier(replace(self.model.config, init_seed=4))
+        assert traced_peak_mb(lambda: duality_check(
+            [self.model, other], dataset, fitness_ceiling=1e6)) < 5.0
 
 
 class TestEvaluate:

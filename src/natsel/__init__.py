@@ -46,14 +46,7 @@ from .errors import (
     TapeError,
     TrainingDiverged,
 )
-from .imageops import (
-    STANDARD_LAYOUTS,
-    GridLayout,
-    Normalization,
-    bilinear_resize,
-    channel_normalize,
-    stitch,
-)
+from .imageops import GridLayout, bilinear_resize
 from .model import (
     Classifier,
     ClassifierConfig,
@@ -74,7 +67,6 @@ from .trainer import (
     evaluate,
     sgd_momentum_step,
     train,
-    train_erm,
     weighted_batch_loss,
 )
 from .weighting import WeightingConfig, compute_weights, weight_curve
@@ -89,8 +81,7 @@ __all__ = [
     "Classifier", "ClassifierConfig", "ConvSpec", "LossConfig",
     "softmax_rows", "sample_losses", "save_checkpoint", "load_checkpoint",
     # image ops
-    "GridLayout", "Normalization", "STANDARD_LAYOUTS", "stitch",
-    "bilinear_resize", "channel_normalize",
+    "GridLayout", "bilinear_resize",
     # competition scoring
     "NSResult", "batch_ns_scores", "params_hash",
     # weighting
@@ -100,7 +91,7 @@ __all__ = [
     "build_splits", "longtail_counts", "inject_label_noise",
     "class_sampling_probs", "load_idx", "save_idx", "load_cifar_binary",
     # trainer
-    "TrainConfig", "MetricsRecord", "train", "train_erm", "evaluate",
+    "TrainConfig", "MetricsRecord", "train", "evaluate",
     "weighted_batch_loss", "sgd_momentum_step", "duality_check",
     # analysis
     "ClassScoreStats", "FitLine", "CorrelationReport", "ns_distribution",

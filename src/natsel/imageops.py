@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -23,14 +22,8 @@ from .tensor import Tensor
 
 __all__ = [
     "GridLayout",
-    "Normalization",
-    "stitch",
     "bilinear_resize",
-    "channel_normalize",
 ]
-
-# Layouts exercised by the layout sweep; anything with rows*cols >= 2 works.
-STANDARD_LAYOUTS = ((1, 2), (2, 2), (2, 4), (4, 2), (4, 4))
 
 
 @dataclass(frozen=True)
@@ -61,45 +54,6 @@ class GridLayout:
 
     def __str__(self) -> str:
         return f"{self.rows}x{self.cols}"
-
-
-@dataclass(frozen=True)
-class Normalization:
-    """Per-channel standardization statistics applied to model inputs."""
-
-    mean: tuple[float, ...]
-    std: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.mean) != len(self.std):
-            raise ConfigError("normalization mean/std lengths differ")
-        if any(s <= 0.0 for s in self.std):
-            raise ConfigError("normalization std must be positive")
-
-    @classmethod
-    def identity(cls, channels: int) -> "Normalization":
-        return cls((0.0,) * channels, (1.0,) * channels)
-
-
-def stitch(images: Sequence[Tensor], layout: GridLayout) -> Tensor:
-    """Concatenate m same-shape images into one (R*H) x (C*W) composite.
-
-    Members fill grid cells in row-major order: image k lands at grid row
-    ``k // C``, column ``k % C``.
-    """
-    if len(images) != layout.group_size:
-        raise ShapeError(
-            f"stitch got {len(images)} images for a {layout} layout "
-            f"(needs {layout.group_size})"
-        )
-    shapes = {img.shape for img in images}
-    if len(shapes) != 1:
-        raise ShapeError(f"stitch needs same-shape images, got {sorted(shapes)}")
-    (shape,) = shapes
-    if len(shape) != 3:
-        raise ShapeError(f"stitch expects HxWxC images, got shape {shape}")
-    stacked = np.stack([img.values for img in images])
-    return Tensor(_assemble_grid(stacked[np.newaxis], layout)[0])
 
 
 def _assemble_grid(members: np.ndarray, layout: GridLayout) -> np.ndarray:
@@ -205,23 +159,3 @@ def _interpolation_map(size: int, out_size: int) -> np.ndarray:
     np.add.at(m, (rows, hi), frac)
     m.setflags(write=False)
     return m
-
-
-def channel_normalize(img: Tensor, norm: Normalization) -> Tensor:
-    """Standardize an HxWxC image: (pixel - mean[c]) / std[c] per channel."""
-    if len(img.shape) != 3:
-        raise ShapeError(f"channel_normalize expects HxWxC, got shape {img.shape}")
-    channels = img.shape[2]
-    if len(norm.mean) != channels:
-        raise ShapeError(
-            f"normalization has {len(norm.mean)} channels, image has {channels}"
-        )
-    mean = np.asarray(norm.mean, dtype=np.float64)
-    std = np.asarray(norm.std, dtype=np.float64)
-    return Tensor((img.values - mean) / std)
-
-
-def _normalize_batch(images: np.ndarray, norm: Normalization) -> np.ndarray:
-    mean = np.asarray(norm.mean, dtype=np.float64)
-    std = np.asarray(norm.std, dtype=np.float64)
-    return (images - mean) / std

@@ -2,10 +2,10 @@
 
 A mini-batch is partitioned into contiguous groups of m samples.  Each
 group is stitched into one composite image, resized back to the model's
-native input resolution, normalized like any training input, and pushed
-through the classifier without a tape.  The posterior probability of each
-member's true class is its raw score q_i; normalizing the raw scores
-within the group gives the competition score s_i = q_i / sum_j q_j.
+native input resolution, and pushed through the classifier without a
+tape.  The posterior probability of each member's true class is its raw
+score q_i; normalizing the raw scores within the group gives the
+competition score s_i = q_i / sum_j q_j.
 
 Scoring is strictly detached: no tape records, no parameter writes, no
 optimizer state.  ``params_hash`` exists so tests can assert this exactly.
@@ -20,12 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .imageops import (
-    GridLayout,
-    Normalization,
-    _normalize_batch,
-    _stitch_resize,
-)
+from .imageops import GridLayout, _stitch_resize
 from .model import Classifier, softmax_rows
 
 __all__ = [
@@ -58,8 +53,7 @@ class NSResult(NamedTuple):
 
 
 def batch_ns_scores(images: np.ndarray, labels: np.ndarray, model: Classifier,
-                    layout: GridLayout,
-                    normalization: Normalization | None = None) -> NSResult:
+                    layout: GridLayout) -> NSResult:
     """Score a whole batch; one composite forward pass per full group.
 
     ``images`` is a [B, H, W, C] stack in batch order, assumed already
@@ -84,8 +78,6 @@ def batch_ns_scores(images: np.ndarray, labels: np.ndarray, model: Classifier,
         h0, w0, _ = model.config.input_shape
         members = images[:n].reshape((g, m) + images.shape[1:])
         resized = _stitch_resize(members, layout, (h0, w0))
-        if normalization is not None:
-            resized = _normalize_batch(resized, normalization)
         posteriors = _bound_posterior(softmax_rows(model.logits(resized)))
         member_labels = np.asarray(labels[:n], dtype=np.int64).reshape(g, m)
         q, s = _scores_from_posterior(posteriors, member_labels,

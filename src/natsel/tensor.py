@@ -18,10 +18,9 @@ with ``tape=...`` append one entry each, and :func:`backward` replays the
 entries in exact reverse order, accumulating adjoints additively.  Passing
 ``tape=None`` gives the plain (detached) numeric result.
 
-Broadcasting is restricted to scalar-with-tensor: an operand must either
-match the other's shape exactly or be a scalar (shape ``()``); Python
-numbers are lifted to constant scalar tensors.  The one row broadcast is
-:func:`add_row`, the bias add of a dense layer.
+Only the primitives the classifier's taped forward uses live here; the
+conv stage and the fused loss record one entry each with
+:meth:`GradTape.record`.
 """
 
 from __future__ import annotations
@@ -37,16 +36,8 @@ __all__ = [
     "GradTape",
     "backward",
     "matmul",
-    "add",
     "add_row",
-    "sub",
-    "mul",
-    "scale",
     "relu",
-    "exp",
-    "log",
-    "clamp_min",
-    "tsum",
     "reshape",
 ]
 
@@ -162,28 +153,6 @@ def _finite(compute, op: str) -> np.ndarray:
     return values
 
 
-def _lift(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    if isinstance(x, (int, float, np.floating, np.integer)):
-        return Tensor(float(x))
-    raise TypeError(f"cannot use {type(x).__name__} as a tensor operand")
-
-
-def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape == b.shape or a.shape == () or b.shape == ():
-        return
-    raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not "
-                     "equal and neither is scalar")
-
-
-def _reduce_to(adj: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Scalar operands collect the sum of the broadcast adjoint.
-    if shape == () and adj.shape != ():
-        return np.sum(adj)
-    return adj
-
-
 def matmul(a: Tensor, b: Tensor, tape: GradTape | None = None) -> Tensor:
     """Matrix product of a [M,K] by a [K,N] tensor."""
     if len(a.shape) != 2 or len(b.shape) != 2:
@@ -196,18 +165,6 @@ def matmul(a: Tensor, b: Tensor, tape: GradTape | None = None) -> Tensor:
 
         def pull(g: np.ndarray):
             return ((a, g @ bv.T), (b, av.T @ g))
-
-        tape.record(out, pull)
-    return out
-
-
-def add(a, b, tape: GradTape | None = None) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    _binary_shapes(a, b, "add")
-    out = Tensor(_finite(lambda: a.values + b.values, "add"))
-    if tape is not None:
-        def pull(g: np.ndarray):
-            return ((a, _reduce_to(g, a.shape)), (b, _reduce_to(g, b.shape)))
 
         tape.record(out, pull)
     return out
@@ -227,42 +184,6 @@ def add_row(a: Tensor, row: Tensor, tape: GradTape | None = None) -> Tensor:
     return out
 
 
-def sub(a, b, tape: GradTape | None = None) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    _binary_shapes(a, b, "sub")
-    out = Tensor(_finite(lambda: a.values - b.values, "sub"))
-    if tape is not None:
-        def pull(g: np.ndarray):
-            return ((a, _reduce_to(g, a.shape)), (b, _reduce_to(-g, b.shape)))
-
-        tape.record(out, pull)
-    return out
-
-
-def mul(a, b, tape: GradTape | None = None) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    _binary_shapes(a, b, "mul")
-    out = Tensor(_finite(lambda: a.values * b.values, "mul"))
-    if tape is not None:
-        av, bv = a.values, b.values
-
-        def pull(g: np.ndarray):
-            return ((a, _reduce_to(g * bv, a.shape)),
-                    (b, _reduce_to(g * av, b.shape)))
-
-        tape.record(out, pull)
-    return out
-
-
-def scale(a: Tensor, factor: float, tape: GradTape | None = None) -> Tensor:
-    """Multiply by a constant; the factor is not differentiated through."""
-    factor = float(factor)
-    out = Tensor(_finite(lambda: a.values * factor, "scale"))
-    if tape is not None:
-        tape.record(out, lambda g: ((a, g * factor),))
-    return out
-
-
 def relu(a: Tensor, tape: GradTape | None = None) -> Tensor:
     out = Tensor(np.maximum(a.values, 0.0))
     if tape is not None:
@@ -270,51 +191,6 @@ def relu(a: Tensor, tape: GradTape | None = None) -> Tensor:
 
         def pull(g: np.ndarray):
             return ((a, g * mask),)
-
-        tape.record(out, pull)
-    return out
-
-
-def exp(a: Tensor, tape: GradTape | None = None) -> Tensor:
-    out = Tensor(_finite(lambda: np.exp(a.values), "exp"))
-    if tape is not None:
-        ov = out.values
-        tape.record(out, lambda g: ((a, g * ov),))
-    return out
-
-
-def log(a: Tensor, tape: GradTape | None = None) -> Tensor:
-    if np.any(a.values <= 0.0):
-        raise NumericError("log of non-positive value")
-    out = Tensor(np.log(a.values))
-    if tape is not None:
-        av = a.values
-        tape.record(out, lambda g: ((a, g / av),))
-    return out
-
-
-def clamp_min(a: Tensor, floor: float, tape: GradTape | None = None) -> Tensor:
-    """max(a, floor) elementwise; gradient passes only where a > floor."""
-    floor = float(floor)
-    out = Tensor(np.maximum(a.values, floor))
-    if tape is not None:
-        mask = a.values > floor
-
-        def pull(g: np.ndarray):
-            return ((a, g * mask),)
-
-        tape.record(out, pull)
-    return out
-
-
-def tsum(a: Tensor, tape: GradTape | None = None) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    out = Tensor(_finite(lambda: np.sum(a.values), "sum"))
-    if tape is not None:
-        shape = a.shape
-
-        def pull(g: np.ndarray):
-            return ((a, np.full(shape, float(g))),)
 
         tape.record(out, pull)
     return out

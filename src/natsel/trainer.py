@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset, SamplerConfig, epoch_indices
 from .errors import ConfigError, NumericError, ShapeError, TrainingDiverged
-from .imageops import GridLayout, Normalization, _normalize_batch
+from .imageops import GridLayout
 from .model import Classifier, LossConfig, sample_losses
 from .nscore import batch_ns_scores
 from .tensor import GradTape, Tensor, backward
@@ -36,7 +36,6 @@ __all__ = [
     "weighted_batch_loss",
     "sgd_momentum_step",
     "train",
-    "train_erm",
     "evaluate",
     "duality_check",
     "write_metrics_csv",
@@ -67,7 +66,6 @@ class TrainConfig:
     weighting: WeightingConfig = WeightingConfig(1.0, 0.0, "uniform")
     sampler: SamplerConfig = SamplerConfig()
     loss: LossConfig = LossConfig()
-    normalization: Normalization | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -208,8 +206,7 @@ def _accuracy_stats(predictions: np.ndarray, labels: np.ndarray,
 
 
 def evaluate(model: Classifier, dataset: Dataset,
-             loss_cfg: LossConfig = LossConfig(),
-             normalization: Normalization | None = None) -> EvalResult:
+             loss_cfg: LossConfig = LossConfig()) -> EvalResult:
     """Mean loss and accuracies; argmax prediction, no weighting.
 
     np.argmax resolves ties toward the smallest class index, which is the
@@ -222,8 +219,6 @@ def evaluate(model: Classifier, dataset: Dataset,
     for start in range(0, len(dataset), _EVAL_CHUNK):
         stop = min(start + _EVAL_CHUNK, len(dataset))
         images = dataset.images[start:stop]
-        if normalization is not None:
-            images = _normalize_batch(images, normalization)
         logits = model.forward_batch(Tensor(images)).values
         labels = dataset.labels[start:stop]
         loss_sum += float(sample_losses(logits, labels, loss_cfg).sum())
@@ -345,8 +340,6 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
             batch_idx = order[lo:lo + config.batch_size]
             images = train_set.images[batch_idx]
             labels = train_set.labels[batch_idx]
-            if config.normalization is not None:
-                images = _normalize_batch(images, config.normalization)
 
             if scoring:
                 ns_start = time.perf_counter()
@@ -372,6 +365,9 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
             sgd_momentum_step(model.parameters,
                               [grads[p] for p in model.parameters],
                               velocity, lr, config.momentum)
+            # The tape holds the batch's activations; drop it before the
+            # next batch is scored and before each evaluation.
+            del tape, batch_loss, grads
             tally.record_batch(labels, predictions, loss_value)
             step += 1
 
@@ -379,57 +375,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
         records.append(tally.train_record(epoch, train_seconds, scoring))
 
         eval_start = time.perf_counter()
-        result = evaluate(model, test_set, config.loss, config.normalization)
-        records.append(MetricsRecord(
-            epoch=epoch, split="test", mean_loss=result.mean_loss,
-            accuracy=result.accuracy,
-            per_class_accuracy=result.per_class_accuracy,
-            per_class_ns=None, seconds=time.perf_counter() - eval_start,
-            train_forward_passes=0, ns_forward_passes=0, ns_seconds=0.0,
-        ))
-    return model, records
-
-
-def train_erm(config: TrainConfig, train_set: Dataset, test_set: Dataset,
-              model: Classifier) -> tuple[Classifier, list[MetricsRecord]]:
-    """Plain uniform-weight reference loop with no scoring code at all.
-
-    Written independently of ``train`` so the rho == 0 equivalence can be
-    checked against a loop that cannot run competition logic even by
-    accident.  Weights are identically 1, so it matches ``train`` with
-    sigma = 1, rho = 0 bit for bit.
-    """
-    if len(train_set) == 0:
-        raise ConfigError("cannot train on an empty dataset")
-    velocity = [np.zeros_like(p.values) for p in model.parameters]
-    records: list[MetricsRecord] = []
-    step = 0
-    for epoch in range(config.epochs):
-        epoch_start = time.perf_counter()
-        lr = config.lr_at(epoch)
-        order = epoch_indices(train_set.labels, train_set.class_count,
-                              config.sampler, epoch, config.seed)
-        tally = _EpochTally(train_set.class_count)
-        for lo in range(0, order.shape[0], config.batch_size):
-            batch_idx = order[lo:lo + config.batch_size]
-            images = train_set.images[batch_idx]
-            labels = train_set.labels[batch_idx]
-            if config.normalization is not None:
-                images = _normalize_batch(images, config.normalization)
-            tape, batch_loss, predictions = _taped_step(
-                model, images, labels, np.ones(labels.shape[0]), config.loss)
-            loss_value = batch_loss.item()
-            _check_finite(loss_value, epoch, step, "batch loss")
-            grads = backward(tape, batch_loss)
-            sgd_momentum_step(model.parameters,
-                              [grads[p] for p in model.parameters],
-                              velocity, lr, config.momentum)
-            tally.record_batch(labels, predictions, loss_value)
-            step += 1
-        train_seconds = time.perf_counter() - epoch_start
-        records.append(tally.train_record(epoch, train_seconds, False))
-        eval_start = time.perf_counter()
-        result = evaluate(model, test_set, config.loss, config.normalization)
+        result = evaluate(model, test_set, config.loss)
         records.append(MetricsRecord(
             epoch=epoch, split="test", mean_loss=result.mean_loss,
             accuracy=result.accuracy,

@@ -59,6 +59,43 @@ def random_tensor(rng, shape, lo=-1.0, hi=1.0):
     return Tensor(rng.uniform(lo, hi, size=shape))
 
 
+# Elementwise taped ops for the backward and gradient tests.  The library
+# tapes only what the classifier uses, so these record their entries with
+# GradTape.record; operands of a binary op must have equal shapes.
+
+def _taped(out, tape, pull):
+    if tape is not None:
+        tape.record(out, pull)
+    return out
+
+
+def add(a, b, tape=None):
+    assert a.shape == b.shape
+    return _taped(Tensor(a.values + b.values), tape, lambda g: ((a, g), (b, g)))
+
+
+def mul(a, b, tape=None):
+    assert a.shape == b.shape
+    av, bv = a.values, b.values
+    return _taped(Tensor(av * bv), tape, lambda g: ((a, g * bv), (b, g * av)))
+
+
+def scale(a, factor, tape=None):
+    """Multiply by a constant that is not differentiated through."""
+    return _taped(Tensor(a.values * factor), tape, lambda g: ((a, g * factor),))
+
+
+def exp(a, tape=None):
+    out = Tensor(np.exp(a.values))
+    return _taped(out, tape, lambda g: ((a, g * out.values),))
+
+
+def tsum(a, tape=None):
+    """Sum of all elements as a scalar tensor, the usual backward root."""
+    return _taped(Tensor(np.sum(a.values)), tape,
+                  lambda g: ((a, np.full(a.shape, float(g))),))
+
+
 def reference_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Per-pixel bilinear resize oracle: explicit loops, four-term blend.
 
@@ -134,6 +171,28 @@ def loss_oracle(p: np.ndarray, y: int, cfg) -> float:
                  + (eps / p.shape[0]) * np.sum(-np.log(np.maximum(p, 1e-12))))
 
 
+def stitch(images, layout) -> Tensor:
+    """Per-image stitching oracle: copy m same-shape HxWxC images into one
+    (R*H) x (C*W) composite, image k at grid row k // C, column k % C."""
+    from natsel.errors import ShapeError
+
+    if len(images) != layout.group_size:
+        raise ShapeError(f"stitch got {len(images)} images for a {layout} "
+                         f"layout (needs {layout.group_size})")
+    shapes = {img.shape for img in images}
+    if len(shapes) != 1:
+        raise ShapeError(f"stitch needs same-shape images, got {sorted(shapes)}")
+    (shape,) = shapes
+    if len(shape) != 3:
+        raise ShapeError(f"stitch expects HxWxC images, got shape {shape}")
+    h, w, c = shape
+    out = np.empty((layout.rows * h, layout.cols * w, c))
+    for k, img in enumerate(images):
+        r, q = divmod(k, layout.cols)
+        out[r * h:(r + 1) * h, q * w:(q + 1) * w] = img.values
+    return Tensor(out)
+
+
 def group_members(result, group: int) -> np.ndarray:
     """Batch positions of one group of an NSResult, read from group_ids."""
     return np.flatnonzero(result.group_ids == group)
@@ -158,22 +217,19 @@ class GroupSpec:
         self.members = members
 
 
-def group_ns_scores(group, samples, labels, model, normalization=None):
-    """Per-group scoring oracle: stitch, resize and normalize one image at
-    a time, then the per-image forward and a per-vector softmax.
+def group_ns_scores(group, samples, labels, model):
+    """Per-group scoring oracle: stitch and resize one image at a time,
+    then the per-image forward and a per-vector softmax.
 
     Returns raw and normalized scores as [1, m] arrays.  Posteriors are
     kept inside [1e-12, 1 - 1e-12], as in the batched path.
     """
-    from natsel.imageops import bilinear_resize, channel_normalize, stitch
-    from natsel.tensor import Tensor
+    from natsel.imageops import bilinear_resize
 
     h0, w0, _ = model.config.input_shape
     members = [s if isinstance(s, Tensor) else Tensor(s)
                for s in (samples[i] for i in group.members)]
     composite = bilinear_resize(stitch(members, group.layout), (h0, w0))
-    if normalization is not None:
-        composite = channel_normalize(composite, normalization)
     probs = softmax_vector(forward_one(model, composite.values))
     q = np.array([[probs[int(labels[i])] for i in group.members]])
     q = np.clip(q, 1e-12, 1.0 - 1e-12)
@@ -227,3 +283,63 @@ def reference_splits(recipe, test_per_class):
     if recipe.label_noise_rate > 0.0:
         train = inject_label_noise(train, recipe.label_noise_rate, recipe.seed)
     return train, test
+
+
+def train_erm(config, train_set, test_set, model):
+    """Plain uniform-weight reference loop with no scoring code at all.
+
+    Written independently of ``train`` so the rho == 0 equivalence can be
+    checked against a loop that cannot run competition logic even by
+    accident.  Weights are identically 1, so it matches ``train`` with
+    sigma = 1, rho = 0 bit for bit.
+    """
+    import time
+
+    from natsel.data import epoch_indices
+    from natsel.errors import ConfigError
+    from natsel.trainer import (
+        MetricsRecord,
+        _check_finite,
+        _EpochTally,
+        _taped_step,
+        evaluate,
+        sgd_momentum_step,
+    )
+
+    if len(train_set) == 0:
+        raise ConfigError("cannot train on an empty dataset")
+    velocity = [np.zeros_like(p.values) for p in model.parameters]
+    records = []
+    step = 0
+    for epoch in range(config.epochs):
+        epoch_start = time.perf_counter()
+        lr = config.lr_at(epoch)
+        order = epoch_indices(train_set.labels, train_set.class_count,
+                              config.sampler, epoch, config.seed)
+        tally = _EpochTally(train_set.class_count)
+        for lo in range(0, order.shape[0], config.batch_size):
+            batch_idx = order[lo:lo + config.batch_size]
+            images = train_set.images[batch_idx]
+            labels = train_set.labels[batch_idx]
+            tape, batch_loss, predictions = _taped_step(
+                model, images, labels, np.ones(labels.shape[0]), config.loss)
+            loss_value = batch_loss.item()
+            _check_finite(loss_value, epoch, step, "batch loss")
+            grads = backward(tape, batch_loss)
+            sgd_momentum_step(model.parameters,
+                              [grads[p] for p in model.parameters],
+                              velocity, lr, config.momentum)
+            tally.record_batch(labels, predictions, loss_value)
+            step += 1
+        train_seconds = time.perf_counter() - epoch_start
+        records.append(tally.train_record(epoch, train_seconds, False))
+        eval_start = time.perf_counter()
+        result = evaluate(model, test_set, config.loss)
+        records.append(MetricsRecord(
+            epoch=epoch, split="test", mean_loss=result.mean_loss,
+            accuracy=result.accuracy,
+            per_class_accuracy=result.per_class_accuracy,
+            per_class_ns=None, seconds=time.perf_counter() - eval_start,
+            train_forward_passes=0, ns_forward_passes=0, ns_seconds=0.0,
+        ))
+    return model, records

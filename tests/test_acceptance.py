@@ -20,6 +20,7 @@ from conftest import (
     max_relative_error,
     reference_resize,
     taped_gradients,
+    train_erm,
 )
 from natsel.cli import LAYOUT_AXIS, RHO_AXIS, SIGMA_AXIS, run_experiment, sweep
 from natsel.config import (
@@ -39,7 +40,6 @@ from natsel.trainer import (
     duality_check,
     read_metrics_csv,
     train,
-    train_erm,
     weighted_batch_loss,
     write_metrics_csv,
 )

@@ -1,25 +1,21 @@
-"""Grid stitching, bilinear resize, and channel normalization."""
+"""Grid layouts, stitching, and bilinear resize."""
 
 import numpy as np
 import pytest
 
+from natsel.cli import LAYOUT_AXIS
 from natsel.errors import ConfigError, ShapeError
 from natsel.imageops import (
-    STANDARD_LAYOUTS,
     GridLayout,
-    Normalization,
     _assemble_grid,
-    _normalize_batch,
     _composite_map,
     _resize_batch,
     _stitch_resize,
     bilinear_resize,
-    channel_normalize,
-    stitch,
 )
 from natsel.tensor import Tensor
 
-from conftest import reference_resize
+from conftest import reference_resize, stitch
 
 
 def image(values) -> Tensor:
@@ -48,8 +44,8 @@ class TestGridLayout:
             GridLayout(1, -1)
 
     def test_standard_layouts_round_trip(self):
-        for rows, cols in STANDARD_LAYOUTS:
-            layout = GridLayout(rows, cols)
+        for text in LAYOUT_AXIS:
+            layout = GridLayout.parse(text)
             assert GridLayout.parse(str(layout)) == layout
             assert layout.group_size >= 2
 
@@ -144,34 +140,6 @@ class TestBilinearResize:
             bilinear_resize(Tensor(np.ones((2, 2))), (2, 2))
 
 
-class TestNormalization:
-    def test_identity_leaves_image_unchanged(self):
-        img = Tensor(np.random.default_rng(2).random((3, 3, 2)))
-        out = channel_normalize(img, Normalization.identity(2))
-        assert np.array_equal(out.values, img.values)
-
-    def test_per_channel_statistics(self):
-        img = Tensor(np.stack([np.full((2, 2), 3.0), np.full((2, 2), 8.0)],
-                              axis=2))
-        norm = Normalization(mean=(1.0, 2.0), std=(2.0, 3.0))
-        out = channel_normalize(img, norm).values
-        assert np.all(out[:, :, 0] == 1.0)
-        assert np.all(out[:, :, 1] == 2.0)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            Normalization(mean=(0.0,), std=(1.0, 1.0))
-        with pytest.raises(ConfigError):
-            Normalization(mean=(0.0,), std=(0.0,))
-        with pytest.raises(ConfigError):
-            Normalization(mean=(0.0,), std=(-1.0,))
-
-    def test_channel_count_must_match(self):
-        img = Tensor(np.ones((2, 2, 3)))
-        with pytest.raises(ShapeError):
-            channel_normalize(img, Normalization.identity(2))
-
-
 class TestBatchHelpersMatchPublicOps:
     """The vectorized [N, ...] paths must agree with per-image loops."""
 
@@ -235,11 +203,3 @@ class TestBatchHelpersMatchPublicOps:
         assert np.all(ry.sum(axis=1) == 1.0)
         assert np.array_equal(_resize_maps(5, 7, 5, 7)[0], np.eye(5))
 
-    def test_normalize_batch(self):
-        rng = np.random.default_rng(73)
-        images = rng.random((4, 2, 2, 3))
-        norm = Normalization(mean=(0.1, 0.2, 0.3), std=(0.5, 1.0, 2.0))
-        batched = _normalize_batch(images, norm)
-        for n in range(4):
-            single = channel_normalize(Tensor(images[n]), norm)
-            assert np.array_equal(batched[n], single.values)

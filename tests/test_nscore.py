@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from natsel.errors import ConfigError, ShapeError
-from natsel.imageops import GridLayout, Normalization
+from natsel.imageops import GridLayout
 from natsel.model import Classifier, ClassifierConfig, ConvSpec
 from natsel.nscore import (
     LEFTOVER_GROUP_ID,
@@ -170,15 +170,14 @@ class TestScores:
         images = rng.random((9, 3, 4, 2))
         labels = rng.integers(0, 4, size=9)
         layout = GridLayout(2, 2)
-        norm = Normalization(mean=(0.4, 0.6), std=(0.8, 1.2))
-        result = batch_ns_scores(images, labels, model, layout, norm)
+        result = batch_ns_scores(images, labels, model, layout)
 
         samples = [Tensor(images[i]) for i in range(9)]
         assert result.group_count == 2
         for gid in range(result.group_count):
             idx = list(range(4 * gid, 4 * gid + 4))
             group = GroupSpec(layout, idx)
-            q, s = group_ns_scores(group, samples, labels, model, norm)
+            q, s = group_ns_scores(group, samples, labels, model)
             assert np.max(np.abs(result.raw[idx] - q[0])) <= 1e-12
             assert np.max(np.abs(result.score[idx] - s[0])) <= 1e-12
             assert np.all(result.group_ids[idx] == gid)

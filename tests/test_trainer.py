@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import natsel.model
+import natsel.trainer
 from natsel.data import (
     Dataset,
     DatasetRecipe,
@@ -36,7 +38,6 @@ from natsel.trainer import (
     read_metrics_csv,
     sgd_momentum_step,
     train,
-    train_erm,
     weighted_batch_loss,
     write_metrics_csv,
 )
@@ -48,6 +49,7 @@ from conftest import (
     loss_oracle,
     max_relative_error,
     softmax_vector,
+    train_erm,
 )
 
 
@@ -352,6 +354,36 @@ class TestTrainLoop:
             assert step >= 0
             assert weights.shape[0] == batch_idx.shape[0]
             assert result.score.shape[0] == batch_idx.shape[0]
+
+    def test_step_tape_is_released_before_scoring_and_evaluation(
+            self, monkeypatch):
+        # A step's tape holds its batch's activations: it must be gone
+        # when the next batch is scored and when each evaluation starts.
+        tapes, live_at = [], []
+        real_backward = natsel.trainer.backward
+
+        def recording_backward(tape, root):
+            tapes.append(weakref.ref(tape))
+            return real_backward(tape, root)
+
+        def checking(phase, original):
+            def wrapper(*args, **kwargs):
+                live_at.append((phase, sum(t() is not None for t in tapes)))
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(natsel.trainer, "backward", recording_backward)
+        for name in ("batch_ns_scores", "evaluate"):
+            monkeypatch.setattr(natsel.trainer, name, checking(
+                name, getattr(natsel.trainer, name)))
+        train_set, test_set = toy_sets()
+        cfg = base_config(weighting=WeightingConfig.from_parameters(1.0, 0.5))
+        train(cfg, train_set, test_set, fresh_model(train_set))
+        # 20 samples in batches of 8: three steps and scorings per epoch
+        assert len(tapes) == 6
+        assert [phase for phase, _ in live_at].count("batch_ns_scores") == 6
+        assert [phase for phase, _ in live_at].count("evaluate") == 2
+        assert all(live == 0 for _, live in live_at)
 
     def test_input_validation(self):
         train_set, test_set = toy_sets()

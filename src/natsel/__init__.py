@@ -25,11 +25,8 @@ from .config import (
 )
 from .data import (
     Dataset,
-    DatasetRecipe,
-    SamplerConfig,
     build_splits,
     class_sampling_probs,
-    gen_synthetic,
     inject_label_noise,
     load_cifar_binary,
     load_idx,
@@ -87,8 +84,7 @@ __all__ = [
     # weighting
     "WeightingConfig", "compute_weights", "weight_curve",
     # data
-    "Dataset", "DatasetRecipe", "SamplerConfig", "gen_synthetic",
-    "build_splits", "longtail_counts", "inject_label_noise",
+    "Dataset", "build_splits", "longtail_counts", "inject_label_noise",
     "class_sampling_probs", "load_idx", "save_idx", "load_cifar_binary",
     # trainer
     "TrainConfig", "MetricsRecord", "train", "evaluate",

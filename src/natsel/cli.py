@@ -272,8 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", help="comma list of seeds")
         p.add_argument("--sigma", type=float, help="weight floor override")
         p.add_argument("--rho", type=float, help="weight slope override")
-        p.add_argument("--strategy", choices=("ns_ws", "ns_lf", "uniform",
-                                              "focal_like"))
         p.add_argument("--layout", help="grid layout override, e.g. 2x2")
 
     run_p = sub.add_parser("run", help="run one experiment config")
@@ -300,9 +298,8 @@ def _overridden(config: ExperimentConfig, args) -> ExperimentConfig:
     if args.seeds is not None:
         seeds = tuple(int(tok) for tok in args.seeds.split(",") if tok)
     return apply_overrides(
-        config, sigma=args.sigma, rho=args.rho, strategy=args.strategy,
-        layout=args.layout, seeds=seeds, label=args.label,
-        output_dir=args.output)
+        config, sigma=args.sigma, rho=args.rho, layout=args.layout,
+        seeds=seeds, label=args.label, output_dir=args.output)
 
 
 def main(argv=None) -> int:

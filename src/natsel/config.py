@@ -2,10 +2,11 @@
 
 A config has seven sections (experiment, dataset, model, train, grouping,
 weighting, sampler), every key optional except that file-backed datasets
-need their paths.  Unknown sections or keys are errors, not warnings:
-a typo must never silently fall back to a default.  ``serialize_config``
-writes every effective value back out, so parse -> serialize -> parse is
-a fixed point.
+need their paths.  A missing key takes its value from
+``ExperimentConfig()``.  Unknown sections or keys are errors, not
+warnings: a typo must never silently fall back to a default.
+``serialize_config`` writes every effective value back out, so
+parse -> serialize -> parse is a fixed point.
 """
 
 from __future__ import annotations
@@ -14,22 +15,19 @@ import configparser
 from dataclasses import dataclass, field, replace
 
 from .data import (
-    DATASET_KINDS,
     Dataset,
-    DatasetRecipe,
-    SamplerConfig,
+    DataSettings,
     build_splits,
     dataset_from_idx,
     inject_label_noise,
     load_cifar_binary,
-    longtail_counts,
 )
 from .errors import ConfigError
 from .imageops import GridLayout
-from .model import LOSS_KINDS, ClassifierConfig, ConvSpec, LossConfig
+from .model import LOSS_KINDS, ClassifierConfig, ConvSpec
 from .seeds import derive_seed
 from .trainer import TrainConfig
-from .weighting import STRATEGIES, WeightingConfig
+from .weighting import WeightingConfig
 
 __all__ = [
     "DEFAULT_SEEDS",
@@ -38,84 +36,12 @@ __all__ = [
     "parse_config",
     "serialize_config",
     "apply_overrides",
-    "recipe_for",
     "classifier_for",
     "train_for",
     "datasets_for",
 ]
 
 DEFAULT_SEEDS = (2024, 2025, 2026)
-
-
-@dataclass(frozen=True)
-class DataSettings:
-    """Dataset identity: generator knobs or file paths, plus the split."""
-
-    kind: str = "synthetic_blobs"
-    classes: int = 10
-    height: int = 8
-    width: int = 8
-    channels: int = 1
-    balanced_count: int | None = None
-    n_max: int | None = None
-    imbalance_factor: float | None = None
-    class_counts: tuple[int, ...] | None = None
-    noise_std: float = 0.05
-    label_noise_rate: float = 0.0
-    test_per_class: int = 20
-    train_images: str | None = None
-    train_labels: str | None = None
-    test_images: str | None = None
-    test_labels: str | None = None
-    train_path: str | None = None
-    test_path: str | None = None
-    variant: str = "cifar10"
-
-    def __post_init__(self):
-        if self.kind not in DATASET_KINDS:
-            raise ConfigError(
-                f"dataset.kind: {self.kind!r} not in {DATASET_KINDS}"
-            )
-        count_modes = [self.class_counts is not None,
-                       self.n_max is not None
-                       or self.imbalance_factor is not None,
-                       self.balanced_count is not None]
-        if sum(count_modes) > 1:
-            raise ConfigError(
-                "dataset: choose one of class_counts, "
-                "n_max/imbalance_factor, balanced_count"
-            )
-        if (self.n_max is None) != (self.imbalance_factor is None):
-            raise ConfigError(
-                "dataset: n_max and imbalance_factor go together"
-            )
-        if self.kind == "idx_files":
-            missing = [k for k in ("train_images", "train_labels",
-                                   "test_images", "test_labels")
-                       if getattr(self, k) is None]
-            if missing:
-                raise ConfigError(f"dataset: idx_files needs {missing}")
-        if self.kind == "cifar_binary":
-            missing = [k for k in ("train_path", "test_path")
-                       if getattr(self, k) is None]
-            if missing:
-                raise ConfigError(f"dataset: cifar_binary needs {missing}")
-
-    def train_counts(self) -> tuple[int, ...]:
-        """Per-class train-split sizes for the synthetic generator."""
-        if self.class_counts is not None:
-            if len(self.class_counts) != self.classes:
-                raise ConfigError(
-                    f"dataset.class_counts: {len(self.class_counts)} values "
-                    f"for {self.classes} classes"
-                )
-            return self.class_counts
-        if self.n_max is not None:
-            return longtail_counts(self.n_max, self.classes,
-                                   self.imbalance_factor)
-        per_class = self.balanced_count if self.balanced_count is not None \
-            else 100
-        return (per_class,) * self.classes
 
 
 @dataclass(frozen=True)
@@ -135,205 +61,145 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ConfigError("experiment.seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(
+                f"experiment.seeds: {self.seeds} repeats a seed, whose "
+                "runs would overwrite each other's artifacts"
+            )
         if not self.label:
             raise ConfigError("experiment.label must be non-empty")
+        # The model checks run here, before a run writes anything.  A
+        # file-backed image has no shape until its file is read, so it
+        # gets a stand-in that the kernel fits, and the kernel-vs-image
+        # check waits for the model build.
+        stand_in = None
+        if self.data.kind != "synthetic_blobs":
+            side = max(2, self.conv_kernel)
+            stand_in = (side, side, 1)
+        classifier_for(self, 0, image_shape=stand_in)
 
 
-# Section -> known keys.  parse_config rejects anything else.
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+def _decay(text: str) -> tuple[tuple[int, float], ...]:
+    # "milestone:factor,milestone:factor"
+    pairs = []
+    for tok in text.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        epoch_text, _, factor_text = tok.partition(":")
+        pairs.append((int(epoch_text), float(factor_text)))
+    return tuple(pairs)
+
+
+_STR = (str, "text")
+_INT = (int, "an integer")
+_FLOAT = (float, "a number")
+_INTS = (_int_list, "a comma list of integers")
+
+# Section -> known key -> (converter, what it reads).  parse_config
+# rejects anything else.  Every dataset key, and every experiment and
+# model key, is the name of the field it sets.
 _SCHEMA = {
-    "experiment": ("label", "output_dir", "seeds"),
-    "dataset": ("kind", "classes", "height", "width", "channels",
-                "balanced_count", "n_max", "imbalance_factor",
-                "class_counts", "noise_std", "label_noise_rate",
-                "test_per_class", "train_images", "train_labels",
-                "test_images", "test_labels", "train_path", "test_path",
-                "variant"),
-    "model": ("hidden", "conv_kernel", "conv_channels"),
-    "train": ("batch_size", "epochs", "learning_rate", "momentum", "decay",
-              "loss", "focal_gamma", "smoothing_epsilon"),
-    "grouping": ("layout", "group_size"),
-    "weighting": ("sigma", "rho", "strategy"),
-    "sampler": ("kind",),
+    "experiment": {"label": _STR, "output_dir": _STR, "seeds": _INTS},
+    "dataset": {"kind": _STR, "classes": _INT, "height": _INT,
+                "width": _INT, "channels": _INT, "balanced_count": _INT,
+                "n_max": _INT, "imbalance_factor": _FLOAT,
+                "class_counts": _INTS, "noise_std": _FLOAT,
+                "label_noise_rate": _FLOAT, "test_per_class": _INT,
+                "train_images": _STR, "train_labels": _STR,
+                "test_images": _STR, "test_labels": _STR,
+                "train_path": _STR, "test_path": _STR, "variant": _STR},
+    "model": {"hidden": _INTS, "conv_kernel": _INT, "conv_channels": _INT},
+    "train": {"batch_size": _INT, "epochs": _INT, "learning_rate": _FLOAT,
+              "momentum": _FLOAT,
+              "decay": (_decay, "milestone:factor pairs"),
+              "loss": _STR, "focal_gamma": _FLOAT,
+              "smoothing_epsilon": _FLOAT},
+    "grouping": {"layout": (GridLayout.parse, "a grid layout"),
+                 "group_size": _INT},
+    "weighting": {"sigma": _FLOAT, "rho": _FLOAT, "strategy": _STR},
+    "sampler": {"kind": _STR},
 }
 
 
-class _Section:
-    """One section's raw strings with typed, error-labeled accessors."""
-
-    def __init__(self, name: str, values: dict[str, str]):
-        self.name = name
-        self.values = values
-
-    def _convert(self, key: str, converter, what: str):
-        raw = self.values[key]
-        try:
-            return converter(raw)
-        except (ValueError, ConfigError) as err:
-            raise ConfigError(
-                f"{self.name}.{key}: cannot read {raw!r} as {what} ({err})"
-            ) from err
-
-    def get_str(self, key: str, default):
-        return self.values.get(key, default)
-
-    def get_int(self, key: str, default):
-        if key not in self.values:
-            return default
-        return self._convert(key, int, "an integer")
-
-    def get_float(self, key: str, default):
-        if key not in self.values:
-            return default
-        return self._convert(key, float, "a number")
-
-    def get_int_list(self, key: str, default):
-        if key not in self.values:
-            return default
-        return self._convert(
-            key,
-            lambda s: tuple(int(tok) for tok in s.split(",") if tok.strip()),
-            "a comma list of integers",
-        )
-
-    def get_decay(self, key: str, default):
-        # "milestone:factor,milestone:factor"
-        if key not in self.values:
-            return default
-
-        def parse(s: str):
-            pairs = []
-            for tok in s.split(","):
-                tok = tok.strip()
-                if not tok:
-                    continue
-                epoch_text, _, factor_text = tok.partition(":")
-                pairs.append((int(epoch_text), float(factor_text)))
-            return tuple(pairs)
-
-        return self._convert(key, parse, "milestone:factor pairs")
-
-
-def _read_sections(text: str) -> dict[str, _Section]:
+def _read_sections(text: str) -> dict[str, dict]:
+    """Section -> key -> converted value, for the keys the text sets."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as err:
         raise ConfigError(f"config syntax error: {err}") from err
-    sections = {}
+    sections = {name: {} for name in _SCHEMA}
     for name in parser.sections():
         if name not in _SCHEMA:
             raise ConfigError(
                 f"unknown section [{name}]; expected {sorted(_SCHEMA)}"
             )
-        for key in parser[name]:
+        for key, raw in parser[name].items():
             if key not in _SCHEMA[name]:
                 raise ConfigError(
                     f"unknown key {name}.{key}; "
                     f"known keys: {sorted(_SCHEMA[name])}"
                 )
-        sections[name] = _Section(name, dict(parser[name]))
-    for name in _SCHEMA:
-        sections.setdefault(name, _Section(name, {}))
+            converter, what = _SCHEMA[name][key]
+            try:
+                sections[name][key] = converter(raw)
+            except (ValueError, ConfigError) as err:
+                raise ConfigError(
+                    f"{name}.{key}: cannot read {raw!r} as {what} ({err})"
+                ) from err
     return sections
 
 
+def _renamed(values: dict, **fields: str) -> dict:
+    """The given keys present in ``values``, under their field names."""
+    return {name: values[key] for key, name in fields.items()
+            if key in values}
+
+
 def parse_config(text: str) -> ExperimentConfig:
-    """Validated config with defaults applied; unknown keys are errors."""
+    """Validated config; a key the text leaves out keeps its
+    ``ExperimentConfig()`` value.  Unknown keys are errors."""
     sec = _read_sections(text)
+    base = ExperimentConfig()
+    train_sec, grouping, wsec = sec["train"], sec["grouping"], sec["weighting"]
 
-    exp = sec["experiment"]
-    seeds = exp.get_int_list("seeds", DEFAULT_SEEDS)
-
-    ds = sec["dataset"]
-    data = DataSettings(
-        kind=ds.get_str("kind", "synthetic_blobs"),
-        classes=ds.get_int("classes", 10),
-        height=ds.get_int("height", 8),
-        width=ds.get_int("width", 8),
-        channels=ds.get_int("channels", 1),
-        balanced_count=ds.get_int("balanced_count", None),
-        n_max=ds.get_int("n_max", None),
-        imbalance_factor=ds.get_float("imbalance_factor", None),
-        class_counts=ds.get_int_list("class_counts", None),
-        noise_std=ds.get_float("noise_std", 0.05),
-        label_noise_rate=ds.get_float("label_noise_rate", 0.0),
-        test_per_class=ds.get_int("test_per_class", 20),
-        train_images=ds.get_str("train_images", None),
-        train_labels=ds.get_str("train_labels", None),
-        test_images=ds.get_str("test_images", None),
-        test_labels=ds.get_str("test_labels", None),
-        train_path=ds.get_str("train_path", None),
-        test_path=ds.get_str("test_path", None),
-        variant=ds.get_str("variant", "cifar10"),
-    )
-
-    model_sec = sec["model"]
-    hidden = model_sec.get_int_list("hidden", (32,))
-
-    train_sec = sec["train"]
-    loss_kind = train_sec.get_str("loss", "cross_entropy")
+    loss_kind = train_sec.get("loss", base.train.loss.kind)
     if loss_kind not in LOSS_KINDS:
         raise ConfigError(f"train.loss: {loss_kind!r} not in {LOSS_KINDS}")
-    loss = LossConfig(
-        kind=loss_kind,
-        focal_gamma=train_sec.get_float("focal_gamma", 2.0),
-        smoothing_epsilon=train_sec.get_float("smoothing_epsilon", 0.0),
-    )
+    loss = replace(base.train.loss, kind=loss_kind, **_renamed(
+        train_sec, focal_gamma="focal_gamma",
+        smoothing_epsilon="smoothing_epsilon"))
 
-    grouping = sec["grouping"]
-    layout_text = grouping.get_str("layout", "2x2")
-    try:
-        layout = GridLayout.parse(layout_text)
-    except ConfigError as err:
-        raise ConfigError(f"grouping.layout: {err}") from err
-    group_size = grouping.get_int("group_size", layout.group_size)
+    layout = grouping.get("layout", base.train.layout)
+    group_size = grouping.get("group_size", layout.group_size)
     if group_size != layout.group_size:
         raise ConfigError(
             f"grouping.group_size={group_size} but layout {layout} "
             f"stitches {layout.group_size} samples"
         )
 
-    wsec = sec["weighting"]
-    sigma = wsec.get_float("sigma", 1.0)
-    rho = wsec.get_float("rho", 0.0)
-    strategy = wsec.get_str("strategy", None)
-    if strategy is None:
-        weighting = WeightingConfig.from_parameters(sigma, rho)
-    else:
-        if strategy not in STRATEGIES:
-            raise ConfigError(
-                f"weighting.strategy: {strategy!r} not in {STRATEGIES}"
-            )
-        weighting = WeightingConfig(sigma=sigma, rho=rho, strategy=strategy)
+    weighting = replace(base.train.weighting,
+                        **_renamed(wsec, sigma="sigma", rho="rho"))
+    strategy = wsec.get("strategy", weighting.strategy)
+    if strategy != weighting.strategy:
+        raise ConfigError(
+            f"weighting.strategy={strategy} but rho={weighting.rho} "
+            f"makes it {weighting.strategy}"
+        )
 
-    epochs = train_sec.get_int("epochs", 8)
-    sampler = SamplerConfig(kind=sec["sampler"].get_str("kind",
-                                                        "instance_uniform"),
-                            total_epochs=epochs)
-
-    train = TrainConfig(
-        batch_size=train_sec.get_int("batch_size", 32),
-        epochs=epochs,
-        learning_rate=train_sec.get_float("learning_rate", 0.5),
-        momentum=train_sec.get_float("momentum", 0.9),
-        decay_milestones=train_sec.get_decay("decay", ()),
-        layout=layout,
-        weighting=weighting,
-        sampler=sampler,
-        loss=loss,
-        seed=0,
-    )
-
-    return ExperimentConfig(
-        label=exp.get_str("label", "experiment"),
-        output_dir=exp.get_str("output_dir", "runs"),
-        seeds=seeds,
-        data=data,
-        hidden=hidden,
-        conv_kernel=model_sec.get_int("conv_kernel", 0),
-        conv_channels=model_sec.get_int("conv_channels", 8),
-        train=train,
-    )
+    train = replace(
+        base.train, layout=layout, weighting=weighting, loss=loss,
+        **_renamed(train_sec, batch_size="batch_size", epochs="epochs",
+                   learning_rate="learning_rate", momentum="momentum",
+                   decay="decay_milestones"),
+        **_renamed(sec["sampler"], kind="sampler"))
+    return replace(base, data=replace(base.data, **sec["dataset"]),
+                   train=train, **sec["experiment"], **sec["model"])
 
 
 def _fmt(value) -> str:
@@ -407,27 +273,21 @@ def serialize_config(config: ExperimentConfig) -> str:
         f"strategy = {t.weighting.strategy}",
         "",
         "[sampler]",
-        f"kind = {t.sampler.kind}",
+        f"kind = {t.sampler}",
         "",
     ]
     return "\n".join(lines)
 
 
 def apply_overrides(config: ExperimentConfig, *, sigma=None, rho=None,
-                    strategy=None, layout=None, seeds=None, label=None,
+                    layout=None, seeds=None, label=None,
                     output_dir=None) -> ExperimentConfig:
     """Command-line overrides on top of a parsed config."""
     train = config.train
-    if sigma is not None or rho is not None or strategy is not None:
+    if sigma is not None or rho is not None:
         new_sigma = train.weighting.sigma if sigma is None else float(sigma)
         new_rho = train.weighting.rho if rho is None else float(rho)
-        if strategy is not None:
-            weighting = WeightingConfig(new_sigma, new_rho, strategy)
-        elif new_rho == 0.0 and train.weighting.strategy == "focal_like":
-            weighting = WeightingConfig(new_sigma, new_rho, "focal_like")
-        else:
-            weighting = WeightingConfig.from_parameters(new_sigma, new_rho)
-        train = replace(train, weighting=weighting)
+        train = replace(train, weighting=WeightingConfig(new_sigma, new_rho))
     if layout is not None:
         parsed = layout if isinstance(layout, GridLayout) \
             else GridLayout.parse(layout)
@@ -442,29 +302,15 @@ def apply_overrides(config: ExperimentConfig, *, sigma=None, rho=None,
     return config
 
 
-def recipe_for(config: ExperimentConfig, run_seed: int) -> DatasetRecipe:
-    """Synthetic-data recipe for one run; streams keyed off the run seed."""
-    d = config.data
-    return DatasetRecipe(
-        kind=d.kind,
-        class_count=d.classes,
-        image_shape=(d.height, d.width, d.channels),
-        per_class_counts=d.train_counts(),
-        noise_std=d.noise_std,
-        label_noise_rate=d.label_noise_rate,
-        seed=derive_seed(run_seed, "dataset"),
-    )
-
-
 def classifier_for(config: ExperimentConfig, run_seed: int,
                    image_shape=None, class_count=None) -> ClassifierConfig:
     d = config.data
     conv = None
-    if config.conv_kernel > 0:
+    if config.conv_kernel != 0:
         conv = ConvSpec(kernel=config.conv_kernel,
                         channels=config.conv_channels)
     return ClassifierConfig(
-        input_shape=image_shape or (d.height, d.width, d.channels),
+        input_shape=image_shape or d.image_shape,
         hidden=config.hidden,
         class_count=class_count or d.classes,
         init_seed=derive_seed(run_seed, "init"),
@@ -478,17 +324,21 @@ def train_for(config: ExperimentConfig, run_seed: int) -> TrainConfig:
 
 def datasets_for(config: ExperimentConfig, run_seed: int
                  ) -> tuple[Dataset, Dataset]:
-    """Materialize the train/test pair for one run seed."""
+    """Materialize the train/test pair for one run seed.
+
+    Generation and label noise both draw from the run seed's "dataset"
+    stream; label noise lands on the train split only.
+    """
     d = config.data
+    seed = derive_seed(run_seed, "dataset")
     if d.kind == "synthetic_blobs":
-        return build_splits(recipe_for(config, run_seed), d.test_per_class)
-    if d.kind == "idx_files":
+        train, test = build_splits(d, seed)
+    elif d.kind == "idx_files":
         train = dataset_from_idx(d.train_images, d.train_labels, d.classes)
         test = dataset_from_idx(d.test_images, d.test_labels, d.classes)
     else:
         train = load_cifar_binary(d.train_path, d.variant)
         test = load_cifar_binary(d.test_path, d.variant)
     if d.label_noise_rate > 0.0:
-        train = inject_label_noise(train, d.label_noise_rate,
-                                   derive_seed(run_seed, "dataset"))
+        train = inject_label_noise(train, d.label_noise_rate, seed)
     return train, test

@@ -3,7 +3,7 @@
 Synthetic classes are deterministic low-frequency patterns: smooth enough
 that a downscaled stitched composite still carries class information, yet
 distinct enough for a tiny classifier to separate.  Every random draw
-comes from a stream derived from the recipe seed plus a purpose label, so
+comes from a stream derived from the data seed plus a purpose label, so
 generation is bitwise reproducible and per-class parallelizable.
 """
 
@@ -20,10 +20,9 @@ from .seeds import derive_seed
 __all__ = [
     "DATASET_KINDS",
     "SAMPLER_KINDS",
-    "DatasetRecipe",
+    "CIFAR_VARIANTS",
+    "DataSettings",
     "Dataset",
-    "SamplerConfig",
-    "gen_synthetic",
     "build_splits",
     "longtail_counts",
     "inject_label_noise",
@@ -37,6 +36,7 @@ __all__ = [
 
 DATASET_KINDS = ("synthetic_blobs", "idx_files", "cifar_binary")
 SAMPLER_KINDS = ("instance_uniform", "cbs", "srs", "pbs")
+CIFAR_VARIANTS = ("cifar10", "cifar100")
 
 _IDX_LABEL_MAGIC = 0x00000801
 _IDX_IMAGE_MAGIC = 0x00000803
@@ -44,37 +44,113 @@ _IDX_IMAGE4_MAGIC = 0x00000804
 
 
 @dataclass(frozen=True)
-class DatasetRecipe:
-    """Everything needed to regenerate a dataset bitwise."""
+class DataSettings:
+    """Dataset identity: generator knobs or file paths, plus the split.
 
-    kind: str
-    class_count: int
-    image_shape: tuple[int, int, int]
-    per_class_counts: tuple[int, ...]
-    noise_std: float = 0.0
+    Every value is checked here, so a bad one fails when the config is
+    built, before a run writes anything.
+    """
+
+    kind: str = "synthetic_blobs"
+    classes: int = 10
+    height: int = 8
+    width: int = 8
+    channels: int = 1
+    balanced_count: int | None = None
+    n_max: int | None = None
+    imbalance_factor: float | None = None
+    class_counts: tuple[int, ...] | None = None
+    noise_std: float = 0.05
     label_noise_rate: float = 0.0
-    seed: int = 0
+    test_per_class: int = 20
+    train_images: str | None = None
+    train_labels: str | None = None
+    test_images: str | None = None
+    test_labels: str | None = None
+    train_path: str | None = None
+    test_path: str | None = None
+    variant: str = "cifar10"
 
     def __post_init__(self):
         if self.kind not in DATASET_KINDS:
             raise ConfigError(
-                f"unknown dataset kind {self.kind!r}, expected one of {DATASET_KINDS}"
+                f"dataset.kind: {self.kind!r} not in {DATASET_KINDS}"
             )
-        if self.class_count < 2:
-            raise ConfigError("need at least two classes")
-        if len(self.image_shape) != 3 or any(d < 1 for d in self.image_shape):
-            raise ConfigError(f"bad image shape {self.image_shape}")
-        if len(self.per_class_counts) != self.class_count:
+        count_modes = [self.class_counts is not None,
+                       self.n_max is not None
+                       or self.imbalance_factor is not None,
+                       self.balanced_count is not None]
+        if sum(count_modes) > 1:
             raise ConfigError(
-                f"{len(self.per_class_counts)} per-class counts for "
-                f"{self.class_count} classes"
+                "dataset: choose one of class_counts, "
+                "n_max/imbalance_factor, balanced_count"
             )
-        if any(n < 1 for n in self.per_class_counts):
-            raise ConfigError("per-class counts must be positive")
-        if self.noise_std < 0:
-            raise ConfigError("pixel noise std must be non-negative")
+        if (self.n_max is None) != (self.imbalance_factor is None):
+            raise ConfigError(
+                "dataset: n_max and imbalance_factor go together"
+            )
+        if self.kind == "idx_files":
+            missing = [k for k in ("train_images", "train_labels",
+                                   "test_images", "test_labels")
+                       if getattr(self, k) is None]
+            if missing:
+                raise ConfigError(f"dataset: idx_files needs {missing}")
+        if self.kind == "cifar_binary":
+            missing = [k for k in ("train_path", "test_path")
+                       if getattr(self, k) is None]
+            if missing:
+                raise ConfigError(f"dataset: cifar_binary needs {missing}")
+        if self.variant not in CIFAR_VARIANTS:
+            raise ConfigError(
+                f"dataset.variant: {self.variant!r} not in {CIFAR_VARIANTS}"
+            )
+        if self.classes < 2:
+            raise ConfigError(
+                f"dataset.classes: need at least two, got {self.classes}"
+            )
+        if min(self.image_shape) < 1:
+            raise ConfigError(f"dataset: bad image shape {self.image_shape}")
+        counts = self.train_counts()
+        if len(counts) != self.classes:
+            raise ConfigError(
+                f"dataset.class_counts: {len(counts)} values "
+                f"for {self.classes} classes"
+            )
+        if min(counts) < 1:
+            raise ConfigError(
+                f"dataset: per-class train counts must be positive, "
+                f"got {counts}"
+            )
+        if not self.noise_std >= 0.0:
+            raise ConfigError(
+                f"dataset.noise_std: must be non-negative, "
+                f"got {self.noise_std}"
+            )
         if not 0.0 <= self.label_noise_rate < 1.0:
-            raise ConfigError("label noise rate must lie in [0, 1)")
+            raise ConfigError(
+                f"dataset.label_noise_rate: must lie in [0, 1), "
+                f"got {self.label_noise_rate}"
+            )
+        if self.test_per_class < 1:
+            raise ConfigError(
+                f"dataset.test_per_class: need at least one, "
+                f"got {self.test_per_class}"
+            )
+
+    @property
+    def image_shape(self) -> tuple[int, int, int]:
+        return self.height, self.width, self.channels
+
+    def train_counts(self) -> tuple[int, ...]:
+        """Per-class train-split sizes for the synthetic generator."""
+        if self.class_counts is not None:
+            return self.class_counts
+        if self.n_max is not None:
+            return longtail_counts(self.n_max, self.classes,
+                                   self.imbalance_factor)
+        per_class = self.balanced_count if self.balanced_count is not None \
+            else 100
+        return (per_class,) * self.classes
 
 
 @dataclass(frozen=True)
@@ -108,22 +184,6 @@ class Dataset:
                        class_count=self.class_count)
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Which class-sampling baseline to use when ordering an epoch."""
-
-    kind: str = "instance_uniform"
-    total_epochs: int = 1
-
-    def __post_init__(self):
-        if self.kind not in SAMPLER_KINDS:
-            raise ConfigError(
-                f"unknown sampler {self.kind!r}, expected one of {SAMPLER_KINDS}"
-            )
-        if self.total_epochs < 1:
-            raise ConfigError("sampler total_epochs must be positive")
-
-
 def _class_template(shape: tuple[int, int, int], rng: np.random.Generator
                     ) -> np.ndarray:
     """One smooth pattern: random low-frequency cosine mix per channel.
@@ -153,73 +213,54 @@ def _class_template(shape: tuple[int, int, int], rng: np.random.Generator
     return 0.2 + 0.6 * (canvas - lo) / (hi - lo)
 
 
-def _fill_class(recipe: DatasetRecipe, k: int, *parts: np.ndarray) -> None:
+def _fill_class(settings: DataSettings, seed: int, k: int,
+                *parts: np.ndarray) -> None:
     """Class k's samples, written in place into each of ``parts`` in turn.
 
     One noise stream per class: the parts continue it, so splitting a
     class's rows across arrays draws exactly what one array would.
     """
     template = _class_template(
-        recipe.image_shape,
-        np.random.default_rng(derive_seed(recipe.seed, "template", k)),
+        settings.image_shape,
+        np.random.default_rng(derive_seed(seed, "template", k)),
     )
-    noise_rng = np.random.default_rng(derive_seed(recipe.seed, "samples", k))
+    noise_rng = np.random.default_rng(derive_seed(seed, "samples", k))
     for rows in parts:
         noise_rng.standard_normal(out=rows)
-        rows *= recipe.noise_std
+        rows *= settings.noise_std
         rows += template
         np.clip(rows, 0.0, 1.0, out=rows)
 
 
-def _synthesize(recipe: DatasetRecipe, *split_counts) -> list[Dataset]:
-    """Class-ordered synthetic splits, split j holding split_counts[j][k]
-    samples of class k.  Class k's noise stream runs through the splits
-    in order, each sample written straight into its split's array."""
-    if recipe.kind != "synthetic_blobs":
-        raise ConfigError(f"cannot synthesize dataset kind {recipe.kind!r}")
+def build_splits(settings: DataSettings, seed: int
+                 ) -> tuple[Dataset, Dataset]:
+    """Synthetic train/test pair sharing class templates, disjoint samples.
+
+    Class templates plus per-sample Gaussian pixel noise, clamped to
+    [0, 1].  Each split is class-ordered (all of class 0, then class 1,
+    ...), and each class draws from its own stream derived from ``seed``,
+    so output is independent of generation order.  Class k's stream
+    writes its ``train_counts()[k]`` train samples, then continues into
+    ``test_per_class`` test samples.  Labels are clean.
+    """
+    if settings.kind != "synthetic_blobs":
+        raise ConfigError(f"cannot synthesize dataset kind {settings.kind!r}")
+    split_counts = (settings.train_counts(),
+                    (settings.test_per_class,) * settings.classes)
     splits = []
     for counts in split_counts:
-        labels = np.repeat(np.arange(recipe.class_count, dtype=np.int64),
+        labels = np.repeat(np.arange(settings.classes, dtype=np.int64),
                            counts)
-        images = np.empty((labels.shape[0],) + recipe.image_shape)
+        images = np.empty((labels.shape[0],) + settings.image_shape)
         splits.append(Dataset(images=images, labels=labels,
                               clean_labels=labels.copy(),
-                              class_count=recipe.class_count))
+                              class_count=settings.classes))
     ends = [np.cumsum(counts) for counts in split_counts]
-    for k in range(recipe.class_count):
-        _fill_class(recipe, k, *(
+    for k in range(settings.classes):
+        _fill_class(settings, seed, k, *(
             ds.images[end[k] - counts[k]:end[k]]
             for ds, counts, end in zip(splits, split_counts, ends)))
-    return splits
-
-
-def gen_synthetic(recipe: DatasetRecipe) -> Dataset:
-    """Class templates plus per-sample Gaussian pixel noise, clamped to [0,1].
-
-    Samples are emitted class-ordered (all of class 0, then class 1, ...).
-    Each class draws from its own derived stream, so output is independent
-    of generation order.
-    """
-    ds, = _synthesize(recipe, recipe.per_class_counts)
-    if recipe.label_noise_rate > 0.0:
-        ds = inject_label_noise(ds, recipe.label_noise_rate, recipe.seed)
-    return ds
-
-
-def build_splits(recipe: DatasetRecipe, test_per_class: int
-                 ) -> tuple[Dataset, Dataset]:
-    """Train/test pair sharing class templates but with disjoint samples.
-
-    The recipe's per-class counts are the train counts; each class's
-    stream then continues into ``test_per_class`` test samples.  Label
-    noise from the recipe lands on the train split only.
-    """
-    if test_per_class < 1:
-        raise ConfigError("need at least one test sample per class")
-    train, test = _synthesize(recipe, recipe.per_class_counts,
-                              (test_per_class,) * recipe.class_count)
-    if recipe.label_noise_rate > 0.0:
-        train = inject_label_noise(train, recipe.label_noise_rate, recipe.seed)
+    train, test = splits
     return train, test
 
 
@@ -264,37 +305,40 @@ def inject_label_noise(dataset: Dataset, rate: float, seed: int) -> Dataset:
                    class_count=dataset.class_count)
 
 
-def class_sampling_probs(counts, sampler: SamplerConfig, epoch: int
+def class_sampling_probs(counts, sampler: str, epoch: int, epochs: int
                          ) -> np.ndarray:
     """Per-class draw probabilities for the configured baseline.
 
     instance_uniform weights by frequency, cbs is uniform, srs weights by
     square-root frequency, and pbs linearly slides from frequency-based
-    to uniform as epoch runs from 0 to total_epochs.
+    to uniform as epoch runs from 0 to the run's ``epochs``.
     """
+    if sampler not in SAMPLER_KINDS:
+        raise ConfigError(
+            f"unknown sampler {sampler!r}, expected one of {SAMPLER_KINDS}"
+        )
     n = np.asarray(counts, dtype=np.float64)
     if n.ndim != 1 or n.size < 1 or n.min() <= 0:
         raise ConfigError("class counts must be a vector of positive numbers")
-    if sampler.kind == "cbs":
+    if sampler == "cbs":
         return np.full(n.size, 1.0 / n.size)
-    if sampler.kind == "srs":
+    if sampler == "srs":
         root = np.sqrt(n)
         return root / root.sum()
     freq = n / n.sum()
-    if sampler.kind == "instance_uniform":
+    if sampler == "instance_uniform":
         return freq
     # pbs
-    if not 0 <= epoch <= sampler.total_epochs:
-        raise ConfigError(
-            f"epoch {epoch} outside [0, {sampler.total_epochs}] for pbs"
-        )
-    t = epoch / sampler.total_epochs
+    if epochs < 1 or not 0 <= epoch <= epochs:
+        raise ConfigError(f"epoch {epoch} outside [0, {epochs}] for pbs")
+    t = epoch / epochs
     return (1.0 - t) * freq + t * np.full(n.size, 1.0 / n.size)
 
 
-def epoch_indices(labels: np.ndarray, class_count: int, sampler: SamplerConfig,
-                  epoch: int, seed: int) -> np.ndarray:
-    """Sample order for one epoch, deterministic in (seed, epoch).
+def epoch_indices(labels: np.ndarray, class_count: int, sampler: str,
+                  epoch: int, epochs: int, seed: int) -> np.ndarray:
+    """Sample order for one epoch of ``epochs``, deterministic in
+    (seed, epoch).
 
     instance_uniform is a plain permutation (every sample exactly once).
     The class-balancing samplers draw N samples with replacement: class
@@ -302,12 +346,12 @@ def epoch_indices(labels: np.ndarray, class_count: int, sampler: SamplerConfig,
     """
     rng = np.random.default_rng(derive_seed(seed, "epoch-shuffle", epoch))
     n = labels.shape[0]
-    if sampler.kind == "instance_uniform":
+    if sampler == "instance_uniform":
         return rng.permutation(n)
     counts = np.bincount(labels, minlength=class_count)
     if counts.min() <= 0:
         raise ConfigError("balanced samplers need every class represented")
-    probs = class_sampling_probs(counts, sampler, epoch)
+    probs = class_sampling_probs(counts, sampler, epoch, epochs)
     classes = rng.choice(class_count, size=n, p=probs)
     by_class = np.argsort(labels, kind="stable")
     starts = np.concatenate(([0], np.cumsum(counts)))
@@ -408,12 +452,9 @@ def load_cifar_binary(path, variant: str = "cifar10") -> Dataset:
     ``variant`` selects the record layout: cifar10 has one label byte,
     cifar100 has a coarse byte then a fine byte (the fine label is used).
     """
-    if variant == "cifar10":
-        label_bytes, class_count = 1, 10
-    elif variant == "cifar100":
-        label_bytes, class_count = 2, 100
-    else:
+    if variant not in CIFAR_VARIANTS:
         raise ConfigError(f"unknown CIFAR variant {variant!r}")
+    label_bytes, class_count = (1, 10) if variant == "cifar10" else (2, 100)
     record = label_bytes + 3072
     with open(path, "rb") as fh:
         blob = fh.read()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, SamplerConfig, epoch_indices
+from .data import SAMPLER_KINDS, Dataset, epoch_indices
 from .errors import ConfigError, NumericError, ShapeError, TrainingDiverged
 from .imageops import GridLayout
 from .model import Classifier, LossConfig, sample_losses
@@ -63,8 +63,8 @@ class TrainConfig:
     momentum: float = 0.0
     decay_milestones: tuple[tuple[int, float], ...] = ()
     layout: GridLayout = GridLayout(2, 2)
-    weighting: WeightingConfig = WeightingConfig(1.0, 0.0, "uniform")
-    sampler: SamplerConfig = SamplerConfig()
+    weighting: WeightingConfig = WeightingConfig(1.0, 0.0)
+    sampler: str = "instance_uniform"
     loss: LossConfig = LossConfig()
     seed: int = 0
 
@@ -75,6 +75,11 @@ class TrainConfig:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.epochs < 1:
             raise ConfigError("need at least one epoch")
+        if self.sampler not in SAMPLER_KINDS:
+            raise ConfigError(
+                f"unknown sampler {self.sampler!r}, "
+                f"expected one of {SAMPLER_KINDS}"
+            )
         if self.weighting.rho != 0.0 and self.layout.group_size < 2:
             raise ConfigError(
                 f"rho={self.weighting.rho} needs groups of at least 2 "
@@ -333,7 +338,8 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
         epoch_start = time.perf_counter()
         lr = config.lr_at(epoch)
         order = epoch_indices(train_set.labels, train_set.class_count,
-                              config.sampler, epoch, config.seed)
+                              config.sampler, epoch, config.epochs,
+                              config.seed)
         tally = _EpochTally(train_set.class_count)
 
         for lo in range(0, order.shape[0], config.batch_size):

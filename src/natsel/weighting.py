@@ -17,23 +17,17 @@ import numpy as np
 from .errors import ConfigError
 
 __all__ = [
-    "STRATEGIES",
     "WeightingConfig",
     "compute_weights",
     "weight_curve",
     "write_weight_curve",
 ]
 
-STRATEGIES = ("ns_ws", "ns_lf", "uniform", "focal_like")
-
 
 @dataclass(frozen=True)
 class WeightingConfig:
-    """Affine score-to-weight map plus a strategy label.
+    """Affine score-to-weight map w = sigma + rho * s.
 
-    The label must agree with the sign of rho: ns_ws needs rho > 0,
-    ns_lf needs rho < 0, uniform and focal_like need rho == 0 (the
-    focal variant gets its shape from the loss, not from weights).
     Scores lie in (0, 1), so sigma + rho >= 0 is exactly the condition
     for never emitting a negative weight, and finite sigma and sigma + rho
     for never emitting a non-finite one (every weight lies between the
@@ -42,13 +36,8 @@ class WeightingConfig:
 
     sigma: float
     rho: float
-    strategy: str = "uniform"
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(
-                f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}"
-            )
         if not all(math.isfinite(b) for b in self.bounds):
             raise ConfigError(
                 f"sigma={self.sigma} with rho={self.rho} gives non-finite "
@@ -61,38 +50,23 @@ class WeightingConfig:
                 f"sigma={self.sigma} with rho={self.rho} can emit negative "
                 f"weights; sigma must be at least {-self.rho}"
             )
-        wanted = _strategy_for(self.rho)
-        actual = "uniform" if self.strategy == "focal_like" else self.strategy
-        if actual != wanted:
-            raise ConfigError(
-                f"strategy {self.strategy!r} inconsistent with rho={self.rho} "
-                f"(sign implies {wanted!r})"
-            )
 
-    @classmethod
-    def from_parameters(cls, sigma: float, rho: float,
-                        focal: bool = False) -> "WeightingConfig":
-        """Label the strategy from the sign of rho."""
-        label = _strategy_for(rho)
-        if focal:
-            if rho != 0.0:
-                raise ConfigError("focal_like requires rho == 0")
-            label = "focal_like"
-        return cls(sigma=float(sigma), rho=float(rho), strategy=label)
+    @property
+    def strategy(self) -> str:
+        """The sign of rho by name: ns_ws (rho > 0) strengthens group
+        winners, ns_lf (rho < 0) focuses on losers, uniform (rho == 0)
+        weights every sample sigma."""
+        if self.rho > 0:
+            return "ns_ws"
+        if self.rho < 0:
+            return "ns_lf"
+        return "uniform"
 
     @property
     def bounds(self) -> tuple[float, float]:
         """Closed interval containing every weight this config can emit."""
         lo, hi = sorted((self.sigma, self.sigma + self.rho))
         return lo, hi
-
-
-def _strategy_for(rho: float) -> str:
-    if rho > 0:
-        return "ns_ws"
-    if rho < 0:
-        return "ns_lf"
-    return "uniform"
 
 
 def compute_weights(scores, cfg: WeightingConfig) -> np.ndarray:

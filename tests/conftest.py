@@ -236,53 +236,34 @@ def group_ns_scores(group, samples, labels, model):
     return q, q / q.sum()
 
 
-def reference_synthetic(recipe):
-    """Combine-then-subset oracle for synthetic data: each class's noise
-    drawn as one array, added to its template and clipped, the classes
-    concatenated, then label noise."""
-    from natsel.data import Dataset, _class_template, inject_label_noise
+def reference_splits(settings, seed):
+    """Combine-then-subset oracle for synthetic data: each class's train
+    plus test noise drawn as one array, added to its template and
+    clipped, the classes concatenated, then the two splits copied out."""
+    from natsel.data import Dataset, _class_template
     from natsel.seeds import derive_seed
 
+    shape, test_n = settings.image_shape, settings.test_per_class
+    counts = [n + test_n for n in settings.train_counts()]
     chunks = []
-    for k, n_k in enumerate(recipe.per_class_counts):
+    for k, n_k in enumerate(counts):
         template = _class_template(
-            recipe.image_shape,
-            np.random.default_rng(derive_seed(recipe.seed, "template", k)))
-        noise_rng = np.random.default_rng(
-            derive_seed(recipe.seed, "samples", k))
-        noise = noise_rng.normal(0.0, 1.0, size=(n_k,) + recipe.image_shape)
-        chunks.append(np.clip(template + recipe.noise_std * noise, 0.0, 1.0))
-    y = np.repeat(np.arange(recipe.class_count, dtype=np.int64),
-                  recipe.per_class_counts)
-    ds = Dataset(images=np.concatenate(chunks, axis=0), labels=y,
-                 clean_labels=y.copy(), class_count=recipe.class_count)
-    if recipe.label_noise_rate > 0.0:
-        ds = inject_label_noise(ds, recipe.label_noise_rate, recipe.seed)
-    return ds
-
-
-def reference_splits(recipe, test_per_class):
-    """Train/test oracle: generate train plus test counts per class in one
-    class-ordered array, then copy the two splits out of it."""
-    from dataclasses import replace
-
-    from natsel.data import inject_label_noise
-
-    full = reference_synthetic(replace(
-        recipe, label_noise_rate=0.0,
-        per_class_counts=tuple(n + test_per_class
-                               for n in recipe.per_class_counts)))
+            shape, np.random.default_rng(derive_seed(seed, "template", k)))
+        noise_rng = np.random.default_rng(derive_seed(seed, "samples", k))
+        noise = noise_rng.normal(0.0, 1.0, size=(n_k,) + shape)
+        chunks.append(np.clip(template + settings.noise_std * noise,
+                              0.0, 1.0))
+    y = np.repeat(np.arange(settings.classes, dtype=np.int64), counts)
+    full = Dataset(images=np.concatenate(chunks, axis=0), labels=y,
+                   clean_labels=y.copy(), class_count=settings.classes)
     train_idx, test_idx = [], []
     start = 0
-    for n_train in recipe.per_class_counts:
+    for n_train in settings.train_counts():
         train_idx.extend(range(start, start + n_train))
         start += n_train
-        test_idx.extend(range(start, start + test_per_class))
-        start += test_per_class
-    train, test = full.subset(train_idx), full.subset(test_idx)
-    if recipe.label_noise_rate > 0.0:
-        train = inject_label_noise(train, recipe.label_noise_rate, recipe.seed)
-    return train, test
+        test_idx.extend(range(start, start + test_n))
+        start += test_n
+    return full.subset(train_idx), full.subset(test_idx)
 
 
 def train_erm(config, train_set, test_set, model):
@@ -315,7 +296,8 @@ def train_erm(config, train_set, test_set, model):
         epoch_start = time.perf_counter()
         lr = config.lr_at(epoch)
         order = epoch_indices(train_set.labels, train_set.class_count,
-                              config.sampler, epoch, config.seed)
+                              config.sampler, epoch, config.epochs,
+                              config.seed)
         tally = _EpochTally(train_set.class_count)
         for lo in range(0, order.shape[0], config.batch_size):
             batch_idx = order[lo:lo + config.batch_size]

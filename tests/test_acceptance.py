@@ -30,7 +30,7 @@ from natsel.config import (
     parse_config,
     train_for,
 )
-from natsel.data import DatasetRecipe, gen_synthetic
+from natsel.data import DataSettings, build_splits
 from natsel.imageops import GridLayout, bilinear_resize
 from natsel.model import Classifier, ClassifierConfig, LossConfig
 from natsel.nscore import batch_ns_scores, params_hash
@@ -209,10 +209,10 @@ def test_criterion_05_resize_matches_oracle(capsys):
 
 
 def test_criterion_06_fitness_risk_duality(capsys):
-    recipe = DatasetRecipe(kind="synthetic_blobs", class_count=2,
-                           image_shape=(4, 4, 1), per_class_counts=(6, 6),
-                           noise_std=0.0, label_noise_rate=0.0, seed=77)
-    dataset = gen_synthetic(recipe)
+    settings = DataSettings(classes=2, height=4, width=4, channels=1,
+                            class_counts=(6, 6), noise_std=0.0,
+                            test_per_class=1)
+    dataset, _ = build_splits(settings, 77)
     candidates = [centroid_model(dataset, scale=0.5 * (k + 1))
                   for k in range(10)]
     ok = True

@@ -56,6 +56,24 @@ rho = 1.0
 """
 
 
+# (text in BASE, its replacement): each gives a value that parse_config
+# rejects, so a run stops before it writes anything.
+BAD_VALUES = [
+    ("noise_std = 0.1", "noise_std = -1"),
+    ("[dataset]", "[dataset]\nlabel_noise_rate = 1.5"),
+    ("classes = 2", "classes = 1"),
+    ("height = 4", "height = 0"),
+    ("balanced_count = 8", "balanced_count = 0"),
+    ("test_per_class = 4", "test_per_class = 0"),
+    ("[dataset]", "[dataset]\nvariant = cifar1000"),
+    ("[model]", "[model]\nconv_kernel = -2"),
+    ("[model]", "[model]\nconv_kernel = 3\nconv_channels = 0"),
+    ("[model]", "[model]\nconv_kernel = 5"),
+    ("hidden = 8", "hidden = 0"),
+    ("seeds = 1,2", "seeds = 5,5"),
+]
+
+
 def write_config(tmp_path, name="config.ini", out="out", extra=""):
     path = tmp_path / name
     path.write_text(BASE.format(out=tmp_path / out) + extra)
@@ -220,6 +238,23 @@ class TestExitCodes:
                      "--axis", "layout", "--values", "2x2,1x1"]) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("old,new", BAD_VALUES,
+                             ids=[new.split("\n")[-1] for _, new in BAD_VALUES])
+    def test_bad_value_exits_one_without_run_dir(self, tmp_path, old, new):
+        cfg_path = write_config(tmp_path)
+        text = cfg_path.read_text()
+        assert text.count(old) == 1
+        cfg_path.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError):
+            parse_config(cfg_path.read_text())
+        assert main(["run", str(cfg_path)]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_seed_flag_exits_one_without_run_dir(self, tmp_path):
+        cfg_path = write_config(tmp_path)
+        assert main(["run", str(cfg_path), "--seeds", "5,5"]) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_two(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.ini")]) == 2
 
@@ -246,10 +281,6 @@ class TestOverrides:
         run_dir = tmp_path / "elsewhere" / "alt"
         assert (run_dir / "metrics_5.csv").exists()
         assert not (run_dir / "metrics_1.csv").exists()
-
-    def test_strategy_override_mismatch_exits_one(self, tmp_path):
-        cfg_path = write_config(tmp_path)
-        assert main(["run", str(cfg_path), "--strategy", "ns_lf"]) == 1
 
     def test_layout_override(self, tmp_path):
         cfg_path = write_config(tmp_path)

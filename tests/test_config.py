@@ -11,11 +11,10 @@ from natsel.config import (
     classifier_for,
     datasets_for,
     parse_config,
-    recipe_for,
     serialize_config,
     train_for,
 )
-from natsel.data import gen_synthetic, save_idx
+from natsel.data import build_splits, save_idx
 from natsel.errors import ConfigError
 from natsel.imageops import GridLayout
 from natsel.seeds import derive_seed
@@ -69,6 +68,7 @@ kind = cbs
 class TestDefaults:
     def test_empty_text_yields_defaults(self):
         cfg = parse_config("")
+        assert cfg == ExperimentConfig()
         assert cfg.label == "experiment"
         assert cfg.output_dir == "runs"
         assert cfg.seeds == DEFAULT_SEEDS == (2024, 2025, 2026)
@@ -90,8 +90,7 @@ class TestDefaults:
         assert t.layout == GridLayout(2, 2)
         assert (t.weighting.sigma, t.weighting.rho) == (1.0, 0.0)
         assert t.weighting.strategy == "uniform"
-        assert t.sampler.kind == "instance_uniform"
-        assert t.sampler.total_epochs == t.epochs
+        assert t.sampler == "instance_uniform"
         assert t.loss.kind == "cross_entropy"
 
     def test_full_text(self):
@@ -107,8 +106,7 @@ class TestDefaults:
         assert cfg.train.loss.focal_gamma == 1.5
         assert cfg.train.layout == GridLayout(1, 2)
         assert cfg.train.weighting.strategy == "ns_lf"
-        assert cfg.train.sampler.kind == "cbs"
-        assert cfg.train.sampler.total_epochs == 6
+        assert cfg.train.sampler == "cbs"
 
 
 class TestStrictness:
@@ -193,6 +191,17 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="groups of at least 2"):
             apply_overrides(plain, rho=1.0)
 
+    def test_model_checks_wait_for_file_backed_image_shapes(self, tmp_path):
+        text = ("[dataset]\nkind = cifar_binary\n"
+                f"train_path = {tmp_path / 'a.bin'}\n"
+                f"test_path = {tmp_path / 'b.bin'}\n"
+                "[model]\nconv_kernel = 33\n")
+        assert parse_config(text).conv_kernel == 33
+        for bad in ("conv_kernel = -2", "hidden = 0",
+                    "conv_kernel = 3\nconv_channels = 0"):
+            with pytest.raises(ConfigError):
+                parse_config(text.replace("conv_kernel = 33", bad))
+
     def test_syntax_error(self):
         with pytest.raises(ConfigError, match="syntax"):
             parse_config("[experiment\nlabel = x\n")
@@ -211,10 +220,9 @@ class TestDataSettings:
         with pytest.raises(ConfigError, match="go together"):
             DataSettings(imbalance_factor=10.0)
 
-    def test_class_counts_length_checked_lazily(self):
-        settings = DataSettings(classes=3, class_counts=(5, 5))
+    def test_class_counts_length_checked(self):
         with pytest.raises(ConfigError, match="class_counts"):
-            settings.train_counts()
+            DataSettings(classes=3, class_counts=(5, 5))
         assert DataSettings(classes=2,
                             class_counts=(5, 4)).train_counts() == (5, 4)
 
@@ -266,17 +274,6 @@ class TestOverrides:
         down = apply_overrides(base, rho=-0.5)
         assert down.train.weighting.strategy == "ns_lf"
 
-    def test_sigma_override_keeps_focal_like(self):
-        base = parse_config("[weighting]\nstrategy = focal_like\n")
-        assert base.train.weighting.strategy == "focal_like"
-        out = apply_overrides(base, sigma=0.5)
-        assert out.train.weighting.strategy == "focal_like"
-        assert out.train.weighting.sigma == 0.5
-
-    def test_explicit_strategy_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            apply_overrides(parse_config(""), rho=0.5, strategy="ns_lf")
-
     def test_layout_override(self):
         out = apply_overrides(parse_config(""), layout="4x4")
         assert out.train.layout.group_size == 16
@@ -298,12 +295,17 @@ class TestOverrides:
 class TestRunDerivation:
     def test_recipe_seed_comes_from_run_seed(self):
         cfg = parse_config(FULL_TEXT)
-        recipe = recipe_for(cfg, 2024)
-        assert recipe.seed == derive_seed(2024, "dataset")
-        assert recipe.per_class_counts == (50, 23, 11, 5)
-        assert recipe.image_shape == (6, 6, 1)
-        assert recipe.label_noise_rate == 0.2
-        assert recipe_for(cfg, 2025).seed != recipe.seed
+        train, test = datasets_for(cfg, 2024)
+        clean, want_test = build_splits(cfg.data,
+                                        derive_seed(2024, "dataset"))
+        assert np.array_equal(train.images, clean.images)
+        assert np.array_equal(train.clean_labels, clean.labels)
+        assert np.array_equal(test.images, want_test.images)
+        assert tuple(np.bincount(train.clean_labels)) == (50, 23, 11, 5)
+        assert train.image_shape == (6, 6, 1)
+        assert np.sum(train.labels != train.clean_labels) == int(0.2 * 89)
+        other, _ = datasets_for(cfg, 2025)
+        assert not np.array_equal(other.images, train.images)
 
     def test_classifier_config(self):
         cfg = parse_config(FULL_TEXT)
@@ -341,10 +343,9 @@ class TestRunDerivation:
         assert not np.array_equal(train.images, other.images)
 
     def test_datasets_for_idx_files(self, tmp_path):
-        ds = gen_synthetic(
-            recipe_for(parse_config("[dataset]\nclasses = 2\n"
-                                    "balanced_count = 3\nheight = 4\n"
-                                    "width = 4\n"), 5))
+        ds, _ = build_splits(
+            parse_config("[dataset]\nclasses = 2\nbalanced_count = 3\n"
+                         "height = 4\nwidth = 4\n").data, 5)
         paths = {name: str(tmp_path / f"{name}.idx")
                  for name in ("ti", "tl", "vi", "vl")}
         save_idx(paths["ti"], ds.images)

@@ -5,15 +5,14 @@ import struct
 import numpy as np
 import pytest
 
+from natsel.config import ExperimentConfig, datasets_for
 from natsel.data import (
     Dataset,
-    DatasetRecipe,
-    SamplerConfig,
+    DataSettings,
     build_splits,
     class_sampling_probs,
     dataset_from_idx,
     epoch_indices,
-    gen_synthetic,
     inject_label_noise,
     load_cifar_binary,
     load_idx,
@@ -21,74 +20,87 @@ from natsel.data import (
     save_idx,
 )
 from natsel.errors import ConfigError, FormatError
+from natsel.seeds import derive_seed
 
-from conftest import reference_splits, reference_synthetic
+from conftest import reference_splits
 
 
-def recipe(**overrides):
-    base = dict(kind="synthetic_blobs", class_count=2, image_shape=(4, 4, 1),
-                per_class_counts=(5, 5), noise_std=0.05, seed=7)
+def settings(**overrides):
+    base = dict(classes=2, height=4, width=4, channels=1,
+                class_counts=(5, 5), noise_std=0.05, test_per_class=1)
     base.update(overrides)
-    return DatasetRecipe(**base)
+    return DataSettings(**base)
+
+
+def synthetic(seed=7, **overrides):
+    """The train split that ``build_splits`` generates."""
+    return build_splits(settings(**overrides), seed)[0]
+
+
+FILE_BACKED = {
+    "idx_files": dict(train_images="a", train_labels="b", test_images="c",
+                      test_labels="d"),
+    "cifar_binary": dict(train_path="a", test_path="b"),
+}
 
 
 class TestGenSynthetic:
     def test_counting(self):
-        ds = gen_synthetic(recipe())
+        ds = synthetic()
         assert len(ds) == 10
         assert ds.label_counts().tolist() == [5, 5]
         assert ds.image_shape == (4, 4, 1)
 
     def test_zero_noise_copies_templates(self):
-        ds = gen_synthetic(recipe(noise_std=0.0))
+        ds = synthetic(noise_std=0.0)
         for k in (0, 1):
             block = ds.images[ds.labels == k]
             assert np.all(block == block[0])
 
     def test_same_seed_bitwise_identical(self):
-        a = gen_synthetic(recipe())
-        b = gen_synthetic(recipe())
+        a = synthetic()
+        b = synthetic()
         assert np.array_equal(a.images, b.images)
         assert np.array_equal(a.labels, b.labels)
 
     def test_different_seed_differs(self):
-        a = gen_synthetic(recipe(seed=1))
-        b = gen_synthetic(recipe(seed=2))
+        a = synthetic(seed=1)
+        b = synthetic(seed=2)
         assert not np.array_equal(a.images, b.images)
 
     def test_values_clamped_to_unit_interval(self):
-        ds = gen_synthetic(recipe(noise_std=2.0))
+        ds = synthetic(noise_std=2.0)
         assert ds.images.min() >= 0.0
         assert ds.images.max() <= 1.0
 
     def test_templates_differ_between_classes(self):
-        ds = gen_synthetic(recipe(noise_std=0.0))
+        ds = synthetic(noise_std=0.0)
         assert not np.array_equal(ds.images[0], ds.images[5])
 
     def test_recipe_validation(self):
-        with pytest.raises(ConfigError):
-            recipe(kind="imagenet")
-        with pytest.raises(ConfigError):
-            recipe(class_count=1, per_class_counts=(5,))
-        with pytest.raises(ConfigError):
-            recipe(per_class_counts=(5, 5, 5))
-        with pytest.raises(ConfigError):
-            recipe(per_class_counts=(5, 0))
-        with pytest.raises(ConfigError):
-            recipe(noise_std=-0.1)
-        with pytest.raises(ConfigError):
-            recipe(label_noise_rate=1.0)
+        for bad in (dict(kind="imagenet"),
+                    dict(classes=1, class_counts=(5,)),
+                    dict(class_counts=(5, 5, 5)),
+                    dict(class_counts=(5, 0)),
+                    dict(class_counts=None, balanced_count=0),
+                    dict(height=0),
+                    dict(noise_std=-0.1),
+                    dict(noise_std=float("nan")),
+                    dict(label_noise_rate=1.0),
+                    dict(variant="cifar1000")):
+            with pytest.raises(ConfigError):
+                settings(**bad)
 
     def test_wrong_kind_rejected_by_generator(self):
-        bad = recipe(kind="idx_files")
-        with pytest.raises(ConfigError):
-            gen_synthetic(bad)
+        for kind, paths in FILE_BACKED.items():
+            with pytest.raises(ConfigError, match="cannot synthesize"):
+                build_splits(settings(kind=kind, **paths), 7)
 
 
 class TestBuildSplits:
     def test_counts_and_disjointness(self):
-        train, test = build_splits(recipe(per_class_counts=(6, 3)),
-                                   test_per_class=2)
+        train, test = build_splits(
+            settings(class_counts=(6, 3), test_per_class=2), 7)
         assert train.label_counts().tolist() == [6, 3]
         assert test.label_counts().tolist() == [2, 2]
         # No train image may reappear in test.
@@ -98,23 +110,24 @@ class TestBuildSplits:
             assert not np.any(np.all(flat_train == row, axis=1))
 
     def test_label_noise_hits_train_only(self):
-        train, test = build_splits(
-            recipe(per_class_counts=(50, 50), label_noise_rate=0.2),
-            test_per_class=10)
+        config = ExperimentConfig(data=settings(
+            class_counts=(50, 50), label_noise_rate=0.2, test_per_class=10))
+        train, test = datasets_for(config, 7)
         assert np.sum(train.labels != train.clean_labels) == 20
         assert np.array_equal(test.labels, test.clean_labels)
 
     def test_deterministic(self):
-        r = recipe(label_noise_rate=0.1, per_class_counts=(20, 20))
-        a_train, a_test = build_splits(r, 5)
-        b_train, b_test = build_splits(r, 5)
+        config = ExperimentConfig(data=settings(
+            label_noise_rate=0.1, class_counts=(20, 20), test_per_class=5))
+        a_train, a_test = datasets_for(config, 7)
+        b_train, b_test = datasets_for(config, 7)
         assert np.array_equal(a_train.images, b_train.images)
         assert np.array_equal(a_train.labels, b_train.labels)
         assert np.array_equal(a_test.images, b_test.images)
 
     def test_needs_test_samples(self):
-        with pytest.raises(ConfigError):
-            build_splits(recipe(), 0)
+        with pytest.raises(ConfigError, match="test_per_class"):
+            settings(test_per_class=0)
 
 
 def same_bytes(a: Dataset, b: Dataset) -> bool:
@@ -124,36 +137,38 @@ def same_bytes(a: Dataset, b: Dataset) -> bool:
                             (a.clean_labels, b.clean_labels)))
 
 
-IN_PLACE_RECIPES = {
-    "long_tail": recipe(class_count=5, image_shape=(6, 5, 3),
-                        per_class_counts=longtail_counts(40, 5, 10.0),
-                        noise_std=0.3, seed=11),
-    "label_noise": recipe(class_count=3, image_shape=(4, 4, 2),
-                          per_class_counts=(20, 20, 20), noise_std=0.8,
-                          label_noise_rate=0.3, seed=5),
+IN_PLACE_SETTINGS = {
+    "long_tail": settings(classes=5, height=6, width=5, channels=3,
+                          class_counts=None, n_max=40,
+                          imbalance_factor=10.0, noise_std=0.3,
+                          test_per_class=7),
+    "label_noise": settings(classes=3, height=4, width=4, channels=2,
+                            class_counts=(20, 20, 20), noise_std=0.8,
+                            label_noise_rate=0.3, test_per_class=7),
 }
 
 
 class TestInPlaceGeneration:
     """Writing each class's rows straight into the output arrays gives
-    the bytes of the combine-then-subset route, draw for draw."""
+    the bytes of the combine-then-subset route, draw for draw, and label
+    noise lands on the train split from the same seed stream."""
 
-    @pytest.mark.parametrize("name", list(IN_PLACE_RECIPES))
-    def test_gen_synthetic_matches_reference(self, name):
-        r = IN_PLACE_RECIPES[name]
-        assert same_bytes(gen_synthetic(r), reference_synthetic(r))
-
-    @pytest.mark.parametrize("name", list(IN_PLACE_RECIPES))
+    @pytest.mark.parametrize("name", list(IN_PLACE_SETTINGS))
     def test_build_splits_matches_reference(self, name):
-        r = IN_PLACE_RECIPES[name]
-        got, ref = build_splits(r, 7), reference_splits(r, 7)
-        assert same_bytes(got[0], ref[0]) and same_bytes(got[1], ref[1])
-        if r.label_noise_rate > 0.0:
+        s = IN_PLACE_SETTINGS[name]
+        seed = derive_seed(11, "dataset")
+        got = datasets_for(ExperimentConfig(data=s), 11)
+        ref_train, ref_test = reference_splits(s, seed)
+        if s.label_noise_rate > 0.0:
+            ref_train = inject_label_noise(ref_train, s.label_noise_rate,
+                                           seed)
             assert (got[0].labels != got[0].clean_labels).any()
+        assert same_bytes(got[0], ref_train) and same_bytes(got[1], ref_test)
 
     def test_build_splits_rejects_other_kinds(self):
         with pytest.raises(ConfigError):
-            build_splits(recipe(kind="idx_files"), 2)
+            build_splits(settings(kind="idx_files",
+                                  **FILE_BACKED["idx_files"]), 2)
 
 
 class TestLongtailCounts:
@@ -237,56 +252,52 @@ class TestLabelNoise:
 
 class TestSamplingProbs:
     def test_cbs_uniform(self):
-        probs = class_sampling_probs((7, 1, 99, 3), SamplerConfig("cbs"), 0)
+        probs = class_sampling_probs((7, 1, 99, 3), "cbs", 0, 1)
         assert probs.tolist() == [0.25, 0.25, 0.25, 0.25]
 
     def test_srs_square_root(self):
-        probs = class_sampling_probs((100, 1), SamplerConfig("srs"), 0)
+        probs = class_sampling_probs((100, 1), "srs", 0, 1)
         assert np.max(np.abs(probs - [10 / 11, 1 / 11])) <= 1e-12
 
     def test_instance_uniform_frequency(self):
-        probs = class_sampling_probs((30, 10), SamplerConfig(), 0)
+        probs = class_sampling_probs((30, 10), "instance_uniform", 0, 1)
         assert np.max(np.abs(probs - [0.75, 0.25])) <= 1e-12
 
     def test_pbs_interpolation_endpoints(self):
         counts = (80, 15, 5)
-        pbs = SamplerConfig("pbs", total_epochs=10)
-        start = class_sampling_probs(counts, pbs, 0)
-        freq = class_sampling_probs(counts, SamplerConfig(), 0)
+        start = class_sampling_probs(counts, "pbs", 0, 10)
+        freq = class_sampling_probs(counts, "instance_uniform", 0, 10)
         assert np.max(np.abs(start - freq)) <= 1e-15
-        end = class_sampling_probs(counts, pbs, 10)
+        end = class_sampling_probs(counts, "pbs", 10, 10)
         assert np.max(np.abs(end - 1.0 / 3.0)) <= 1e-15
 
     def test_pbs_midpoint(self):
-        pbs = SamplerConfig("pbs", total_epochs=10)
-        mid = class_sampling_probs((90, 10), pbs, 5)
+        mid = class_sampling_probs((90, 10), "pbs", 5, 10)
         expected = 0.5 * np.array([0.9, 0.1]) + 0.5 * np.array([0.5, 0.5])
         assert np.max(np.abs(mid - expected)) <= 1e-15
 
     def test_pbs_epoch_range(self):
-        pbs = SamplerConfig("pbs", total_epochs=5)
         with pytest.raises(ConfigError):
-            class_sampling_probs((10, 10), pbs, 6)
+            class_sampling_probs((10, 10), "pbs", 6, 5)
 
     @pytest.mark.parametrize("kind", ["instance_uniform", "cbs", "srs", "pbs"])
     def test_probabilities_sum_to_one(self, kind):
-        cfg = SamplerConfig(kind, total_epochs=8)
         rng = np.random.default_rng(3)
         for _ in range(10):
             counts = rng.integers(1, 500, size=6)
-            probs = class_sampling_probs(counts, cfg, 4)
+            probs = class_sampling_probs(counts, kind, 4, 8)
             assert abs(probs.sum() - 1.0) <= 1e-12
             assert probs.min() >= 0.0
 
     def test_counts_validation(self):
         with pytest.raises(ConfigError):
-            class_sampling_probs((10, 0), SamplerConfig("cbs"), 0)
+            class_sampling_probs((10, 0), "cbs", 0, 1)
 
     def test_sampler_config_validation(self):
+        with pytest.raises(ConfigError, match="magic"):
+            class_sampling_probs((10, 10), "magic", 0, 1)
         with pytest.raises(ConfigError):
-            SamplerConfig("magic")
-        with pytest.raises(ConfigError):
-            SamplerConfig("pbs", total_epochs=0)
+            class_sampling_probs((10, 10), "pbs", 0, 0)
 
 
 class TestEpochIndices:
@@ -295,23 +306,22 @@ class TestEpochIndices:
 
     def test_instance_uniform_is_permutation(self):
         labels = self.labels()
-        order = epoch_indices(labels, 3, SamplerConfig(), epoch=0, seed=5)
+        order = epoch_indices(labels, 3, "instance_uniform", epoch=0, epochs=1,
+                              seed=5)
         assert sorted(order.tolist()) == list(range(100))
 
     def test_deterministic_per_epoch(self):
         labels = self.labels()
-        cfg = SamplerConfig("cbs")
-        a = epoch_indices(labels, 3, cfg, epoch=2, seed=5)
-        b = epoch_indices(labels, 3, cfg, epoch=2, seed=5)
-        c = epoch_indices(labels, 3, cfg, epoch=3, seed=5)
+        a = epoch_indices(labels, 3, "cbs", epoch=2, epochs=4, seed=5)
+        b = epoch_indices(labels, 3, "cbs", epoch=2, epochs=4, seed=5)
+        c = epoch_indices(labels, 3, "cbs", epoch=3, epochs=4, seed=5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_indices_in_range_and_correct_length(self):
         labels = self.labels()
         for kind in ("cbs", "srs", "pbs"):
-            cfg = SamplerConfig(kind, total_epochs=4)
-            order = epoch_indices(labels, 3, cfg, epoch=1, seed=9)
+            order = epoch_indices(labels, 3, kind, epoch=1, epochs=4, seed=9)
             assert order.shape == (100,)
             assert order.min() >= 0
             assert order.max() < 100
@@ -320,13 +330,15 @@ class TestEpochIndices:
         # 6:3:1 imbalance; class-balanced draws should put each class near
         # one third. Seeded, so the check is deterministic.
         labels = np.repeat([0, 1, 2], [600, 300, 100])
-        order = epoch_indices(labels, 3, SamplerConfig("cbs"), epoch=0, seed=13)
+        order = epoch_indices(labels, 3, "cbs", epoch=0, epochs=1,
+                              seed=13)
         shares = np.bincount(labels[order], minlength=3) / 1000.0
         assert np.max(np.abs(shares - 1 / 3)) < 0.08
 
     def test_cbs_draws_respect_class_identity(self):
         labels = self.labels()
-        order = epoch_indices(labels, 3, SamplerConfig("cbs"), epoch=0, seed=7)
+        order = epoch_indices(labels, 3, "cbs", epoch=0, epochs=1,
+                              seed=7)
         # Every drawn index must carry the label of the class it was drawn
         # for; the mapping below reconstructs membership directly.
         assert np.all(labels[order] == np.where(order < 60, 0,
@@ -335,7 +347,7 @@ class TestEpochIndices:
     def test_balanced_samplers_need_full_support(self):
         labels = np.zeros(10, dtype=np.int64)
         with pytest.raises(ConfigError):
-            epoch_indices(labels, 2, SamplerConfig("cbs"), epoch=0, seed=1)
+            epoch_indices(labels, 2, "cbs", epoch=0, epochs=1, seed=1)
 
 
 class TestIdxFormat:
@@ -372,7 +384,7 @@ class TestIdxFormat:
         assert load_idx(path).shape == (3, 4, 4, 2)
 
     def test_dataset_from_idx(self, tmp_path):
-        ds = gen_synthetic(recipe(noise_std=0.02))
+        ds = synthetic(noise_std=0.02)
         img_path, lab_path = tmp_path / "i.idx", tmp_path / "l.idx"
         save_idx(img_path, ds.images)
         save_idx(lab_path, ds.labels)
@@ -474,7 +486,7 @@ class TestCifarBinary:
 
 class TestDatasetType:
     def test_subset(self):
-        ds = gen_synthetic(recipe())
+        ds = synthetic()
         sub = ds.subset([0, 5, 9])
         assert len(sub) == 3
         assert sub.labels.tolist() == [ds.labels[0], ds.labels[5], ds.labels[9]]

@@ -154,7 +154,7 @@ class TestScores:
         assert np.all(result.score < 1.0)
         assert abs(result.score.sum() - 1.0) <= 1e-9
         weights = compute_weights(result.score,
-                                  WeightingConfig(2.5, -1.0, "ns_lf"))
+                                  WeightingConfig(2.5, -1.0))
         assert np.all(weights >= 1.5) and np.all(weights <= 2.5)
 
         samples = [Tensor(images[i]) for i in range(2)]

@@ -10,13 +10,7 @@ import pytest
 
 import natsel.model
 import natsel.trainer
-from natsel.data import (
-    Dataset,
-    DatasetRecipe,
-    SamplerConfig,
-    build_splits,
-    gen_synthetic,
-)
+from natsel.data import Dataset, DataSettings, build_splits
 from natsel.errors import ConfigError, ShapeError, TrainingDiverged
 from natsel.imageops import GridLayout
 from natsel.model import (
@@ -54,11 +48,12 @@ from conftest import (
 
 
 def toy_sets(per_class=(10, 10), noise=0.05, seed=3, test_per_class=4,
-             shape=(4, 4, 1), label_noise=0.0):
-    r = DatasetRecipe(kind="synthetic_blobs", class_count=len(per_class),
-                      image_shape=shape, per_class_counts=tuple(per_class),
-                      noise_std=noise, label_noise_rate=label_noise, seed=seed)
-    return build_splits(r, test_per_class)
+             shape=(4, 4, 1)):
+    h, w, c = shape
+    settings = DataSettings(classes=len(per_class), height=h, width=w,
+                            channels=c, class_counts=tuple(per_class),
+                            noise_std=noise, test_per_class=test_per_class)
+    return build_splits(settings, seed)
 
 
 def fresh_model(train_set, hidden=(6,), init_seed=1):
@@ -70,7 +65,7 @@ def fresh_model(train_set, hidden=(6,), init_seed=1):
 def base_config(**overrides):
     base = dict(batch_size=8, epochs=2, learning_rate=0.5, momentum=0.9,
                 layout=GridLayout(2, 2),
-                weighting=WeightingConfig(1.0, 0.0, "uniform"), seed=11)
+                weighting=WeightingConfig(1.0, 0.0), seed=11)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -230,6 +225,8 @@ class TestTrainConfig:
             base_config(batch_size=3)  # below 2x2 group size
         with pytest.raises(ConfigError):
             base_config(decay_milestones=((2, 0.0),))
+        with pytest.raises(ConfigError, match="magic"):
+            base_config(sampler="magic")
 
     def test_lr_schedule(self):
         cfg = base_config(learning_rate=0.5,
@@ -278,7 +275,7 @@ class TestTrainLoop:
         # 2 + 2 + 1 composites; train forwards count every image.
         train_set, test_set = toy_sets(per_class=(10, 10))
         cfg = base_config(
-            weighting=WeightingConfig.from_parameters(1.0, 0.5))
+            weighting=WeightingConfig(1.0, 0.5))
         _, records = train(cfg, train_set, test_set, fresh_model(train_set))
         train_rows = [r for r in records if r.split == "train"]
         for row in train_rows:
@@ -302,15 +299,15 @@ class TestTrainLoop:
         weighted = fresh_model(train_set)
         train(base_config(epochs=1), train_set, test_set, uniform)
         train(base_config(
-            epochs=1, weighting=WeightingConfig.from_parameters(1.0, 1.0)),
+            epochs=1, weighting=WeightingConfig(1.0, 1.0)),
             train_set, test_set, weighted)
         assert params_hash(uniform) != params_hash(weighted)
 
     def test_deterministic_rerun(self):
         train_set, test_set = toy_sets()
         cfg = base_config(
-            weighting=WeightingConfig.from_parameters(0.7, 1.0),
-            sampler=SamplerConfig("cbs"))
+            weighting=WeightingConfig(0.7, 1.0),
+            sampler="cbs")
         model_a = fresh_model(train_set)
         model_b = fresh_model(train_set)
         _, records_a = train(cfg, train_set, test_set, model_a)
@@ -318,6 +315,15 @@ class TestTrainLoop:
         assert params_hash(model_a) == params_hash(model_b)
         assert [r.deterministic_key() for r in records_a] == \
             [r.deterministic_key() for r in records_b]
+
+    def test_pbs_runs_every_epoch_of_a_code_built_config(self):
+        # pbs slides towards uniform over TrainConfig.epochs, the one
+        # home of the run's length.
+        train_set, test_set = toy_sets(per_class=(12, 4))
+        cfg = base_config(epochs=4, sampler="pbs")
+        _, records = train(cfg, train_set, test_set, fresh_model(train_set))
+        assert [r.epoch for r in records if r.split == "train"] == \
+            [0, 1, 2, 3]
 
     def test_divergence_reports_epoch_and_step(self):
         # One enormous step sends the hidden-layer weights to ~1e250;
@@ -335,7 +341,7 @@ class TestTrainLoop:
     def test_score_sink_sees_batches_but_cannot_perturb(self):
         train_set, test_set = toy_sets()
         cfg = base_config(
-            weighting=WeightingConfig.from_parameters(1.0, -1.0))
+            weighting=WeightingConfig(1.0, -1.0))
         plain = fresh_model(train_set)
         observed = fresh_model(train_set)
         train(cfg, train_set, test_set, plain)
@@ -377,7 +383,7 @@ class TestTrainLoop:
             monkeypatch.setattr(natsel.trainer, name, checking(
                 name, getattr(natsel.trainer, name)))
         train_set, test_set = toy_sets()
-        cfg = base_config(weighting=WeightingConfig.from_parameters(1.0, 0.5))
+        cfg = base_config(weighting=WeightingConfig(1.0, 0.5))
         train(cfg, train_set, test_set, fresh_model(train_set))
         # 20 samples in batches of 8: three steps and scorings per epoch
         assert len(tapes) == 6
@@ -411,8 +417,7 @@ class TestConvTraining:
 
     def conv_config(self, sigma, rho):
         return base_config(learning_rate=0.05, layout=GridLayout(1, 2),
-                           weighting=WeightingConfig.from_parameters(sigma,
-                                                                     rho))
+                           weighting=WeightingConfig(sigma, rho))
 
     def test_rho_zero_matches_erm_bitwise(self):
         cfg = self.conv_config(1.0, 0.0)
@@ -567,10 +572,10 @@ class TestEvaluate:
 
 class TestDuality:
     def dataset(self):
-        r = DatasetRecipe(kind="synthetic_blobs", class_count=2,
-                          image_shape=(4, 4, 1), per_class_counts=(6, 6),
-                          noise_std=0.0, seed=5)
-        return gen_synthetic(r)
+        settings = DataSettings(classes=2, height=4, width=4,
+                                class_counts=(6, 6), noise_std=0.0,
+                                test_per_class=1)
+        return build_splits(settings, 5)[0]
 
     def test_two_settings_order_reversal(self):
         ds = self.dataset()
@@ -634,7 +639,7 @@ class TestMetricsIO:
     def records(self):
         train_set, test_set = toy_sets()
         cfg = base_config(
-            weighting=WeightingConfig.from_parameters(1.0, 1.0))
+            weighting=WeightingConfig(1.0, 1.0))
         _, records = train(cfg, train_set, test_set, fresh_model(train_set))
         return records
 
@@ -653,7 +658,7 @@ class TestMetricsIO:
     def test_deterministic_bytes_ignore_wall_clock(self, tmp_path):
         train_set, test_set = toy_sets()
         cfg = base_config(
-            weighting=WeightingConfig.from_parameters(0.7, 1.0))
+            weighting=WeightingConfig(0.7, 1.0))
         paths = []
         for run in range(2):
             _, records = train(cfg, train_set, test_set,

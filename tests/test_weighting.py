@@ -7,7 +7,6 @@ import pytest
 
 from natsel.errors import ConfigError
 from natsel.weighting import (
-    STRATEGIES,
     WeightingConfig,
     compute_weights,
     weight_curve,
@@ -16,24 +15,10 @@ from natsel.weighting import (
 
 
 class TestWeightingConfig:
-    def test_from_parameters_labels_by_sign(self):
-        assert WeightingConfig.from_parameters(1.0, 0.3).strategy == "ns_ws"
-        assert WeightingConfig.from_parameters(1.0, -0.3).strategy == "ns_lf"
-        assert WeightingConfig.from_parameters(1.0, 0.0).strategy == "uniform"
-        focal = WeightingConfig.from_parameters(1.0, 0.0, focal=True)
-        assert focal.strategy == "focal_like"
-
-    def test_focal_requires_zero_rho(self):
-        with pytest.raises(ConfigError):
-            WeightingConfig.from_parameters(1.0, 0.5, focal=True)
-
-    def test_sign_label_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            WeightingConfig(sigma=1.0, rho=-0.5, strategy="ns_ws")
-        with pytest.raises(ConfigError):
-            WeightingConfig(sigma=1.0, rho=0.5, strategy="ns_lf")
-        with pytest.raises(ConfigError):
-            WeightingConfig(sigma=1.0, rho=0.5, strategy="uniform")
+    def test_strategy_follows_sign_of_rho(self):
+        assert WeightingConfig(1.0, 0.3).strategy == "ns_ws"
+        assert WeightingConfig(1.0, -0.3).strategy == "ns_lf"
+        assert WeightingConfig(1.0, 0.0).strategy == "uniform"
 
     def test_sigma_must_be_non_negative(self):
         with pytest.raises(ConfigError):
@@ -41,53 +26,48 @@ class TestWeightingConfig:
 
     def test_sigma_must_cover_negative_rho(self):
         with pytest.raises(ConfigError):
-            WeightingConfig(sigma=0.5, rho=-1.0, strategy="ns_lf")
-        edge = WeightingConfig.from_parameters(1.0, -1.0)
+            WeightingConfig(sigma=0.5, rho=-1.0)
+        edge = WeightingConfig(1.0, -1.0)
         w = compute_weights([1.0 - 1e-12, 1e-12], edge)
         assert np.all(w >= 0.0)
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ConfigError):
-            WeightingConfig(sigma=1.0, rho=0.0, strategy="softmax")
-        assert set(STRATEGIES) == {"ns_ws", "ns_lf", "uniform", "focal_like"}
-
     def test_bounds(self):
-        assert WeightingConfig(0.7, 1.0, "ns_ws").bounds == (0.7, 1.7)
-        assert WeightingConfig(1.0, -0.4, "ns_lf").bounds == (0.6, 1.0)
+        assert WeightingConfig(0.7, 1.0).bounds == (0.7, 1.7)
+        assert WeightingConfig(1.0, -0.4).bounds == (0.6, 1.0)
         assert WeightingConfig(2.0, 0.0).bounds == (2.0, 2.0)
 
 
 class TestComputeWeights:
     def test_affine_map_example(self):
-        cfg = WeightingConfig.from_parameters(0.7, 1.0)
+        cfg = WeightingConfig(0.7, 1.0)
         w = compute_weights([0.25], cfg)
         assert abs(w[0] - 0.95) <= 1e-15
 
     def test_zero_rho_gives_constant_sigma(self):
-        cfg = WeightingConfig.from_parameters(1.3, 0.0)
+        cfg = WeightingConfig(1.3, 0.0)
         w = compute_weights([0.1, 0.5, 0.9], cfg)
         assert w.tolist() == [1.3, 1.3, 1.3]
 
     def test_loser_focus_example(self):
-        cfg = WeightingConfig.from_parameters(2.5, -1.0)
+        cfg = WeightingConfig(2.5, -1.0)
         w = compute_weights([0.5], cfg)
         assert abs(w[0] - 2.0) <= 1e-15
 
     def test_positive_rho_preserves_score_order(self):
         scores = np.array([0.1, 0.4, 0.2, 0.3])
-        w = compute_weights(scores, WeightingConfig.from_parameters(0.7, 1.0))
+        w = compute_weights(scores, WeightingConfig(0.7, 1.0))
         assert np.array_equal(np.argsort(w), np.argsort(scores))
 
     def test_negative_rho_reverses_score_order(self):
         scores = np.array([0.1, 0.4, 0.2, 0.3])
-        w = compute_weights(scores, WeightingConfig.from_parameters(2.0, -1.0))
+        w = compute_weights(scores, WeightingConfig(2.0, -1.0))
         assert np.array_equal(np.argsort(w), np.argsort(-scores))
 
     def test_group_mean_is_sigma_plus_rho_over_m(self):
         # Scores within a group sum to 1, so the mean weight is fixed.
         scores = np.array([0.1, 0.2, 0.3, 0.4])
         for sigma, rho in ((0.7, 1.0), (2.5, -1.0), (1.0, 0.5)):
-            cfg = WeightingConfig.from_parameters(sigma, rho)
+            cfg = WeightingConfig(sigma, rho)
             mean = compute_weights(scores, cfg).mean()
             assert abs(mean - (sigma + rho / 4)) <= 1e-12
 
@@ -95,14 +75,14 @@ class TestComputeWeights:
         rng = np.random.default_rng(3)
         scores = rng.random(100) * 0.98 + 0.01
         for sigma, rho in ((0.7, 1.0), (1.5, -1.0), (0.0, 1.0)):
-            cfg = WeightingConfig.from_parameters(sigma, rho)
+            cfg = WeightingConfig(sigma, rho)
             w = compute_weights(scores, cfg)
             lo, hi = cfg.bounds
             assert w.min() >= lo - 1e-15
             assert w.max() <= hi + 1e-15
 
     def test_scores_must_be_strictly_interior(self):
-        cfg = WeightingConfig.from_parameters(1.0, 0.0)
+        cfg = WeightingConfig(1.0, 0.0)
         with pytest.raises(ConfigError):
             compute_weights([0.0, 0.5], cfg)
         with pytest.raises(ConfigError):
@@ -114,7 +94,7 @@ class TestComputeWeights:
         # A config that could emit a negative weight never gets built, so
         # compute_weights cannot meet one partway through training.
         with pytest.raises(ConfigError):
-            WeightingConfig.from_parameters(0.5, -1.0)
+            WeightingConfig(0.5, -1.0)
 
     def test_non_finite_weight_rejected(self):
         # A config that could emit a non-finite weight never gets built,
@@ -123,34 +103,34 @@ class TestComputeWeights:
             WeightingConfig(float("inf"), 0.0)
 
     def test_empty_scores_allowed(self):
-        cfg = WeightingConfig.from_parameters(1.0, 1.0)
+        cfg = WeightingConfig(1.0, 1.0)
         assert compute_weights([], cfg).shape == (0,)
 
 
 class TestWeightCurve:
     def test_winner_strengthening_curve_decreases(self):
-        curve = weight_curve(10, WeightingConfig.from_parameters(0.7, 1.0))
+        curve = weight_curve(10, WeightingConfig(0.7, 1.0))
         ranks = [r for r, _ in curve]
         weights = [w for _, w in curve]
         assert ranks == list(range(10))
         assert all(a > b for a, b in zip(weights, weights[1:]))
 
     def test_loser_focus_curve_increases(self):
-        curve = weight_curve(10, WeightingConfig.from_parameters(2.5, -1.0))
+        curve = weight_curve(10, WeightingConfig(2.5, -1.0))
         weights = [w for _, w in curve]
         assert all(a < b for a, b in zip(weights, weights[1:]))
 
     def test_zero_sigma_floor_approaches_zero(self):
-        curve = weight_curve(10, WeightingConfig.from_parameters(0.0, 1.0))
+        curve = weight_curve(10, WeightingConfig(0.0, 1.0))
         assert curve[-1][1] == pytest.approx(0.05, abs=1e-15)
         assert curve[0][1] == pytest.approx(0.95, abs=1e-15)
 
     def test_needs_positive_count(self):
         with pytest.raises(ConfigError):
-            weight_curve(0, WeightingConfig.from_parameters(1.0, 0.0))
+            weight_curve(0, WeightingConfig(1.0, 0.0))
 
     def test_csv_export_round_trips(self, tmp_path):
-        cfg = WeightingConfig.from_parameters(0.7, 1.0)
+        cfg = WeightingConfig(0.7, 1.0)
         path = tmp_path / "curve.csv"
         write_weight_curve(path, 5, cfg)
         with open(path, newline="") as fh:

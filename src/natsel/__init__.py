@@ -66,7 +66,7 @@ from .trainer import (
     train,
     weighted_batch_loss,
 )
-from .weighting import WeightingConfig, compute_weights, weight_curve
+from .weighting import WeightingConfig, compute_weights
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,7 @@ __all__ = [
     # competition scoring
     "NSResult", "batch_ns_scores", "params_hash",
     # weighting
-    "WeightingConfig", "compute_weights", "weight_curve",
+    "WeightingConfig", "compute_weights",
     # data
     "Dataset", "build_splits", "longtail_counts", "inject_label_noise",
     "class_sampling_probs", "load_idx", "save_idx", "load_cifar_binary",

@@ -4,6 +4,7 @@
 artifacts plus a cross-seed aggregate.  ``sweep`` repeats a run along one
 axis (sigma, rho, or layout) and tabulates final accuracies.  ``analyze``
 post-processes an existing run directory into plotting-ready CSVs.
+Override flags and sweep values are read like the INI keys they set.
 
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime abort.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +34,7 @@ from .config import (
     datasets_for,
     parse_config,
     serialize_config,
+    set_keys,
     train_for,
 )
 from .errors import AnalysisError, ConfigError, FormatError, NatselError, \
@@ -43,6 +46,7 @@ __all__ = [
     "SIGMA_AXIS",
     "RHO_AXIS",
     "LAYOUT_AXIS",
+    "SWEEP_AXES",
     "RunSummary",
     "run_experiment",
     "sweep",
@@ -55,8 +59,16 @@ SIGMA_AXIS = (0.0, 0.1, 0.5, 0.8, 1.0, 1.5, 1.8)
 RHO_AXIS = (0.0, 0.1, 0.5, 0.8, 1.0, 1.5, 1.8)
 LAYOUT_AXIS = ("1x2", "2x2", "2x4", "4x2", "4x4")
 
+# Sweep axis -> (the INI key it sets, its default grid).
+SWEEP_AXES = {
+    "sigma": ("weighting.sigma", SIGMA_AXIS),
+    "rho": ("weighting.rho", RHO_AXIS),
+    "layout": ("grouping.layout", LAYOUT_AXIS),
+}
+
 _SCORE_COLUMNS = ("epoch", "step", "group_id", "sample_index", "label", "q",
                   "s", "w")
+_ScoreRow = namedtuple("_ScoreRow", _SCORE_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -100,18 +112,14 @@ def _write_scores(path, batches, labels) -> None:
                     q.tolist(), s.tolist(), w.tolist())))
 
 
-def _read_scores(path):
-    """Rows as (epoch, step, group_id, sample_index, label, q, s, w)."""
+def _read_scores(path) -> list[_ScoreRow]:
+    """Rows named by ``_SCORE_COLUMNS``: five integers, then q, s, w."""
     with open(path, "r", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows or tuple(rows[0]) != _SCORE_COLUMNS:
         raise ConfigError(f"{path} is not a score log")
-    parsed = []
-    for row in rows[1:]:
-        parsed.append((int(row[0]), int(row[1]), int(row[2]), int(row[3]),
-                       int(row[4]), float(row[5]), float(row[6]),
-                       float(row[7])))
-    return parsed
+    return [_ScoreRow(*map(int, row[:5]), *map(float, row[5:]))
+            for row in rows[1:]]
 
 
 def run_experiment(config: ExperimentConfig, echo=print) -> RunSummary:
@@ -187,27 +195,23 @@ def _write_aggregate(path, seeds, per_seed_records) -> None:
 
 def sweep(config: ExperimentConfig, axis: str, values=None,
           echo=print) -> list[tuple[str, RunSummary]]:
-    """One run_experiment per value along sigma, rho, or layout."""
-    if axis == "sigma":
-        values = SIGMA_AXIS if values is None else values
-        override = lambda cfg, v: apply_overrides(cfg, sigma=float(v))
-    elif axis == "rho":
-        values = RHO_AXIS if values is None else values
-        override = lambda cfg, v: apply_overrides(cfg, rho=float(v))
-    elif axis == "layout":
-        values = LAYOUT_AXIS if values is None else values
-        override = lambda cfg, v: apply_overrides(cfg, layout=str(v))
-    else:
+    """One run_experiment per value along an axis of ``SWEEP_AXES``.
+
+    Each value is read, as text, like the INI key its axis sets.
+    """
+    if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}")
+    key, grid = SWEEP_AXES[axis]
+    values = [str(v) for v in (grid if values is None else values)]
     if not values:
         raise ConfigError("sweep needs at least one value")
 
     # every value's config is built, and so checked, before the first run
     subs = []
     for value in values:
-        tag = str(value).replace(".", "p")
-        subs.append((str(value), apply_overrides(
-            override(config, value), label=f"{config.label}_{axis}_{tag}")))
+        tag = value.replace(".", "p")
+        subs.append((value, set_keys(config, {
+            key: value, "experiment.label": f"{config.label}_{axis}_{tag}"})))
     results = [(value, run_experiment(sub, echo=echo)) for value, sub in subs]
 
     table = Path(config.output_dir) / f"sweep_{axis}.csv"
@@ -244,10 +248,10 @@ def analyze_run(run_dir, echo=print) -> None:
         scores_path = run_dir / f"scores_{seed}.csv"
         if scores_path.exists():
             rows = _read_scores(scores_path)
-            last_epoch = max(r[0] for r in rows)
-            final = [r for r in rows if r[0] == last_epoch]
+            last_epoch = max(r.epoch for r in rows)
+            final = [r for r in rows if r.epoch == last_epoch]
             stats = ns_distribution(
-                [r[6] for r in final], [r[4] for r in final],
+                [r.s for r in final], [r.label for r in final],
                 train_set.class_count)
             write_box_stats(run_dir / f"box_stats_{seed}.csv", stats)
 
@@ -270,8 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="output directory override")
         p.add_argument("--label", help="run label override")
         p.add_argument("--seeds", help="comma list of seeds")
-        p.add_argument("--sigma", type=float, help="weight floor override")
-        p.add_argument("--rho", type=float, help="weight slope override")
+        p.add_argument("--sigma", help="weight floor override")
+        p.add_argument("--rho", help="weight slope override")
         p.add_argument("--layout", help="grid layout override, e.g. 2x2")
 
     run_p = sub.add_parser("run", help="run one experiment config")
@@ -281,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="repeat a config along one axis")
     sweep_p.add_argument("config", help="path to an INI experiment config")
     sweep_p.add_argument("--axis", required=True,
-                         choices=("sigma", "rho", "layout"))
+                         choices=tuple(SWEEP_AXES))
     sweep_p.add_argument("--values",
                          help="comma list of axis values (defaults to the "
                               "standard grid)")
@@ -294,12 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overridden(config: ExperimentConfig, args) -> ExperimentConfig:
-    seeds = None
-    if args.seeds is not None:
-        seeds = tuple(int(tok) for tok in args.seeds.split(",") if tok)
     return apply_overrides(
         config, sigma=args.sigma, rho=args.rho, layout=args.layout,
-        seeds=seeds, label=args.label, output_dir=args.output)
+        seeds=args.seeds, label=args.label, output_dir=args.output)
 
 
 def main(argv=None) -> int:

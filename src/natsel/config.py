@@ -2,17 +2,28 @@
 
 A config has seven sections (experiment, dataset, model, train, grouping,
 weighting, sampler), every key optional except that file-backed datasets
-need their paths.  A missing key takes its value from
-``ExperimentConfig()``.  Unknown sections or keys are errors, not
-warnings: a typo must never silently fall back to a default.
-``serialize_config`` writes every effective value back out, so
-parse -> serialize -> parse is a fixed point.
+need their paths.  ``_SCHEMA`` is the one table of keys.  It maps each
+``section.key`` to the ``ExperimentConfig`` attribute it sets, as a dotted
+path such as ``train.loss.kind``, and to a text type ``(read, write,
+what)``.  ``parse_config``, ``serialize_config`` and ``apply_overrides``
+all walk it, so a command-line flag or sweep value is read exactly like
+the INI key it sets.
+
+A missing key takes its value from ``ExperimentConfig()``.  Unknown
+sections or keys are errors, not warnings: a typo must never silently
+fall back to a default.  A key whose path is a derived property
+(``grouping.group_size``, ``weighting.strategy``) sets nothing; it must
+equal the value the other settings derive.  ``serialize_config`` writes
+every effective value back out in table order, so parse -> serialize ->
+parse is a fixed point.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from typing import Callable, NamedTuple
 
 from .data import (
     Dataset,
@@ -27,7 +38,6 @@ from .imageops import GridLayout
 from .model import LOSS_KINDS, ClassifierConfig, ConvSpec
 from .seeds import derive_seed
 from .trainer import TrainConfig
-from .weighting import WeightingConfig
 
 __all__ = [
     "DEFAULT_SEEDS",
@@ -35,6 +45,7 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "serialize_config",
+    "set_keys",
     "apply_overrides",
     "classifier_for",
     "train_for",
@@ -79,6 +90,10 @@ class ExperimentConfig:
         classifier_for(self, 0, image_shape=stand_in)
 
 
+def _join(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
@@ -95,211 +110,177 @@ def _decay(text: str) -> tuple[tuple[int, float], ...]:
     return tuple(pairs)
 
 
-_STR = (str, "text")
-_INT = (int, "an integer")
-_FLOAT = (float, "a number")
-_INTS = (_int_list, "a comma list of integers")
+def _choice(options: tuple[str, ...]):
+    def read(text: str) -> str:
+        if text not in options:
+            raise ValueError("not a known name")
+        return text
+    return read, str, f"one of {options}"
 
-# Section -> known key -> (converter, what it reads).  parse_config
-# rejects anything else.  Every dataset key, and every experiment and
-# model key, is the name of the field it sets.
+
+# Text types: (read, write, what it reads).  A float's str is its repr.
+_STR = (str, str, "text")
+_INT = (int, str, "an integer")
+_FLOAT = (float, str, "a number")
+_INTS = (_int_list, _join, "a comma list of integers")
+_DECAY = (_decay, lambda pairs: _join(f"{e}:{f}" for e, f in pairs),
+          "milestone:factor pairs")
+_LAYOUT = (GridLayout.parse, str, "a grid layout")
+
+
+class _Key(NamedTuple):
+    path: str    # dotted ExperimentConfig attribute the key sets
+    text: tuple  # (read, write, what)
+    written: Callable[[ExperimentConfig], bool] = lambda config: True
+
+
+def _named(section: str, owner: str, **texts) -> dict[str, _Key]:
+    """Keys named after the fields of ``owner`` that they set."""
+    return {f"{section}.{name}": _Key(owner + name, text)
+            for name, text in texts.items()}
+
+
+# Every key parse_config accepts, in the order serialize_config writes
+# them.  A None value is left out of the text.
 _SCHEMA = {
-    "experiment": {"label": _STR, "output_dir": _STR, "seeds": _INTS},
-    "dataset": {"kind": _STR, "classes": _INT, "height": _INT,
-                "width": _INT, "channels": _INT, "balanced_count": _INT,
-                "n_max": _INT, "imbalance_factor": _FLOAT,
-                "class_counts": _INTS, "noise_std": _FLOAT,
-                "label_noise_rate": _FLOAT, "test_per_class": _INT,
-                "train_images": _STR, "train_labels": _STR,
-                "test_images": _STR, "test_labels": _STR,
-                "train_path": _STR, "test_path": _STR, "variant": _STR},
-    "model": {"hidden": _INTS, "conv_kernel": _INT, "conv_channels": _INT},
-    "train": {"batch_size": _INT, "epochs": _INT, "learning_rate": _FLOAT,
-              "momentum": _FLOAT,
-              "decay": (_decay, "milestone:factor pairs"),
-              "loss": _STR, "focal_gamma": _FLOAT,
-              "smoothing_epsilon": _FLOAT},
-    "grouping": {"layout": (GridLayout.parse, "a grid layout"),
-                 "group_size": _INT},
-    "weighting": {"sigma": _FLOAT, "rho": _FLOAT, "strategy": _STR},
-    "sampler": {"kind": _STR},
+    **_named("experiment", "", label=_STR, output_dir=_STR, seeds=_INTS),
+    **_named("dataset", "data.", kind=_STR, classes=_INT, height=_INT,
+             width=_INT, channels=_INT, class_counts=_INTS, n_max=_INT,
+             imbalance_factor=_FLOAT, balanced_count=_INT, noise_std=_FLOAT,
+             label_noise_rate=_FLOAT, test_per_class=_INT,
+             train_images=_STR, train_labels=_STR, test_images=_STR,
+             test_labels=_STR, train_path=_STR, test_path=_STR),
+    "dataset.variant": _Key("data.variant", _STR,
+                            lambda c: c.data.kind == "cifar_binary"),
+    **_named("model", "", hidden=_INTS, conv_kernel=_INT, conv_channels=_INT),
+    **_named("train", "train.", batch_size=_INT, epochs=_INT,
+             learning_rate=_FLOAT, momentum=_FLOAT),
+    "train.decay": _Key("train.decay_milestones", _DECAY),
+    "train.loss": _Key("train.loss.kind", _choice(LOSS_KINDS)),
+    **_named("train", "train.loss.", focal_gamma=_FLOAT,
+             smoothing_epsilon=_FLOAT),
+    "grouping.layout": _Key("train.layout", _LAYOUT),
+    "grouping.group_size": _Key("train.layout.group_size", _INT),
+    **_named("weighting", "train.weighting.", sigma=_FLOAT, rho=_FLOAT,
+             strategy=_STR),
+    "sampler.kind": _Key("train.sampler", _STR),
 }
 
+# apply_overrides keyword -> the key it sets.
+_OVERRIDES = {"sigma": "weighting.sigma", "rho": "weighting.rho",
+              "layout": "grouping.layout", "seeds": "experiment.seeds",
+              "label": "experiment.label",
+              "output_dir": "experiment.output_dir"}
 
-def _read_sections(text: str) -> dict[str, dict]:
-    """Section -> key -> converted value, for the keys the text sets."""
+
+def _get(obj, path: str):
+    return reduce(getattr, path.split("."), obj)
+
+
+def _read(key: str, value):
+    """A key's value from its text; any other value is written as that
+    key's text first, so it takes the same type and checks."""
+    read, write, what = _SCHEMA[key].text
+    raw = value if isinstance(value, str) else write(value)
+    try:
+        return read(raw)
+    except (ValueError, ConfigError) as err:
+        raise ConfigError(
+            f"{key}: cannot read {raw!r} as {what} ({err})"
+        ) from err
+
+
+def _rebuilt(obj, tree: dict):
+    """``obj`` with the fields in ``tree`` replaced; a nested dict
+    rebuilds that field's dataclass once, with all of its new fields."""
+    return replace(obj, **{
+        name: _rebuilt(getattr(obj, name), value)
+        if isinstance(value, dict) else value
+        for name, value in tree.items()})
+
+
+def set_keys(config: ExperimentConfig, values: dict) -> ExperimentConfig:
+    """``config`` with each ``section.key`` in ``values`` set, read as by
+    ``parse_config``.  A key whose path is a derived property sets
+    nothing and must equal the derived value."""
+    tree, echoes = {}, {}
+    for key, value in values.items():
+        value = _read(key, value)
+        *parents, name = _SCHEMA[key].path.split(".")
+        owner = type(reduce(getattr, parents, config))
+        if isinstance(getattr(owner, name, None), property):
+            echoes[key] = value
+            continue
+        node = tree
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[name] = value
+    config = _rebuilt(config, tree)
+    for key, value in echoes.items():
+        derived = _get(config, _SCHEMA[key].path)
+        if value != derived:
+            raise ConfigError(
+                f"{key} = {value}, but the other settings make it {derived}"
+            )
+    return config
+
+
+def _read_keys(text: str) -> dict[str, str]:
+    """``section.key`` -> raw text, for the keys the text sets."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as err:
         raise ConfigError(f"config syntax error: {err}") from err
-    sections = {name: {} for name in _SCHEMA}
+    sections = {key.partition(".")[0] for key in _SCHEMA}
+    values = {}
     for name in parser.sections():
-        if name not in _SCHEMA:
+        if name not in sections:
             raise ConfigError(
-                f"unknown section [{name}]; expected {sorted(_SCHEMA)}"
+                f"unknown section [{name}]; expected {sorted(sections)}"
             )
         for key, raw in parser[name].items():
-            if key not in _SCHEMA[name]:
+            if f"{name}.{key}" not in _SCHEMA:
+                known = [k.partition(".")[2] for k in _SCHEMA
+                         if k.startswith(f"{name}.")]
                 raise ConfigError(
-                    f"unknown key {name}.{key}; "
-                    f"known keys: {sorted(_SCHEMA[name])}"
+                    f"unknown key {name}.{key}; known keys: {sorted(known)}"
                 )
-            converter, what = _SCHEMA[name][key]
-            try:
-                sections[name][key] = converter(raw)
-            except (ValueError, ConfigError) as err:
-                raise ConfigError(
-                    f"{name}.{key}: cannot read {raw!r} as {what} ({err})"
-                ) from err
-    return sections
-
-
-def _renamed(values: dict, **fields: str) -> dict:
-    """The given keys present in ``values``, under their field names."""
-    return {name: values[key] for key, name in fields.items()
-            if key in values}
+            values[f"{name}.{key}"] = raw
+    return values
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Validated config; a key the text leaves out keeps its
     ``ExperimentConfig()`` value.  Unknown keys are errors."""
-    sec = _read_sections(text)
-    base = ExperimentConfig()
-    train_sec, grouping, wsec = sec["train"], sec["grouping"], sec["weighting"]
-
-    loss_kind = train_sec.get("loss", base.train.loss.kind)
-    if loss_kind not in LOSS_KINDS:
-        raise ConfigError(f"train.loss: {loss_kind!r} not in {LOSS_KINDS}")
-    loss = replace(base.train.loss, kind=loss_kind, **_renamed(
-        train_sec, focal_gamma="focal_gamma",
-        smoothing_epsilon="smoothing_epsilon"))
-
-    layout = grouping.get("layout", base.train.layout)
-    group_size = grouping.get("group_size", layout.group_size)
-    if group_size != layout.group_size:
-        raise ConfigError(
-            f"grouping.group_size={group_size} but layout {layout} "
-            f"stitches {layout.group_size} samples"
-        )
-
-    weighting = replace(base.train.weighting,
-                        **_renamed(wsec, sigma="sigma", rho="rho"))
-    strategy = wsec.get("strategy", weighting.strategy)
-    if strategy != weighting.strategy:
-        raise ConfigError(
-            f"weighting.strategy={strategy} but rho={weighting.rho} "
-            f"makes it {weighting.strategy}"
-        )
-
-    train = replace(
-        base.train, layout=layout, weighting=weighting, loss=loss,
-        **_renamed(train_sec, batch_size="batch_size", epochs="epochs",
-                   learning_rate="learning_rate", momentum="momentum",
-                   decay="decay_milestones"),
-        **_renamed(sec["sampler"], kind="sampler"))
-    return replace(base, data=replace(base.data, **sec["dataset"]),
-                   train=train, **sec["experiment"], **sec["model"])
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return set_keys(ExperimentConfig(), _read_keys(text))
 
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical text for a config; parse(serialize(c)) == c."""
-    d = config.data
-    t = config.train
-    lines = [
-        "[experiment]",
-        f"label = {config.label}",
-        f"output_dir = {config.output_dir}",
-        "seeds = " + ",".join(str(s) for s in config.seeds),
-        "",
-        "[dataset]",
-        f"kind = {d.kind}",
-        f"classes = {d.classes}",
-        f"height = {d.height}",
-        f"width = {d.width}",
-        f"channels = {d.channels}",
-    ]
-    if d.class_counts is not None:
-        lines.append("class_counts = " + ",".join(str(n)
-                                                  for n in d.class_counts))
-    if d.n_max is not None:
-        lines.append(f"n_max = {d.n_max}")
-        lines.append(f"imbalance_factor = {_fmt(d.imbalance_factor)}")
-    if d.balanced_count is not None:
-        lines.append(f"balanced_count = {d.balanced_count}")
-    lines += [
-        f"noise_std = {_fmt(d.noise_std)}",
-        f"label_noise_rate = {_fmt(d.label_noise_rate)}",
-        f"test_per_class = {d.test_per_class}",
-    ]
-    for key in ("train_images", "train_labels", "test_images", "test_labels",
-                "train_path", "test_path"):
-        value = getattr(d, key)
-        if value is not None:
-            lines.append(f"{key} = {value}")
-    if d.kind == "cifar_binary":
-        lines.append(f"variant = {d.variant}")
-    lines += [
-        "",
-        "[model]",
-        "hidden = " + ",".join(str(h) for h in config.hidden),
-        f"conv_kernel = {config.conv_kernel}",
-        f"conv_channels = {config.conv_channels}",
-        "",
-        "[train]",
-        f"batch_size = {t.batch_size}",
-        f"epochs = {t.epochs}",
-        f"learning_rate = {_fmt(t.learning_rate)}",
-        f"momentum = {_fmt(t.momentum)}",
-        "decay = " + ",".join(f"{e}:{_fmt(f)}"
-                              for e, f in t.decay_milestones),
-        f"loss = {t.loss.kind}",
-        f"focal_gamma = {_fmt(t.loss.focal_gamma)}",
-        f"smoothing_epsilon = {_fmt(t.loss.smoothing_epsilon)}",
-        "",
-        "[grouping]",
-        f"layout = {t.layout}",
-        f"group_size = {t.layout.group_size}",
-        "",
-        "[weighting]",
-        f"sigma = {_fmt(t.weighting.sigma)}",
-        f"rho = {_fmt(t.weighting.rho)}",
-        f"strategy = {t.weighting.strategy}",
-        "",
-        "[sampler]",
-        f"kind = {t.sampler}",
-        "",
-    ]
-    return "\n".join(lines)
+    lines, section = [], None
+    for key, (path, (_, write, _), written) in _SCHEMA.items():
+        value = _get(config, path)
+        if value is None or not written(config):
+            continue
+        name, _, short = key.partition(".")
+        if name != section:
+            lines += ["", f"[{name}]"]
+            section = name
+        lines.append(f"{short} = {write(value)}")
+    return "\n".join(lines[1:] + [""])
 
 
-def apply_overrides(config: ExperimentConfig, *, sigma=None, rho=None,
-                    layout=None, seeds=None, label=None,
-                    output_dir=None) -> ExperimentConfig:
-    """Command-line overrides on top of a parsed config."""
-    train = config.train
-    if sigma is not None or rho is not None:
-        new_sigma = train.weighting.sigma if sigma is None else float(sigma)
-        new_rho = train.weighting.rho if rho is None else float(rho)
-        train = replace(train, weighting=WeightingConfig(new_sigma, new_rho))
-    if layout is not None:
-        parsed = layout if isinstance(layout, GridLayout) \
-            else GridLayout.parse(layout)
-        train = replace(train, layout=parsed)
-    config = replace(config, train=train)
-    if seeds is not None:
-        config = replace(config, seeds=tuple(int(s) for s in seeds))
-    if label is not None:
-        config = replace(config, label=label)
-    if output_dir is not None:
-        config = replace(config, output_dir=output_dir)
-    return config
+def apply_overrides(config: ExperimentConfig, **values) -> ExperimentConfig:
+    """Overrides on top of a parsed config, by keyword: sigma, rho,
+    layout, seeds, label, output_dir.  Each sets its INI key and is read
+    like it; None leaves the key as it is."""
+    unknown = sorted(values.keys() - _OVERRIDES.keys())
+    if unknown:
+        raise TypeError(f"apply_overrides() got unknown keywords {unknown}")
+    return set_keys(config, {_OVERRIDES[name]: value
+                             for name, value in values.items()
+                             if value is not None})
 
 
 def classifier_for(config: ExperimentConfig, run_seed: int,

@@ -420,8 +420,7 @@ def load_idx(path) -> np.ndarray:
     return flat.reshape(shape).astype(np.float64) / 255.0
 
 
-def dataset_from_idx(images_path, labels_path,
-                     class_count: int | None = None) -> Dataset:
+def dataset_from_idx(images_path, labels_path, class_count: int) -> Dataset:
     """Assemble a Dataset from an IDX image file and an IDX label file."""
     images = load_idx(images_path)
     labels = load_idx(labels_path)
@@ -435,10 +434,7 @@ def dataset_from_idx(images_path, labels_path,
         raise FormatError(
             f"{images.shape[0]} images but {labels.shape[0]} labels"
         )
-    k = int(labels.max()) + 1 if labels.size else 2
-    if class_count is None:
-        class_count = max(k, 2)
-    elif k > class_count:
+    if labels.size and int(labels.max()) >= class_count:
         raise FormatError(
             f"label {int(labels.max())} out of range for {class_count} classes"
         )

@@ -30,9 +30,9 @@ __all__ = [
 ]
 
 # Probability floor: posteriors entering score extraction are kept at
-# least this far from 0 and 1, and a raw-score sum below it falls back to
-# neutral uniform scores.  Exact softmax cannot reach either boundary,
-# but float rounding can when one group member dominates by ~1e17.
+# least this far from 0 and 1, so every group's raw scores sum to at least
+# twice the floor.  Exact softmax cannot reach either boundary, but float
+# rounding can when one group member dominates by ~1e17.
 _DEGENERATE_FLOOR = 1e-12
 
 LEFTOVER_GROUP_ID = -1
@@ -116,21 +116,16 @@ def _scores_from_posterior(posteriors: np.ndarray, member_labels: np.ndarray,
                            class_count: int) -> tuple[np.ndarray, np.ndarray]:
     """q and s per member from [G, K] posteriors and [G, m] labels.
 
-    A group whose raw scores sum below the floor gets neutral 1/m scores.
-    Bounded posteriors never do (m members of at least the floor each), so
-    the fallback costs only one comparison on the scoring path.
+    The posteriors are bounded, so each group's m >= 2 raw scores are at
+    least the floor each and their sum is never zero.
     """
     # As unsigned integers negative labels wrap past any class count, so
     # one maximum checks both ends of the range.
     if member_labels.astype(np.uint64).max() >= class_count:
         raise ConfigError("label out of range for the model's class count")
-    g, m = member_labels.shape
+    g = member_labels.shape[0]
     q = posteriors[np.arange(g)[:, np.newaxis], member_labels]
-    denom = np.add.reduce(q, axis=1, keepdims=True)
-    if denom.min() >= _DEGENERATE_FLOOR:
-        return q, q / denom
-    safe = denom >= _DEGENERATE_FLOOR
-    return q, np.where(safe, q / np.where(safe, denom, 1.0), 1.0 / m)
+    return q, q / np.add.reduce(q, axis=1, keepdims=True)
 
 
 def params_hash(model: Classifier) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,11 +43,6 @@ __all__ = [
     "deterministic_csv_bytes",
 ]
 
-_METRICS_COLUMNS = (
-    "epoch", "split", "mean_loss", "accuracy", "per_class_accuracy",
-    "per_class_ns", "seconds", "train_forward_passes", "ns_forward_passes",
-    "ns_seconds",
-)
 _TIMING_COLUMNS = ("seconds", "ns_seconds")
 
 _EVAL_CHUNK = 256
@@ -96,10 +91,6 @@ class TrainConfig:
                     f"bad decay milestone ({milestone}, {factor})"
                 )
 
-    @property
-    def group_size(self) -> int:
-        return self.layout.group_size
-
     def lr_at(self, epoch: int) -> float:
         """Base rate times every decay factor whose milestone has passed."""
         lr = self.learning_rate
@@ -113,10 +104,11 @@ class TrainConfig:
 class MetricsRecord:
     """One (epoch, split) measurement row.
 
-    Forward-pass counters are in per-image units and populated on train
-    rows only; ``per_class_ns`` is None when no scoring ran (test rows,
-    or rho == 0).  ``seconds``/``ns_seconds`` are wall-clock and therefore
-    excluded from determinism comparisons.
+    The fields, in order, are the metrics CSV columns.  Forward-pass
+    counters are in per-image units and populated on train rows only;
+    ``per_class_ns`` is None when no scoring ran (test rows, or rho == 0).
+    ``seconds``/``ns_seconds`` are wall-clock and therefore excluded from
+    determinism comparisons.
     """
 
     epoch: int
@@ -132,9 +124,8 @@ class MetricsRecord:
 
     def deterministic_key(self) -> tuple:
         """Every field except the wall-clock ones."""
-        return (self.epoch, self.split, self.mean_loss, self.accuracy,
-                self.per_class_accuracy, self.per_class_ns,
-                self.train_forward_passes, self.ns_forward_passes)
+        return tuple(getattr(self, name) for name in _METRICS_COLUMNS
+                     if name not in _TIMING_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -486,20 +477,26 @@ def _parse_vector(text: str):
     return tuple(float(tok) for tok in text.split(";"))
 
 
+# MetricsRecord field type -> (write, read) of its CSV cell.
+_CELL_TEXT = {
+    "int": (str, int),
+    "str": (str, str),
+    "float": (_format_float, float),
+    "tuple[float, ...]": (_format_vector, lambda t: _parse_vector(t) or ()),
+    "tuple[float, ...] | None": (_format_vector, _parse_vector),
+}
+_METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
+_METRICS_CELLS = tuple(_CELL_TEXT[f.type] for f in fields(MetricsRecord))
+
+
 def write_metrics_csv(path, records) -> None:
     """One row per record, columns exactly the record fields."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_METRICS_COLUMNS)
         for r in records:
-            writer.writerow([
-                r.epoch, r.split, _format_float(r.mean_loss),
-                _format_float(r.accuracy),
-                _format_vector(r.per_class_accuracy),
-                _format_vector(r.per_class_ns),
-                _format_float(r.seconds), r.train_forward_passes,
-                r.ns_forward_passes, _format_float(r.ns_seconds),
-            ])
+            writer.writerow([write(getattr(r, name)) for name, (write, _)
+                             in zip(_METRICS_COLUMNS, _METRICS_CELLS)])
 
 
 def read_metrics_csv(path) -> list[MetricsRecord]:
@@ -507,17 +504,9 @@ def read_metrics_csv(path) -> list[MetricsRecord]:
         rows = list(csv.reader(fh))
     if not rows or tuple(rows[0]) != _METRICS_COLUMNS:
         raise ConfigError(f"{path} is not a metrics CSV")
-    records = []
-    for row in rows[1:]:
-        records.append(MetricsRecord(
-            epoch=int(row[0]), split=row[1], mean_loss=float(row[2]),
-            accuracy=float(row[3]),
-            per_class_accuracy=_parse_vector(row[4]) or (),
-            per_class_ns=_parse_vector(row[5]), seconds=float(row[6]),
-            train_forward_passes=int(row[7]), ns_forward_passes=int(row[8]),
-            ns_seconds=float(row[9]),
-        ))
-    return records
+    return [MetricsRecord(*(read(cell) for cell, (_, read)
+                            in zip(row, _METRICS_CELLS)))
+            for row in rows[1:]]
 
 
 def deterministic_csv_bytes(path) -> bytes:

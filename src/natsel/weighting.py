@@ -8,7 +8,6 @@ directly with no batch renormalization.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -16,12 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = [
-    "WeightingConfig",
-    "compute_weights",
-    "weight_curve",
-    "write_weight_curve",
-]
+__all__ = ["WeightingConfig", "compute_weights"]
 
 
 @dataclass(frozen=True)
@@ -83,27 +77,3 @@ def compute_weights(scores, cfg: WeightingConfig) -> np.ndarray:
         )
     return cfg.sigma + cfg.rho * s
 
-
-def weight_curve(n: int, cfg: WeightingConfig) -> list[tuple[int, float]]:
-    """(rank, weight) pairs for n scores sorted descending.
-
-    The generating scores are the evenly spaced mid-points (k + 0.5)/n in
-    descending order: a neutral stand-in distribution that exercises the
-    full (0, 1) score range.  Rank 0 is the highest score, so the curve is
-    non-increasing for rho > 0 and non-decreasing for rho < 0.
-    """
-    if n < 1:
-        raise ConfigError(f"curve needs at least one sample, got {n}")
-    descending = (np.arange(n, dtype=np.float64)[::-1] + 0.5) / n
-    weights = compute_weights(descending, cfg)
-    return [(rank, float(w)) for rank, w in enumerate(weights)]
-
-
-def write_weight_curve(path, n: int, cfg: WeightingConfig) -> None:
-    """Export the curve as two-column CSV: rank, weight."""
-    rows = weight_curve(n, cfg)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rank", "weight"])
-        for rank, w in rows:
-            writer.writerow([rank, f"{w:.17g}"])

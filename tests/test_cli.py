@@ -250,6 +250,19 @@ class TestExitCodes:
         assert main(["run", str(cfg_path)]) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv,key", [
+        (["run", "--seeds", "5,x"], "experiment.seeds"),
+        (["sweep", "--axis", "sigma", "--values", "1,x"], "weighting.sigma"),
+        (["run", "--sigma", "x"], "weighting.sigma"),
+        (["run", "--layout", "3"], "grouping.layout"),
+    ], ids=["seeds", "sweep_values", "sigma", "layout"])
+    def test_bad_flag_value_exits_one_without_run_dir(self, tmp_path, capsys,
+                                                      argv, key):
+        cfg_path = write_config(tmp_path)
+        assert main(argv[:1] + [str(cfg_path)] + argv[1:]) == 1
+        assert f"error: {key}: cannot read " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_duplicate_seed_flag_exits_one_without_run_dir(self, tmp_path):
         cfg_path = write_config(tmp_path)
         assert main(["run", str(cfg_path), "--seeds", "5,5"]) == 1

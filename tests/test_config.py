@@ -280,6 +280,22 @@ class TestOverrides:
         direct = apply_overrides(parse_config(""), layout=GridLayout(1, 2))
         assert direct.train.layout == GridLayout(1, 2)
 
+    def test_values_are_read_like_their_ini_keys(self):
+        base = parse_config("")
+        from_text = apply_overrides(base, sigma="2", seeds="4,5")
+        from_values = apply_overrides(base, sigma=2, seeds=(4, 5))
+        assert from_text == from_values
+        assert from_text.train.weighting.sigma == 2.0
+        assert isinstance(from_text.train.weighting.sigma, float)
+        assert from_text.seeds == (4, 5)
+        for name, bad, key in [("sigma", "x", "weighting.sigma"),
+                               ("seeds", "5,x", "experiment.seeds"),
+                               ("layout", "3", "grouping.layout")]:
+            with pytest.raises(ConfigError, match=f"{key}: cannot read"):
+                apply_overrides(base, **{name: bad})
+        with pytest.raises(TypeError):
+            apply_overrides(base, strategy="ns_ws")
+
     def test_identity_when_nothing_given(self):
         base = parse_config(FULL_TEXT)
         assert apply_overrides(base) == base

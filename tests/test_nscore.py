@@ -241,13 +241,6 @@ class TestNormalizationStep:
             _, s_scaled = _scores_from_posterior(posteriors * factor, labels, 6)
             assert np.max(np.abs(s_scaled - s_base)) <= 1e-12
 
-    def test_degenerate_sum_falls_back_to_uniform(self):
-        posteriors = np.array([[1e-15, 2e-15, 1.0]])
-        labels = np.array([[0, 1]])
-        q, s = _scores_from_posterior(posteriors, labels, 3)
-        assert q.tolist() == [[1e-15, 2e-15]]
-        assert s.tolist() == [[0.5, 0.5]]
-
 
 class TestDetachment:
     def test_scoring_never_touches_parameters(self):

@@ -237,9 +237,6 @@ class TestTrainConfig:
         assert abs(cfg.lr_at(3) - 0.05) <= 1e-15
         assert abs(cfg.lr_at(5) - 0.005) <= 1e-15
 
-    def test_group_size(self):
-        assert base_config(layout=GridLayout(2, 4)).group_size == 8
-
 
 class TestTrainLoop:
     def test_uniform_weights_match_erm_bitwise(self):
@@ -647,6 +644,26 @@ class TestMetricsIO:
         records = self.records()
         path = tmp_path / "metrics.csv"
         write_metrics_csv(path, records)
+        assert read_metrics_csv(path) == records
+
+    def test_writes_the_pinned_text(self, tmp_path):
+        # An empty per-class vector, a missing one and float wall-clock
+        # columns, each in the text the metrics format has always had.
+        records = [
+            MetricsRecord(0, "train", 0.6931471805599453, 0.5, (0.25, 0.75),
+                          (0.1, 0.9), 1.5, 8, 4, 0.25),
+            MetricsRecord(0, "test", 1.0000000000000002, 0.0, (), None,
+                          0.125, 0, 0, 0.0),
+        ]
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(path, records)
+        assert path.read_bytes() == (
+            b"epoch,split,mean_loss,accuracy,per_class_accuracy,"
+            b"per_class_ns,seconds,train_forward_passes,ns_forward_passes,"
+            b"ns_seconds\r\n"
+            b"0,train,0.6931471805599453,0.5,0.25;0.75,0.1;0.9,1.5,8,4,0.25"
+            b"\r\n"
+            b"0,test,1.0000000000000002,0.0,,,0.125,0,0,0.0\r\n")
         assert read_metrics_csv(path) == records
 
     def test_rejects_foreign_csv(self, tmp_path):

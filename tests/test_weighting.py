@@ -1,17 +1,10 @@
 """Score-to-weight mapping and its configuration guardrails."""
 
-import csv
-
 import numpy as np
 import pytest
 
 from natsel.errors import ConfigError
-from natsel.weighting import (
-    WeightingConfig,
-    compute_weights,
-    weight_curve,
-    write_weight_curve,
-)
+from natsel.weighting import WeightingConfig, compute_weights
 
 
 class TestWeightingConfig:
@@ -105,36 +98,3 @@ class TestComputeWeights:
     def test_empty_scores_allowed(self):
         cfg = WeightingConfig(1.0, 1.0)
         assert compute_weights([], cfg).shape == (0,)
-
-
-class TestWeightCurve:
-    def test_winner_strengthening_curve_decreases(self):
-        curve = weight_curve(10, WeightingConfig(0.7, 1.0))
-        ranks = [r for r, _ in curve]
-        weights = [w for _, w in curve]
-        assert ranks == list(range(10))
-        assert all(a > b for a, b in zip(weights, weights[1:]))
-
-    def test_loser_focus_curve_increases(self):
-        curve = weight_curve(10, WeightingConfig(2.5, -1.0))
-        weights = [w for _, w in curve]
-        assert all(a < b for a, b in zip(weights, weights[1:]))
-
-    def test_zero_sigma_floor_approaches_zero(self):
-        curve = weight_curve(10, WeightingConfig(0.0, 1.0))
-        assert curve[-1][1] == pytest.approx(0.05, abs=1e-15)
-        assert curve[0][1] == pytest.approx(0.95, abs=1e-15)
-
-    def test_needs_positive_count(self):
-        with pytest.raises(ConfigError):
-            weight_curve(0, WeightingConfig(1.0, 0.0))
-
-    def test_csv_export_round_trips(self, tmp_path):
-        cfg = WeightingConfig(0.7, 1.0)
-        path = tmp_path / "curve.csv"
-        write_weight_curve(path, 5, cfg)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["rank", "weight"]
-        parsed = [(int(r), float(w)) for r, w in rows[1:]]
-        assert parsed == weight_curve(5, cfg)

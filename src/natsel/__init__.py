@@ -31,7 +31,6 @@ from .data import (
     load_cifar_binary,
     load_idx,
     longtail_counts,
-    save_idx,
 )
 from .errors import (
     AnalysisError,
@@ -85,7 +84,7 @@ __all__ = [
     "WeightingConfig", "compute_weights",
     # data
     "Dataset", "build_splits", "longtail_counts", "inject_label_noise",
-    "class_sampling_probs", "load_idx", "save_idx", "load_cifar_binary",
+    "class_sampling_probs", "load_idx", "load_cifar_binary",
     # trainer
     "TrainConfig", "MetricsRecord", "train", "evaluate",
     "weighted_batch_loss", "sgd_momentum_step", "duality_check",

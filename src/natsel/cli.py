@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,7 +42,7 @@ from .config import (
 from .errors import AnalysisError, ConfigError, FormatError, NatselError, \
     NumericError, TrainingDiverged
 from .model import Classifier, save_checkpoint
-from .trainer import read_metrics_csv, train, write_metrics_csv
+from .trainer import _read_table, read_metrics_csv, train, write_metrics_csv
 
 __all__ = [
     "SIGMA_AXIS",
@@ -86,47 +88,47 @@ class RunSummary:
         return len(self.seed_accuracy) == 1
 
 
-class _ScoreLog:
-    """Collects the score arrays of every scored batch during training."""
-
-    def __init__(self):
-        self.batches = []
-
-    def __call__(self, epoch, step, result, weights, batch_idx):
-        self.batches.append((epoch, step, batch_idx, result.group_ids,
-                             result.raw, result.score, weights))
-
-
-def _write_scores(path, batches, labels) -> None:
-    """One CSV row per logged sample.  Every field is an integer or a
-    float repr, which the csv module would never quote, so rows are
-    formatted directly, in its default dialect (comma, CRLF)."""
+def _write_scores(path, steps) -> None:
+    """One CSV row per sample of each scored ``_Step``.  Every field is an
+    integer or a float repr, which the csv module would never quote, so
+    rows are formatted directly, in its default dialect (comma, CRLF)."""
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(_SCORE_COLUMNS)
-        for epoch, step, idx, gids, q, s, w in batches:
-            head = f"{epoch},{step},"
+        for st in steps:
+            head = f"{st.epoch},{st.step},"
             fh.write("".join(
                 f"{head}{gid},{sample},{label},{qi!r},{si!r},{wi!r}\r\n"
                 for gid, sample, label, qi, si, wi in zip(
-                    gids.tolist(), idx.tolist(), labels[idx].tolist(),
-                    q.tolist(), s.tolist(), w.tolist())))
+                    st.ns.group_ids.tolist(), st.indices.tolist(),
+                    st.labels.tolist(), st.ns.raw.tolist(),
+                    st.ns.score.tolist(), st.weights.tolist())))
 
 
 def _read_scores(path) -> list[_ScoreRow]:
     """Rows named by ``_SCORE_COLUMNS``: five integers, then q, s, w."""
-    with open(path, "r", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != _SCORE_COLUMNS:
-        raise ConfigError(f"{path} is not a score log")
-    return [_ScoreRow(*map(int, row[:5]), *map(float, row[5:]))
-            for row in rows[1:]]
+    return [_ScoreRow(*row) for row in _read_table(
+        path, _SCORE_COLUMNS, (int,) * 5 + (float,) * 3, "score log")]
+
+
+@contextmanager
+def _replacing(path: Path):
+    """Yield a temporary path beside ``path`` to write, then rename it onto
+    ``path``: an artifact is either complete or absent, and a write that
+    raises leaves no temporary file behind."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def run_experiment(config: ExperimentConfig, echo=print) -> RunSummary:
     """Train every seed, write artifacts, aggregate across seeds."""
     run_dir = Path(config.output_dir) / config.label
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.ini").write_text(serialize_config(config))
+    with _replacing(run_dir / "config.ini") as tmp:
+        tmp.write_text(serialize_config(config))
 
     per_seed_records = {}
     finals = []
@@ -137,8 +139,8 @@ def run_experiment(config: ExperimentConfig, echo=print) -> RunSummary:
         finals.append((seed, final_acc))
         echo(f"seed {seed}: final test accuracy {final_acc:.4f}")
 
-    _write_aggregate(run_dir / "aggregate.csv", config.seeds,
-                     per_seed_records)
+    with _replacing(run_dir / "aggregate.csv") as tmp:
+        _write_aggregate(tmp, config.seeds, per_seed_records)
     accs = np.array([a for _, a in finals])
     std = float(accs.std(ddof=1)) if accs.size > 1 else 0.0
     summary = RunSummary(
@@ -163,15 +165,16 @@ def _train_seed(config: ExperimentConfig, seed: int, run_dir: Path):
     model = Classifier(classifier_for(
         config, seed, image_shape=train_set.image_shape,
         class_count=train_set.class_count))
-    log = _ScoreLog()
-    sink = log if config.train.weighting.rho != 0.0 else None
+    scored_steps = []
     _, records = train(train_for(config, seed), train_set, test_set,
-                       model, score_sink=sink)
-    write_metrics_csv(run_dir / f"metrics_{seed}.csv", records)
-    save_checkpoint(model, run_dir / f"checkpoint_{seed}.bin")
-    if sink is not None:
-        _write_scores(run_dir / f"scores_{seed}.csv", log.batches,
-                      train_set.labels)
+                       model, score_sink=scored_steps.append)
+    with _replacing(run_dir / f"metrics_{seed}.csv") as tmp:
+        write_metrics_csv(tmp, records)
+    with _replacing(run_dir / f"checkpoint_{seed}.bin") as tmp:
+        save_checkpoint(model, tmp)
+    if scored_steps:
+        with _replacing(run_dir / f"scores_{seed}.csv") as tmp:
+            _write_scores(tmp, scored_steps)
     return records
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "class_sampling_probs",
     "epoch_indices",
     "load_idx",
-    "save_idx",
     "dataset_from_idx",
     "load_cifar_binary",
 ]
@@ -103,6 +102,10 @@ class DataSettings:
         if self.variant not in CIFAR_VARIANTS:
             raise ConfigError(
                 f"dataset.variant: {self.variant!r} not in {CIFAR_VARIANTS}"
+            )
+        if self.variant != "cifar10" and self.kind != "cifar_binary":
+            raise ConfigError(
+                f"dataset.variant: {self.variant!r} needs kind = cifar_binary"
             )
         if self.classes < 2:
             raise ConfigError(
@@ -357,34 +360,6 @@ def epoch_indices(labels: np.ndarray, class_count: int, sampler: str,
     starts = np.concatenate(([0], np.cumsum(counts)))
     member = (rng.random(n) * counts[classes]).astype(np.int64)
     return by_class[starts[classes] + member]
-
-
-def save_idx(path, array: np.ndarray) -> None:
-    """Write labels (1-D ints) or images (3-D/4-D floats) as an IDX file.
-
-    Image values are quantized to bytes as round(v * 255); labels must
-    already fit a byte.  Multi-channel images use the 4-D variant of the
-    format (dimension-count byte 4 in the magic).
-    """
-    arr = np.asarray(array)
-    with open(path, "wb") as fh:
-        if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
-            if arr.size and (arr.min() < 0 or arr.max() > 255):
-                raise FormatError("labels must fit in one byte")
-            fh.write(struct.pack(">ii", _IDX_LABEL_MAGIC, arr.size))
-            fh.write(arr.astype(np.uint8).tobytes())
-        elif arr.ndim in (3, 4) and np.issubdtype(arr.dtype, np.floating):
-            magic = _IDX_IMAGE_MAGIC if arr.ndim == 3 else _IDX_IMAGE4_MAGIC
-            fh.write(struct.pack(">i", magic))
-            fh.write(struct.pack(f">{arr.ndim}i", *arr.shape))
-            quantized = np.floor(arr * 255.0 + 0.5)
-            if quantized.min() < 0 or quantized.max() > 255:
-                raise FormatError("image values must lie in [0, 1]")
-            fh.write(quantized.astype(np.uint8).tobytes())
-        else:
-            raise FormatError(
-                f"cannot encode dtype {arr.dtype} with {arr.ndim} dimensions"
-            )
 
 
 def load_idx(path) -> np.ndarray:

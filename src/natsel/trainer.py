@@ -16,7 +16,8 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .data import SAMPLER_KINDS, Dataset, epoch_indices
 from .errors import ConfigError, NumericError, ShapeError, TrainingDiverged
 from .imageops import GridLayout
 from .model import Classifier, LossConfig, sample_losses
-from .nscore import batch_ns_scores
+from .nscore import NSResult, batch_ns_scores
 from .tensor import GradTape, Tensor, backward
 from .weighting import WeightingConfig, compute_weights
 
@@ -225,64 +226,56 @@ def evaluate(model: Classifier, dataset: Dataset,
                       per_class_accuracy=per_class)
 
 
-@dataclass
-class _EpochTally:
-    """Running train-split aggregates for one epoch."""
+class _Step(NamedTuple):
+    """One training step, as the loop took it.
 
-    class_count: int
-    loss_sum: float = 0.0
-    sample_count: int = 0
-    correct: np.ndarray = field(init=False)
-    seen: np.ndarray = field(init=False)
-    ns_sum: np.ndarray = field(init=False)
-    ns_count: np.ndarray = field(init=False)
-    train_forwards: int = 0
-    ns_forwards: int = 0
+    ``ns``, ``weights`` and ``ns_seconds`` are set on scored steps only;
+    ``ns_seconds`` times the scoring and the weight map together.
+    """
+
+    epoch: int
+    step: int
+    indices: np.ndarray      # the batch's positions in the train split
+    labels: np.ndarray
+    predictions: np.ndarray  # argmax of the taped logits, before the update
+    loss: float              # the batch's weighted mean loss
+    ns: NSResult | None = None
+    weights: np.ndarray | None = None
     ns_seconds: float = 0.0
 
-    def __post_init__(self):
-        self.correct = np.zeros(self.class_count, dtype=np.int64)
-        self.seen = np.zeros(self.class_count, dtype=np.int64)
-        self.ns_sum = np.zeros(self.class_count)
-        self.ns_count = np.zeros(self.class_count, dtype=np.int64)
 
-    def record_batch(self, labels, predictions, batch_loss):
-        b = labels.shape[0]
-        self.loss_sum += batch_loss * b
-        self.sample_count += b
-        self.train_forwards += b
-        np.add.at(self.seen, labels, 1)
-        np.add.at(self.correct, labels[predictions == labels], 1)
+def _train_record(steps: list[_Step], class_count: int,
+                  epoch_start: float) -> MetricsRecord:
+    """The epoch's train row; ``seconds`` runs from ``epoch_start`` until
+    the aggregates are computed, so their cost counts as training time.
 
-    def record_scores(self, labels, scores, composites, elapsed):
-        self.ns_forwards += composites
-        self.ns_seconds += elapsed
-        np.add.at(self.ns_sum, labels, scores)
-        np.add.at(self.ns_count, labels, 1)
-
-    def train_record(self, epoch, seconds, scored: bool) -> MetricsRecord:
-        acc_total = int(self.correct.sum())
-        per_class_acc = tuple(
-            float(c) / s if s else 0.0
-            for c, s in zip(self.correct, self.seen)
-        )
-        per_class_ns = None
-        if scored:
-            per_class_ns = tuple(
-                float(t) / n if n else 0.0
-                for t, n in zip(self.ns_sum, self.ns_count)
-            )
-        return MetricsRecord(
-            epoch=epoch, split="train",
-            mean_loss=self.loss_sum / self.sample_count,
-            accuracy=acc_total / self.sample_count,
-            per_class_accuracy=per_class_acc,
-            per_class_ns=per_class_ns,
-            seconds=seconds,
-            train_forward_passes=self.train_forwards,
-            ns_forward_passes=self.ns_forwards,
-            ns_seconds=self.ns_seconds,
-        )
+    Losses and scoring times are summed step by step, and the per-class
+    score sums in step order, which is the order the metrics have always
+    been accumulated in, so every float keeps its bits.
+    """
+    labels = np.concatenate([s.labels for s in steps])
+    predictions = np.concatenate([s.predictions for s in steps])
+    accuracy, per_class = _accuracy_stats(predictions, labels, class_count)
+    loss_sum = ns_seconds = 0.0
+    for s in steps:
+        loss_sum += s.loss * s.labels.shape[0]
+        ns_seconds += s.ns_seconds
+    per_class_ns, composites = None, 0
+    if steps[0].ns is not None:
+        scores = np.concatenate([s.ns.score for s in steps])
+        sums = np.bincount(labels, weights=scores, minlength=class_count)
+        counts = np.bincount(labels, minlength=class_count)
+        per_class_ns = tuple(float(t) / n if n else 0.0
+                             for t, n in zip(sums, counts))
+        composites = sum(s.ns.group_count for s in steps)
+    seconds = time.perf_counter() - epoch_start
+    return MetricsRecord(
+        epoch=steps[0].epoch, split="train",
+        mean_loss=loss_sum / labels.shape[0], accuracy=accuracy,
+        per_class_accuracy=per_class, per_class_ns=per_class_ns,
+        seconds=seconds, train_forward_passes=labels.shape[0],
+        ns_forward_passes=composites, ns_seconds=ns_seconds,
+    )
 
 
 def _taped_step(model, images, labels, weights, loss_cfg):
@@ -309,9 +302,11 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
     sample's weight is the sigma constant and no composite is ever built,
     so the rho == 0 loop is the NS-disabled loop.
 
-    ``score_sink``, if given, is called as sink(epoch, step, result,
-    weights, batch_indices) after each scored batch.  It receives copies
-    of logged values only; nothing it does can perturb training state.
+    ``score_sink``, if given, is called with the ``_Step`` record of each
+    scored step once the step's update is done and its tape released, so
+    nothing the sink does can perturb training.  The record's labels,
+    predictions and scores also make the epoch's train row; a sink that
+    writes to them changes that row.
     """
     if len(train_set) == 0:
         raise ConfigError("cannot train on an empty dataset")
@@ -331,21 +326,19 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
         order = epoch_indices(train_set.labels, train_set.class_count,
                               config.sampler, epoch, config.epochs,
                               config.seed)
-        tally = _EpochTally(train_set.class_count)
+        steps: list[_Step] = []
 
         for lo in range(0, order.shape[0], config.batch_size):
             batch_idx = order[lo:lo + config.batch_size]
             images = train_set.images[batch_idx]
             labels = train_set.labels[batch_idx]
 
+            scored = ()
             if scoring:
                 ns_start = time.perf_counter()
                 result = batch_ns_scores(images, labels, model, config.layout)
                 weights = compute_weights(result.score, config.weighting)
-                tally.record_scores(labels, result.score, result.group_count,
-                                    time.perf_counter() - ns_start)
-                if score_sink is not None:
-                    score_sink(epoch, step, result, weights.copy(), batch_idx)
+                scored = (result, weights, time.perf_counter() - ns_start)
             else:
                 weights = np.full(labels.shape[0], config.weighting.sigma)
 
@@ -365,11 +358,14 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
             # The tape holds the batch's activations; drop it before the
             # next batch is scored and before each evaluation.
             del tape, batch_loss, grads
-            tally.record_batch(labels, predictions, loss_value)
+            steps.append(_Step(epoch, step, batch_idx, labels, predictions,
+                               loss_value, *scored))
+            if scored and score_sink is not None:
+                score_sink(steps[-1])
             step += 1
 
-        train_seconds = time.perf_counter() - epoch_start
-        records.append(tally.train_record(epoch, train_seconds, scoring))
+        records.append(_train_record(steps, train_set.class_count,
+                                     epoch_start))
 
         eval_start = time.perf_counter()
         result = evaluate(model, test_set, config.loss)
@@ -499,14 +495,32 @@ def write_metrics_csv(path, records) -> None:
                              in zip(_METRICS_COLUMNS, _METRICS_CELLS)])
 
 
-def read_metrics_csv(path) -> list[MetricsRecord]:
+def _read_table(path, columns, readers, what) -> list[tuple]:
+    """The rows of a CSV headed by ``columns``, each cell read by its
+    reader.  A short row or an unreadable cell raises ConfigError naming
+    the file and the line."""
     with open(path, "r", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != _METRICS_COLUMNS:
-        raise ConfigError(f"{path} is not a metrics CSV")
-    return [MetricsRecord(*(read(cell) for cell, (_, read)
-                            in zip(row, _METRICS_CELLS)))
-            for row in rows[1:]]
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != columns:
+            raise ConfigError(f"{path} is not a {what}")
+        rows = []
+        for row in reader:
+            try:
+                if len(row) != len(columns):
+                    raise ValueError(f"{len(row)} cells, expected "
+                                     f"{len(columns)}")
+                rows.append(tuple(read(cell)
+                                  for read, cell in zip(readers, row)))
+            except ValueError as err:
+                raise ConfigError(
+                    f"{path}, line {reader.line_num}: {err}") from None
+    return rows
+
+
+def read_metrics_csv(path) -> list[MetricsRecord]:
+    readers = tuple(read for _, read in _METRICS_CELLS)
+    return [MetricsRecord(*row) for row in
+            _read_table(path, _METRICS_COLUMNS, readers, "metrics CSV")]
 
 
 def deterministic_csv_bytes(path) -> bytes:

@@ -1,7 +1,11 @@
 """Shared helpers for the test suite."""
 
+import struct
+
 import numpy as np
 
+from natsel.data import _IDX_IMAGE4_MAGIC, _IDX_IMAGE_MAGIC, _IDX_LABEL_MAGIC
+from natsel.errors import FormatError
 from natsel.tensor import GradTape, Tensor, backward
 
 
@@ -281,8 +285,9 @@ def train_erm(config, train_set, test_set, model):
     from natsel.trainer import (
         MetricsRecord,
         _check_finite,
-        _EpochTally,
+        _Step,
         _taped_step,
+        _train_record,
         evaluate,
         sgd_momentum_step,
     )
@@ -298,7 +303,7 @@ def train_erm(config, train_set, test_set, model):
         order = epoch_indices(train_set.labels, train_set.class_count,
                               config.sampler, epoch, config.epochs,
                               config.seed)
-        tally = _EpochTally(train_set.class_count)
+        steps = []
         for lo in range(0, order.shape[0], config.batch_size):
             batch_idx = order[lo:lo + config.batch_size]
             images = train_set.images[batch_idx]
@@ -311,10 +316,11 @@ def train_erm(config, train_set, test_set, model):
             sgd_momentum_step(model.parameters,
                               [grads[p] for p in model.parameters],
                               velocity, lr, config.momentum)
-            tally.record_batch(labels, predictions, loss_value)
+            steps.append(_Step(epoch, step, batch_idx, labels, predictions,
+                               loss_value))
             step += 1
-        train_seconds = time.perf_counter() - epoch_start
-        records.append(tally.train_record(epoch, train_seconds, False))
+        records.append(_train_record(steps, train_set.class_count,
+                                     epoch_start))
         eval_start = time.perf_counter()
         result = evaluate(model, test_set, config.loss)
         records.append(MetricsRecord(
@@ -325,3 +331,32 @@ def train_erm(config, train_set, test_set, model):
             train_forward_passes=0, ns_forward_passes=0, ns_seconds=0.0,
         ))
     return model, records
+
+
+def save_idx(path, array: np.ndarray) -> None:
+    """Write labels (1-D ints) or images (3-D/4-D floats) as an IDX file,
+    the format ``natsel.data.load_idx`` reads.
+
+    Image values are quantized to bytes as round(v * 255); labels must
+    already fit a byte.  Multi-channel images use the 4-D variant of the
+    format (dimension-count byte 4 in the magic).
+    """
+    arr = np.asarray(array)
+    with open(path, "wb") as fh:
+        if arr.ndim == 1 and np.issubdtype(arr.dtype, np.integer):
+            if arr.size and (arr.min() < 0 or arr.max() > 255):
+                raise FormatError("labels must fit in one byte")
+            fh.write(struct.pack(">ii", _IDX_LABEL_MAGIC, arr.size))
+            fh.write(arr.astype(np.uint8).tobytes())
+        elif arr.ndim in (3, 4) and np.issubdtype(arr.dtype, np.floating):
+            magic = _IDX_IMAGE_MAGIC if arr.ndim == 3 else _IDX_IMAGE4_MAGIC
+            fh.write(struct.pack(">i", magic))
+            fh.write(struct.pack(f">{arr.ndim}i", *arr.shape))
+            quantized = np.floor(arr * 255.0 + 0.5)
+            if quantized.min() < 0 or quantized.max() > 255:
+                raise FormatError("image values must lie in [0, 1]")
+            fh.write(quantized.astype(np.uint8).tobytes())
+        else:
+            raise FormatError(
+                f"cannot encode dtype {arr.dtype} with {arr.ndim} dimensions"
+            )

@@ -19,8 +19,9 @@ from natsel.cli import (
     sweep,
 )
 from natsel.config import parse_config
-from natsel.errors import ConfigError
-from natsel.trainer import deterministic_csv_bytes, read_metrics_csv
+from natsel.errors import ConfigError, TrainingDiverged
+from natsel.nscore import NSResult
+from natsel.trainer import _Step, deterministic_csv_bytes, read_metrics_csv
 
 quiet = lambda *args, **kwargs: None
 
@@ -66,6 +67,7 @@ BAD_VALUES = [
     ("balanced_count = 8", "balanced_count = 0"),
     ("test_per_class = 4", "test_per_class = 0"),
     ("[dataset]", "[dataset]\nvariant = cifar1000"),
+    ("[dataset]", "[dataset]\nvariant = cifar100"),
     ("[model]", "[model]\nconv_kernel = -2"),
     ("[model]", "[model]\nconv_kernel = 3\nconv_channels = 0"),
     ("[model]", "[model]\nconv_kernel = 5"),
@@ -157,25 +159,60 @@ class TestRun:
         # csv module writes for the same per-sample rows.
         rng = np.random.default_rng(5)
         labels = rng.integers(0, 3, size=20)
-        batches = []
+        steps = []
         for step in range(3):
             idx = rng.permutation(20)[:6]
             gids = np.array([0, 0, 1, 1, -1, -1])
-            batches.append((step // 2, step, idx, gids, rng.random(6),
-                            rng.random(6), rng.random(6) * 1e-20))
-        _write_scores(tmp_path / "fast.csv", batches, labels)
+            ns = NSResult(rng.random(6), rng.random(6), gids, 2)
+            steps.append(_Step(step // 2, step, idx, labels[idx],
+                               np.zeros(6, dtype=np.int64), 1.0, ns,
+                               rng.random(6) * 1e-20, 0.0))
+        _write_scores(tmp_path / "fast.csv", steps)
         with open(tmp_path / "plain.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "step", "group_id", "sample_index",
                              "label", "q", "s", "w"])
-            for epoch, step, idx, gids, q, s, w in batches:
-                for pos in range(idx.shape[0]):
+            for st in steps:
+                for pos in range(st.indices.shape[0]):
                     writer.writerow([
-                        epoch, step, int(gids[pos]), int(idx[pos]),
-                        int(labels[idx[pos]]), repr(float(q[pos])),
-                        repr(float(s[pos])), repr(float(w[pos]))])
+                        st.epoch, st.step, int(st.ns.group_ids[pos]),
+                        int(st.indices[pos]), int(labels[st.indices[pos]]),
+                        repr(float(st.ns.raw[pos])),
+                        repr(float(st.ns.score[pos])),
+                        repr(float(st.weights[pos]))])
         assert (tmp_path / "fast.csv").read_bytes() == \
             (tmp_path / "plain.csv").read_bytes()
+
+    def test_failed_training_leaves_no_artifacts_of_that_seed(
+            self, tmp_path, monkeypatch):
+        real_train = natsel.cli.train
+        calls = []
+
+        def train_fails_second_seed(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise TrainingDiverged(1, 3, "batch loss", float("nan"))
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(natsel.cli, "train", train_fails_second_seed)
+        assert main(["run", str(write_config(tmp_path))]) == 2
+        run_dir = tmp_path / "out" / "demo"
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "checkpoint_1.bin", "config.ini", "metrics_1.csv",
+            "scores_1.csv"]
+
+    def test_interrupted_write_leaves_no_partial_artifact(
+            self, tmp_path, monkeypatch):
+        def save_half(model, path):
+            with open(path, "wb") as fh:
+                fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(natsel.cli, "save_checkpoint", save_half)
+        assert main(["run", str(write_config(tmp_path))]) == 2
+        run_dir = tmp_path / "out" / "demo"
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "config.ini", "metrics_1.csv"]
 
     def test_single_seed_flag(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -369,6 +406,27 @@ class TestAnalyze:
         with open(run_dir / "fits_1.csv", newline="") as fh:
             rows = {r[0]: r for r in list(csv.reader(fh))[1:]}
         assert "zero variance" in rows["count_vs_score"][4]
+
+    @pytest.mark.parametrize("name,row,problem", [
+        ("metrics_1.csv", "0,train,0.5", "3 cells, expected 10"),
+        ("metrics_1.csv", "1,test,x,0.5,0.5;0.5,,1.0,0,0,0.0",
+         "could not convert"),
+        ("scores_1.csv", "0,0,0", "3 cells, expected 8"),
+        ("scores_1.csv", "1,3,0,5,1,x,0.5,1.2", "could not convert"),
+    ], ids=["metrics_short_row", "metrics_non_numeric_cell",
+            "scores_short_row", "scores_non_numeric_cell"])
+    def test_bad_row_exits_one_naming_file_and_line(self, tmp_path, capsys,
+                                                     name, row, problem):
+        main(["run", str(write_config(tmp_path))])
+        path = tmp_path / "out" / "demo" / name
+        with open(path, newline="") as fh:
+            line = sum(1 for _ in fh) + 1
+        with open(path, "a", newline="") as fh:
+            fh.write(row + "\r\n")
+        capsys.readouterr()
+        assert main(["analyze", str(path.parent)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}, line {line}: {problem}")
 
     def test_analyze_without_metrics_exits_one(self, tmp_path):
         run_dir = tmp_path / "fake_run"

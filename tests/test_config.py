@@ -14,10 +14,12 @@ from natsel.config import (
     serialize_config,
     train_for,
 )
-from natsel.data import build_splits, save_idx
+from natsel.data import build_splits
 from natsel.errors import ConfigError
 from natsel.imageops import GridLayout
 from natsel.seeds import derive_seed
+
+from conftest import save_idx
 
 FULL_TEXT = """
 [experiment]

@@ -17,12 +17,11 @@ from natsel.data import (
     load_cifar_binary,
     load_idx,
     longtail_counts,
-    save_idx,
 )
 from natsel.errors import ConfigError, FormatError
 from natsel.seeds import derive_seed
 
-from conftest import reference_splits
+from conftest import reference_splits, save_idx
 
 
 def settings(**overrides):
@@ -87,7 +86,8 @@ class TestGenSynthetic:
                     dict(noise_std=-0.1),
                     dict(noise_std=float("nan")),
                     dict(label_noise_rate=1.0),
-                    dict(variant="cifar1000")):
+                    dict(variant="cifar1000"),
+                    dict(variant="cifar100")):
             with pytest.raises(ConfigError):
                 settings(**bad)
 

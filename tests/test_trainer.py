@@ -1,6 +1,7 @@
 """Training loop, optimizer, evaluation, duality, and metrics I/O."""
 
 import math
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -20,12 +21,14 @@ from natsel.model import (
     LossConfig,
     save_checkpoint,
 )
-from natsel.nscore import params_hash
+from natsel.nscore import NSResult, params_hash
 from natsel.tensor import GradTape, Tensor, backward
 from natsel.trainer import (
     MetricsRecord,
     TrainConfig,
+    _Step,
     _taped_step,
+    _train_record,
     deterministic_csv_bytes,
     duality_check,
     evaluate,
@@ -341,22 +344,26 @@ class TestTrainLoop:
             weighting=WeightingConfig(1.0, -1.0))
         plain = fresh_model(train_set)
         observed = fresh_model(train_set)
-        train(cfg, train_set, test_set, plain)
+        _, plain_records = train(cfg, train_set, test_set, plain)
 
-        calls = []
+        steps = []
 
-        def sink(epoch, step, result, weights, batch_idx):
-            calls.append((epoch, step, result, weights, batch_idx))
-            weights[:] = 0.0  # must not leak back into training
+        def sink(record):
+            steps.append(record)
+            record.weights[:] = 0.0  # must not leak back into training
 
-        train(cfg, train_set, test_set, observed, score_sink=sink)
+        _, records = train(cfg, train_set, test_set, observed,
+                           score_sink=sink)
         assert params_hash(observed) == params_hash(plain)
-        assert calls
-        for epoch, step, result, weights, batch_idx in calls:
-            assert 0 <= epoch < cfg.epochs
-            assert step >= 0
-            assert weights.shape[0] == batch_idx.shape[0]
-            assert result.score.shape[0] == batch_idx.shape[0]
+        assert [r.deterministic_key() for r in records] == \
+            [r.deterministic_key() for r in plain_records]
+        # 20 samples in batches of 8: three scored steps per epoch
+        assert [(s.epoch, s.step) for s in steps] == \
+            [(0, 0), (0, 1), (0, 2), (1, 3), (1, 4), (1, 5)]
+        for s in steps:
+            assert s.weights.shape == s.ns.score.shape == s.indices.shape
+            assert np.array_equal(s.labels, train_set.labels[s.indices])
+            assert s.ns_seconds > 0.0
 
     def test_step_tape_is_released_before_scoring_and_evaluation(
             self, monkeypatch):
@@ -632,6 +639,42 @@ class TestDuality:
             duality_check([], self.dataset(), fitness_ceiling=10.0)
 
 
+class TestTrainRecord:
+    def steps(self, scored):
+        """Two steps over three classes; class 2 is never seen."""
+        ns = [None, None]
+        if scored:
+            ns = [NSResult(np.full(3, 0.5), np.array([0.25, 0.75, 0.5]),
+                           np.array([0, 0, -1]), 1),
+                  NSResult(np.full(2, 0.5), np.array([0.4, 0.6]),
+                           np.array([0, 0]), 1)]
+        return [
+            _Step(4, 10, np.array([3, 1, 7]), np.array([0, 1, 0]),
+                  np.array([0, 0, 0]), 0.5, ns[0], None, 0.125 * scored),
+            _Step(4, 11, np.array([2, 5]), np.array([1, 0]),
+                  np.array([1, 0]), 1.0, ns[1], None, 0.25 * scored),
+        ]
+
+    @pytest.mark.parametrize("scored", [True, False])
+    def test_matches_hand_computed_values(self, scored):
+        record = _train_record(self.steps(scored), 3, time.perf_counter())
+        assert record.epoch == 4 and record.split == "train"
+        assert record.mean_loss == (0.5 * 3 + 1.0 * 2) / 5
+        assert record.accuracy == 4 / 5
+        assert record.per_class_accuracy == (1.0, 0.5, 0.0)
+        assert record.train_forward_passes == 5
+        assert record.seconds >= 0.0
+        if scored:
+            assert record.per_class_ns == ((0.25 + 0.5 + 0.6) / 3,
+                                           (0.75 + 0.4) / 2, 0.0)
+            assert record.ns_forward_passes == 2
+            assert record.ns_seconds == 0.375
+        else:
+            assert record.per_class_ns is None
+            assert record.ns_forward_passes == 0
+            assert record.ns_seconds == 0.0
+
+
 class TestMetricsIO:
     def records(self):
         train_set, test_set = toy_sets()
@@ -646,15 +689,18 @@ class TestMetricsIO:
         write_metrics_csv(path, records)
         assert read_metrics_csv(path) == records
 
+    # An empty per-class vector, a missing one and float wall-clock
+    # columns.
+    PINNED = [
+        MetricsRecord(0, "train", 0.6931471805599453, 0.5, (0.25, 0.75),
+                      (0.1, 0.9), 1.5, 8, 4, 0.25),
+        MetricsRecord(0, "test", 1.0000000000000002, 0.0, (), None,
+                      0.125, 0, 0, 0.0),
+    ]
+
     def test_writes_the_pinned_text(self, tmp_path):
-        # An empty per-class vector, a missing one and float wall-clock
-        # columns, each in the text the metrics format has always had.
-        records = [
-            MetricsRecord(0, "train", 0.6931471805599453, 0.5, (0.25, 0.75),
-                          (0.1, 0.9), 1.5, 8, 4, 0.25),
-            MetricsRecord(0, "test", 1.0000000000000002, 0.0, (), None,
-                          0.125, 0, 0, 0.0),
-        ]
+        # Each record in the text the metrics format has always had.
+        records = self.PINNED
         path = tmp_path / "metrics.csv"
         write_metrics_csv(path, records)
         assert path.read_bytes() == (
@@ -671,6 +717,19 @@ class TestMetricsIO:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ConfigError):
             read_metrics_csv(path)
+
+    @pytest.mark.parametrize("row,problem", [
+        ("0,train,0.5", "3 cells, expected 10"),
+        ("1,test,x,0.5,0.5;0.5,,1.0,0,0,0.0", "could not convert"),
+    ], ids=["short_row", "non_numeric_cell"])
+    def test_bad_row_names_file_and_line(self, tmp_path, row, problem):
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(path, self.PINNED)
+        with open(path, "a", newline="") as fh:
+            fh.write(row + "\r\n")
+        with pytest.raises(ConfigError) as info:
+            read_metrics_csv(path)
+        assert str(info.value).startswith(f"{path}, line 4: {problem}")
 
     def test_deterministic_bytes_ignore_wall_clock(self, tmp_path):
         train_set, test_set = toy_sets()

@@ -219,7 +219,7 @@ def sweep(config: ExperimentConfig, axis: str, values=None,
 
     table = Path(config.output_dir) / f"sweep_{axis}.csv"
     table.parent.mkdir(parents=True, exist_ok=True)
-    with open(table, "w", newline="") as fh:
+    with _replacing(table) as tmp, open(tmp, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["axis", "value", "accuracy_mean", "accuracy_std"])
         for value, summary in results:
@@ -251,19 +251,22 @@ def analyze_run(run_dir, echo=print) -> None:
         scores_path = run_dir / f"scores_{seed}.csv"
         if scores_path.exists():
             rows = _read_scores(scores_path)
+            if not rows:
+                raise ConfigError(f"{scores_path} holds no score rows")
             last_epoch = max(r.epoch for r in rows)
             final = [r for r in rows if r.epoch == last_epoch]
             stats = ns_distribution(
                 [r.s for r in final], [r.label for r in final],
                 train_set.class_count)
-            write_box_stats(run_dir / f"box_stats_{seed}.csv", stats)
+            with _replacing(run_dir / f"box_stats_{seed}.csv") as tmp:
+                write_box_stats(tmp, stats)
 
         report = correlation_report(records, train_set.label_counts())
-        write_correlation_scatter(
-            report,
-            run_dir / f"scatter_count_{seed}.csv",
-            run_dir / f"scatter_accuracy_{seed}.csv")
-        write_fits(run_dir / f"fits_{seed}.csv", report.fits)
+        with _replacing(run_dir / f"scatter_count_{seed}.csv") as count, \
+                _replacing(run_dir / f"scatter_accuracy_{seed}.csv") as acc:
+            write_correlation_scatter(report, count, acc)
+        with _replacing(run_dir / f"fits_{seed}.csv") as tmp:
+            write_fits(tmp, report.fits)
         echo(f"seed {seed}: analysis artifacts written to {run_dir}")
 
 

@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor
 
 __all__ = [
     "GridLayout",
@@ -108,14 +107,16 @@ def _composite_map(layout: GridLayout, h: int, w: int, c: int, out_h: int,
     return fused
 
 
-def bilinear_resize(img: Tensor, target: tuple[int, int]) -> Tensor:
-    """Resize an HxWxC image to target (H', W') with bilinear interpolation."""
-    if len(img.shape) != 3:
+def bilinear_resize(img, target: tuple[int, int]) -> np.ndarray:
+    """Resize an HxWxC image, converted to float64, to target (H', W')
+    with bilinear interpolation."""
+    img = np.asarray(img, dtype=np.float64)
+    if img.ndim != 3:
         raise ShapeError(f"bilinear_resize expects HxWxC, got shape {img.shape}")
     out_h, out_w = int(target[0]), int(target[1])
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"bilinear_resize target {target} has a zero dimension")
-    return Tensor(_resize_batch(img.values[np.newaxis], (out_h, out_w))[0])
+    return _resize_batch(img[np.newaxis], (out_h, out_w))[0]
 
 
 def _resize_batch(images: np.ndarray, target: tuple[int, int]) -> np.ndarray:

@@ -6,7 +6,7 @@ Checkpoint byte layout (``save_checkpoint`` / ``load_checkpoint``):
     "config <compact json>\\n"    echo of the ClassifierConfig
     "params <count>\\n"           total number of float64 values
     <count * 8 bytes>             little-endian float64 parameter block,
-                                  tensors in construction order, row-major
+                                  arrays in construction order, row-major
 
 Construction order: conv weight, conv bias (if a conv stage is configured),
 then per dense layer weight [in, out] and bias [1, out].
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, NumericError, ShapeError
-from .tensor import GradTape, Tensor, add_row, matmul, relu, reshape
+from .tensor import GradTape, add_row, matmul, relu, reshape
 
 __all__ = [
     "ConvSpec",
@@ -155,7 +155,7 @@ class Classifier:
         self.config = config
         h, w, c = config.input_shape
         rng = np.random.default_rng(config.init_seed)
-        self.parameters: list[Tensor] = []
+        self.parameters: list[np.ndarray] = []
 
         if config.conv is not None:
             k, f = config.conv.kernel, config.conv.channels
@@ -166,7 +166,7 @@ class Classifier:
         else:
             flat_in = h * w * c
 
-        self._dense: list[tuple[Tensor, Tensor]] = []
+        self._dense: list[tuple[np.ndarray, np.ndarray]] = []
         widths = list(config.hidden) + [config.class_count]
         fan_in = flat_in
         for width in widths:
@@ -178,9 +178,9 @@ class Classifier:
 
     @staticmethod
     def _init_param(rng: np.random.Generator, fan_in: int,
-                    shape: tuple[int, ...]) -> Tensor:
+                    shape: tuple[int, ...]) -> np.ndarray:
         bound = 1.0 / np.sqrt(fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=shape))
+        return rng.uniform(-bound, bound, size=shape)
 
     @property
     def num_parameters(self) -> int:
@@ -189,15 +189,16 @@ class Classifier:
     def register_on(self, tape: GradTape) -> None:
         tape.register(*self.parameters)
 
-    def forward_batch(self, xs: Tensor, tape: GradTape | None = None) -> Tensor:
-        """Logits [N, K] for a stack of N inputs."""
-        if len(xs.shape) != 4 or xs.shape[1:] != self.config.input_shape:
+    def forward_batch(self, xs, tape: GradTape | None = None) -> np.ndarray:
+        """Logits [N, K] for a stack of N inputs, converted to float64."""
+        xs = np.asarray(xs, dtype=np.float64)
+        if xs.ndim != 4 or xs.shape[1:] != self.config.input_shape:
             raise ShapeError(
                 f"batch shape {xs.shape} does not match model "
                 f"input {self.config.input_shape}"
             )
         if tape is None:
-            return Tensor(self.logits(xs.values))
+            return self.logits(xs)
         n = xs.shape[0]
         if self.config.conv is not None:
             out = self._conv_stage(xs, tape)
@@ -224,16 +225,16 @@ class Classifier:
         """
         (weight, bias), *rest = self._dense
         if self.config.conv is None:
-            out = xs.reshape(xs.shape[0], -1) @ weight.values + bias.values
+            out = xs.reshape(xs.shape[0], -1) @ weight + bias
         else:
             step = self._chunk_images()
             out = np.empty((xs.shape[0], weight.shape[1]))
             for s in range(0, xs.shape[0], step):
-                np.matmul(self._conv_act(xs[s:s + step]), weight.values,
+                np.matmul(self._conv_act(xs[s:s + step]), weight,
                           out=out[s:s + step])
-            out += bias.values
+            out += bias
         for weight, bias in rest:
-            out = np.maximum(out, 0.0) @ weight.values + bias.values
+            out = np.maximum(out, 0.0) @ weight + bias
         return out
 
     def _conv_bytes_per_image(self) -> int:
@@ -281,10 +282,10 @@ class Classifier:
         """
         n, h, w, _ = xs.shape
         k = self.config.conv.kernel
-        weight = self._conv_w.values
+        weight = self._conv_w
         f = weight.shape[1]
         out_h, out_w = h - k + 1, w - k + 1
-        bias_row = np.tile(self._conv_b.values, (1, w))
+        bias_row = np.tile(self._conv_b, (1, w))
         step = self._conv_step()
         act = np.empty((n, out_h, out_w, f))
         for s in range(0, n, step):
@@ -301,7 +302,7 @@ class Classifier:
             np.maximum(valid, 0.0, out=act[blk])
         return act.reshape(n, -1)
 
-    def _conv_stage(self, xs: Tensor, tape: GradTape) -> Tensor:
+    def _conv_stage(self, xs: np.ndarray, tape: GradTape) -> np.ndarray:
         """ReLU conv activations [N, H'*W'*F] as one tape record.
 
         The pullback returns the weight and bias adjoints only: the input
@@ -317,7 +318,7 @@ class Classifier:
         step = self._conv_step()
         mask = np.empty((n, out_h, out_w, f), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = Tensor(self._conv_act(xs.values, mask))
+            out = self._conv_act(xs, mask)
 
         def pull(g: np.ndarray):
             g = g.reshape(mask.shape)
@@ -329,7 +330,7 @@ class Classifier:
                 part = buf[:min(step, n - s)]
                 np.multiply(g[blk], mask[blk], out=part[:, :, :out_w])
                 gm = part.reshape(-1, f)
-                gw += _columns(xs.values[blk], k) @ gm
+                gw += _columns(xs[blk], k) @ gm
                 gb += ones[:, :gm.shape[0]] @ gm
             return ((weight, gw), (bias, gb))
 
@@ -414,7 +415,7 @@ def save_checkpoint(model: Classifier, path: str | Path) -> None:
         f"params {model.num_parameters}\n"
     ).encode("ascii")
     block = b"".join(
-        np.ascontiguousarray(p.values, dtype="<f8").tobytes()
+        np.ascontiguousarray(p, dtype="<f8").tobytes()
         for p in model.parameters
     )
     Path(path).write_bytes(header + block)
@@ -448,6 +449,6 @@ def load_checkpoint(path: str | Path) -> Classifier:
     flat = np.frombuffer(block, dtype="<f8")
     cursor = 0
     for p in model.parameters:
-        p.values[...] = flat[cursor:cursor + p.size].reshape(p.shape)
+        p[...] = flat[cursor:cursor + p.size].reshape(p.shape)
         cursor += p.size
     return model

@@ -19,9 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .imageops import GridLayout, _stitch_resize
-from .model import Classifier, softmax_rows
+from .model import Classifier
 
 __all__ = [
     "NSResult",
@@ -77,12 +77,23 @@ def batch_ns_scores(images: np.ndarray, labels: np.ndarray, model: Classifier,
     if g:
         h0, w0, _ = model.config.input_shape
         members = images[:n].reshape((g, m) + images.shape[1:])
-        resized = _stitch_resize(members, layout, (h0, w0))
-        posteriors = _bound_posterior(softmax_rows(model.logits(resized)))
+        z = model.logits(_stitch_resize(members, layout, (h0, w0)))
+        if not np.isfinite(z).all():
+            raise NumericError("composite logits are non-finite")
         member_labels = np.asarray(labels[:n], dtype=np.int64).reshape(g, m)
-        q, s = _scores_from_posterior(posteriors, member_labels,
-                                      model.config.class_count)
-        raw, score = q.reshape(-1), s.reshape(-1)
+        # As unsigned integers negative labels wrap past any class count,
+        # so one maximum checks both ends of the range.
+        if member_labels.astype(np.uint64).max() >= z.shape[1]:
+            raise ConfigError("label out of range for the model's class count")
+        # softmax_rows' arithmetic, exponentiated at the m gathered labels
+        # only, so every q keeps the bits of the full [G, K] posterior.
+        shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
+        lse = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+        q = np.exp(shifted[np.arange(g)[:, np.newaxis], member_labels] - lse)
+        q = np.minimum(np.maximum(q, _DEGENERATE_FLOOR),
+                       1.0 - _DEGENERATE_FLOOR)
+        raw = q.reshape(-1)
+        score = (q / np.add.reduce(q, axis=1, keepdims=True)).reshape(-1)
     if n < batch:
         neutral = np.full(batch - n, 1.0 / m)
         raw = np.concatenate((raw, neutral))
@@ -101,36 +112,9 @@ def _group_ids(batch: int, m: int) -> np.ndarray:
     return ids
 
 
-def _bound_posterior(posteriors: np.ndarray) -> np.ndarray:
-    """Keep probabilities strictly inside (0, 1).
-
-    A confident model can emit a posterior whose float value is exactly
-    0.0 or 1.0; downstream normalization would then round a dominated
-    member's score onto the boundary, which the weighting stage rejects.
-    """
-    return np.minimum(np.maximum(posteriors, _DEGENERATE_FLOOR),
-                      1.0 - _DEGENERATE_FLOOR)
-
-
-def _scores_from_posterior(posteriors: np.ndarray, member_labels: np.ndarray,
-                           class_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """q and s per member from [G, K] posteriors and [G, m] labels.
-
-    The posteriors are bounded, so each group's m >= 2 raw scores are at
-    least the floor each and their sum is never zero.
-    """
-    # As unsigned integers negative labels wrap past any class count, so
-    # one maximum checks both ends of the range.
-    if member_labels.astype(np.uint64).max() >= class_count:
-        raise ConfigError("label out of range for the model's class count")
-    g = member_labels.shape[0]
-    q = posteriors[np.arange(g)[:, np.newaxis], member_labels]
-    return q, q / np.add.reduce(q, axis=1, keepdims=True)
-
-
 def params_hash(model: Classifier) -> str:
     """SHA-256 over all parameter bytes; equality means bit-identical state."""
     digest = hashlib.sha256()
     for p in model.parameters:
-        digest.update(np.ascontiguousarray(p.values, dtype="<f8").tobytes())
+        digest.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
     return digest.hexdigest()

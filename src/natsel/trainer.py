@@ -26,7 +26,7 @@ from .errors import ConfigError, NumericError, ShapeError, TrainingDiverged
 from .imageops import GridLayout
 from .model import Classifier, LossConfig, sample_losses
 from .nscore import NSResult, batch_ns_scores
-from .tensor import GradTape, Tensor, backward
+from .tensor import GradTape, backward
 from .weighting import WeightingConfig, compute_weights
 
 __all__ = [
@@ -136,22 +136,21 @@ class EvalResult:
     per_class_accuracy: tuple[float, ...]
 
 
-def weighted_batch_loss(logits: Tensor, labels, weights,
+def weighted_batch_loss(logits: np.ndarray, labels, weights,
                         loss_cfg: LossConfig = LossConfig(),
-                        tape: GradTape | None = None) -> Tensor:
-    """(1/B) * sum_i w_i * loss_i of [B, K] logits, as one taped scalar.
+                        tape: GradTape | None = None) -> np.ndarray:
+    """(1/B) * sum_i w_i * loss_i of [B, K] logits, as a 0-d array.
 
     The whole batch is one tape record whose pullback is the closed-form
     logit gradient of :func:`natsel.model.sample_losses`, scaled by
     w_i / B.  Weights enter as constants (no gradient flows into them),
     which is what keeps the scoring stage outside the optimization.
     """
-    z = logits.values
     w = np.asarray(weights, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if z.ndim != 2:
-        raise ShapeError(f"logits must be [B, K], got shape {z.shape}")
-    b = z.shape[0]
+    if logits.ndim != 2:
+        raise ShapeError(f"logits must be [B, K], got shape {logits.shape}")
+    b = logits.shape[0]
     if b == 0:
         raise ShapeError("empty batch")
     if w.shape != (b,) or labels.shape != (b,):
@@ -160,10 +159,10 @@ def weighted_batch_loss(logits: Tensor, labels, weights,
             f"{w.shape} weights"
         )
     if tape is None:
-        losses = sample_losses(z, labels, loss_cfg)
+        losses = sample_losses(logits, labels, loss_cfg)
     else:
-        losses, dlogits = sample_losses(z, labels, loss_cfg, grad=True)
-    out = Tensor(float(np.sum(w * losses)) / b)
+        losses, dlogits = sample_losses(logits, labels, loss_cfg, grad=True)
+    out = np.array(float(np.sum(w * losses)) / b)
     if tape is not None:
         row_scale = (w / b)[:, np.newaxis]
 
@@ -180,15 +179,14 @@ def sgd_momentum_step(params, grads, velocity, learning_rate: float,
     if not len(params) == len(grads) == len(velocity):
         raise ShapeError("params, grads, and velocity lengths differ")
     for p, g, v in zip(params, grads, velocity):
-        gv = g.values if isinstance(g, Tensor) else np.asarray(g)
-        if gv.shape != p.values.shape or v.shape != p.values.shape:
+        if g.shape != p.shape or v.shape != p.shape:
             raise ShapeError(
-                f"shape mismatch in update: param {p.values.shape}, "
-                f"grad {gv.shape}, velocity {v.shape}"
+                f"shape mismatch in update: param {p.shape}, "
+                f"grad {g.shape}, velocity {v.shape}"
             )
         v *= momentum
-        v += gv
-        p.values -= learning_rate * v
+        v += g
+        p -= learning_rate * v
 
 
 def _accuracy_stats(predictions: np.ndarray, labels: np.ndarray,
@@ -216,7 +214,7 @@ def evaluate(model: Classifier, dataset: Dataset,
     for start in range(0, len(dataset), _EVAL_CHUNK):
         stop = min(start + _EVAL_CHUNK, len(dataset))
         images = dataset.images[start:stop]
-        logits = model.forward_batch(Tensor(images)).values
+        logits = model.forward_batch(images)
         labels = dataset.labels[start:stop]
         loss_sum += float(sample_losses(logits, labels, loss_cfg).sum())
         predictions[start:stop] = np.argmax(logits, axis=1)
@@ -282,10 +280,10 @@ def _taped_step(model, images, labels, weights, loss_cfg):
     """Tape one batch: forward, weighted loss, and the predictions."""
     tape = GradTape()
     model.register_on(tape)
-    logits = model.forward_batch(Tensor(images), tape=tape)
+    logits = model.forward_batch(images, tape=tape)
     batch_loss = weighted_batch_loss(logits, labels, weights, loss_cfg,
                                      tape=tape)
-    return tape, batch_loss, np.argmax(logits.values, axis=1)
+    return tape, batch_loss, np.argmax(logits, axis=1)
 
 
 def _check_finite(value: float, epoch: int, step: int, quantity: str):
@@ -316,7 +314,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
             f"input {model.config.input_shape}"
         )
     scoring = config.weighting.rho != 0.0
-    velocity = [np.zeros_like(p.values) for p in model.parameters]
+    velocity = [np.zeros_like(p) for p in model.parameters]
     records: list[MetricsRecord] = []
     step = 0
 
@@ -352,9 +350,8 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
             _check_finite(loss_value, epoch, step, "batch loss")
 
             grads = backward(tape, batch_loss)
-            sgd_momentum_step(model.parameters,
-                              [grads[p] for p in model.parameters],
-                              velocity, lr, config.momentum)
+            sgd_momentum_step(model.parameters, grads, velocity, lr,
+                              config.momentum)
             # The tape holds the batch's activations; drop it before the
             # next batch is scored and before each evaluation.
             del tape, batch_loss, grads
@@ -434,7 +431,7 @@ def duality_check(candidates, dataset: Dataset, fitness_ceiling: float,
         raise ConfigError("need at least one candidate parameter setting")
     risks = []
     for candidate in candidates:
-        logits = candidate.forward_batch(Tensor(dataset.images)).values
+        logits = candidate.forward_batch(dataset.images)
         losses = sample_losses(logits, dataset.labels, loss_cfg)
         if losses.max() >= fitness_ceiling:
             raise ConfigError(

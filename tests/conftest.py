@@ -6,7 +6,7 @@ import numpy as np
 
 from natsel.data import _IDX_IMAGE4_MAGIC, _IDX_IMAGE_MAGIC, _IDX_LABEL_MAGIC
 from natsel.errors import FormatError
-from natsel.tensor import GradTape, Tensor, backward
+from natsel.tensor import GradTape, backward
 
 
 def finite_difference(build, params, step=1e-6):
@@ -18,7 +18,7 @@ def finite_difference(build, params, step=1e-6):
     """
     grads = []
     for p in params:
-        flat = p.values.reshape(-1)
+        flat = p.reshape(-1)
         g = np.zeros_like(flat)
         for i in range(flat.size):
             keep = flat[i]
@@ -28,17 +28,27 @@ def finite_difference(build, params, step=1e-6):
             down = build(params)
             flat[i] = keep
             g[i] = (up - down) / (2.0 * step)
-        grads.append(g.reshape(p.values.shape))
+        grads.append(g.reshape(p.shape))
     return grads
 
 
 def taped_gradients(build, params):
-    """Tape-route gradients of ``build(params, tape) -> scalar Tensor``."""
+    """Tape-route gradients of ``build(params, tape) -> 0-d array``."""
     tape = GradTape()
     tape.register(*params)
-    root = build(params, tape)
-    grads = backward(tape, root)
-    return [grads[p].values for p in params]
+    return backward(tape, build(params, tape))
+
+
+# Other spellings of an integer-valued float64 array, equal to it in
+# value: the inputs forward_batch and bilinear_resize convert to float64.
+INPUT_FORMS = {
+    "list": lambda a: a.tolist(),
+    "int": lambda a: a.astype(np.int64).tolist(),
+    "float32": lambda a: a.astype(np.float32),
+    "int64": lambda a: a.astype(np.int64),
+    "strided": lambda a: np.repeat(a, 2, axis=-2)[..., ::2, :],
+    "transposed": lambda a: np.asfortranarray(a),
+}
 
 
 def max_relative_error(analytic, numeric, floor=1e-3):
@@ -56,11 +66,7 @@ def max_relative_error(analytic, numeric, floor=1e-3):
 
 def forward_one(model, x: np.ndarray) -> np.ndarray:
     """Logits [K] of one HxWxC input: a one-image untaped batch."""
-    return model.forward_batch(Tensor(x[np.newaxis])).values[0]
-
-
-def random_tensor(rng, shape, lo=-1.0, hi=1.0):
-    return Tensor(rng.uniform(lo, hi, size=shape))
+    return model.forward_batch(x[np.newaxis])[0]
 
 
 # Elementwise taped ops for the backward and gradient tests.  The library
@@ -75,28 +81,27 @@ def _taped(out, tape, pull):
 
 def add(a, b, tape=None):
     assert a.shape == b.shape
-    return _taped(Tensor(a.values + b.values), tape, lambda g: ((a, g), (b, g)))
+    return _taped(a + b, tape, lambda g: ((a, g), (b, g)))
 
 
 def mul(a, b, tape=None):
     assert a.shape == b.shape
-    av, bv = a.values, b.values
-    return _taped(Tensor(av * bv), tape, lambda g: ((a, g * bv), (b, g * av)))
+    return _taped(a * b, tape, lambda g: ((a, g * b), (b, g * a)))
 
 
 def scale(a, factor, tape=None):
     """Multiply by a constant that is not differentiated through."""
-    return _taped(Tensor(a.values * factor), tape, lambda g: ((a, g * factor),))
+    return _taped(a * factor, tape, lambda g: ((a, g * factor),))
 
 
 def exp(a, tape=None):
-    out = Tensor(np.exp(a.values))
-    return _taped(out, tape, lambda g: ((a, g * out.values),))
+    out = np.exp(a)
+    return _taped(out, tape, lambda g: ((a, g * out),))
 
 
 def tsum(a, tape=None):
-    """Sum of all elements as a scalar tensor, the usual backward root."""
-    return _taped(Tensor(np.sum(a.values)), tape,
+    """Sum of all elements as a 0-d array, the usual backward root."""
+    return _taped(np.array(np.sum(a)), tape,
                   lambda g: ((a, np.full(a.shape, float(g))),))
 
 
@@ -150,8 +155,8 @@ def centroid_model(dataset, scale=1.0, init_seed=0):
         centroid = dataset.images[dataset.labels == c].mean(axis=0).reshape(-1)
         weight[:, c] = scale * centroid
         bias[0, c] = -0.5 * scale * float(centroid @ centroid)
-    model.parameters[0].values[...] = weight
-    model.parameters[1].values[...] = bias
+    model.parameters[0][...] = weight
+    model.parameters[1][...] = bias
     return model
 
 
@@ -175,7 +180,7 @@ def loss_oracle(p: np.ndarray, y: int, cfg) -> float:
                  + (eps / p.shape[0]) * np.sum(-np.log(np.maximum(p, 1e-12))))
 
 
-def stitch(images, layout) -> Tensor:
+def stitch(images, layout) -> np.ndarray:
     """Per-image stitching oracle: copy m same-shape HxWxC images into one
     (R*H) x (C*W) composite, image k at grid row k // C, column k % C."""
     from natsel.errors import ShapeError
@@ -193,8 +198,8 @@ def stitch(images, layout) -> Tensor:
     out = np.empty((layout.rows * h, layout.cols * w, c))
     for k, img in enumerate(images):
         r, q = divmod(k, layout.cols)
-        out[r * h:(r + 1) * h, q * w:(q + 1) * w] = img.values
-    return Tensor(out)
+        out[r * h:(r + 1) * h, q * w:(q + 1) * w] = img
+    return out
 
 
 def group_members(result, group: int) -> np.ndarray:
@@ -231,10 +236,9 @@ def group_ns_scores(group, samples, labels, model):
     from natsel.imageops import bilinear_resize
 
     h0, w0, _ = model.config.input_shape
-    members = [s if isinstance(s, Tensor) else Tensor(s)
-               for s in (samples[i] for i in group.members)]
+    members = [samples[i] for i in group.members]
     composite = bilinear_resize(stitch(members, group.layout), (h0, w0))
-    probs = softmax_vector(forward_one(model, composite.values))
+    probs = softmax_vector(forward_one(model, composite))
     q = np.array([[probs[int(labels[i])] for i in group.members]])
     q = np.clip(q, 1e-12, 1.0 - 1e-12)
     return q, q / q.sum()
@@ -294,7 +298,7 @@ def train_erm(config, train_set, test_set, model):
 
     if len(train_set) == 0:
         raise ConfigError("cannot train on an empty dataset")
-    velocity = [np.zeros_like(p.values) for p in model.parameters]
+    velocity = [np.zeros_like(p) for p in model.parameters]
     records = []
     step = 0
     for epoch in range(config.epochs):
@@ -313,9 +317,8 @@ def train_erm(config, train_set, test_set, model):
             loss_value = batch_loss.item()
             _check_finite(loss_value, epoch, step, "batch loss")
             grads = backward(tape, batch_loss)
-            sgd_momentum_step(model.parameters,
-                              [grads[p] for p in model.parameters],
-                              velocity, lr, config.momentum)
+            sgd_momentum_step(model.parameters, grads, velocity, lr,
+                              config.momentum)
             steps.append(_Step(epoch, step, batch_idx, labels, predictions,
                                loss_value))
             step += 1

@@ -34,7 +34,6 @@ from natsel.data import DataSettings, build_splits
 from natsel.imageops import GridLayout, bilinear_resize
 from natsel.model import Classifier, ClassifierConfig, LossConfig
 from natsel.nscore import batch_ns_scores, params_hash
-from natsel.tensor import Tensor
 from natsel.trainer import (
     deterministic_csv_bytes,
     duality_check,
@@ -160,7 +159,7 @@ def test_criterion_04_weighted_gradient_fidelity(capsys):
                 input_shape=(4, 4, 1), hidden=(6,), class_count=3,
                 init_seed=1000 + case))
             assert sum(p.size for p in model.parameters) <= 1000
-            images = Tensor(rng.random((3, 4, 4, 1)))
+            images = rng.random((3, 4, 4, 1))
             labels = rng.integers(0, 3, size=3)
             weights = rng.uniform(0.5, 2.0, size=3)
 
@@ -171,7 +170,7 @@ def test_criterion_04_weighted_gradient_fidelity(capsys):
 
             analytic = taped_gradients(batch_loss, model.parameters)
             numeric = finite_difference(
-                lambda params: float(batch_loss(params).values),
+                lambda params: float(batch_loss(params)),
                 model.parameters, step=1e-6)
             worst = max(worst, max_relative_error(analytic, numeric))
     ok = worst <= 1e-5
@@ -190,7 +189,7 @@ def test_criterion_05_resize_matches_oracle(capsys):
             images_used += 1
             for out_h in range(1, 10):
                 for out_w in range(1, 10):
-                    got = bilinear_resize(Tensor(img), (out_h, out_w)).values
+                    got = bilinear_resize(img, (out_h, out_w))
                     want = reference_resize(img, out_h, out_w)
                     worst = max(worst, float(np.abs(got - want).max()))
     # Fresh images over a second pass of mixed channel counts.
@@ -200,7 +199,7 @@ def test_criterion_05_resize_matches_oracle(capsys):
         img = rng.random((h, w, c))
         images_used += 1
         out_h, out_w = int(rng.integers(1, 10)), int(rng.integers(1, 10))
-        got = bilinear_resize(Tensor(img), (out_h, out_w)).values
+        got = bilinear_resize(img, (out_h, out_w))
         want = reference_resize(img, out_h, out_w)
         worst = max(worst, float(np.abs(got - want).max()))
     ok = worst <= 1e-12 and images_used >= 200

@@ -368,6 +368,28 @@ class TestSweep:
             assert float(row[2]) == summary.mean_accuracy
             assert float(row[3]) == summary.std_accuracy
 
+    def test_interrupted_table_write_leaves_no_partial_table(
+            self, tmp_path, monkeypatch):
+        # The second row's std raises after the header and first row are
+        # written: neither the table nor its temporary file may remain.
+        class Summary:
+            def __init__(self, fail):
+                self.mean_accuracy, self.fail = 0.5, fail
+
+            @property
+            def std_accuracy(self):
+                if self.fail:
+                    raise OSError("disk full")
+                return 0.0
+
+        calls = iter((False, True))
+        monkeypatch.setattr(natsel.cli, "run_experiment",
+                            lambda config, echo: Summary(next(calls)))
+        config = parse_config(write_config(tmp_path).read_text())
+        with pytest.raises(OSError, match="disk full"):
+            sweep(config, "sigma", values=("0.5", "1.0"), echo=quiet)
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_unknown_axis(self, tmp_path):
         config = parse_config(write_config(tmp_path).read_text())
         with pytest.raises(ConfigError, match="axis"):
@@ -427,6 +449,35 @@ class TestAnalyze:
         assert main(["analyze", str(path.parent)]) == 1
         assert capsys.readouterr().err.startswith(
             f"error: {path}, line {line}: {problem}")
+
+    def test_header_only_score_log_exits_one(self, tmp_path, capsys):
+        main(["run", str(write_config(tmp_path))])
+        path = tmp_path / "out" / "demo" / "scores_1.csv"
+        with open(path, newline="") as fh:
+            header = fh.readline()
+        path.write_text(header, newline="")
+        capsys.readouterr()
+        assert main(["analyze", str(path.parent)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}")
+
+    def test_interrupted_write_leaves_no_partial_artifact(self, tmp_path,
+                                                          monkeypatch):
+        main(["run", str(write_config(tmp_path))])
+        run_dir = tmp_path / "out" / "demo"
+        before = sorted(p.name for p in run_dir.iterdir())
+
+        def write_half(path, fits):
+            with open(path, "w") as fh:
+                fh.write("partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(natsel.cli, "write_fits", write_half)
+        assert main(["analyze", str(run_dir)]) == 2
+        # seed 1's box stats and scatters are complete; its fits, and
+        # every artifact of seed 2, were never written
+        assert sorted(p.name for p in run_dir.iterdir()) == sorted(
+            before + ["box_stats_1.csv", "scatter_count_1.csv",
+                      "scatter_accuracy_1.csv"])
 
     def test_analyze_without_metrics_exits_one(self, tmp_path):
         run_dir = tmp_path / "fake_run"

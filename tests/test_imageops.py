@@ -13,16 +13,15 @@ from natsel.imageops import (
     _stitch_resize,
     bilinear_resize,
 )
-from natsel.tensor import Tensor
 
-from conftest import reference_resize, stitch
+from conftest import INPUT_FORMS, reference_resize, stitch
 
 
-def image(values) -> Tensor:
+def image(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[:, :, np.newaxis]
-    return Tensor(arr)
+    return arr
 
 
 class TestGridLayout:
@@ -54,17 +53,17 @@ class TestStitch:
     def test_two_row_vectors_side_by_side(self):
         out = stitch([image([[1.0, 2.0]]), image([[3.0, 4.0]])], GridLayout(1, 2))
         assert out.shape == (1, 4, 1)
-        assert out.values[:, :, 0].tolist() == [[1.0, 2.0, 3.0, 4.0]]
+        assert out[:, :, 0].tolist() == [[1.0, 2.0, 3.0, 4.0]]
 
     def test_constant_blocks_fill_grid(self):
         ones = [image(np.ones((2, 2))) for _ in range(4)]
         out = stitch(ones, GridLayout(2, 2))
         assert out.shape == (4, 4, 1)
-        assert np.all(out.values == 1.0)
+        assert np.all(out == 1.0)
 
     def test_row_major_placement(self):
         blocks = [image(np.full((2, 2), v)) for v in (1.0, 2.0, 3.0, 4.0)]
-        out = stitch(blocks, GridLayout(2, 2)).values[:, :, 0]
+        out = stitch(blocks, GridLayout(2, 2))[:, :, 0]
         assert np.all(out[:2, :2] == 1.0)  # member 0 -> top-left
         assert np.all(out[:2, 2:] == 2.0)  # member 1 -> top-right
         assert np.all(out[2:, :2] == 3.0)
@@ -72,13 +71,13 @@ class TestStitch:
 
     def test_cells_slice_back_bitwise(self):
         rng = np.random.default_rng(14)
-        members = [Tensor(rng.random((3, 5, 2))) for _ in range(6)]
+        members = [rng.random((3, 5, 2)) for _ in range(6)]
         layout = GridLayout(2, 3)
-        composite = stitch(members, layout).values
+        composite = stitch(members, layout)
         for k, member in enumerate(members):
             r, c = divmod(k, layout.cols)
             cell = composite[r * 3:(r + 1) * 3, c * 5:(c + 1) * 5, :]
-            assert np.array_equal(cell, member.values)
+            assert np.array_equal(cell, member)
 
     def test_count_mismatch(self):
         with pytest.raises(ShapeError):
@@ -90,7 +89,7 @@ class TestStitch:
                    GridLayout(1, 2))
 
     def test_requires_three_dims(self):
-        flat = Tensor(np.ones((2, 2)))
+        flat = np.ones((2, 2))
         with pytest.raises(ShapeError):
             stitch([flat, flat], GridLayout(1, 2))
 
@@ -98,26 +97,26 @@ class TestStitch:
 class TestBilinearResize:
     def test_identity_is_bitwise(self):
         rng = np.random.default_rng(21)
-        img = Tensor(rng.random((5, 7, 3)))
+        img = rng.random((5, 7, 3))
         out = bilinear_resize(img, (5, 7))
-        assert np.array_equal(out.values, img.values)
+        assert np.array_equal(out, img)
 
     def test_constant_dyadic_upsample_exact(self):
         out = bilinear_resize(image(np.ones((2, 2))), (4, 4))
-        assert np.all(out.values == 1.0)
+        assert np.all(out == 1.0)
 
     def test_constant_general_sizes(self):
-        out = bilinear_resize(Tensor(np.full((3, 5, 2), 0.7)), (7, 4))
-        assert np.max(np.abs(out.values - 0.7)) <= 1e-12
+        out = bilinear_resize(np.full((3, 5, 2), 0.7), (7, 4))
+        assert np.max(np.abs(out - 0.7)) <= 1e-12
 
     def test_average_of_four(self):
         out = bilinear_resize(image([[0.0, 1.0], [2.0, 3.0]]), (1, 1))
-        assert out.values.tolist() == [[[1.5]]]
+        assert out.tolist() == [[[1.5]]]
 
     def test_range_preserved(self):
         rng = np.random.default_rng(33)
         img = rng.random((4, 6, 1)) * 8 - 3
-        out = bilinear_resize(Tensor(img), (9, 5)).values
+        out = bilinear_resize(img, (9, 5))
         assert out.min() >= img.min() - 1e-12
         assert out.max() <= img.max() + 1e-12
 
@@ -128,16 +127,23 @@ class TestBilinearResize:
                 img = rng.random((h, w, 2))
                 for out_h in range(1, 6):
                     for out_w in range(1, 6):
-                        got = bilinear_resize(Tensor(img), (out_h, out_w)).values
+                        got = bilinear_resize(img, (out_h, out_w))
                         want = reference_resize(img, out_h, out_w)
                         assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("form", INPUT_FORMS)
+    def test_input_is_converted(self, form):
+        img = np.arange(24.0).reshape(3, 4, 2)
+        got = bilinear_resize(INPUT_FORMS[form](img), (5, 3))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, bilinear_resize(img, (5, 3)))
 
     def test_invalid_target(self):
         img = image(np.ones((2, 2)))
         with pytest.raises(ShapeError):
             bilinear_resize(img, (0, 3))
         with pytest.raises(ShapeError):
-            bilinear_resize(Tensor(np.ones((2, 2))), (2, 2))
+            bilinear_resize(np.ones((2, 2)), (2, 2))
 
 
 class TestBatchHelpersMatchPublicOps:
@@ -149,16 +155,16 @@ class TestBatchHelpersMatchPublicOps:
         members = rng.random((3, 4, 2, 3, 2))
         batched = _assemble_grid(members, layout)
         for n in range(3):
-            single = stitch([Tensor(members[n, k]) for k in range(4)], layout)
-            assert np.array_equal(batched[n], single.values)
+            single = stitch([members[n, k] for k in range(4)], layout)
+            assert np.array_equal(batched[n], single)
 
     def test_resize_batch(self):
         rng = np.random.default_rng(72)
         images = rng.random((4, 3, 5, 2))
         batched = _resize_batch(images, (6, 4))
         for n in range(4):
-            single = bilinear_resize(Tensor(images[n]), (6, 4))
-            assert np.array_equal(batched[n], single.values)
+            single = bilinear_resize(images[n], (6, 4))
+            assert np.array_equal(batched[n], single)
 
     @pytest.mark.parametrize("layout", [GridLayout(1, 2), GridLayout(2, 1)],
                              ids=["1x2", "2x1"])
@@ -190,9 +196,9 @@ class TestBatchHelpersMatchPublicOps:
         assert (_composite_map(layout, *shape, *target) is not None) == fused
         batched = _stitch_resize(members, layout, target)
         for n in range(3):
-            composite = stitch([Tensor(members[n, k]) for k in range(m)],
+            composite = stitch([members[n, k] for k in range(m)],
                                layout)
-            single = bilinear_resize(composite, target).values
+            single = bilinear_resize(composite, target)
             assert np.max(np.abs(batched[n] - single)) <= 1e-12
 
     def test_resize_maps_are_cached(self):

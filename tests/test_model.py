@@ -22,10 +22,11 @@ from natsel.model import (
     save_checkpoint,
     softmax_rows,
 )
-from natsel.tensor import GradTape, Tensor, backward
+from natsel.tensor import GradTape, backward
 from natsel.trainer import weighted_batch_loss
 
 from conftest import (
+    INPUT_FORMS,
     finite_difference,
     forward_one,
     loss_oracle,
@@ -68,14 +69,14 @@ def loss_of(p, y: int, cfg: LossConfig) -> float:
     whose softmax value is far below the 1e-12 floor.
     """
     logits = np.log(np.maximum(np.asarray(p, dtype=np.float64), 1e-300))
-    return weighted_batch_loss(Tensor(logits[np.newaxis]), [y], [1.0],
+    return weighted_batch_loss(logits[np.newaxis], [y], [1.0],
                                cfg).item()
 
 
 def manual_forward(model: Classifier, x: np.ndarray) -> np.ndarray:
     """Straight-line numpy re-evaluation using only the parameter list."""
     cfg = model.config
-    values = [p.values for p in model.parameters]
+    values = model.parameters
     cursor = 0
     if cfg.conv is not None:
         conv_w, conv_b = values[0], values[1]
@@ -101,8 +102,8 @@ def manual_forward(model: Classifier, x: np.ndarray) -> np.ndarray:
 class TestForward:
     def test_zero_final_layer_gives_zero_logits(self):
         model = Classifier(small_config(hidden=(3,), init_seed=9))
-        model.parameters[-2].values[...] = 0.0
-        model.parameters[-1].values[...] = 0.0
+        model.parameters[-2][...] = 0.0
+        model.parameters[-1][...] = 0.0
         logits = forward_one(model, np.random.default_rng(1).random((2, 2, 1)))
         assert logits.tolist() == [0.0, 0.0]
 
@@ -110,9 +111,9 @@ class TestForward:
         # Linear model whose weight rows pick out the two payload pixels,
         # so an input carrying [a, b] maps straight to logits [a, b].
         model = Classifier(small_config())
-        model.parameters[0].values[...] = np.array(
+        model.parameters[0][...] = np.array(
             [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-        model.parameters[1].values[...] = 0.0
+        model.parameters[1][...] = 0.0
         x = np.array([0.3, -1.2, 9.0, 9.0]).reshape(2, 2, 1)
         assert forward_one(model, x).tolist() == [0.3, -1.2]
 
@@ -131,7 +132,7 @@ class TestForward:
         model = Classifier(small_config(hidden=(4,), init_seed=2))
         rng = np.random.default_rng(8)
         xs = rng.random((5, 2, 2, 1))
-        batch = model.forward_batch(Tensor(xs)).values
+        batch = model.forward_batch(xs)
         for i in range(5):
             single = forward_one(model, xs[i])
             assert np.array_equal(batch[i], single)
@@ -144,21 +145,30 @@ class TestForward:
         xs = np.random.default_rng(12).random((6, 4, 3, 2))
         tape = GradTape()
         model.register_on(tape)
-        taped = model.forward_batch(Tensor(xs), tape=tape).values
-        assert np.array_equal(taped, model.forward_batch(Tensor(xs)).values)
+        taped = model.forward_batch(xs, tape=tape)
+        assert np.array_equal(taped, model.forward_batch(xs))
         assert np.array_equal(taped, model.logits(xs))
 
     def test_shape_mismatch_rejected(self):
         model = Classifier(small_config())
         with pytest.raises(ShapeError):
-            model.forward_batch(Tensor(np.zeros((1, 3, 2, 1))))
+            model.forward_batch(np.zeros((1, 3, 2, 1)))
         with pytest.raises(ShapeError):
-            model.forward_batch(Tensor(np.zeros((2, 2, 1))))
+            model.forward_batch(np.zeros((2, 2, 1)))
+
+    @pytest.mark.parametrize("form", INPUT_FORMS)
+    def test_input_is_converted(self, form):
+        model = Classifier(small_config(input_shape=(3, 4, 1), hidden=(5,),
+                                        init_seed=6))
+        xs = np.arange(24.0).reshape(2, 3, 4, 1)
+        got = model.forward_batch(INPUT_FORMS[form](xs))
+        assert got.dtype == np.float64
+        assert np.array_equal(got, model.forward_batch(xs))
 
     def test_logits_finite_on_random_input(self):
         model = Classifier(small_config(hidden=(8, 8), init_seed=5))
         xs = np.random.default_rng(4).random((10, 2, 2, 1))
-        assert np.all(np.isfinite(model.forward_batch(Tensor(xs)).values))
+        assert np.all(np.isfinite(model.forward_batch(xs)))
 
 
 class TestConvStage:
@@ -219,7 +229,7 @@ class TestConvStage:
             input_shape=(5, 4, 2), hidden=(3,), class_count=3, init_seed=4,
             conv=ConvSpec(kernel=2, channels=3)))
         rng = np.random.default_rng(6)
-        xs = Tensor(rng.random((4, 5, 4, 2)))
+        xs = rng.random((4, 5, 4, 2))
         tape = GradTape()
         model.register_on(tape)
         logits = model.forward_batch(xs, tape=tape)
@@ -236,21 +246,21 @@ class TestConvStage:
         model = Classifier(ClassifierConfig(
             input_shape=(3, 4, 2), hidden=(), class_count=2, init_seed=0,
             conv=ConvSpec(kernel=2, channels=2)))
-        model.parameters[0].values[...] = -1e308
+        model.parameters[0][...] = -1e308
         tape = GradTape()
         model.register_on(tape)
         with pytest.raises(NumericError):
-            model.forward_batch(Tensor(np.ones((2, 3, 4, 2))), tape=tape)
+            model.forward_batch(np.ones((2, 3, 4, 2)), tape=tape)
         # The same with only the last image of a multi-block batch
         # non-finite: zero images give finite (bias-only) pre-activations.
         model = Classifier(CIFAR_CONV)
-        model.parameters[0].values[...] = -1e308
+        model.parameters[0][...] = -1e308
         xs = np.zeros((2 * model._conv_step() + 1, 32, 32, 3))
         xs[-1] = 1.0
         tape = GradTape()
         model.register_on(tape)
         with pytest.raises(NumericError):
-            model.forward_batch(Tensor(xs), tape=tape)
+            model.forward_batch(xs, tape=tape)
 
     def test_kernel_must_fit(self):
         with pytest.raises(ConfigError):
@@ -262,7 +272,7 @@ def unblocked_conv(model: Classifier, xs: np.ndarray):
     """Unblocked reference of the conv stage: the full patch matrix
     [N*P, k*k*C] and the pre-activations ``cols @ W + b`` [N*P, F]."""
     cols = patch_rows(xs, model.config.conv.kernel)
-    return cols, cols @ model.parameters[0].values + model.parameters[1].values
+    return cols, cols @ model.parameters[0] + model.parameters[1]
 
 
 def relative_error(got: np.ndarray, ref: np.ndarray) -> float:
@@ -291,8 +301,8 @@ class TestConvBlocks:
     def taped_conv_record(self, xs: np.ndarray):
         tape = GradTape()
         self.model.register_on(tape)
-        logits = self.model.forward_batch(Tensor(xs), tape=tape)
-        return tape._entries[0], logits.values
+        logits = self.model.forward_batch(xs, tape=tape)
+        return tape._entries[0], logits
 
     def test_block_is_three_images_within_budget(self):
         # float64 per image: channel planes 3 x (32*32 + 2), patch columns
@@ -307,9 +317,8 @@ class TestConvBlocks:
         _, pre = unblocked_conv(self.model, xs)
         act = np.maximum(pre, 0.0).reshape(xs.shape[0], -1)
         (conv_out, _), taped = self.taped_conv_record(xs)
-        assert relative_error(conv_out.values, act) <= 1e-12
-        (w1, b1), (w2, b2) = [(w.values, b.values)
-                              for w, b in self.model._dense]
+        assert relative_error(conv_out, act) <= 1e-12
+        (w1, b1), (w2, b2) = self.model._dense
         ref_logits = np.maximum(act @ w1 + b1, 0.0) @ w2 + b2
         assert relative_error(self.model.logits(xs), ref_logits) <= 1e-12
         assert np.array_equal(taped, self.model.logits(xs))
@@ -340,8 +349,7 @@ class TestConvStreaming:
         self.rng = np.random.default_rng(31)
 
     def unstreamed(self, xs: np.ndarray) -> np.ndarray:
-        (w1, b1), (w2, b2) = [(w.values, b.values)
-                              for w, b in self.model._dense]
+        (w1, b1), (w2, b2) = self.model._dense
         hidden = self.model._conv_act(xs) @ w1 + b1
         return np.maximum(hidden, 0.0) @ w2 + b2
 
@@ -379,7 +387,7 @@ class TestConvStreaming:
             conv=ConvSpec(kernel=3, channels=4)))
         xs = self.rng.random((2 * model._chunk_images() + 3, 8, 8, 3))
         weight, bias = model._dense[0]
-        ref = model._conv_act(xs) @ weight.values + bias.values
+        ref = model._conv_act(xs) @ weight + bias
         assert relative_error(model.logits(xs), ref) <= 1e-12
 
 
@@ -473,7 +481,7 @@ class TestPerSampleLoss:
         assert got == -math.log(1e-12)
 
     def test_label_out_of_range(self):
-        logits = Tensor([[0.0, 0.0]])
+        logits = np.array([[0.0, 0.0]])
         with pytest.raises(ConfigError):
             weighted_batch_loss(logits, [2], [1.0], LossConfig())
         with pytest.raises(ConfigError):
@@ -482,7 +490,7 @@ class TestPerSampleLoss:
     def test_requires_vector(self):
         # One logit vector per row: the batch is [B, K], never flat.
         with pytest.raises(ShapeError):
-            weighted_batch_loss(Tensor([0.5, 0.5]), [0], [1.0], LossConfig())
+            weighted_batch_loss(np.array([0.5, 0.5]), [0], [1.0], LossConfig())
 
     def test_loss_config_validation(self):
         with pytest.raises(ConfigError):
@@ -497,15 +505,15 @@ class TestLossGradients:
     def test_cross_entropy_logit_gradient_closed_form(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            z = Tensor(rng.normal(size=(1, 6)))
+            z = rng.normal(size=(1, 6))
             y = int(rng.integers(6))
             tape = GradTape()
             tape.register(z)
             loss = weighted_batch_loss(z, [y], [1.0], LossConfig(), tape=tape)
-            grad = backward(tape, loss)[z].values[0]
+            grad = backward(tape, loss)[0][0]
             one_hot = np.zeros(6)
             one_hot[y] = 1.0
-            expected = softmax_vector(z.values[0]) - one_hot
+            expected = softmax_vector(z[0]) - one_hot
             assert np.max(np.abs(grad - expected)) <= 1e-10
 
     @pytest.mark.parametrize("cfg", [
@@ -514,14 +522,14 @@ class TestLossGradients:
     ])
     def test_loss_gradients_against_finite_differences(self, cfg):
         rng = np.random.default_rng(29)
-        z = Tensor(rng.normal(size=(1, 5)))
+        z = rng.normal(size=(1, 5))
         y = 2
 
         def taped(params, tape):
             return weighted_batch_loss(params[0], [y], [1.0], cfg, tape=tape)
 
         def plain(params):
-            return loss_oracle(softmax_vector(params[0].values[0]), y, cfg)
+            return loss_oracle(softmax_vector(params[0][0]), y, cfg)
 
         analytic = taped_gradients(taped, [z])
         numeric = finite_difference(plain, [z])
@@ -535,7 +543,7 @@ class TestLossGradients:
         y = 1
 
         def taped(params, tape):
-            logits = model.forward_batch(Tensor(x[np.newaxis]), tape=tape)
+            logits = model.forward_batch(x[np.newaxis], tape=tape)
             return weighted_batch_loss(logits, [y], [1.0], LossConfig(),
                                        tape=tape)
 
@@ -567,7 +575,7 @@ class TestLossGradients:
             weights = rng.uniform(0.5, 2.0, size=3)
 
             def taped(params, tape):
-                logits = model.forward_batch(Tensor(xs), tape=tape)
+                logits = model.forward_batch(xs, tape=tape)
                 return weighted_batch_loss(logits, labels, weights, cfg,
                                            tape=tape)
 
@@ -589,21 +597,21 @@ class TestInitialization:
                                class_count=2, init_seed=1)
         model = Classifier(cfg)
         first_w, first_b, second_w, second_b = model.parameters
-        assert np.max(np.abs(first_w.values)) <= 1.0 / 4.0  # fan_in 16
-        assert np.max(np.abs(first_b.values)) <= 1.0 / 4.0
-        assert np.max(np.abs(second_w.values)) <= 1.0 / 3.0  # fan_in 9
-        assert np.max(np.abs(second_b.values)) <= 1.0 / 3.0
+        assert np.max(np.abs(first_w)) <= 1.0 / 4.0  # fan_in 16
+        assert np.max(np.abs(first_b)) <= 1.0 / 4.0
+        assert np.max(np.abs(second_w)) <= 1.0 / 3.0  # fan_in 9
+        assert np.max(np.abs(second_b)) <= 1.0 / 3.0
 
     def test_same_seed_same_parameters(self):
         cfg = small_config(hidden=(5,), init_seed=321)
         a, b = Classifier(cfg), Classifier(cfg)
         for pa, pb in zip(a.parameters, b.parameters):
-            assert np.array_equal(pa.values, pb.values)
+            assert np.array_equal(pa, pb)
 
     def test_different_seed_differs(self):
         a = Classifier(small_config(init_seed=1))
         b = Classifier(small_config(init_seed=2))
-        assert not np.array_equal(a.parameters[0].values, b.parameters[0].values)
+        assert not np.array_equal(a.parameters[0], b.parameters[0])
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -627,13 +635,13 @@ class TestCheckpoint:
                                class_count=3, init_seed=55, conv=conv)
         model = Classifier(cfg)
         # Perturb away from the seeded init so loading cannot cheat.
-        model.parameters[0].values += 0.125
+        model.parameters[0] += 0.125
         path = tmp_path / "model.bin"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert loaded.config == cfg
         for ours, theirs in zip(model.parameters, loaded.parameters):
-            assert np.array_equal(ours.values, theirs.values)
+            assert np.array_equal(ours, theirs)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -5,16 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from natsel.errors import ConfigError, ShapeError
+from natsel.errors import ConfigError, NumericError, ShapeError
 from natsel.imageops import GridLayout
 from natsel.model import Classifier, ClassifierConfig, ConvSpec
 from natsel.nscore import (
     LEFTOVER_GROUP_ID,
-    _scores_from_posterior,
     batch_ns_scores,
     params_hash,
 )
-from natsel.tensor import Tensor
 from natsel.weighting import WeightingConfig, compute_weights
 
 from conftest import GroupSpec, group_members, group_ns_scores
@@ -30,7 +28,7 @@ def constant_model(class_count=2):
     """All-zero parameters: logits 0 for any input, posterior uniform."""
     model = make_model(class_count=class_count)
     for p in model.parameters:
-        p.values[...] = 0.0
+        p[...] = 0.0
     return model
 
 
@@ -127,9 +125,9 @@ class TestScores:
         # flat [0.2, 0.8, 0.2, 0.8] into logits [1, 4], so the posterior is
         # (1, e^3) / (1 + e^3).
         model = make_model()
-        model.parameters[0].values[...] = np.array(
+        model.parameters[0][...] = np.array(
             [[2.5, 0.0], [0.0, 2.5], [2.5, 0.0], [0.0, 2.5]])
-        model.parameters[1].values[...] = 0.0
+        model.parameters[1][...] = 0.0
         images = np.stack([np.full((2, 2, 1), 0.2), np.full((2, 2, 1), 0.8)])
         result = batch_ns_scores(images, np.array([0, 1]), model,
                                  GridLayout(1, 2))
@@ -144,9 +142,9 @@ class TestScores:
         # q / sum(q) would round to exactly 1.0.  The probability floor
         # keeps both scores inside (0, 1) so weighting never rejects them.
         model = make_model()
-        model.parameters[0].values[...] = np.array(
+        model.parameters[0][...] = np.array(
             [[0.0, 50.0], [0.0, 0.0], [0.0, 50.0], [0.0, 0.0]])
-        model.parameters[1].values[...] = 0.0
+        model.parameters[1][...] = 0.0
         images = np.stack([np.ones((2, 2, 1)), np.zeros((2, 2, 1))])
         labels = np.array([1, 0])
         result = batch_ns_scores(images, labels, model, GridLayout(1, 2))
@@ -157,9 +155,8 @@ class TestScores:
                                   WeightingConfig(2.5, -1.0))
         assert np.all(weights >= 1.5) and np.all(weights <= 2.5)
 
-        samples = [Tensor(images[i]) for i in range(2)]
         group = GroupSpec(GridLayout(1, 2), group_members(result, 0))
-        q, s = group_ns_scores(group, samples, labels, model)
+        q, s = group_ns_scores(group, images, labels, model)
         assert np.array_equal(s[0], result.score)
 
     @pytest.mark.parametrize("conv", [None, ConvSpec(kernel=2, channels=3)])
@@ -172,12 +169,11 @@ class TestScores:
         layout = GridLayout(2, 2)
         result = batch_ns_scores(images, labels, model, layout)
 
-        samples = [Tensor(images[i]) for i in range(9)]
         assert result.group_count == 2
         for gid in range(result.group_count):
             idx = list(range(4 * gid, 4 * gid + 4))
             group = GroupSpec(layout, idx)
-            q, s = group_ns_scores(group, samples, labels, model)
+            q, s = group_ns_scores(group, images, labels, model)
             assert np.max(np.abs(result.raw[idx] - q[0])) <= 1e-12
             assert np.max(np.abs(result.score[idx] - s[0])) <= 1e-12
             assert np.all(result.group_ids[idx] == gid)
@@ -208,6 +204,13 @@ class TestScores:
         assert np.all(result.group_ids[4:] == LEFTOVER_GROUP_ID)
         assert result.group_ids[:4].tolist() == [0, 0, 0, 0]
 
+    def test_non_finite_composite_logits_raise(self):
+        model = make_model(hidden=(3,))
+        model.parameters[0][0, 0] = np.nan
+        with pytest.raises(NumericError):
+            batch_ns_scores(np.ones((2, 2, 2, 1)), np.array([0, 1]), model,
+                            GridLayout(1, 2))
+
     def test_label_out_of_range(self):
         model = make_model()
         images = np.zeros((2, 2, 2, 1))
@@ -233,13 +236,19 @@ class TestScores:
 
 class TestNormalizationStep:
     def test_score_normalization_is_scale_invariant(self):
+        # Adding log(factor) to every logit scales each exp(z_k), and so
+        # each composite's unnormalized posterior, by factor.
+        model = make_model(seed=41, class_count=6, hidden=(5,))
         rng = np.random.default_rng(41)
-        posteriors = rng.random((3, 6)) + 0.05
-        labels = rng.integers(0, 6, size=(3, 4))
-        _, s_base = _scores_from_posterior(posteriors, labels, 6)
+        images = rng.random((12, 2, 2, 1))
+        labels = rng.integers(0, 6, size=12)
+        base = batch_ns_scores(images, labels, model, GridLayout(2, 2))
+        bias = model.parameters[-1]
         for factor in (1e-6, 3.7, 1e6):
-            _, s_scaled = _scores_from_posterior(posteriors * factor, labels, 6)
-            assert np.max(np.abs(s_scaled - s_base)) <= 1e-12
+            bias += np.log(factor)
+            scaled = batch_ns_scores(images, labels, model, GridLayout(2, 2))
+            bias -= np.log(factor)
+            assert np.max(np.abs(scaled.score - base.score)) <= 1e-12
 
 
 class TestDetachment:
@@ -251,12 +260,12 @@ class TestDetachment:
         labels = rng.integers(0, 3, size=10)
         result = batch_ns_scores(images, labels, model, GridLayout(2, 2))
         group_ns_scores(GroupSpec(GridLayout(2, 2), group_members(result, 0)),
-                        [Tensor(images[i]) for i in range(10)], labels, model)
+                        images, labels, model)
         assert params_hash(model) == before
 
     def test_hash_tracks_parameter_changes(self):
         model = make_model(seed=1)
         before = params_hash(model)
         assert params_hash(model) == before  # stable across calls
-        model.parameters[0].values[0, 0] += 1e-9
+        model.parameters[0][0, 0] += 1e-9
         assert params_hash(model) != before

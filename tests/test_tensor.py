@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from natsel.errors import ShapeError, TapeError
-from natsel.tensor import GradTape, Tensor, add_row, backward, matmul, relu, reshape
+from natsel.tensor import GradTape, add_row, backward, matmul, relu, reshape
 
 from conftest import (
     add,
@@ -14,59 +14,21 @@ from conftest import (
     finite_difference,
     max_relative_error,
     mul,
-    random_tensor,
     scale,
     taped_gradients,
     tsum,
 )
 
 
-class TestTensorBasics:
-    def test_row_major_flat_data(self):
-        t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert t.shape == (2, 2)
-        assert t.size == 4
-        assert t.data.tolist() == [1.0, 2.0, 3.0, 4.0]
-
-    def test_values_are_float64(self):
-        assert Tensor([1, 2]).values.dtype == np.float64
-
-    def test_item_requires_single_element(self):
-        assert Tensor(3.5).item() == 3.5
-        with pytest.raises(ShapeError):
-            Tensor([1.0, 2.0]).item()
-
-    def test_float64_contiguous_array_is_wrapped(self):
-        a = np.arange(6.0).reshape(2, 3)
-        assert Tensor(a).values is a
-        assert np.shares_memory(Tensor(a[1:]).values, a)
-
-    @pytest.mark.parametrize("source", [
-        [[1, 2, 3], [4, 5, 6]],
-        7,
-        np.arange(6, dtype=np.float32).reshape(2, 3),
-        np.arange(6, dtype=np.int64).reshape(2, 3),
-        np.arange(12.0).reshape(2, 6)[:, ::2],
-        np.arange(6.0).reshape(3, 2).T,
-    ], ids=["list", "int", "float32", "int64", "strided", "transposed"])
-    def test_other_input_is_converted(self, source):
-        t = Tensor(source)
-        assert t.values.dtype == np.float64
-        assert t.values.flags.c_contiguous
-        assert np.array_equal(t.values, np.asarray(source))
-        if isinstance(source, np.ndarray):
-            assert not np.shares_memory(t.values, source)
-
-
 class TestMatmul:
     def test_identity(self):
-        eye = Tensor(np.eye(2))
-        m = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(eye, m).values, m.values)
+        eye = np.eye(2)
+        m = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(matmul(eye, m), m)
 
     def test_selector_row(self):
-        assert matmul(Tensor([[1.0, 0.0]]),
-                      Tensor([[2.0], [5.0]])).values.tolist() == [[2.0]]
+        assert matmul(np.array([[1.0, 0.0]]),
+                      np.array([[2.0], [5.0]])).tolist() == [[2.0]]
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(7)
@@ -77,25 +39,25 @@ class TestMatmul:
             for j in range(2):
                 for k in range(4):
                     expected[i, j] += a[i, k] * b[k, j]
-        got = matmul(Tensor(a), Tensor(b)).values
+        got = matmul(a, b)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            matmul(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0]]))
+            matmul(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]))
         with pytest.raises(ShapeError):
-            matmul(Tensor([1.0]), Tensor([[1.0]]))
+            matmul(np.array([1.0]), np.array([[1.0]]))
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(11)
-        a = random_tensor(rng, (3, 4))
-        b = random_tensor(rng, (4, 2))
+        a = rng.uniform(-1.0, 1.0, size=(3, 4))
+        b = rng.uniform(-1.0, 1.0, size=(4, 2))
 
         def taped(params, tape):
             return tsum(matmul(params[0], params[1], tape=tape), tape=tape)
 
         def plain(params):
-            return float(np.sum(params[0].values @ params[1].values))
+            return float(np.sum(params[0] @ params[1]))
 
         analytic = taped_gradients(taped, [a, b])
         numeric = finite_difference(plain, [a, b])
@@ -104,54 +66,54 @@ class TestMatmul:
 
 class TestElementwise:
     def test_relu_values(self):
-        assert relu(Tensor([-1.0, 0.0, 2.0])).values.tolist() == [0.0, 0.0, 2.0]
+        assert relu(np.array([-1.0, 0.0, 2.0])).tolist() == [0.0, 0.0, 2.0]
 
 class TestBackward:
     def test_sum_gives_ones(self):
-        p = Tensor([1.0, 2.0, 3.0])
+        p = np.array([1.0, 2.0, 3.0])
         tape = GradTape()
         tape.register(p)
         g = backward(tape, tsum(p, tape=tape))
-        assert g[p].values.tolist() == [1.0, 1.0, 1.0]
+        assert g[0].tolist() == [1.0, 1.0, 1.0]
 
     def test_quadratic(self):
-        p = Tensor([1.0, 2.0])
+        p = np.array([1.0, 2.0])
         tape = GradTape()
         tape.register(p)
         g = backward(tape, tsum(mul(p, p, tape=tape), tape=tape))
-        assert g[p].values.tolist() == [2.0, 4.0]
+        assert g[0].tolist() == [2.0, 4.0]
 
     def test_additive_accumulation_two_uses(self):
-        p = Tensor([3.0])
+        p = np.array([3.0])
         tape = GradTape()
         tape.register(p)
         # p appears twice: gradient of sum(p + p) is 2
         g = backward(tape, tsum(add(p, p, tape=tape), tape=tape))
-        assert g[p].values.tolist() == [2.0]
+        assert g[0].tolist() == [2.0]
 
     def test_unreachable_parameter_gets_zeros(self):
-        used = Tensor([1.0, 2.0])
-        unused = Tensor([[5.0, 6.0], [7.0, 8.0]])
+        used = np.array([1.0, 2.0])
+        unused = np.array([[5.0, 6.0], [7.0, 8.0]])
         tape = GradTape()
         tape.register(used, unused)
         g = backward(tape, tsum(used, tape=tape))
-        assert g[unused].shape == (2, 2)
-        assert np.all(g[unused].values == 0.0)
+        assert g[1].shape == (2, 2)
+        assert np.all(g[1] == 0.0)
 
     def test_same_shape_gradient_shares_its_adjoint(self):
-        # backward wraps a parameter's accumulated adjoint without a copy
-        p = Tensor(np.ones((2, 3)))
+        # backward returns a parameter's accumulated adjoint without a copy
+        p = np.ones((2, 3))
         adjoint = np.arange(6.0).reshape(2, 3)
         tape = GradTape()
         tape.register(p)
-        root = Tensor(0.0)
+        root = np.array(0.0)
         tape.record(root, lambda g: ((p, adjoint),))
-        grad = backward(tape, root)[p].values
+        grad = backward(tape, root)[0]
         assert np.shares_memory(grad, adjoint)
         assert np.array_equal(grad, adjoint)
 
     def test_root_must_be_scalar(self):
-        p = Tensor([1.0, 2.0])
+        p = np.array([1.0, 2.0])
         tape = GradTape()
         tape.register(p)
         out = add(p, p, tape=tape)
@@ -159,7 +121,7 @@ class TestBackward:
             backward(tape, out)
 
     def test_root_must_be_on_tape(self):
-        p = Tensor([1.0])
+        p = np.array([1.0])
         tape = GradTape()
         tape.register(p)
         off_tape = tsum(p)  # no tape passed
@@ -168,7 +130,7 @@ class TestBackward:
 
     def test_linearity_of_backward(self):
         rng = np.random.default_rng(5)
-        p = random_tensor(rng, (4,))
+        p = rng.uniform(-1.0, 1.0, size=(4,))
 
         def loss_pair(tape):
             l1 = tsum(mul(p, p, tape=tape), tape=tape)
@@ -180,26 +142,26 @@ class TestBackward:
         l1, l2 = loss_pair(tape)
         combined = add(scale(l1, 2.0, tape=tape), scale(l2, -3.0, tape=tape),
                        tape=tape)
-        g_combined = backward(tape, combined)[p].values
+        g_combined = backward(tape, combined)[0]
 
         tape1 = GradTape()
         tape1.register(p)
-        g1 = backward(tape1, loss_pair(tape1)[0])[p].values
+        g1 = backward(tape1, loss_pair(tape1)[0])[0]
         tape2 = GradTape()
         tape2.register(p)
-        g2 = backward(tape2, loss_pair(tape2)[1])[p].values
+        g2 = backward(tape2, loss_pair(tape2)[1])[0]
         assert np.max(np.abs(g_combined - (2.0 * g1 - 3.0 * g2))) <= 1e-10
 
     def test_diamond_graph_reverse_order(self):
         # y = (p*p) + exp(p); both branches merge, replay must hit the add
         # first, then both branches, accumulating into p.
-        p = Tensor([0.7])
+        p = np.array([0.7])
         tape = GradTape()
         tape.register(p)
         left = mul(p, p, tape=tape)
         right = exp(p, tape=tape)
         root = tsum(add(left, right, tape=tape), tape=tape)
-        g = backward(tape, root)[p].values
+        g = backward(tape, root)[0]
         expected = 2 * 0.7 + np.exp(0.7)
         assert abs(g[0] - expected) <= 1e-12
 
@@ -208,12 +170,12 @@ class TestBackward:
         vals = rng.normal(size=(3, 3))
 
         def run():
-            p = Tensor(vals.copy())
+            p = vals.copy()
             tape = GradTape()
             tape.register(p)
             z = matmul(p, p, tape=tape)
             root = tsum(mul(z, z, tape=tape), tape=tape)
-            return backward(tape, root)[p].values
+            return backward(tape, root)[0]
 
         assert np.array_equal(run(), run())
 
@@ -224,13 +186,13 @@ class TestOpGradients:
 
     @pytest.mark.parametrize("name,builder,plain", [
         ("add", lambda p, t: tsum(add(p[0], p[1], tape=t), tape=t),
-         lambda p: float(np.sum(p[0].values + p[1].values))),
+         lambda p: float(np.sum(p[0] + p[1]))),
         ("mul", lambda p, t: tsum(mul(p[0], p[1], tape=t), tape=t),
-         lambda p: float(np.sum(p[0].values * p[1].values))),
+         lambda p: float(np.sum(p[0] * p[1]))),
     ])
     def test_binary_ops(self, name, builder, plain):
         rng = np.random.default_rng(zlib.crc32(name.encode()))
-        params = [random_tensor(rng, (3, 2)), random_tensor(rng, (3, 2))]
+        params = [rng.uniform(-1.0, 1.0, size=(3, 2)), rng.uniform(-1.0, 1.0, size=(3, 2))]
         analytic = taped_gradients(builder, params)
         numeric = finite_difference(plain, params)
         assert max_relative_error(analytic, numeric) <= 1e-5
@@ -244,15 +206,15 @@ class TestOpGradients:
     ])
     def test_unary_ops(self, name, taped_fn, plain_fn, lo, hi):
         rng = np.random.default_rng(zlib.crc32(name.encode()))
-        x = random_tensor(rng, (5,), lo, hi)
+        x = rng.uniform(lo, hi, size=5)
         analytic = taped_gradients(
             lambda p, t: tsum(taped_fn(p[0], t), tape=t), [x])
         numeric = finite_difference(
-            lambda p: float(np.sum(plain_fn(p[0].values))), [x])
+            lambda p: float(np.sum(plain_fn(p[0]))), [x])
         assert max_relative_error(analytic, numeric) <= 1e-5
 
     def test_relu_gradient_at_zero_is_zero(self):
-        x = Tensor([0.0, -1.0, 1.0])
+        x = np.array([0.0, -1.0, 1.0])
         analytic = taped_gradients(
             lambda p, t: tsum(relu(p[0], t), tape=t), [x])
         assert analytic[0].tolist() == [0.0, 0.0, 1.0]
@@ -260,7 +222,7 @@ class TestOpGradients:
     def test_gather_ops_gradients(self):
         # g and r each feed two ops, so their adjoints must sum.
         rng = np.random.default_rng(31)
-        x = random_tensor(rng, (3, 4))
+        x = rng.uniform(-1.0, 1.0, size=(3, 4))
 
         def taped(p, t):
             g = reshape(p[0], (6, 2), tape=t)
@@ -269,7 +231,7 @@ class TestOpGradients:
                        tape=t)
 
         def plain(p):
-            v = p[0].values
+            v = p[0]
             return float(np.sum(v * v) + v.sum())
 
         analytic = taped_gradients(taped, [x])
@@ -278,16 +240,16 @@ class TestOpGradients:
 
     def test_add_row_gradient(self):
         rng = np.random.default_rng(37)
-        a = random_tensor(rng, (4, 3))
-        row = random_tensor(rng, (1, 3))
+        a = rng.uniform(-1.0, 1.0, size=(4, 3))
+        row = rng.uniform(-1.0, 1.0, size=(1, 3))
         weights = rng.normal(size=(4, 3))
 
         def taped(p, t):
-            return tsum(mul(add_row(p[0], p[1], tape=t), Tensor(weights),
+            return tsum(mul(add_row(p[0], p[1], tape=t), weights,
                             tape=t), tape=t)
 
         def plain(p):
-            return float(np.sum((p[0].values + p[1].values) * weights))
+            return float(np.sum((p[0] + p[1]) * weights))
 
         analytic = taped_gradients(taped, [a, row])
         numeric = finite_difference(plain, [a, row])
@@ -295,18 +257,18 @@ class TestOpGradients:
 
     def test_composed_network_loss_gradcheck(self):
         rng = np.random.default_rng(97)
-        w1 = random_tensor(rng, (4, 3))
-        w2 = random_tensor(rng, (3, 2))
+        w1 = rng.uniform(-1.0, 1.0, size=(4, 3))
+        w2 = rng.uniform(-1.0, 1.0, size=(3, 2))
         x = rng.normal(size=(2, 4))
 
         def taped(p, t):
-            h = relu(matmul(Tensor(x), p[0], tape=t), tape=t)
+            h = relu(matmul(x, p[0], tape=t), tape=t)
             z = matmul(h, p[1], tape=t)
             return tsum(mul(z, z, tape=t), tape=t)
 
         def plain(p):
-            h = np.maximum(x @ p[0].values, 0.0)
-            z = h @ p[1].values
+            h = np.maximum(x @ p[0], 0.0)
+            z = h @ p[1]
             return float(np.sum(z * z))
 
         analytic = taped_gradients(taped, [w1, w2])
@@ -316,12 +278,12 @@ class TestOpGradients:
 
 class TestValidation:
     def test_add_row_validates(self):
-        a = Tensor(np.ones((2, 3)))
-        assert add_row(a, Tensor([[1.0, 2.0, 3.0]])).values.tolist() == \
+        a = np.ones((2, 3))
+        assert add_row(a, np.array([[1.0, 2.0, 3.0]])).tolist() == \
             [[2.0, 3.0, 4.0], [2.0, 3.0, 4.0]]
         with pytest.raises(ShapeError):
-            add_row(a, Tensor([1.0, 2.0, 3.0]))
+            add_row(a, np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ShapeError):
-            add_row(a, Tensor([[1.0, 2.0]]))
+            add_row(a, np.array([[1.0, 2.0]]))
         with pytest.raises(ShapeError):
-            add_row(Tensor([1.0, 2.0, 3.0]), Tensor([[1.0, 2.0, 3.0]]))
+            add_row(np.array([1.0, 2.0, 3.0]), np.array([[1.0, 2.0, 3.0]]))

@@ -22,7 +22,7 @@ from natsel.model import (
     save_checkpoint,
 )
 from natsel.nscore import NSResult, params_hash
-from natsel.tensor import GradTape, Tensor, backward
+from natsel.tensor import GradTape, backward
 from natsel.trainer import (
     MetricsRecord,
     TrainConfig,
@@ -82,11 +82,11 @@ LOSS_CONFIGS = [
 
 class TestWeightedBatchLoss:
     def logits(self, rows, seed=4):
-        return Tensor(np.random.default_rng(seed).normal(size=(rows, 5)))
+        return np.random.default_rng(seed).normal(size=(rows, 5))
 
     def single(self, logits, row, label):
         """One sample's loss: the op on a one-row batch with weight 1."""
-        return weighted_batch_loss(Tensor(logits.values[row:row + 1]),
+        return weighted_batch_loss(logits[row:row + 1],
                                    [label], [1.0]).item()
 
     def test_unit_weights_give_plain_mean(self):
@@ -94,7 +94,7 @@ class TestWeightedBatchLoss:
         labels = [1, 4, 0]
         got = weighted_batch_loss(z, labels, np.ones(3)).item()
         values = [self.single(z, i, y) for i, y in enumerate(labels)]
-        oracle = [loss_oracle(softmax_vector(z.values[i]), y, LossConfig())
+        oracle = [loss_oracle(softmax_vector(z[i]), y, LossConfig())
                   for i, y in enumerate(labels)]
         assert got == float(np.sum(values)) / 3
         assert abs(got - np.mean(oracle)) <= 1e-12
@@ -119,7 +119,7 @@ class TestWeightedBatchLoss:
         with pytest.raises(ShapeError):
             weighted_batch_loss(self.logits(2), [0], np.ones(2))
         with pytest.raises(ShapeError):
-            weighted_batch_loss(Tensor(np.zeros((0, 5))), [], np.ones(0))
+            weighted_batch_loss(np.zeros((0, 5)), [], np.ones(0))
 
     def test_gradient_is_weighted_mean_of_per_sample_gradients(self):
         # d/dz of (1/B) sum w_i * l_i(z_i) against finite differences.
@@ -135,13 +135,13 @@ class TestWeightedBatchLoss:
         def plain(params):
             total = 0.0
             for i, y in enumerate(labels):
-                p = softmax_vector(params[0].values[i])
+                p = softmax_vector(params[0][i])
                 total += weights[i] * loss_oracle(p, y, cfg)
             return total / 3.0
 
         tape = GradTape()
         tape.register(z)
-        analytic = [backward(tape, taped([z], tape))[z].values]
+        analytic = backward(tape, taped([z], tape))
         numeric = finite_difference(plain, [z])
         assert max_relative_error(analytic, numeric) <= 1e-5
 
@@ -160,12 +160,12 @@ class TestWeightedBatchLoss:
         model = fresh_model(train_set)
         tape = GradTape()
         model.register_on(tape)
-        logits = model.forward_batch(Tensor(train_set.images), tape=tape)
+        logits = model.forward_batch(train_set.images, tape=tape)
         taped = weighted_batch_loss(logits, train_set.labels,
                                     np.ones(len(train_set)), cfg,
                                     tape=tape).item()
         untaped = weighted_batch_loss(
-            Tensor(logits.values), train_set.labels,
+            logits, train_set.labels,
             np.ones(len(train_set)), cfg).item()
         assert untaped == taped
         assert evaluate(model, train_set, cfg).mean_loss == taped
@@ -176,40 +176,40 @@ class TestWeightedBatchLoss:
 
 class TestSgdMomentumStep:
     def test_zero_momentum_is_plain_descent(self):
-        p = Tensor([1.0, -2.0])
+        p = np.array([1.0, -2.0])
         v = [np.zeros(2)]
-        sgd_momentum_step([p], [Tensor([0.5, 0.5])], v, 0.1, 0.0)
-        assert np.max(np.abs(p.values - [0.95, -2.05])) <= 1e-15
+        sgd_momentum_step([p], [np.array([0.5, 0.5])], v, 0.1, 0.0)
+        assert np.max(np.abs(p - [0.95, -2.05])) <= 1e-15
 
     def test_zero_gradient_keeps_parameters(self):
-        p = Tensor([1.0, 2.0])
-        sgd_momentum_step([p], [Tensor([0.0, 0.0])], [np.zeros(2)], 0.1, 0.9)
-        assert p.values.tolist() == [1.0, 2.0]
+        p = np.array([1.0, 2.0])
+        sgd_momentum_step([p], [np.array([0.0, 0.0])], [np.zeros(2)], 0.1, 0.9)
+        assert p.tolist() == [1.0, 2.0]
 
     def test_two_step_hand_recurrence(self):
         # f(t) = t^2/2 so g = t; eta=0.1, mu=0.9 from t0=1.0:
         #   v1 = 1.0        t1 = 1.0 - 0.1*1.0   = 0.9
         #   v2 = 0.9 + 0.9  t2 = 0.9 - 0.1*1.8   = 0.72
-        p = Tensor(1.0)
+        p = np.array(1.0)
         v = [np.zeros(())]
-        sgd_momentum_step([p], [Tensor(p.values.copy())], v, 0.1, 0.9)
+        sgd_momentum_step([p], [p.copy()], v, 0.1, 0.9)
         assert abs(p.item() - 0.9) <= 1e-15
-        sgd_momentum_step([p], [Tensor(p.values.copy())], v, 0.1, 0.9)
+        sgd_momentum_step([p], [p.copy()], v, 0.1, 0.9)
         assert abs(p.item() - 0.72) <= 1e-15
 
     def test_velocity_updated_in_place(self):
-        p = Tensor([0.0])
+        p = np.array([0.0])
         v = [np.array([1.0])]
-        sgd_momentum_step([p], [Tensor([1.0])], v, 1.0, 0.5)
+        sgd_momentum_step([p], [np.array([1.0])], v, 1.0, 0.5)
         assert v[0].tolist() == [1.5]
-        assert p.values.tolist() == [-1.5]
+        assert p.tolist() == [-1.5]
 
     def test_shape_validation(self):
-        p = Tensor([1.0, 2.0])
+        p = np.array([1.0, 2.0])
         with pytest.raises(ShapeError):
-            sgd_momentum_step([p], [Tensor([1.0])], [np.zeros(2)], 0.1, 0.0)
+            sgd_momentum_step([p], [np.array([1.0])], [np.zeros(2)], 0.1, 0.0)
         with pytest.raises(ShapeError):
-            sgd_momentum_step([p], [Tensor([1.0, 1.0])], [np.zeros(3)], 0.1, 0.0)
+            sgd_momentum_step([p], [np.array([1.0, 1.0])], [np.zeros(3)], 0.1, 0.0)
         with pytest.raises(ShapeError):
             sgd_momentum_step([p], [], [np.zeros(2)], 0.1, 0.0)
 
@@ -261,7 +261,7 @@ class TestTrainLoop:
         train_set, test_set = toy_sets(per_class=(8, 8), noise=0.0)
         model = fresh_model(train_set, hidden=())
         for p in model.parameters:
-            p.values[...] = 0.0
+            p[...] = 0.0
         before = evaluate(model, train_set).mean_loss
         assert abs(before - math.log(2)) <= 1e-12
         cfg = base_config(batch_size=16, epochs=1, learning_rate=0.5,
@@ -545,7 +545,7 @@ class TestEvaluate:
         train_set, _ = toy_sets(per_class=(3, 7), noise=0.0)
         model = fresh_model(train_set, hidden=())
         for p in model.parameters:
-            p.values[...] = 0.0
+            p[...] = 0.0
         result = evaluate(model, train_set)
         assert result.accuracy == 0.3  # everything predicted class 0
         assert result.per_class_accuracy == (1.0, 0.0)
@@ -563,7 +563,7 @@ class TestEvaluate:
         train_set, _ = toy_sets(noise=0.0)
         model = fresh_model(train_set, hidden=())
         for p in model.parameters:
-            p.values[...] = 0.0
+            p[...] = 0.0
         focal = evaluate(model, train_set,
                          LossConfig(kind="focal", focal_gamma=2.0))
         assert abs(focal.mean_loss - 0.25 * math.log(2)) <= 1e-12

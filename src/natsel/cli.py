@@ -246,6 +246,9 @@ def analyze_run(run_dir, echo=print) -> None:
         if not metrics_path.exists():
             raise ConfigError(f"missing {metrics_path}")
         records = read_metrics_csv(metrics_path)
+        if all(r.per_class_ns is None for r in records):
+            raise ConfigError(f"{metrics_path} has no scored epochs "
+                              "(a rho = 0 run scores nothing to analyze)")
         train_set, _ = datasets_for(config, seed)
 
         scores_path = run_dir / f"scores_{seed}.csv"

@@ -113,7 +113,7 @@ class LossConfig:
 
 
 # Working-set budget of one conv block: its channel planes
-# [B, C, H*W + k-1], its patch columns [k*k*C, B*H'*W] and its
+# [B, C, H*W + k-1], its patch columns [k*k*C + 1, B*H'*W] and its
 # pre-activations [B*H'*W, F].  At 1 MiB a block stays in a 2 MiB L2
 # cache while it is built, multiplied and rectified, and no role forms
 # the columns of a whole batch.  32x32x3 inputs with a 3x3 kernel and
@@ -122,7 +122,8 @@ _BLOCK_BYTES = 1 << 20
 
 
 def _columns(xs: np.ndarray, kernel: int) -> np.ndarray:
-    """Patch columns [k*k*C, N*H'*W] of an [N, H, W, C] stack.
+    """Patch columns [k*k*C + 1, N*H'*W] of an [N, H, W, C] stack, the
+    last row all ones so that ``cols.T @ [W; b]`` carries the bias.
 
     Each image is copied into channel planes [C, H*W + k-1] whose zero
     tail keeps every shifted window in bounds.  Row (dy, dx, c) of the
@@ -140,8 +141,10 @@ def _columns(xs: np.ndarray, kernel: int) -> np.ndarray:
     sn, sc, sp = planes.strides
     view = np.ndarray((kernel, kernel, c, n, span), planes.dtype, planes, 0,
                       (w * sp, sp, sc, sn, sp))
-    view.flags.writeable = False
-    return view.reshape(kernel * kernel * c, n * span)
+    cols = np.empty((kernel * kernel * c + 1, n * span))
+    cols[:-1].reshape(view.shape)[...] = view
+    cols[-1] = 1.0
+    return cols
 
 
 class Classifier:
@@ -242,7 +245,8 @@ class Classifier:
         pre-activations in a conv block."""
         h, w, c = self.config.input_shape
         k, f = self.config.conv.kernel, self.config.conv.channels
-        return 8 * (c * (h * w + k - 1) + (k * k * c + f) * (h - k + 1) * w)
+        rows = k * k * c + 1
+        return 8 * (c * (h * w + k - 1) + (rows + f) * (h - k + 1) * w)
 
     def _conv_step(self) -> int:
         """Images per conv block: as many as keep a block's working set
@@ -271,35 +275,32 @@ class Classifier:
         """ReLU conv activations [N, H'*W'*F] of an [N, H, W, C] array.
 
         The batch is walked in blocks of ``_conv_step`` images: a block's
-        patch columns are built, multiplied (``cols.T @ W``, over all
-        H'*W window starts), biased and rectified while they are in
-        cache, then dropped.  The bias is added as a [1, W*F] row.  Only
-        the valid windows (x0 < W') are kept: one rectifying pass
-        compacts them into the output.  Given a boolean ``mask``
-        [N, H', W', F] (the taped path), each block's valid windows are
-        also checked for finiteness and the mask records where their
-        pre-activations are positive.
+        patch columns are built, multiplied by ``[W; b]`` over all H'*W
+        window starts (the columns' ones row carries the bias) and
+        rectified while they are in cache, then dropped.  Only the
+        valid windows (x0 < W') are kept: one rectifying pass compacts
+        them into the output.  Given a boolean ``mask`` [N, H', W', F]
+        (the taped path), each block's product is checked for
+        finiteness, wrapped windows included, and the mask records
+        where the rectified block is positive.
         """
         n, h, w, _ = xs.shape
         k = self.config.conv.kernel
-        weight = self._conv_w
+        weight = np.vstack((self._conv_w, self._conv_b))
         f = weight.shape[1]
         out_h, out_w = h - k + 1, w - k + 1
-        bias_row = np.tile(self._conv_b, (1, w))
         step = self._conv_step()
         act = np.empty((n, out_h, out_w, f))
         for s in range(0, n, step):
             blk = slice(s, s + step)
             pre = _columns(xs[blk], k).T @ weight
-            rows = pre.reshape(-1, w * f)
-            rows += bias_row
+            if mask is not None and not np.isfinite(pre).all():
+                raise NumericError("conv stage produced non-finite values")
             valid = pre.reshape(-1, out_h, w, f)[:, :, :out_w]
-            if mask is not None:
-                if not np.isfinite(valid).all():
-                    raise NumericError("conv stage produced non-finite values")
-                # derivative at exactly 0 taken as 0
-                np.greater(valid, 0.0, out=mask[blk])
             np.maximum(valid, 0.0, out=act[blk])
+            if mask is not None:
+                # derivative at exactly 0 taken as 0
+                np.greater(act[blk], 0.0, out=mask[blk])
         return act.reshape(n, -1)
 
     def _conv_stage(self, xs: np.ndarray, tape: GradTape) -> np.ndarray:
@@ -310,6 +311,8 @@ class Classifier:
         kept from the forward; each block's columns are rebuilt from the
         input and meet the masked adjoint scattered into a zeroed
         [B, H', W, F] buffer, so the wrapped windows contribute nothing.
+        One product ``cols @ gm`` per block gives the weight adjoint in
+        its first k*k*C rows and, from the ones row, the bias adjoint.
         """
         weight, bias = self._conv_w, self._conv_b
         n, h, w, _ = xs.shape
@@ -323,16 +326,13 @@ class Classifier:
         def pull(g: np.ndarray):
             g = g.reshape(mask.shape)
             buf = np.zeros((min(n, step), out_h, w, f))
-            ones = np.ones((1, buf.size // f))
-            gw, gb = np.zeros(weight.shape), np.zeros(bias.shape)
+            gwb = np.zeros((weight.shape[0] + 1, f))
             for s in range(0, n, step):
                 blk = slice(s, s + step)
                 part = buf[:min(step, n - s)]
                 np.multiply(g[blk], mask[blk], out=part[:, :, :out_w])
-                gm = part.reshape(-1, f)
-                gw += _columns(xs[blk], k) @ gm
-                gb += ones[:, :gm.shape[0]] @ gm
-            return ((weight, gw), (bias, gb))
+                gwb += _columns(xs[blk], k) @ part.reshape(-1, f)
+            return ((weight, gwb[:-1]), (bias, gwb[-1:]))
 
         tape.record(out, pull)
         return out

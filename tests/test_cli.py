@@ -460,6 +460,19 @@ class TestAnalyze:
         assert main(["analyze", str(path.parent)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}")
 
+    def test_unscored_run_exits_one_naming_metrics_file(self, tmp_path,
+                                                         capsys):
+        main(["run", str(write_config(tmp_path)), "--rho", "0",
+              "--label", "plain"])
+        run_dir = tmp_path / "out" / "plain"
+        before = sorted(p.name for p in run_dir.iterdir())
+        capsys.readouterr()
+        assert main(["analyze", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir / 'metrics_1.csv'} ")
+        assert "no scored epochs" in err
+        assert sorted(p.name for p in run_dir.iterdir()) == before
+
     def test_interrupted_write_leaves_no_partial_artifact(self, tmp_path,
                                                           monkeypatch):
         main(["run", str(write_config(tmp_path))])

@@ -198,17 +198,21 @@ class TestConvStage:
     ], ids=["nonsquare_c2_k2", "kernel_1", "kernel_min_h", "kernel_min_w",
             "cifar_multi_block"])
     def test_columns_hold_patch_rows(self, count, shape, kernel):
-        # Every valid window's column equals its patch row exactly; the
-        # wrapped windows (x0 >= W') read on into the next image row or
-        # the zero tail of the image's flat channel plane.
+        # Every valid window's column equals its patch row exactly on
+        # rows [:k*k*C]; the wrapped windows (x0 >= W') read on into the
+        # next image row or the zero tail of the image's flat channel
+        # plane.  The last row is exact ones, the bias's input.
         h, w, c = shape
         xs = np.random.default_rng(h * w + kernel).random((count,) + shape)
-        cols = _columns(xs, kernel)
+        out = _columns(xs, kernel)
         out_h, out_w = h - kernel + 1, w - kernel + 1
         span = out_h * w
-        assert cols.shape == (kernel * kernel * c, count * span)
-        valid = cols.reshape(-1, count, out_h, w)[:, :, :, :out_w]
-        assert np.array_equal(valid.reshape(cols.shape[0], -1).T,
+        rows = kernel * kernel * c
+        assert out.shape == (rows + 1, count * span)
+        assert np.array_equal(out[-1], np.ones(count * span))
+        cols = out[:rows]
+        valid = cols.reshape(rows, count, out_h, w)[:, :, :, :out_w]
+        assert np.array_equal(valid.reshape(rows, -1).T,
                               patch_rows(xs, kernel))
         planes = np.concatenate(
             [xs.transpose(0, 3, 1, 2).reshape(count, c, h * w),
@@ -262,6 +266,20 @@ class TestConvStage:
         with pytest.raises(NumericError):
             model.forward_batch(xs, tape=tape)
 
+    def test_non_finite_bias_raises(self):
+        # The bias rides in the patch product, so the taped path's
+        # finiteness check on the product sees a non-finite bias entry;
+        # -inf included, which the ReLU alone would turn into zeros.
+        model = Classifier(CIFAR_CONV)
+        xs = np.random.default_rng(8).random(
+            (2 * model._conv_step() + 1, 32, 32, 3))
+        for value in (np.nan, np.inf, -np.inf):
+            model.parameters[1][0, -1] = value
+            tape = GradTape()
+            model.register_on(tape)
+            with pytest.raises(NumericError):
+                model.forward_batch(xs, tape=tape)
+
     def test_kernel_must_fit(self):
         with pytest.raises(ConfigError):
             ClassifierConfig(input_shape=(2, 2, 1), hidden=(), class_count=2,
@@ -306,8 +324,8 @@ class TestConvBlocks:
 
     def test_block_is_three_images_within_budget(self):
         # float64 per image: channel planes 3 x (32*32 + 2), patch columns
-        # 27 x (30*32) and pre-activations (30*32) x 8
-        per_image = 8 * (3 * 1026 + 27 * 960 + 960 * 8)
+        # (27 + 1 ones row) x (30*32) and pre-activations (30*32) x 8
+        per_image = 8 * (3 * 1026 + 28 * 960 + 960 * 8)
         assert self.step == 3
         assert per_image * self.step <= _BLOCK_BYTES < per_image * 4
 

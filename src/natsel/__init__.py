@@ -55,7 +55,7 @@ from .model import (
 )
 from .nscore import NSResult, batch_ns_scores, params_hash
 from .seeds import derive_seed
-from .tensor import GradTape, backward, matmul
+from .tensor import GradTape, backward
 from .trainer import (
     MetricsRecord,
     TrainConfig,
@@ -72,7 +72,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # tensor core
-    "GradTape", "backward", "matmul",
+    "GradTape", "backward",
     # model
     "Classifier", "ClassifierConfig", "ConvSpec", "LossConfig",
     "softmax_rows", "sample_losses", "save_checkpoint", "load_checkpoint",

@@ -78,7 +78,7 @@ def _stitch_resize(members: np.ndarray, layout: GridLayout,
     fused = _composite_map(layout, h, w, c, out_h, out_w)
     if fused is None:
         return _resize_batch(_assemble_grid(members, layout), target)
-    return (members.reshape(g, -1) @ fused).reshape(g, out_h, out_w, c)
+    return members.reshape(g, -1).dot(fused).reshape(g, out_h, out_w, c)
 
 
 # Largest folded stitch+resize map, in entries (512 KiB of float64).

@@ -35,6 +35,8 @@ __all__ = [
 # rounding can when one group member dominates by ~1e17.
 _DEGENERATE_FLOOR = 1e-12
 
+_CEILING = 1.0 - _DEGENERATE_FLOOR
+
 LEFTOVER_GROUP_ID = -1
 
 
@@ -56,50 +58,64 @@ def batch_ns_scores(images: np.ndarray, labels: np.ndarray, model: Classifier,
                     layout: GridLayout) -> NSResult:
     """Score a whole batch; one composite forward pass per full group.
 
-    ``images`` is a [B, H, W, C] stack in batch order, assumed already
-    shuffled, so contiguous runs of m are an unbiased grouping.  When m
-    does not divide B the trailing remainder competes with nobody.  All
-    groups are stitched and resized as one array and pushed through a
-    single untaped forward.
+    ``images`` is a [B, H, W, C] stack in batch order and ``labels`` a
+    [B] integer array, assumed already shuffled, so contiguous runs of m
+    are an unbiased grouping.  When m does not divide B the trailing
+    remainder competes with nobody.  All groups are stitched and resized
+    as one array and pushed through a single untaped forward.
     """
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4:
         raise ShapeError(f"expected [B,H,W,C] images, got shape {images.shape}")
+    batch = images.shape[0]
+    if labels.shape != (batch,):
+        raise ShapeError(f"{labels.shape} labels for {batch} images")
     m = layout.group_size
     if m < 2:
         raise ConfigError(f"group size must be at least 2, got {m}")
-    batch = images.shape[0]
     if batch < 1:
         raise ConfigError("batch must be non-empty")
     g = batch // m
     n = g * m
-    raw = score = np.empty(0)
     if g:
         h0, w0, _ = model.config.input_shape
         members = images[:n].reshape((g, m) + images.shape[1:])
         z = model.logits(_stitch_resize(members, layout, (h0, w0)))
         if not np.isfinite(z).all():
             raise NumericError("composite logits are non-finite")
-        member_labels = np.asarray(labels[:n], dtype=np.int64).reshape(g, m)
+        k = z.shape[1]
+        member_labels = np.asarray(labels[:n], dtype=np.int64)
         # As unsigned integers negative labels wrap past any class count,
         # so one maximum checks both ends of the range.
-        if member_labels.astype(np.uint64).max() >= z.shape[1]:
+        if np.maximum.reduce(member_labels.view(np.uint64)) >= k:
             raise ConfigError("label out of range for the model's class count")
         # softmax_rows' arithmetic, exponentiated at the m gathered labels
         # only, so every q keeps the bits of the full [G, K] posterior.
         shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
-        lse = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
-        q = np.exp(shifted[np.arange(g)[:, np.newaxis], member_labels] - lse)
-        q = np.minimum(np.maximum(q, _DEGENERATE_FLOOR),
-                       1.0 - _DEGENERATE_FLOOR)
-        raw = q.reshape(-1)
-        score = (q / np.add.reduce(q, axis=1, keepdims=True)).reshape(-1)
+        shifted -= np.log(np.add.reduce(np.exp(shifted), axis=1,
+                                        keepdims=True))
+        raw = np.exp(shifted.take(_label_offsets(g, m, k) + member_labels))
+        np.maximum(raw, _DEGENERATE_FLOOR, out=raw)
+        np.minimum(raw, _CEILING, out=raw)
+        q = raw.reshape(g, m)
+        score = (q / np.add.reduce(q, axis=1, keepdims=True)).ravel()
+    else:
+        raw = score = np.empty(0)
     if n < batch:
         neutral = np.full(batch - n, 1.0 / m)
         raw = np.concatenate((raw, neutral))
         score = np.concatenate((score, neutral))
     return NSResult(raw=raw, score=score, group_ids=_group_ids(batch, m),
                     group_count=g)
+
+
+@lru_cache(maxsize=64)
+def _label_offsets(g: int, m: int, k: int) -> np.ndarray:
+    """Read-only flat offset [g*m] of each member's row in a [g, k]
+    array: adding the labels gives the flat index of each label logit."""
+    offsets = np.repeat(np.arange(g) * k, m)
+    offsets.setflags(write=False)
+    return offsets
 
 
 @lru_cache(maxsize=64)

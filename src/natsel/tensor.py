@@ -1,45 +1,33 @@
 """Tape-based reverse-mode differentiation over float64 arrays.
 
-Parameters, activations and losses are plain float64 arrays.
-Every public operation validates that its output is finite and raises
-:class:`NumericError` otherwise.
+Parameters, activations and losses are plain float64 arrays.  The tape
+holds no operations of its own: the classifier's conv stage, its dense
+stack and the fused weighted loss each append one entry with
+:meth:`GradTape.record`, and check their own outputs for finiteness.
+So a taped MLP step is two entries and a conv step three.
 
 Aliasing: arrays are passed as they are, without copies, so an output may
-share memory with an input (``reshape`` returns a view) and a gradient
-may be the accumulated adjoint itself.  This is safe because no
-operation, pullback or caller writes to an array it was given; the
-optimizer's in-place parameter update
+share memory with an input and a gradient may be the accumulated adjoint
+itself.  This is safe because no record, pullback or caller writes to an
+array it was given; the optimizer's in-place parameter update
 (:func:`natsel.trainer.sgd_momentum_step`) is the one exception, and
 parameters are arrays of their own.
 
-Gradients are recorded on an explicit :class:`GradTape`: operations called
-with ``tape=...`` append one entry each, and :func:`backward` replays the
-entries in exact reverse order, accumulating adjoints additively.  Entries
-and adjoints are keyed by array identity, and the tape keeps every
-recorded array alive, so no identity is reused while it replays.
-Passing ``tape=None`` gives the plain (detached) numeric result.
-
-Only the primitives the classifier's taped forward uses live here; the
-conv stage and the fused loss record one entry each with
-:meth:`GradTape.record`.
+:func:`backward` replays the entries in exact reverse order,
+accumulating adjoints additively.  Entries and adjoints are keyed by
+array identity, and the tape keeps every recorded array alive, so no
+identity is reused while it replays.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, TapeError
+from .errors import ShapeError, TapeError
 
-__all__ = [
-    "GradTape",
-    "backward",
-    "matmul",
-    "add_row",
-    "relu",
-    "reshape",
-]
+__all__ = ["GradTape", "backward"]
 
 # A tape entry: (output, pull) where pull maps the output adjoint to an
 # iterable of (input array, adjoint contribution) pairs.
@@ -47,7 +35,7 @@ _Pull = Callable[[np.ndarray], Iterable[tuple[np.ndarray, np.ndarray]]]
 
 
 class GradTape:
-    """Ordered record of primitive operations plus a parameter registry."""
+    """Ordered record of taped operations plus a parameter registry."""
 
     def __init__(self):
         self._entries: list[tuple[np.ndarray, _Pull]] = []
@@ -98,73 +86,3 @@ def backward(tape: GradTape, root: np.ndarray) -> list[np.ndarray]:
         grads.append(np.zeros(p.shape) if acc is None
                      else np.broadcast_to(acc, p.shape))
     return grads
-
-
-def _finite(compute, op: str) -> np.ndarray:
-    """Evaluate an array expression and reject non-finite results.
-
-    IEEE overflow/invalid warnings are silenced; the NumericError carries
-    the diagnosis instead.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = compute()
-    if not np.isfinite(values).all():
-        raise NumericError(f"{op} produced non-finite values")
-    return values
-
-
-def matmul(a: np.ndarray, b: np.ndarray, tape: GradTape | None = None
-           ) -> np.ndarray:
-    """Matrix product of a [M,K] by a [K,N] array."""
-    if len(a.shape) != 2 or len(b.shape) != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out = _finite(lambda: a @ b, "matmul")
-    if tape is not None:
-        def pull(g: np.ndarray):
-            return ((a, g @ b.T), (b, a.T @ g))
-
-        tape.record(out, pull)
-    return out
-
-
-def add_row(a: np.ndarray, row: np.ndarray, tape: GradTape | None = None
-            ) -> np.ndarray:
-    """Add a [1, M] row to every row of an [N, M] array (a bias add)."""
-    if len(a.shape) != 2 or row.shape != (1, a.shape[1]):
-        raise ShapeError(f"add_row: cannot add a {row.shape} row to "
-                         f"shape {a.shape}")
-    out = _finite(lambda: a + row, "add_row")
-    if tape is not None:
-        def pull(g: np.ndarray):
-            return ((a, g), (row, g.sum(axis=0, keepdims=True)))
-
-        tape.record(out, pull)
-    return out
-
-
-def relu(a: np.ndarray, tape: GradTape | None = None) -> np.ndarray:
-    out = np.maximum(a, 0.0)
-    if tape is not None:
-        mask = a > 0.0  # derivative at exactly 0 taken as 0
-
-        def pull(g: np.ndarray):
-            return ((a, g * mask),)
-
-        tape.record(out, pull)
-    return out
-
-
-def reshape(a: np.ndarray, shape: Sequence[int],
-            tape: GradTape | None = None) -> np.ndarray:
-    shape = tuple(int(d) for d in shape)
-    out = a.reshape(shape)
-    if tape is not None:
-        old = a.shape
-
-        def pull(g: np.ndarray):
-            return ((a, g.reshape(old)),)
-
-        tape.record(out, pull)
-    return out

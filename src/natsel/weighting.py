@@ -70,10 +70,14 @@ def compute_weights(scores, cfg: WeightingConfig) -> np.ndarray:
     every weight is finite and none is negative.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if s.size and (s.min() <= 0.0 or s.max() >= 1.0):
-        raise ConfigError(
-            "scores must lie strictly inside (0, 1); "
-            f"got range [{s.min()}, {s.max()}]"
-        )
-    return cfg.sigma + cfg.rho * s
+    if s.size:
+        lo = np.minimum.reduce(s, axis=None)
+        hi = np.maximum.reduce(s, axis=None)
+        # NaN compares false, so a NaN score fails this test
+        if not (lo > 0.0 and hi < 1.0):
+            raise ConfigError("scores must lie strictly inside (0, 1); "
+                              f"got range [{lo}, {hi}]")
+    w = cfg.rho * s
+    w += cfg.sigma
+    return w
 

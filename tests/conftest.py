@@ -5,7 +5,7 @@ import struct
 import numpy as np
 
 from natsel.data import _IDX_IMAGE4_MAGIC, _IDX_IMAGE_MAGIC, _IDX_LABEL_MAGIC
-from natsel.errors import FormatError
+from natsel.errors import FormatError, ShapeError
 from natsel.tensor import GradTape, backward
 
 
@@ -69,9 +69,9 @@ def forward_one(model, x: np.ndarray) -> np.ndarray:
     return model.forward_batch(x[np.newaxis])[0]
 
 
-# Elementwise taped ops for the backward and gradient tests.  The library
-# tapes only what the classifier uses, so these record their entries with
-# GradTape.record; operands of a binary op must have equal shapes.
+# Taped ops for the backward and gradient tests.  The library tapes whole
+# stages, so these record their entries with GradTape.record; operands of
+# an elementwise binary op must have equal shapes.
 
 def _taped(out, tape, pull):
     if tape is not None:
@@ -103,6 +103,31 @@ def tsum(a, tape=None):
     """Sum of all elements as a 0-d array, the usual backward root."""
     return _taped(np.array(np.sum(a)), tape,
                   lambda g: ((a, np.full(a.shape, float(g))),))
+
+
+def matmul(a, b, tape=None):
+    """Matrix product of a [M, K] by a [K, N] array."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul cannot multiply {a.shape} by {b.shape}")
+    return _taped(a @ b, tape, lambda g: ((a, g @ b.T), (b, a.T @ g)))
+
+
+def add_row(a, row, tape=None):
+    """Add a [1, M] row to every row of an [N, M] array (a bias add)."""
+    if a.ndim != 2 or row.shape != (1, a.shape[1]):
+        raise ShapeError(f"add_row cannot add a {row.shape} row to {a.shape}")
+    return _taped(a + row, tape,
+                  lambda g: ((a, g), (row, g.sum(axis=0, keepdims=True))))
+
+
+def relu(a, tape=None):
+    mask = a > 0.0  # derivative at exactly 0 taken as 0
+    return _taped(np.maximum(a, 0.0), tape, lambda g: ((a, g * mask),))
+
+
+def reshape(a, shape, tape=None):
+    return _taped(a.reshape(shape), tape,
+                  lambda g: ((a, g.reshape(a.shape)),))
 
 
 def reference_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -285,9 +285,13 @@ def test_criterion_09_scoring_overhead(capsys, tmp_path):
     ns_time = sum(r.ns_seconds for r in train_records)
     total = sum(r.seconds for r in train_records)
     overhead = ns_time / (total - ns_time)
+    # per-step split, so a reading shows which side of the ratio moved
+    steps = len(train_records) * math.ceil(n / batch)
     ok = counts_ok and overhead < 0.35
     _verdict(capsys, 9, "composite scoring overhead", ok,
              f"{expected_groups} composites/epoch, "
+             f"scoring {1e6 * ns_time / steps:.1f} us/step, "
+             f"rest {1e6 * (total - ns_time) / steps:.1f} us/step, "
              f"wall overhead {100 * overhead:.1f}%")
 
 

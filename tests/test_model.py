@@ -27,10 +27,14 @@ from natsel.trainer import weighted_batch_loss
 
 from conftest import (
     INPUT_FORMS,
+    add_row,
     finite_difference,
     forward_one,
     loss_oracle,
+    matmul,
     max_relative_error,
+    relu,
+    reshape,
     softmax_vector,
     taped_gradients,
 )
@@ -171,6 +175,73 @@ class TestForward:
         assert np.all(np.isfinite(model.forward_batch(xs)))
 
 
+def taped_step(model: Classifier, xs: np.ndarray) -> GradTape:
+    """The tape of one taped forward and cross-entropy loss of ``xs``."""
+    tape = GradTape()
+    model.register_on(tape)
+    logits = model.forward_batch(xs, tape=tape)
+    weighted_batch_loss(logits, np.arange(len(xs)) % logits.shape[1],
+                        np.ones(len(xs)), LossConfig(), tape=tape)
+    return tape
+
+
+def primitive_chain_gradients(model: Classifier, xs: np.ndarray):
+    """Gradients of ``taped_step``'s loss with the dense stack taped as
+    reshape or conv, then matmul/add_row per layer and a ReLU between."""
+    tape = GradTape()
+    model.register_on(tape)
+    n = len(xs)
+    if model.config.conv is not None:
+        out = model._conv_stage(xs, tape)
+    else:
+        out = reshape(xs, (n, -1), tape=tape)
+    for i, (weight, bias) in enumerate(model._dense):
+        if i:
+            out = relu(out, tape=tape)
+        out = add_row(matmul(out, weight, tape=tape), bias, tape=tape)
+    loss = weighted_batch_loss(out, np.arange(n) % out.shape[1], np.ones(n),
+                               LossConfig(), tape=tape)
+    return backward(tape, loss)
+
+
+class TestDenseStage:
+    def test_taped_mlp_step_is_two_records(self):
+        # One dense record for every layer, one loss record; the dense
+        # pullback reaches the parameters only, never the input images.
+        model = Classifier(small_config(hidden=(5, 4), class_count=3,
+                                        init_seed=3))
+        tape = taped_step(model, np.random.default_rng(2).random((6, 2, 2, 1)))
+        assert len(tape._entries) == 2
+        out, pull = tape._entries[0]
+        reached = [t for t, _ in pull(np.ones(out.shape))]
+        assert sorted(map(id, reached)) == sorted(map(id, model.parameters))
+
+    @pytest.mark.parametrize("conv", [None, ConvSpec(kernel=2, channels=3)])
+    def test_gradients_equal_the_primitive_chain(self, conv):
+        # One record per stack gives the bits of one record per operation.
+        model = Classifier(ClassifierConfig(
+            input_shape=(5, 4, 2), hidden=(6, 5), class_count=3,
+            init_seed=12, conv=conv))
+        xs = np.random.default_rng(13).normal(size=(7, 5, 4, 2))
+        tape = taped_step(model, xs)
+        got = backward(tape, tape._entries[-1][0])
+        for g, want in zip(got, primitive_chain_gradients(model, xs),
+                           strict=True):
+            assert np.array_equal(g, want)
+
+    @pytest.mark.parametrize("layer,value", [
+        (1, -np.inf), (3, np.nan), (3, np.inf), (3, -np.inf)])
+    def test_non_finite_pre_activation_raises(self, layer, value):
+        # A hidden -inf bias would leave the ReLU as finite zeros, so only
+        # the dense record's check on the biased pre-activation sees it.
+        model = Classifier(small_config(hidden=(4,), class_count=3))
+        model.parameters[layer][0, 1] = value
+        tape = GradTape()
+        model.register_on(tape)
+        with pytest.raises(NumericError):
+            model.forward_batch(np.ones((2, 2, 2, 1)), tape=tape)
+
+
 class TestConvStage:
     @pytest.mark.parametrize("shape,kernel", [
         ((3, 4, 2), 2),
@@ -225,24 +296,22 @@ class TestConvStage:
                     by_offset[dy, dx],
                     planes[:, :, start:start + span].transpose(1, 0, 2))
 
-    def test_taped_step_is_seven_records(self):
-        # One conv record, matmul/add_row/relu and matmul/add_row for the
-        # dense layers, one loss record; the pullback of the conv record
-        # reaches only the conv weight and bias, never the input.
+    def test_taped_step_is_three_records(self):
+        # One conv record, one dense record, one loss record.  The conv
+        # pullback reaches only the conv weight and bias, never the input;
+        # the dense pullback reaches the dense parameters and the conv
+        # activations.
         model = Classifier(ClassifierConfig(
             input_shape=(5, 4, 2), hidden=(3,), class_count=3, init_seed=4,
             conv=ConvSpec(kernel=2, channels=3)))
-        rng = np.random.default_rng(6)
-        xs = rng.random((4, 5, 4, 2))
-        tape = GradTape()
-        model.register_on(tape)
-        logits = model.forward_batch(xs, tape=tape)
-        weighted_batch_loss(logits, [0, 1, 2, 0], np.ones(4), LossConfig(),
-                            tape=tape)
-        assert len(tape._entries) == 7
-        conv_out, conv_pull = tape._entries[0]
+        tape = taped_step(model, np.random.default_rng(6).random((4, 5, 4, 2)))
+        assert len(tape._entries) == 3
+        (conv_out, conv_pull), (dense_out, dense_pull), _ = tape._entries
         reached = [t for t, _ in conv_pull(np.ones(conv_out.shape))]
         assert reached == model.parameters[:2]
+        reached = [t for t, _ in dense_pull(np.ones(dense_out.shape))]
+        assert sorted(map(id, reached)) == sorted(
+            map(id, model.parameters[2:] + [conv_out]))
 
     def test_non_finite_pre_activation_raises(self):
         # -inf pre-activations would leave the ReLU as finite zeros, so

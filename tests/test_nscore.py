@@ -217,6 +217,14 @@ class TestScores:
         with pytest.raises(ConfigError):
             batch_ns_scores(images, np.array([0, 2]), model, GridLayout(1, 2))
 
+    @pytest.mark.parametrize("count", [6, 10])
+    def test_labels_must_match_the_batch(self, count):
+        # Too few labels cannot fill the groups; too many would be cut.
+        with pytest.raises(ShapeError):
+            batch_ns_scores(np.zeros((8, 2, 2, 1)),
+                            np.zeros(count, dtype=np.int64), make_model(),
+                            GridLayout(2, 2))
+
     def test_images_must_be_batched(self):
         model = make_model()
         with pytest.raises(ShapeError):

@@ -1,4 +1,4 @@
-"""Tape, backward, and primitive-op behavior."""
+"""Tape and backward behavior, and the test-side taped ops."""
 
 import zlib
 
@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from natsel.errors import ShapeError, TapeError
-from natsel.tensor import GradTape, add_row, backward, matmul, relu, reshape
+from natsel.tensor import GradTape, backward
 
 from conftest import (
     add,
+    add_row,
     exp,
     finite_difference,
+    matmul,
     max_relative_error,
     mul,
+    relu,
+    reshape,
     scale,
     taped_gradients,
     tsum,

@@ -83,6 +83,13 @@ class TestComputeWeights:
         with pytest.raises(ConfigError):
             compute_weights([-0.1], cfg)
 
+    @pytest.mark.parametrize("scores", [[0.5, float("nan")],
+                                        [float("nan"), 0.5],
+                                        [float("nan")]])
+    def test_nan_score_rejected(self, scores):
+        with pytest.raises(ConfigError):
+            compute_weights(scores, WeightingConfig(1.0, 0.4))
+
     def test_negative_weight_is_a_config_error(self):
         # A config that could emit a negative weight never gets built, so
         # compute_weights cannot meet one partway through training.

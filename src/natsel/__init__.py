@@ -53,13 +53,12 @@ from .model import (
     save_checkpoint,
     softmax_rows,
 )
-from .nscore import NSResult, batch_ns_scores, params_hash
+from .nscore import NSResult, batch_ns_scores
 from .seeds import derive_seed
 from .tensor import GradTape, backward
 from .trainer import (
     MetricsRecord,
     TrainConfig,
-    duality_check,
     evaluate,
     sgd_momentum_step,
     train,
@@ -79,7 +78,7 @@ __all__ = [
     # image ops
     "GridLayout", "bilinear_resize",
     # competition scoring
-    "NSResult", "batch_ns_scores", "params_hash",
+    "NSResult", "batch_ns_scores",
     # weighting
     "WeightingConfig", "compute_weights",
     # data
@@ -87,7 +86,7 @@ __all__ = [
     "class_sampling_probs", "load_idx", "load_cifar_binary",
     # trainer
     "TrainConfig", "MetricsRecord", "train", "evaluate",
-    "weighted_batch_loss", "sgd_momentum_step", "duality_check",
+    "weighted_batch_loss", "sgd_momentum_step",
     # analysis
     "ClassScoreStats", "FitLine", "CorrelationReport", "ns_distribution",
     "linear_correlation", "correlation_report",

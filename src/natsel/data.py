@@ -9,6 +9,7 @@ generation is bitwise reproducible and per-class parallelizable.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -113,6 +114,12 @@ class DataSettings:
             )
         if min(self.image_shape) < 1:
             raise ConfigError(f"dataset: bad image shape {self.image_shape}")
+        if (self.imbalance_factor is not None
+                and not 1.0 <= self.imbalance_factor < math.inf):
+            raise ConfigError(
+                f"dataset.imbalance_factor: must be finite and at least 1, "
+                f"got {self.imbalance_factor}"
+            )
         counts = self.train_counts()
         if len(counts) != self.classes:
             raise ConfigError(
@@ -124,9 +131,9 @@ class DataSettings:
                 f"dataset: per-class train counts must be positive, "
                 f"got {counts}"
             )
-        if not self.noise_std >= 0.0:
+        if not 0.0 <= self.noise_std < math.inf:
             raise ConfigError(
-                f"dataset.noise_std: must be non-negative, "
+                f"dataset.noise_std: must be finite and non-negative, "
                 f"got {self.noise_std}"
             )
         if not 0.0 <= self.label_noise_rate < 1.0:
@@ -179,12 +186,6 @@ class Dataset:
 
     def label_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.class_count)
-
-    def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(images=self.images[idx], labels=self.labels[idx],
-                       clean_labels=self.clean_labels[idx],
-                       class_count=self.class_count)
 
 
 def _class_template(shape: tuple[int, int, int], rng: np.random.Generator
@@ -275,8 +276,8 @@ def longtail_counts(n_max: int, class_count: int, imbalance_factor: float
     """
     if class_count < 2:
         raise ConfigError("need at least two classes for a long-tail profile")
-    if imbalance_factor < 1.0:
-        raise ConfigError("imbalance factor must be at least 1")
+    if not 1.0 <= imbalance_factor < math.inf:
+        raise ConfigError("imbalance factor must be finite and at least 1")
     if n_max < 1:
         raise ConfigError("largest class count must be positive")
     ks = np.arange(class_count, dtype=np.float64)

@@ -8,13 +8,15 @@ Checkpoint byte layout (``save_checkpoint`` / ``load_checkpoint``):
     <count * 8 bytes>             little-endian float64 parameter block,
                                   arrays in construction order, row-major
 
-Construction order: conv weight, conv bias (if a conv stage is configured),
-then per dense layer weight [in, out] and bias [1, out].
+Construction order: the conv stage's weight and bias as one
+[k*k*C + 1, F] array, the bias its last row (if a conv stage is
+configured), then per dense layer weight [in, out] and bias [1, out].
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,11 +107,13 @@ class LossConfig:
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
-            raise ConfigError(f"unknown loss kind {self.kind!r}")
-        if self.focal_gamma < 0.0:
-            raise ConfigError("focal gamma must be non-negative")
+            raise ConfigError(f"train.loss: unknown kind {self.kind!r}")
+        if not 0.0 <= self.focal_gamma < math.inf:
+            raise ConfigError(f"train.focal_gamma: must be finite and "
+                              f"non-negative, got {self.focal_gamma}")
         if not 0.0 <= self.smoothing_epsilon < 1.0:
-            raise ConfigError("smoothing epsilon must lie in [0, 1)")
+            raise ConfigError(f"train.smoothing_epsilon: must lie in [0, 1), "
+                              f"got {self.smoothing_epsilon}")
 
 
 # Working-set budget of one conv block: its channel planes
@@ -162,9 +166,11 @@ class Classifier:
 
         if config.conv is not None:
             k, f = config.conv.kernel, config.conv.channels
-            self._conv_w = self._init_param(rng, k * k * c, (k * k * c, f))
-            self._conv_b = self._init_param(rng, k * k * c, (1, f))
-            self.parameters += [self._conv_w, self._conv_b]
+            # [W; b]: one draw gives the values of the weight's draw
+            # followed by the bias's, in checkpoint order.
+            self._conv_wb = self._init_param(rng, k * k * c,
+                                             (k * k * c + 1, f))
+            self.parameters.append(self._conv_wb)
             flat_in = (h - k + 1) * (w - k + 1) * f
         else:
             flat_in = h * w * c
@@ -188,9 +194,6 @@ class Classifier:
     @property
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters)
-
-    def register_on(self, tape: GradTape) -> None:
-        tape.register(*self.parameters)
 
     def forward_batch(self, xs, tape: GradTape | None = None) -> np.ndarray:
         """Logits [N, K] for a stack of N inputs, converted to float64."""
@@ -281,7 +284,7 @@ class Classifier:
         """
         n, h, w, _ = xs.shape
         k = self.config.conv.kernel
-        weight = np.vstack((self._conv_w, self._conv_b))
+        weight = self._conv_wb
         f = weight.shape[1]
         out_h, out_w = h - k + 1, w - k + 1
         step = self._conv_step()
@@ -301,7 +304,7 @@ class Classifier:
     def _conv_stage(self, xs: np.ndarray, tape: GradTape) -> np.ndarray:
         """ReLU conv activations [N, H'*W'*F] as one tape record.
 
-        The pullback returns the weight and bias adjoints only: the input
+        The pullback returns the adjoint of ``[W; b]`` only: the input
         is data, so no adjoint is formed for it.  No patch columns are
         kept from the forward; each block's columns are rebuilt from the
         input and meet the masked adjoint scattered into a zeroed
@@ -309,7 +312,7 @@ class Classifier:
         One product ``cols @ gm`` per block gives the weight adjoint in
         its first k*k*C rows and, from the ones row, the bias adjoint.
         """
-        weight, bias = self._conv_w, self._conv_b
+        weight = self._conv_wb
         n, h, w, _ = xs.shape
         k, f = self.config.conv.kernel, weight.shape[1]
         out_h, out_w = h - k + 1, w - k + 1
@@ -321,13 +324,13 @@ class Classifier:
         def pull(g: np.ndarray):
             g = g.reshape(mask.shape)
             buf = np.zeros((min(n, step), out_h, w, f))
-            gwb = np.zeros((weight.shape[0] + 1, f))
+            gwb = np.zeros(weight.shape)
             for s in range(0, n, step):
                 blk = slice(s, s + step)
                 part = buf[:min(step, n - s)]
                 np.multiply(g[blk], mask[blk], out=part[:, :, :out_w])
                 gwb += _columns(xs[blk], k) @ part.reshape(-1, f)
-            return ((weight, gwb[:-1]), (bias, gwb[-1:]))
+            return ((weight, gwb),)
 
         tape.record(out, pull)
         return out

@@ -8,12 +8,11 @@ score q_i; normalizing the raw scores within the group gives the
 competition score s_i = q_i / sum_j q_j.
 
 Scoring is strictly detached: no tape records, no parameter writes, no
-optimizer state.  ``params_hash`` exists so tests can assert this exactly.
+optimizer state.
 """
 
 from __future__ import annotations
 
-import hashlib
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -26,7 +25,6 @@ from .model import Classifier
 __all__ = [
     "NSResult",
     "batch_ns_scores",
-    "params_hash",
 ]
 
 # Probability floor: posteriors entering score extraction are kept at
@@ -126,11 +124,3 @@ def _group_ids(batch: int, m: int) -> np.ndarray:
     ids[batch // m * m:] = LEFTOVER_GROUP_ID
     ids.setflags(write=False)
     return ids
-
-
-def params_hash(model: Classifier) -> str:
-    """SHA-256 over all parameter bytes; equality means bit-identical state."""
-    digest = hashlib.sha256()
-    for p in model.parameters:
-        digest.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
-    return digest.hexdigest()

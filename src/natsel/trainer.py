@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -33,12 +34,10 @@ __all__ = [
     "TrainConfig",
     "MetricsRecord",
     "EvalResult",
-    "DualityReport",
     "weighted_batch_loss",
     "sgd_momentum_step",
     "train",
     "evaluate",
-    "duality_check",
     "write_metrics_csv",
     "read_metrics_csv",
     "deterministic_csv_bytes",
@@ -65,15 +64,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"train.learning_rate: must be finite and "
+                              f"positive, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
+            raise ConfigError(f"train.momentum: must lie in [0, 1), got "
+                              f"{self.momentum}")
         if self.epochs < 1:
-            raise ConfigError("need at least one epoch")
+            raise ConfigError(f"train.epochs: need at least one, got "
+                              f"{self.epochs}")
         if self.sampler not in SAMPLER_KINDS:
             raise ConfigError(
-                f"unknown sampler {self.sampler!r}, "
+                f"sampler.kind: unknown sampler {self.sampler!r}, "
                 f"expected one of {SAMPLER_KINDS}"
             )
         if self.weighting.rho != 0.0 and self.layout.group_size < 2:
@@ -83,13 +85,14 @@ class TrainConfig:
             )
         if self.batch_size < self.layout.group_size:
             raise ConfigError(
-                f"batch size {self.batch_size} smaller than group size "
-                f"{self.layout.group_size}"
+                f"train.batch_size: {self.batch_size} is smaller than "
+                f"the group size {self.layout.group_size}"
             )
         for milestone, factor in self.decay_milestones:
-            if milestone < 0 or factor <= 0:
+            if milestone < 0 or not 0.0 < factor < math.inf:
                 raise ConfigError(
-                    f"bad decay milestone ({milestone}, {factor})"
+                    f"train.decay: bad milestone ({milestone}, {factor}); "
+                    "need a non-negative epoch and a finite positive factor"
                 )
 
     def lr_at(self, epoch: int) -> float:
@@ -123,11 +126,6 @@ class MetricsRecord:
     ns_forward_passes: int
     ns_seconds: float
 
-    def deterministic_key(self) -> tuple:
-        """Every field except the wall-clock ones."""
-        return tuple(getattr(self, name) for name in _METRICS_COLUMNS
-                     if name not in _TIMING_COLUMNS)
-
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -137,8 +135,8 @@ class EvalResult:
 
 
 def weighted_batch_loss(logits: np.ndarray, labels, weights,
-                        loss_cfg: LossConfig = LossConfig(),
-                        tape: GradTape | None = None) -> np.ndarray:
+                        loss_cfg: LossConfig = LossConfig(), *,
+                        tape: GradTape) -> np.ndarray:
     """(1/B) * sum_i w_i * loss_i of [B, K] logits, as a 0-d array.
 
     The whole batch is one tape record whose pullback is the closed-form
@@ -158,18 +156,14 @@ def weighted_batch_loss(logits: np.ndarray, labels, weights,
             f"{b} rows of logits but {labels.shape} labels and "
             f"{w.shape} weights"
         )
-    if tape is None:
-        losses = sample_losses(logits, labels, loss_cfg)
-    else:
-        losses, dlogits = sample_losses(logits, labels, loss_cfg, grad=True)
+    losses, dlogits = sample_losses(logits, labels, loss_cfg, grad=True)
     out = np.array(float(np.sum(w * losses)) / b)
-    if tape is not None:
-        row_scale = (w / b)[:, np.newaxis]
+    row_scale = (w / b)[:, np.newaxis]
 
-        def pull(g: np.ndarray):
-            return ((logits, dlogits * (row_scale * g)),)
+    def pull(g: np.ndarray):
+        return ((logits, dlogits * (row_scale * g)),)
 
-        tape.record(out, pull)
+    tape.record(out, pull)
     return out
 
 
@@ -279,11 +273,32 @@ def _train_record(steps: list[_Step], class_count: int,
 def _taped_step(model, images, labels, weights, loss_cfg):
     """Tape one batch: forward, weighted loss, and the predictions."""
     tape = GradTape()
-    model.register_on(tape)
+    tape.register(*model.parameters)
     logits = model.forward_batch(images, tape=tape)
     batch_loss = weighted_batch_loss(logits, labels, weights, loss_cfg,
                                      tape=tape)
     return tape, batch_loss, np.argmax(logits, axis=1)
+
+
+def _check_splits(model: Classifier, train_set: Dataset,
+                  test_set: Dataset) -> None:
+    """Both splits fit the model: non-empty, its input shape, and labels
+    in [0, class_count).  Checked once, so a bad split fails before the
+    first step rather than at its first batch or evaluation."""
+    k = model.config.class_count
+    for name, split in (("train", train_set), ("test", test_set)):
+        if len(split) == 0:
+            raise ConfigError(f"cannot use an empty {name} split")
+        if split.image_shape != tuple(model.config.input_shape):
+            raise ConfigError(
+                f"{name} images {split.image_shape} do not match model "
+                f"input {model.config.input_shape}"
+            )
+        if split.labels.min() < 0 or split.labels.max() >= k:
+            raise ConfigError(
+                f"{name} labels must lie in [0, {k}), got "
+                f"[{split.labels.min()}, {split.labels.max()}]"
+            )
 
 
 def _check_finite(value: float, epoch: int, step: int, quantity: str):
@@ -306,13 +321,7 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
     predictions and scores also make the epoch's train row; a sink that
     writes to them changes that row.
     """
-    if len(train_set) == 0:
-        raise ConfigError("cannot train on an empty dataset")
-    if train_set.image_shape != tuple(model.config.input_shape):
-        raise ConfigError(
-            f"dataset images {train_set.image_shape} do not match model "
-            f"input {model.config.input_shape}"
-        )
+    _check_splits(model, train_set, test_set)
     scoring = config.weighting.rho != 0.0
     velocity = [np.zeros_like(p) for p in model.parameters]
     records: list[MetricsRecord] = []
@@ -376,21 +385,6 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
     return model, records
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    """Mean-risk vs mean-fitness comparison over candidate parameters.
-
-    ``spearman`` is None when every candidate ties: correlation over
-    constant ranks is undefined, though the orderings still agree.
-    """
-
-    mean_risks: tuple[float, ...]
-    mean_fitnesses: tuple[float, ...]
-    risk_order: tuple[int, ...]     # indices sorted by ascending risk
-    fitness_order: tuple[int, ...]  # indices sorted by descending fitness
-    spearman: float | None
-
-
 def _ranks(values: np.ndarray) -> np.ndarray:
     """Average ranks (1-based); ties share their mean rank."""
     order = np.argsort(values, kind="stable")
@@ -415,43 +409,6 @@ def _spearman(xs: np.ndarray, ys: np.ndarray) -> float:
     if denom == 0.0:
         raise ConfigError("spearman undefined: constant ranks")
     return float((rxc @ ryc) / denom)
-
-
-def duality_check(candidates, dataset: Dataset, fitness_ceiling: float,
-                  loss_cfg: LossConfig = LossConfig()) -> DualityReport:
-    """Compare ranking by mean risk with ranking by mean fitness.
-
-    Fitness of a sample is fitness_ceiling - loss; the ceiling must
-    exceed every observed loss so fitness stays positive.  Because the
-    map is a fixed affine flip, ordering candidates by descending mean
-    fitness must reproduce ordering by ascending mean risk, whatever the
-    ceiling: maximizing fitness is minimizing risk.
-    """
-    if not candidates:
-        raise ConfigError("need at least one candidate parameter setting")
-    risks = []
-    for candidate in candidates:
-        logits = candidate.forward_batch(dataset.images)
-        losses = sample_losses(logits, dataset.labels, loss_cfg)
-        if losses.max() >= fitness_ceiling:
-            raise ConfigError(
-                f"fitness ceiling {fitness_ceiling} not above max loss "
-                f"{losses.max()}; fitness would go non-positive"
-            )
-        risks.append(float(losses.mean()))
-    risks_arr = np.array(risks)
-    fitness_arr = fitness_ceiling - risks_arr
-    risk_order = tuple(int(i) for i in np.argsort(risks_arr, kind="stable"))
-    fitness_order = tuple(int(i) for i in
-                          np.argsort(-fitness_arr, kind="stable"))
-    all_tied = np.unique(risks_arr).size == 1
-    return DualityReport(
-        mean_risks=tuple(risks),
-        mean_fitnesses=tuple(float(f) for f in fitness_arr),
-        risk_order=risk_order,
-        fitness_order=fitness_order,
-        spearman=None if all_tied else _spearman(risks_arr, fitness_arr),
-    )
 
 
 def _format_float(x: float) -> str:

@@ -1,12 +1,21 @@
 """Shared helpers for the test suite."""
 
+import hashlib
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
-from natsel.data import _IDX_IMAGE4_MAGIC, _IDX_IMAGE_MAGIC, _IDX_LABEL_MAGIC
-from natsel.errors import FormatError, ShapeError
+from natsel.data import (
+    _IDX_IMAGE4_MAGIC,
+    _IDX_IMAGE_MAGIC,
+    _IDX_LABEL_MAGIC,
+    Dataset,
+)
+from natsel.errors import ConfigError, FormatError, ShapeError
+from natsel.model import LossConfig, sample_losses
 from natsel.tensor import GradTape, backward
+from natsel.trainer import _METRICS_COLUMNS, _TIMING_COLUMNS, _spearman
 
 
 def finite_difference(build, params, step=1e-6):
@@ -296,7 +305,7 @@ def reference_splits(settings, seed):
         start += n_train
         test_idx.extend(range(start, start + test_n))
         start += test_n
-    return full.subset(train_idx), full.subset(test_idx)
+    return subset(full, train_idx), subset(full, test_idx)
 
 
 def train_erm(config, train_set, test_set, model):
@@ -388,3 +397,77 @@ def save_idx(path, array: np.ndarray) -> None:
             raise FormatError(
                 f"cannot encode dtype {arr.dtype} with {arr.ndim} dimensions"
             )
+
+
+def subset(dataset, indices):
+    """The samples of ``dataset`` at ``indices``, in that order."""
+    idx = np.asarray(indices, dtype=np.int64)
+    return Dataset(images=dataset.images[idx], labels=dataset.labels[idx],
+                   clean_labels=dataset.clean_labels[idx],
+                   class_count=dataset.class_count)
+
+
+def params_hash(model) -> str:
+    """SHA-256 over all parameter bytes; equality means bit-identical state."""
+    digest = hashlib.sha256()
+    for p in model.parameters:
+        digest.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def deterministic_key(record) -> tuple:
+    """Every field of a MetricsRecord except the wall-clock ones."""
+    return tuple(getattr(record, name) for name in _METRICS_COLUMNS
+                 if name not in _TIMING_COLUMNS)
+
+
+@dataclass(frozen=True)
+class DualityReport:
+    """Mean-risk vs mean-fitness comparison over candidate parameters.
+
+    ``spearman`` is None when every candidate ties: correlation over
+    constant ranks is undefined, though the orderings still agree.
+    """
+
+    mean_risks: tuple[float, ...]
+    mean_fitnesses: tuple[float, ...]
+    risk_order: tuple[int, ...]     # indices sorted by ascending risk
+    fitness_order: tuple[int, ...]  # indices sorted by descending fitness
+    spearman: float | None
+
+
+def duality_check(candidates, dataset, fitness_ceiling,
+                  loss_cfg=LossConfig()) -> DualityReport:
+    """Compare ranking by mean risk with ranking by mean fitness.
+
+    Fitness of a sample is fitness_ceiling - loss; the ceiling must
+    exceed every observed loss so fitness stays positive.  Because the
+    map is a fixed affine flip, ordering candidates by descending mean
+    fitness must reproduce ordering by ascending mean risk, whatever the
+    ceiling: maximizing fitness is minimizing risk.
+    """
+    if not candidates:
+        raise ConfigError("need at least one candidate parameter setting")
+    risks = []
+    for candidate in candidates:
+        logits = candidate.forward_batch(dataset.images)
+        losses = sample_losses(logits, dataset.labels, loss_cfg)
+        if losses.max() >= fitness_ceiling:
+            raise ConfigError(
+                f"fitness ceiling {fitness_ceiling} not above max loss "
+                f"{losses.max()}; fitness would go non-positive"
+            )
+        risks.append(float(losses.mean()))
+    risks_arr = np.array(risks)
+    fitness_arr = fitness_ceiling - risks_arr
+    risk_order = tuple(int(i) for i in np.argsort(risks_arr, kind="stable"))
+    fitness_order = tuple(int(i) for i in
+                          np.argsort(-fitness_arr, kind="stable"))
+    all_tied = np.unique(risks_arr).size == 1
+    return DualityReport(
+        mean_risks=tuple(risks),
+        mean_fitnesses=tuple(float(f) for f in fitness_arr),
+        risk_order=risk_order,
+        fitness_order=fitness_order,
+        spearman=None if all_tied else _spearman(risks_arr, fitness_arr),
+    )

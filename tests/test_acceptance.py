@@ -15,9 +15,12 @@ import numpy as np
 
 from conftest import (
     centroid_model,
+    deterministic_key,
+    duality_check,
     finite_difference,
     group_members,
     max_relative_error,
+    params_hash,
     reference_resize,
     taped_gradients,
     train_erm,
@@ -33,10 +36,10 @@ from natsel.config import (
 from natsel.data import DataSettings, build_splits
 from natsel.imageops import GridLayout, bilinear_resize
 from natsel.model import Classifier, ClassifierConfig, LossConfig
-from natsel.nscore import batch_ns_scores, params_hash
+from natsel.nscore import batch_ns_scores
+from natsel.tensor import GradTape
 from natsel.trainer import (
     deterministic_csv_bytes,
-    duality_check,
     read_metrics_csv,
     train,
     weighted_batch_loss,
@@ -138,8 +141,8 @@ def test_criterion_03_plain_training_equivalence(capsys):
                              model_b)
     elapsed = time.perf_counter() - started
 
-    same_metrics = ([r.deterministic_key() for r in records_a]
-                    == [r.deterministic_key() for r in records_b])
+    same_metrics = ([deterministic_key(r) for r in records_a]
+                    == [deterministic_key(r) for r in records_b])
     same_params = params_hash(model_a) == params_hash(model_b)
     ok = same_metrics and same_params and elapsed < 60.0
     _verdict(capsys, 3, "rho=0 training equals the plain loop bitwise", ok,
@@ -163,14 +166,14 @@ def test_criterion_04_weighted_gradient_fidelity(capsys):
             labels = rng.integers(0, 3, size=3)
             weights = rng.uniform(0.5, 2.0, size=3)
 
-            def batch_loss(params, tape=None):
+            def batch_loss(params, tape):
                 logits = model.forward_batch(images, tape=tape)
                 return weighted_batch_loss(logits, labels, weights, loss_cfg,
                                            tape=tape)
 
             analytic = taped_gradients(batch_loss, model.parameters)
             numeric = finite_difference(
-                lambda params: float(batch_loss(params)),
+                lambda params: float(batch_loss(params, GradTape())),
                 model.parameters, step=1e-6)
             worst = max(worst, max_relative_error(analytic, numeric))
     ok = worst <= 1e-5

@@ -180,6 +180,27 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="must be finite"):
             parse_config(text)
 
+    @pytest.mark.parametrize("key,value", [
+        ("train.learning_rate", "nan"),
+        ("train.learning_rate", "inf"),
+        ("train.decay", "2:nan"),
+        ("train.decay", "2:inf"),
+        ("train.focal_gamma", "nan"),
+        ("train.focal_gamma", "inf"),
+        ("dataset.noise_std", "inf"),
+        ("dataset.imbalance_factor", "nan"),
+        ("dataset.imbalance_factor", "inf"),
+    ])
+    def test_non_finite_numbers_fail_before_epoch_0(self, key, value):
+        # Each would parse and then fail mid-run, or (imbalance_factor)
+        # silently give class counts (100, 1, 1, ...); the error names
+        # the key that was set.
+        section, name = key.split(".")
+        extra = "n_max = 100\n" if name == "imbalance_factor" else ""
+        text = f"[{section}]\n{extra}{name} = {value}\n"
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            parse_config(text)
+
     def test_one_member_groups_fail_before_epoch_0_when_scoring(self):
         # A 1x1 layout leaves nobody to compete with; with rho != 0 the
         # first scored batch would fail, so parsing refuses it instead.

@@ -21,7 +21,7 @@ from natsel.data import (
 from natsel.errors import ConfigError, FormatError
 from natsel.seeds import derive_seed
 
-from conftest import reference_splits, save_idx
+from conftest import reference_splits, save_idx, subset
 
 
 def settings(**overrides):
@@ -487,7 +487,7 @@ class TestCifarBinary:
 class TestDatasetType:
     def test_subset(self):
         ds = synthetic()
-        sub = ds.subset([0, 5, 9])
+        sub = subset(ds, [0, 5, 9])
         assert len(sub) == 3
         assert sub.labels.tolist() == [ds.labels[0], ds.labels[5], ds.labels[9]]
 

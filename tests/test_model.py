@@ -74,7 +74,7 @@ def loss_of(p, y: int, cfg: LossConfig) -> float:
     """
     logits = np.log(np.maximum(np.asarray(p, dtype=np.float64), 1e-300))
     return weighted_batch_loss(logits[np.newaxis], [y], [1.0],
-                               cfg).item()
+                               cfg, tape=GradTape()).item()
 
 
 def manual_forward(model: Classifier, x: np.ndarray) -> np.ndarray:
@@ -83,8 +83,8 @@ def manual_forward(model: Classifier, x: np.ndarray) -> np.ndarray:
     values = model.parameters
     cursor = 0
     if cfg.conv is not None:
-        conv_w, conv_b = values[0], values[1]
-        cursor = 2
+        conv_w, conv_b = values[0][:-1], values[0][-1:]
+        cursor = 1
         k = cfg.conv.kernel
         h, w, _ = cfg.input_shape
         rows = []
@@ -148,7 +148,7 @@ class TestForward:
         model = Classifier(cfg)
         xs = np.random.default_rng(12).random((6, 4, 3, 2))
         tape = GradTape()
-        model.register_on(tape)
+        tape.register(*model.parameters)
         taped = model.forward_batch(xs, tape=tape)
         assert np.array_equal(taped, model.forward_batch(xs))
         assert np.array_equal(taped, model.logits(xs))
@@ -178,7 +178,7 @@ class TestForward:
 def taped_step(model: Classifier, xs: np.ndarray) -> GradTape:
     """The tape of one taped forward and cross-entropy loss of ``xs``."""
     tape = GradTape()
-    model.register_on(tape)
+    tape.register(*model.parameters)
     logits = model.forward_batch(xs, tape=tape)
     weighted_batch_loss(logits, np.arange(len(xs)) % logits.shape[1],
                         np.ones(len(xs)), LossConfig(), tape=tape)
@@ -189,7 +189,7 @@ def primitive_chain_gradients(model: Classifier, xs: np.ndarray):
     """Gradients of ``taped_step``'s loss with the dense stack taped as
     reshape or conv, then matmul/add_row per layer and a ReLU between."""
     tape = GradTape()
-    model.register_on(tape)
+    tape.register(*model.parameters)
     n = len(xs)
     if model.config.conv is not None:
         out = model._conv_stage(xs, tape)
@@ -237,7 +237,7 @@ class TestDenseStage:
         model = Classifier(small_config(hidden=(4,), class_count=3))
         model.parameters[layer][0, 1] = value
         tape = GradTape()
-        model.register_on(tape)
+        tape.register(*model.parameters)
         with pytest.raises(NumericError):
             model.forward_batch(np.ones((2, 2, 2, 1)), tape=tape)
 
@@ -298,7 +298,7 @@ class TestConvStage:
 
     def test_taped_step_is_three_records(self):
         # One conv record, one dense record, one loss record.  The conv
-        # pullback reaches only the conv weight and bias, never the input;
+        # pullback reaches only the conv stage's [W; b], never the input;
         # the dense pullback reaches the dense parameters and the conv
         # activations.
         model = Classifier(ClassifierConfig(
@@ -308,10 +308,10 @@ class TestConvStage:
         assert len(tape._entries) == 3
         (conv_out, conv_pull), (dense_out, dense_pull), _ = tape._entries
         reached = [t for t, _ in conv_pull(np.ones(conv_out.shape))]
-        assert reached == model.parameters[:2]
+        assert reached == model.parameters[:1]
         reached = [t for t, _ in dense_pull(np.ones(dense_out.shape))]
         assert sorted(map(id, reached)) == sorted(
-            map(id, model.parameters[2:] + [conv_out]))
+            map(id, model.parameters[1:] + [conv_out]))
 
     def test_non_finite_pre_activation_raises(self):
         # -inf pre-activations would leave the ReLU as finite zeros, so
@@ -319,19 +319,19 @@ class TestConvStage:
         model = Classifier(ClassifierConfig(
             input_shape=(3, 4, 2), hidden=(), class_count=2, init_seed=0,
             conv=ConvSpec(kernel=2, channels=2)))
-        model.parameters[0][...] = -1e308
+        model.parameters[0][:-1] = -1e308
         tape = GradTape()
-        model.register_on(tape)
+        tape.register(*model.parameters)
         with pytest.raises(NumericError):
             model.forward_batch(np.ones((2, 3, 4, 2)), tape=tape)
         # The same with only the last image of a multi-block batch
         # non-finite: zero images give finite (bias-only) pre-activations.
         model = Classifier(CIFAR_CONV)
-        model.parameters[0][...] = -1e308
+        model.parameters[0][:-1] = -1e308
         xs = np.zeros((2 * model._conv_step() + 1, 32, 32, 3))
         xs[-1] = 1.0
         tape = GradTape()
-        model.register_on(tape)
+        tape.register(*model.parameters)
         with pytest.raises(NumericError):
             model.forward_batch(xs, tape=tape)
 
@@ -343,9 +343,9 @@ class TestConvStage:
         xs = np.random.default_rng(8).random(
             (2 * model._conv_step() + 1, 32, 32, 3))
         for value in (np.nan, np.inf, -np.inf):
-            model.parameters[1][0, -1] = value
+            model.parameters[0][-1, -1] = value
             tape = GradTape()
-            model.register_on(tape)
+            tape.register(*model.parameters)
             with pytest.raises(NumericError):
                 model.forward_batch(xs, tape=tape)
 
@@ -359,7 +359,8 @@ def unblocked_conv(model: Classifier, xs: np.ndarray):
     """Unblocked reference of the conv stage: the full patch matrix
     [N*P, k*k*C] and the pre-activations ``cols @ W + b`` [N*P, F]."""
     cols = patch_rows(xs, model.config.conv.kernel)
-    return cols, cols @ model.parameters[0] + model.parameters[1]
+    wb = model.parameters[0]
+    return cols, cols @ wb[:-1] + wb[-1:]
 
 
 def relative_error(got: np.ndarray, ref: np.ndarray) -> float:
@@ -387,7 +388,7 @@ class TestConvBlocks:
 
     def taped_conv_record(self, xs: np.ndarray):
         tape = GradTape()
-        self.model.register_on(tape)
+        tape.register(*self.model.parameters)
         logits = self.model.forward_batch(xs, tape=tape)
         return tape._entries[0], logits
 
@@ -417,10 +418,11 @@ class TestConvBlocks:
         g = self.rng.standard_normal(conv_out.shape)
         cols, pre = unblocked_conv(self.model, xs)
         gm = g.reshape(pre.shape) * (pre > 0.0)
-        (weight, gw), (bias, gb) = pull(g)
-        assert [weight, bias] == self.model.parameters[:2]
-        assert relative_error(gw, cols.T @ gm) <= 1e-12
-        assert relative_error(gb, gm.sum(axis=0, keepdims=True)) <= 1e-12
+        ((wb, gwb),) = pull(g)
+        assert [wb] == self.model.parameters[:1]
+        assert relative_error(gwb[:-1], cols.T @ gm) <= 1e-12
+        assert relative_error(gwb[-1:], gm.sum(axis=0, keepdims=True)) \
+            <= 1e-12
 
 
 class TestConvStreaming:
@@ -570,14 +572,17 @@ class TestPerSampleLoss:
     def test_label_out_of_range(self):
         logits = np.array([[0.0, 0.0]])
         with pytest.raises(ConfigError):
-            weighted_batch_loss(logits, [2], [1.0], LossConfig())
+            weighted_batch_loss(logits, [2], [1.0], LossConfig(),
+                                tape=GradTape())
         with pytest.raises(ConfigError):
-            weighted_batch_loss(logits, [-1], [1.0], LossConfig())
+            weighted_batch_loss(logits, [-1], [1.0], LossConfig(),
+                                tape=GradTape())
 
     def test_requires_vector(self):
         # One logit vector per row: the batch is [B, K], never flat.
         with pytest.raises(ShapeError):
-            weighted_batch_loss(np.array([0.5, 0.5]), [0], [1.0], LossConfig())
+            weighted_batch_loss(np.array([0.5, 0.5]), [0], [1.0], LossConfig(),
+                                tape=GradTape())
 
     def test_loss_config_validation(self):
         with pytest.raises(ConfigError):

@@ -8,14 +8,10 @@ import pytest
 from natsel.errors import ConfigError, NumericError, ShapeError
 from natsel.imageops import GridLayout
 from natsel.model import Classifier, ClassifierConfig, ConvSpec
-from natsel.nscore import (
-    LEFTOVER_GROUP_ID,
-    batch_ns_scores,
-    params_hash,
-)
+from natsel.nscore import LEFTOVER_GROUP_ID, batch_ns_scores
 from natsel.weighting import WeightingConfig, compute_weights
 
-from conftest import GroupSpec, group_members, group_ns_scores
+from conftest import GroupSpec, group_members, group_ns_scores, params_hash
 
 
 def make_model(seed=0, class_count=2, hidden=(), conv=None, shape=(2, 2, 1)):

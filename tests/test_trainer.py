@@ -19,9 +19,10 @@ from natsel.model import (
     ClassifierConfig,
     ConvSpec,
     LossConfig,
+    sample_losses,
     save_checkpoint,
 )
-from natsel.nscore import NSResult, params_hash
+from natsel.nscore import NSResult
 from natsel.tensor import GradTape, backward
 from natsel.trainer import (
     MetricsRecord,
@@ -30,7 +31,6 @@ from natsel.trainer import (
     _taped_step,
     _train_record,
     deterministic_csv_bytes,
-    duality_check,
     evaluate,
     read_metrics_csv,
     sgd_momentum_step,
@@ -42,10 +42,14 @@ from natsel.weighting import WeightingConfig
 
 from conftest import (
     centroid_model,
+    deterministic_key,
+    duality_check,
     finite_difference,
     loss_oracle,
     max_relative_error,
+    params_hash,
     softmax_vector,
+    subset,
     train_erm,
 )
 
@@ -87,12 +91,13 @@ class TestWeightedBatchLoss:
     def single(self, logits, row, label):
         """One sample's loss: the op on a one-row batch with weight 1."""
         return weighted_batch_loss(logits[row:row + 1],
-                                   [label], [1.0]).item()
+                                   [label], [1.0], tape=GradTape()).item()
 
     def test_unit_weights_give_plain_mean(self):
         z = self.logits(3)
         labels = [1, 4, 0]
-        got = weighted_batch_loss(z, labels, np.ones(3)).item()
+        got = weighted_batch_loss(z, labels, np.ones(3),
+                                  tape=GradTape()).item()
         values = [self.single(z, i, y) for i, y in enumerate(labels)]
         oracle = [loss_oracle(softmax_vector(z[i]), y, LossConfig())
                   for i, y in enumerate(labels)]
@@ -104,22 +109,28 @@ class TestWeightedBatchLoss:
         # factorization sigma * mean is bitwise exact.
         z = self.logits(4)
         labels = [0, 1, 2, 3]
-        uniform = weighted_batch_loss(z, labels, np.ones(4)).item()
-        scaled = weighted_batch_loss(z, labels, np.full(4, 2.0)).item()
+        uniform = weighted_batch_loss(z, labels, np.ones(4),
+                                      tape=GradTape()).item()
+        scaled = weighted_batch_loss(z, labels, np.full(4, 2.0),
+                                     tape=GradTape()).item()
         assert scaled == 2.0 * uniform
 
     def test_zero_weight_drops_sample(self):
         z = self.logits(2)
-        got = weighted_batch_loss(z, [3, 1], np.array([2.0, 0.0])).item()
+        got = weighted_batch_loss(z, [3, 1], np.array([2.0, 0.0]),
+                                  tape=GradTape()).item()
         assert got == self.single(z, 0, 3)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            weighted_batch_loss(self.logits(1), [0], np.ones(2))
+            weighted_batch_loss(self.logits(1), [0], np.ones(2),
+                                tape=GradTape())
         with pytest.raises(ShapeError):
-            weighted_batch_loss(self.logits(2), [0], np.ones(2))
+            weighted_batch_loss(self.logits(2), [0], np.ones(2),
+                                tape=GradTape())
         with pytest.raises(ShapeError):
-            weighted_batch_loss(np.zeros((0, 5)), [], np.ones(0))
+            weighted_batch_loss(np.zeros((0, 5)), [], np.ones(0),
+                                tape=GradTape())
 
     def test_gradient_is_weighted_mean_of_per_sample_gradients(self):
         # d/dz of (1/B) sum w_i * l_i(z_i) against finite differences.
@@ -159,14 +170,13 @@ class TestWeightedBatchLoss:
         train_set, _ = toy_sets(noise=0.3)
         model = fresh_model(train_set)
         tape = GradTape()
-        model.register_on(tape)
+        tape.register(*model.parameters)
         logits = model.forward_batch(train_set.images, tape=tape)
         taped = weighted_batch_loss(logits, train_set.labels,
                                     np.ones(len(train_set)), cfg,
                                     tape=tape).item()
-        untaped = weighted_batch_loss(
-            logits, train_set.labels,
-            np.ones(len(train_set)), cfg).item()
+        untaped = float(np.sum(np.ones(len(train_set)) * sample_losses(
+            logits, train_set.labels, cfg))) / len(train_set)
         assert untaped == taped
         assert evaluate(model, train_set, cfg).mean_loss == taped
         report = duality_check([model], train_set, fitness_ceiling=100.0,
@@ -253,8 +263,8 @@ class TestTrainLoop:
         _, records_b = train_erm(cfg, train_set, test_set, model_b)
 
         assert params_hash(model_a) == params_hash(model_b)
-        keys_a = [r.deterministic_key() for r in records_a]
-        keys_b = [r.deterministic_key() for r in records_b]
+        keys_a = [deterministic_key(r) for r in records_a]
+        keys_b = [deterministic_key(r) for r in records_b]
         assert keys_a == keys_b
 
     def test_single_step_reduces_loss_from_constant_head(self):
@@ -313,8 +323,8 @@ class TestTrainLoop:
         _, records_a = train(cfg, train_set, test_set, model_a)
         _, records_b = train(cfg, train_set, test_set, model_b)
         assert params_hash(model_a) == params_hash(model_b)
-        assert [r.deterministic_key() for r in records_a] == \
-            [r.deterministic_key() for r in records_b]
+        assert [deterministic_key(r) for r in records_a] == \
+            [deterministic_key(r) for r in records_b]
 
     def test_pbs_runs_every_epoch_of_a_code_built_config(self):
         # pbs slides towards uniform over TrainConfig.epochs, the one
@@ -355,8 +365,8 @@ class TestTrainLoop:
         _, records = train(cfg, train_set, test_set, observed,
                            score_sink=sink)
         assert params_hash(observed) == params_hash(plain)
-        assert [r.deterministic_key() for r in records] == \
-            [r.deterministic_key() for r in plain_records]
+        assert [deterministic_key(r) for r in records] == \
+            [deterministic_key(r) for r in plain_records]
         # 20 samples in batches of 8: three scored steps per epoch
         assert [(s.epoch, s.step) for s in steps] == \
             [(0, 0), (0, 1), (0, 2), (1, 3), (1, 4), (1, 5)]
@@ -401,9 +411,33 @@ class TestTrainLoop:
             input_shape=(5, 5, 1), hidden=(), class_count=2, init_seed=0))
         with pytest.raises(ConfigError):
             train(base_config(), train_set, test_set, wrong)
-        empty = train_set.subset([])
+        empty = subset(train_set, [])
         with pytest.raises(ConfigError):
             train(base_config(), empty, test_set, fresh_model(train_set))
+
+    @pytest.mark.parametrize("split,fault", [
+        ("test", "9x9 images"), ("test", "label K"), ("train", "label K"),
+        ("train", "label -1")])
+    def test_bad_split_fails_before_the_first_step(self, split, fault):
+        # Without the up-front check, a bad test split would raise only at
+        # the first evaluation, and a bad train label at its batch.
+        sets = dict(zip(("train", "test"), toy_sets()))
+        model = fresh_model(sets["train"])
+        bad = sets[split]
+        if fault == "9x9 images":
+            images = np.zeros((len(bad), 9, 9, 1))
+            labels = bad.labels
+        else:
+            images = bad.images
+            labels = bad.labels.copy()
+            labels[-1] = bad.class_count if fault == "label K" else -1
+        sets[split] = Dataset(images=images, labels=labels,
+                              clean_labels=labels, class_count=bad.class_count)
+        seen = []
+        with pytest.raises(ConfigError, match=split):
+            train(base_config(weighting=WeightingConfig(1.0, 0.5)),
+                  sets["train"], sets["test"], model, score_sink=seen.append)
+        assert seen == []
 
 
 class TestConvTraining:
@@ -430,8 +464,8 @@ class TestConvTraining:
         _, records_b = train_erm(cfg, self.train_set, self.test_set, model_b)
         assert params_hash(model_a) == params_hash(model_b)
         assert params_hash(model_a) != params_hash(self.conv_model())
-        assert [r.deterministic_key() for r in records_a] == \
-            [r.deterministic_key() for r in records_b]
+        assert [deterministic_key(r) for r in records_a] == \
+            [deterministic_key(r) for r in records_b]
 
     def test_weighted_rerun_gives_identical_checkpoint(self, tmp_path):
         cfg = self.conv_config(2.5, -1.0)
@@ -571,7 +605,7 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self):
         train_set, _ = toy_sets()
         with pytest.raises(ConfigError):
-            evaluate(fresh_model(train_set), train_set.subset([]))
+            evaluate(fresh_model(train_set), subset(train_set, []))
 
 
 class TestDuality:
@@ -754,5 +788,5 @@ class TestMetricsIO:
                     train_forward_passes=10, ns_forward_passes=2)
         a = MetricsRecord(seconds=1.0, ns_seconds=0.1, **base)
         b = MetricsRecord(seconds=9.9, ns_seconds=2.2, **base)
-        assert a.deterministic_key() == b.deterministic_key()
+        assert deterministic_key(a) == deterministic_key(b)
         assert a != b

@@ -35,7 +35,7 @@ from .data import (
 )
 from .errors import ConfigError
 from .imageops import GridLayout
-from .model import LOSS_KINDS, ClassifierConfig, ConvSpec
+from .model import ClassifierConfig, ConvSpec
 from .seeds import derive_seed
 from .trainer import TrainConfig
 
@@ -110,14 +110,6 @@ def _decay(text: str) -> tuple[tuple[int, float], ...]:
     return tuple(pairs)
 
 
-def _choice(options: tuple[str, ...]):
-    def read(text: str) -> str:
-        if text not in options:
-            raise ValueError("not a known name")
-        return text
-    return read, str, f"one of {options}"
-
-
 # Text types: (read, write, what it reads).  A float's str is its repr.
 _STR = (str, str, "text")
 _INT = (int, str, "an integer")
@@ -156,7 +148,7 @@ _SCHEMA = {
     **_named("train", "train.", batch_size=_INT, epochs=_INT,
              learning_rate=_FLOAT, momentum=_FLOAT),
     "train.decay": _Key("train.decay_milestones", _DECAY),
-    "train.loss": _Key("train.loss.kind", _choice(LOSS_KINDS)),
+    "train.loss": _Key("train.loss.kind", _STR),
     **_named("train", "train.loss.", focal_gamma=_FLOAT,
              smoothing_epsilon=_FLOAT),
     "grouping.layout": _Key("train.layout", _LAYOUT),

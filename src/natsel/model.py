@@ -51,8 +51,12 @@ class ConvSpec:
     channels: int
 
     def __post_init__(self):
-        if self.kernel < 1 or self.channels < 1:
-            raise ConfigError(f"invalid conv spec {self}")
+        if self.kernel < 1:
+            raise ConfigError(f"model.conv_kernel: a conv stage needs a "
+                              f"positive kernel, got {self.kernel}")
+        if self.channels < 1:
+            raise ConfigError(f"model.conv_channels: must be positive, "
+                              f"got {self.channels}")
 
 
 @dataclass(frozen=True)
@@ -70,9 +74,11 @@ class ClassifierConfig:
         if self.class_count < 2:
             raise ConfigError("class_count must be at least 2")
         if any(width < 1 for width in self.hidden):
-            raise ConfigError(f"hidden widths must be positive, got {self.hidden}")
+            raise ConfigError(f"model.hidden: widths must be positive, "
+                              f"got {self.hidden}")
         if self.conv is not None and self.conv.kernel > min(h, w):
-            raise ConfigError("conv kernel larger than the input")
+            raise ConfigError(f"model.conv_kernel: {self.conv.kernel} is "
+                              f"larger than the {h}x{w} input")
 
     def to_json(self) -> str:
         payload = {
@@ -107,7 +113,8 @@ class LossConfig:
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
-            raise ConfigError(f"train.loss: unknown kind {self.kind!r}")
+            raise ConfigError(f"train.loss: unknown kind {self.kind!r}, "
+                              f"expected one of {LOSS_KINDS}")
         if not 0.0 <= self.focal_gamma < math.inf:
             raise ConfigError(f"train.focal_gamma: must be finite and "
                               f"non-negative, got {self.focal_gamma}")
@@ -171,7 +178,27 @@ class Classifier:
             self._conv_wb = self._init_param(rng, k * k * c,
                                              (k * k * c + 1, f))
             self.parameters.append(self._conv_wb)
-            flat_in = (h - k + 1) * (w - k + 1) * f
+            # Conv geometry: the activation shape [H', W', F]; the images
+            # per block, as many as keep a block's channel planes, patch
+            # columns and pre-activations within _BLOCK_BYTES, and at
+            # least one; and the images per untaped chunk, as many as
+            # keep a chunk's activations within two block budgets,
+            # rounded down to a multiple of 8, and at least 8.
+            #
+            # The multiple of 8 keeps the logits' bits independent of
+            # the chunking: with OpenBLAS, a product whose row count is
+            # a multiple of 4 and at least 8 gives each row the same bits
+            # as the product over the whole batch, while 1-4, 6, 9 or 18
+            # rows may not.  Only a final partial chunk can then differ
+            # in the last bits (200 test images stream as six 32-image
+            # chunks and one of 8).
+            out_h, out_w = h - k + 1, w - k + 1
+            self._act_shape = (out_h, out_w, f)
+            flat_in = out_h * out_w * f
+            block_bytes = 8 * (c * (h * w + k - 1)
+                               + (k * k * c + 1 + f) * out_h * w)
+            self._block = max(1, _BLOCK_BYTES // block_bytes)
+            self._chunk = max(8, 2 * _BLOCK_BYTES // (8 * flat_in) // 8 * 8)
         else:
             flat_in = h * w * c
 
@@ -217,16 +244,16 @@ class Classifier:
         :func:`softmax_rows` checks the logits once.  Products use
         ``ndarray.dot``, the same BLAS call as ``@`` with less overhead
         on the small operands of scoring.  A conv model's input is
-        walked in chunks of ``_chunk_images`` whole images: each chunk's
-        conv activations are multiplied by the first dense weight into
-        their output rows and dropped, so no more than one chunk of
+        walked in chunks of ``_chunk`` whole images: each chunk's conv
+        activations are multiplied by the first dense weight into their
+        output rows and dropped, so no more than one chunk of
         activations is ever alive.
         """
         (weight, bias), *rest = self._dense
         if self.config.conv is None:
             out = xs.reshape(xs.shape[0], -1).dot(weight)
         else:
-            step = self._chunk_images()
+            step = self._chunk
             out = np.empty((xs.shape[0], weight.shape[1]))
             for s in range(0, xs.shape[0], step):
                 np.matmul(self._conv_act(xs[s:s + step]), weight,
@@ -238,98 +265,63 @@ class Classifier:
             out += bias
         return out
 
-    def _conv_bytes_per_image(self) -> int:
-        """Bytes of one image's channel planes, patch columns and
-        pre-activations in a conv block."""
-        h, w, c = self.config.input_shape
-        k, f = self.config.conv.kernel, self.config.conv.channels
-        rows = k * k * c + 1
-        return 8 * (c * (h * w + k - 1) + (rows + f) * (h - k + 1) * w)
-
-    def _conv_step(self) -> int:
-        """Images per conv block: as many as keep a block's working set
-        within ``_BLOCK_BYTES``, and at least one."""
-        return max(1, _BLOCK_BYTES // self._conv_bytes_per_image())
-
-    def _chunk_images(self) -> int:
-        """Images per chunk of the untaped conv forward: as many as keep
-        a chunk's conv activations within two block budgets, rounded
-        down to a multiple of 8, and at least 8.
-
-        The multiple of 8 keeps the logits' bits independent of the
-        chunking: with OpenBLAS, a product whose row count is a multiple
-        of 4 and at least 8 gives each row the same bits as the product
-        over the whole batch, while 1-4, 6, 9 or 18 rows may not.  Only
-        a final partial chunk can then differ in the last bits (200 test
-        images stream as six 32-image chunks and one of 8).
-        """
-        h, w, _ = self.config.input_shape
-        k, f = self.config.conv.kernel, self.config.conv.channels
-        per_image = 8 * (h - k + 1) * (w - k + 1) * f
-        return max(8, 2 * _BLOCK_BYTES // per_image // 8 * 8)
-
-    def _conv_act(self, xs: np.ndarray, mask: np.ndarray | None = None
-                  ) -> np.ndarray:
+    def _conv_act(self, xs: np.ndarray, checked: bool = False) -> np.ndarray:
         """ReLU conv activations [N, H'*W'*F] of an [N, H, W, C] array.
 
-        The batch is walked in blocks of ``_conv_step`` images: a block's
+        The batch is walked in blocks of ``_block`` images: a block's
         patch columns are built, multiplied by ``[W; b]`` over all H'*W
         window starts (the columns' ones row carries the bias) and
         rectified while they are in cache, then dropped.  Only the
         valid windows (x0 < W') are kept: one rectifying pass compacts
-        them into the output.  Given a boolean ``mask`` [N, H', W', F]
-        (the taped path), each block's product is checked for
-        finiteness, wrapped windows included, and the mask records
-        where the rectified block is positive.
+        them into the output.  When ``checked`` (the taped path), each
+        block's product is checked for finiteness, wrapped windows
+        included.
         """
-        n, h, w, _ = xs.shape
-        k = self.config.conv.kernel
-        weight = self._conv_wb
-        f = weight.shape[1]
-        out_h, out_w = h - k + 1, w - k + 1
-        step = self._conv_step()
+        n, w = xs.shape[0], xs.shape[2]
+        out_h, out_w, f = self._act_shape
+        step = self._block
         act = np.empty((n, out_h, out_w, f))
         for s in range(0, n, step):
             blk = slice(s, s + step)
-            pre = _columns(xs[blk], k).T @ weight
-            if mask is not None and not np.isfinite(pre).all():
+            pre = _columns(xs[blk], self.config.conv.kernel).T @ self._conv_wb
+            if checked and not np.isfinite(pre).all():
                 raise NumericError("conv stage produced non-finite values")
             valid = pre.reshape(-1, out_h, w, f)[:, :, :out_w]
             np.maximum(valid, 0.0, out=act[blk])
-            if mask is not None:
-                # derivative at exactly 0 taken as 0
-                np.greater(act[blk], 0.0, out=mask[blk])
         return act.reshape(n, -1)
 
     def _conv_stage(self, xs: np.ndarray, tape: GradTape) -> np.ndarray:
         """ReLU conv activations [N, H'*W'*F] as one tape record.
 
         The pullback returns the adjoint of ``[W; b]`` only: the input
-        is data, so no adjoint is formed for it.  No patch columns are
-        kept from the forward; each block's columns are rebuilt from the
-        input and meet the masked adjoint scattered into a zeroed
-        [B, H', W, F] buffer, so the wrapped windows contribute nothing.
-        One product ``cols @ gm`` per block gives the weight adjoint in
-        its first k*k*C rows and, from the ones row, the bias adjoint.
+        is data, so no adjoint is formed for it.  No patch columns or
+        ReLU masks are kept from the forward.  Per block, the mask
+        ``act > 0`` (derivative at 0 taken as 0) is derived from the
+        kept activations into one reused buffer, the columns are rebuilt
+        from the input, and the masked adjoint is scattered into a
+        zeroed [B, H', W, F] buffer, so the wrapped windows contribute
+        nothing.  One product ``cols @ gm`` per block gives the weight
+        adjoint in its first k*k*C rows and, from the ones row, the bias
+        adjoint.
         """
-        weight = self._conv_wb
-        n, h, w, _ = xs.shape
-        k, f = self.config.conv.kernel, weight.shape[1]
-        out_h, out_w = h - k + 1, w - k + 1
-        step = self._conv_step()
-        mask = np.empty((n, out_h, out_w, f), dtype=bool)
+        weight, k = self._conv_wb, self.config.conv.kernel
+        n, w = xs.shape[0], xs.shape[2]
+        out_h, out_w, f = self._act_shape
+        step = self._block
         with np.errstate(over="ignore", invalid="ignore"):
-            out = self._conv_act(xs, mask)
+            out = self._conv_act(xs, checked=True)
 
         def pull(g: np.ndarray):
-            g = g.reshape(mask.shape)
+            g = g.reshape(n, out_h, out_w, f)
+            act = out.reshape(g.shape)
             buf = np.zeros((min(n, step), out_h, w, f))
+            mask = np.empty((min(n, step), out_h, out_w, f), dtype=bool)
             gwb = np.zeros(weight.shape)
             for s in range(0, n, step):
-                blk = slice(s, s + step)
-                part = buf[:min(step, n - s)]
-                np.multiply(g[blk], mask[blk], out=part[:, :, :out_w])
-                gwb += _columns(xs[blk], k) @ part.reshape(-1, f)
+                blk, b = slice(s, s + step), min(step, n - s)
+                np.greater(act[blk], 0.0, out=mask[:b])
+                np.multiply(g[blk], mask[:b], out=buf[:b, :, :out_w])
+                gwb += _columns(xs[blk], k) @ buf[:b].reshape(-1, f)
             return ((weight, gwb),)
 
         tape.record(out, pull)
@@ -341,18 +333,18 @@ class Classifier:
         The forward is ``logits``' arithmetic, ``h W + b`` per layer
         with a ReLU between layers, and checks each layer's biased
         pre-activation for finiteness, so a hidden -inf that the ReLU
-        would zero still raises.  The record keeps each layer's input
-        and ReLU mask.  The pullback returns every weight and bias
-        adjoint, and an adjoint for ``x`` only when a conv stage
-        produced it; raw images get none.
+        would zero still raises.  The record keeps each layer's input;
+        the pullback derives each ReLU mask from the rectified input it
+        feeds, ``h > 0`` (derivative at 0 taken as 0).  It returns every
+        weight and bias adjoint, and an adjoint for ``x`` only when a
+        conv stage produced it; raw images get none.
         """
         input_adjoint = self.config.conv is not None
-        inputs, masks = [], []
+        inputs = []
         out = x
         with np.errstate(over="ignore", invalid="ignore"):
             for i, (weight, bias) in enumerate(self._dense):
                 if i:
-                    masks.append(out > 0.0)  # derivative at 0 taken as 0
                     np.maximum(out, 0.0, out=out)
                 inputs.append(out)
                 out = out.dot(weight)
@@ -368,7 +360,7 @@ class Classifier:
                 pairs += ((weight, inputs[i].T @ g),
                           (bias, g.sum(axis=0, keepdims=True)))
                 if i:
-                    g = (g @ weight.T) * masks[i - 1]
+                    g = (g @ weight.T) * (inputs[i] > 0.0)
                 elif input_adjoint:
                     pairs.append((x, g @ weight.T))
             return pairs

@@ -39,7 +39,6 @@ class GradTape:
 
     def __init__(self):
         self._entries: list[tuple[np.ndarray, _Pull]] = []
-        self._outputs: set[int] = set()
         self._parameters: list[np.ndarray] = []
 
     def register(self, *parameters: np.ndarray) -> None:
@@ -53,7 +52,6 @@ class GradTape:
         """Append one entry; ``pull`` maps the output adjoint to
         (input, adjoint contribution) pairs."""
         self._entries.append((output, pull))
-        self._outputs.add(id(output))
 
 
 def backward(tape: GradTape, root: np.ndarray) -> list[np.ndarray]:
@@ -65,7 +63,7 @@ def backward(tape: GradTape, root: np.ndarray) -> list[np.ndarray]:
     """
     if root.shape != ():
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
-    if id(root) not in tape._outputs:
+    if not any(output is root for output, _ in tape._entries):
         raise TapeError("root was not produced on this tape")
 
     adjoints: dict[int, np.ndarray] = {id(root): np.ones((), dtype=np.float64)}

@@ -80,8 +80,9 @@ class TrainConfig:
             )
         if self.weighting.rho != 0.0 and self.layout.group_size < 2:
             raise ConfigError(
-                f"rho={self.weighting.rho} needs groups of at least 2 "
-                f"samples to compete, but layout {self.layout} stitches 1"
+                f"grouping.layout: rho={self.weighting.rho} needs groups "
+                f"of at least 2 samples to compete, but layout "
+                f"{self.layout} stitches 1"
             )
         if self.batch_size < self.layout.group_size:
             raise ConfigError(
@@ -386,14 +387,16 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based); ties share their mean rank."""
+    """Average ranks (1-based); ties share their mean rank.
+
+    A run of c equal values ending at sorted position e holds ranks
+    e-c+1 .. e, whose mean e - (c-1)/2 is exact in float64.
+    """
     order = np.argsort(values, kind="stable")
+    _, run, counts = np.unique(values[order], return_inverse=True,
+                               return_counts=True)
     ranks = np.empty(values.shape[0])
-    ranks[order] = np.arange(1, values.shape[0] + 1, dtype=np.float64)
-    for v in np.unique(values):
-        mask = values == v
-        if mask.sum() > 1:
-            ranks[mask] = ranks[mask].mean()
+    ranks[order] = (np.cumsum(counts) - (counts - 1) / 2.0)[run]
     return ranks
 
 

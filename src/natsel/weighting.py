@@ -32,17 +32,19 @@ class WeightingConfig:
     rho: float
 
     def __post_init__(self):
-        if not all(math.isfinite(b) for b in self.bounds):
+        if not 0.0 <= self.sigma < math.inf:
+            raise ConfigError(f"weighting.sigma: must be finite and "
+                              f"non-negative, got {self.sigma}")
+        if not math.isfinite(self.sigma + self.rho):
             raise ConfigError(
-                f"sigma={self.sigma} with rho={self.rho} gives non-finite "
-                "weights; sigma and sigma + rho must be finite"
+                f"weighting.rho: sigma={self.sigma} with rho={self.rho} "
+                "gives non-finite weights; sigma + rho must be finite"
             )
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be non-negative, got {self.sigma}")
         if self.sigma + self.rho < 0:
             raise ConfigError(
-                f"sigma={self.sigma} with rho={self.rho} can emit negative "
-                f"weights; sigma must be at least {-self.rho}"
+                f"weighting.rho: sigma={self.sigma} with rho={self.rho} "
+                f"can emit negative weights; sigma must be at least "
+                f"{-self.rho}"
             )
 
     @property

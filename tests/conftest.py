@@ -415,6 +415,19 @@ def params_hash(model) -> str:
     return digest.hexdigest()
 
 
+def loop_ranks(values: np.ndarray) -> np.ndarray:
+    """Reference for ``trainer._ranks``: ordinal ranks from a stable
+    sort, then each tied value's ranks replaced by their mean."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.shape[0])
+    ranks[order] = np.arange(1, values.shape[0] + 1, dtype=np.float64)
+    for v in np.unique(values):
+        mask = values == v
+        if mask.sum() > 1:
+            ranks[mask] = ranks[mask].mean()
+    return ranks
+
+
 def deterministic_key(record) -> tuple:
     """Every field of a MetricsRecord except the wall-clock ones."""
     return tuple(getattr(record, name) for name in _METRICS_COLUMNS

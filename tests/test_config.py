@@ -17,6 +17,7 @@ from natsel.config import (
 from natsel.data import build_splits
 from natsel.errors import ConfigError
 from natsel.imageops import GridLayout
+from natsel.model import LOSS_KINDS
 from natsel.seeds import derive_seed
 
 from conftest import save_idx
@@ -200,6 +201,28 @@ class TestStrictness:
         text = f"[{section}]\n{extra}{name} = {value}\n"
         with pytest.raises(ConfigError, match=f"^{key}: "):
             parse_config(text)
+
+    @pytest.mark.parametrize("key,text", [
+        ("model.hidden", "[model]\nhidden = 0\n"),
+        ("model.conv_kernel", "[model]\nconv_kernel = 9\n"),
+        ("model.conv_kernel", "[model]\nconv_kernel = -2\n"),
+        ("model.conv_channels", "[model]\nconv_kernel = 3\nconv_channels = 0\n"),
+        ("weighting.sigma", "[weighting]\nsigma = -1\n"),
+        ("weighting.sigma", "[weighting]\nsigma = nan\n"),
+        ("weighting.rho", "[weighting]\nrho = inf\n"),
+        ("weighting.rho", "[weighting]\nsigma = 0.5\nrho = -1.0\n"),
+        ("grouping.layout", "[grouping]\nlayout = 1x1\n[weighting]\nrho = 1\n"),
+        ("train.loss", "[train]\nloss = hinge\n"),
+    ], ids=["hidden", "kernel-too-large", "kernel-negative", "channels",
+            "sigma-negative", "sigma-nan", "rho-inf", "rho-negative-weights",
+            "layout-1x1", "loss"])
+    def test_value_errors_name_their_key(self, key, text):
+        # A value that reads but does not fit fails with the key that
+        # set it, whichever class checks it.
+        with pytest.raises(ConfigError, match=f"^{key}: ") as err:
+            parse_config(text)
+        if key == "train.loss":
+            assert str(LOSS_KINDS) in str(err.value)
 
     def test_one_member_groups_fail_before_epoch_0_when_scoring(self):
         # A 1x1 layout leaves nobody to compete with; with rho != 0 the

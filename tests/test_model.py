@@ -313,6 +313,22 @@ class TestConvStage:
         assert sorted(map(id, reached)) == sorted(
             map(id, model.parameters[1:] + [conv_out]))
 
+    @pytest.mark.parametrize("conv", [None, ConvSpec(kernel=2, channels=3)],
+                             ids=["mlp", "conv"])
+    def test_records_keep_no_masks(self, conv):
+        # The pullbacks derive each ReLU mask from the kept activations,
+        # so no record holds a boolean array between forward and backward.
+        model = Classifier(ClassifierConfig(
+            input_shape=(5, 4, 2), hidden=(3, 4), class_count=3, init_seed=4,
+            conv=conv))
+        tape = taped_step(model, np.random.default_rng(6).random((4, 5, 4, 2)))
+        held = [cell.cell_contents for _, pull in tape._entries
+                for cell in pull.__closure__ or ()]
+        held += [a for value in held if isinstance(value, list)
+                 for a in value]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert arrays and all(a.dtype != bool for a in arrays)
+
     def test_non_finite_pre_activation_raises(self):
         # -inf pre-activations would leave the ReLU as finite zeros, so
         # only the conv stage's own check can see them.
@@ -328,7 +344,7 @@ class TestConvStage:
         # non-finite: zero images give finite (bias-only) pre-activations.
         model = Classifier(CIFAR_CONV)
         model.parameters[0][:-1] = -1e308
-        xs = np.zeros((2 * model._conv_step() + 1, 32, 32, 3))
+        xs = np.zeros((2 * model._block + 1, 32, 32, 3))
         xs[-1] = 1.0
         tape = GradTape()
         tape.register(*model.parameters)
@@ -341,7 +357,7 @@ class TestConvStage:
         # -inf included, which the ReLU alone would turn into zeros.
         model = Classifier(CIFAR_CONV)
         xs = np.random.default_rng(8).random(
-            (2 * model._conv_step() + 1, 32, 32, 3))
+            (2 * model._block + 1, 32, 32, 3))
         for value in (np.nan, np.inf, -np.inf):
             model.parameters[0][-1, -1] = value
             tape = GradTape()
@@ -369,7 +385,7 @@ def relative_error(got: np.ndarray, ref: np.ndarray) -> float:
 
 
 class TestConvBlocks:
-    """The conv stage walks a batch in blocks of ``_conv_step`` images; at
+    """The conv stage walks a batch in blocks of ``_block`` images; at
     32x32x3 with a 3x3 kernel and 8 channels a block is B = 3 images.
     Batches of 1, B, B+1 and 3B-1 images are checked against the
     unblocked reference."""
@@ -380,7 +396,7 @@ class TestConvBlocks:
 
     def setup_method(self):
         self.model = Classifier(CIFAR_CONV)
-        self.step = self.model._conv_step()
+        self.step = self.model._block
         self.rng = np.random.default_rng(29)
 
     def batch(self, a: int, c: int) -> np.ndarray:
@@ -426,7 +442,7 @@ class TestConvBlocks:
 
 
 class TestConvStreaming:
-    """The untaped forward walks its input in chunks of ``_chunk_images``
+    """The untaped forward walks its input in chunks of ``_chunk``
     whole images and multiplies each chunk's conv activations by the
     first dense weight; at 32x32x3 with a 3x3 kernel and 8 channels a
     chunk is S = 32 images.  Inputs of 1, S-1, S, S+1 and 3S+5 images
@@ -434,7 +450,7 @@ class TestConvStreaming:
 
     def setup_method(self):
         self.model = Classifier(CIFAR_CONV)
-        self.chunk = self.model._chunk_images()
+        self.chunk = self.model._chunk
         self.rng = np.random.default_rng(31)
 
     def unstreamed(self, xs: np.ndarray) -> np.ndarray:
@@ -453,8 +469,10 @@ class TestConvStreaming:
                                               (1 << 19, 16), (1 << 22, 144)])
     def test_chunk_is_a_multiple_of_eight_and_at_least_eight(
             self, monkeypatch, budget, chunk):
+        # the geometry is fixed when the model is built
         monkeypatch.setattr(natsel.model, "_BLOCK_BYTES", budget)
-        assert self.model._chunk_images() == chunk
+        assert self.model._chunk == 32
+        assert Classifier(CIFAR_CONV)._chunk == chunk
 
     # input size a*S + c
     @pytest.mark.parametrize("a,c", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
@@ -474,7 +492,7 @@ class TestConvStreaming:
         model = Classifier(ClassifierConfig(
             input_shape=(8, 8, 3), hidden=(), class_count=3, init_seed=2,
             conv=ConvSpec(kernel=3, channels=4)))
-        xs = self.rng.random((2 * model._chunk_images() + 3, 8, 8, 3))
+        xs = self.rng.random((2 * model._chunk + 3, 8, 8, 3))
         weight, bias = model._dense[0]
         ref = model._conv_act(xs) @ weight + bias
         assert relative_error(model.logits(xs), ref) <= 1e-12

@@ -27,6 +27,7 @@ from natsel.tensor import GradTape, backward
 from natsel.trainer import (
     MetricsRecord,
     TrainConfig,
+    _ranks,
     _Step,
     _taped_step,
     _train_record,
@@ -45,6 +46,7 @@ from conftest import (
     deterministic_key,
     duality_check,
     finite_difference,
+    loop_ranks,
     loss_oracle,
     max_relative_error,
     params_hash,
@@ -482,15 +484,31 @@ class TestConvTraining:
 class TestConvTrainingMultiBlock(TestConvTraining):
     """The same checks with a conv budget that gives 2-image blocks, so
     every training batch, composite stack and test split spans several
-    blocks, and the untaped forward streams the 12-image test split as
-    chunks of 8 and 4 images."""
+    blocks.  The budget is set before any model is built, since a model
+    fixes its blocking at construction."""
 
     @pytest.fixture(autouse=True)
     def two_image_blocks(self, monkeypatch):
-        model = self.conv_model()
-        monkeypatch.setattr(natsel.model, "_BLOCK_BYTES",
-                            2 * model._conv_bytes_per_image())
-        assert model._conv_step() == 2
+        # float64 per 8x8x3 image: channel planes 3 x (8*8 + 2), patch
+        # columns (27 + 1 ones row) x (6*8) and pre-activations (6*8) x 4
+        per_image = 8 * (3 * 66 + 28 * 48 + 48 * 4)
+        monkeypatch.setattr(natsel.model, "_BLOCK_BYTES", 2 * per_image)
+        assert self.conv_model()._block == 2
+
+
+class TestRanks:
+    @pytest.mark.parametrize("n,levels", [(0, None), (1, None), (7, None),
+                                          (1000, None), (50, 3), (1000, 40)])
+    def test_matches_the_per_value_loop(self, n, levels):
+        # distinct values without levels, else n draws from that many
+        rng = np.random.default_rng(n)
+        values = (rng.standard_normal(n) if levels is None
+                  else rng.integers(0, levels, n) * 0.1)
+        assert np.array_equal(_ranks(values), loop_ranks(values))
+
+    def test_ties_share_their_mean_rank(self):
+        values = np.array([3.0, 1.0, 3.0, 2.0, 3.0, 1.0])
+        assert _ranks(values).tolist() == [5.0, 1.5, 5.0, 3.0, 5.0, 1.5]
 
 
 def traced_peak_mb(fn) -> float:

@@ -6,8 +6,9 @@ Each run is one seed (the config's first) of a shipped config or of the
 benchmark's conv workload.  The file holds the sha256 of every artifact
 whose bytes are deterministic: each checkpoint, each metrics CSV with
 its wall-clock columns stripped (``deterministic_csv_bytes``), each
-score log and ``aggregate.csv``.  ``test_golden`` reruns the same runs
-and compares.
+score log and ``aggregate.csv``, and for the ``longtail_nslf`` run the
+CSVs ``natsel analyze`` writes from it.  ``test_golden`` reruns the same
+runs and compares.
 
 OpenBLAS picks its kernels by CPU, and numpy's reductions can change
 between versions, so the bytes are only comparable on the platform that
@@ -37,6 +38,8 @@ CONFIGS = (
     ROOT / "configs" / "longtail_nslf.ini",
     ROOT / "perfbench" / "conv_longtail.ini",
 )
+# Runs whose directory is also analyzed, so the analyze CSVs are pinned.
+ANALYZED = ("longtail_nslf",)
 
 
 def _openblas_core() -> str | None:
@@ -74,7 +77,7 @@ def fingerprint() -> dict:
 
 def digests() -> dict[str, str]:
     """sha256 of each deterministic artifact, keyed ``<label>/<file>``."""
-    from natsel.cli import run_experiment
+    from natsel.cli import analyze_run, run_experiment
     from natsel.config import apply_overrides, parse_config
     from natsel.trainer import deterministic_csv_bytes
 
@@ -86,6 +89,8 @@ def digests() -> dict[str, str]:
                                      output_dir=tmp)
             run_experiment(config, echo=lambda *a, **k: None)
             run_dir = Path(tmp) / config.label
+            if config.label in ANALYZED:
+                analyze_run(run_dir, echo=lambda *a, **k: None)
             for artifact in sorted(run_dir.iterdir()):
                 if artifact.name == "config.ini":
                     continue

@@ -1,4 +1,5 @@
-"""Output bytes of four short runs against ``tests/golden.json``.
+"""Output bytes of four short runs and one analysis against
+``tests/golden.json``.
 
 Criteria 3 and 11 compare two runs of the same code, so they cannot see
 a change that moves both sides.  This test compares against bytes

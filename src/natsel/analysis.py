@@ -2,19 +2,18 @@
 
 Everything here is a pure function of already-logged data: per-class
 score distributions, least-squares fits between class statistics, and
-CSV exports shaped for external plotting.  Nothing touches models or
-datasets.
+CSV exports shaped for external plotting, each written complete or not
+at all.  Nothing touches models or datasets.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AnalysisError
-from .trainer import MetricsRecord
+from .trainer import MetricsRecord, _write_table
 
 __all__ = [
     "ClassScoreStats",
@@ -26,7 +25,6 @@ __all__ = [
     "write_box_stats",
     "write_scatter",
     "write_fits",
-    "write_correlation_scatter",
 ]
 
 # Classes with fewer samples than this are listed but excluded from fits.
@@ -185,43 +183,20 @@ def correlation_report(records: list[MetricsRecord], class_counts
     )
 
 
-def _cell(value) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def write_box_stats(path, stats: list[ClassScoreStats]) -> None:
     """Box-plot file: class, min, q1, median, q3, max (blank when empty)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "min", "q1", "median", "q3", "max"])
-        for s in stats:
-            writer.writerow([s.class_id, _cell(s.minimum), _cell(s.q1),
-                             _cell(s.median), _cell(s.q3), _cell(s.maximum)])
+    _write_table(path, ("class", "min", "q1", "median", "q3", "max"),
+                 ((s.class_id, s.minimum, s.q1, s.median, s.q3, s.maximum)
+                  for s in stats))
 
 
 def write_scatter(path, points) -> None:
-    """Scatter file: class, x, y rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "x", "y"])
-        for class_id, x, y in points:
-            writer.writerow([class_id, _cell(x), _cell(y)])
+    """Scatter file: class, x, y rows, x and y written as floats."""
+    _write_table(path, ("class", "x", "y"),
+                 ((class_id, float(x), float(y)) for class_id, x, y in points))
 
 
 def write_fits(path, fits) -> None:
     """Fit file: axis, slope, intercept, r, note rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "slope", "intercept", "r", "note"])
-        for f in fits:
-            writer.writerow([f.axis, _cell(f.slope), _cell(f.intercept),
-                             _cell(f.r), f.note])
-
-
-def write_correlation_scatter(report: CorrelationReport, count_path,
-                              accuracy_path) -> None:
-    """Both scatter views of a correlation report."""
-    write_scatter(count_path, zip(report.class_ids, report.counts,
-                                  report.mean_scores))
-    write_scatter(accuracy_path, zip(report.class_ids, report.accuracies,
-                                     report.mean_scores))
+    _write_table(path, ("axis", "slope", "intercept", "r", "note"),
+                 ((f.axis, f.slope, f.intercept, f.r, f.note) for f in fits))

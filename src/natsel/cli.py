@@ -12,11 +12,7 @@ Exit codes: 0 success, 1 configuration/validation error, 2 runtime abort.
 from __future__ import annotations
 
 import argparse
-import csv
-import os
 import sys
-from collections import namedtuple
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,8 +22,8 @@ from .analysis import (
     correlation_report,
     ns_distribution,
     write_box_stats,
-    write_correlation_scatter,
     write_fits,
+    write_scatter,
 )
 from .config import (
     ExperimentConfig,
@@ -42,7 +38,15 @@ from .config import (
 from .errors import AnalysisError, ConfigError, FormatError, NatselError, \
     NumericError, TrainingDiverged
 from .model import Classifier, save_checkpoint
-from .trainer import _read_table, read_metrics_csv, train, write_metrics_csv
+from .trainer import (
+    _read_scores,
+    _replacing,
+    _write_scores,
+    _write_table,
+    read_metrics_csv,
+    train,
+    write_metrics_csv,
+)
 
 __all__ = [
     "SIGMA_AXIS",
@@ -68,10 +72,6 @@ SWEEP_AXES = {
     "layout": ("grouping.layout", LAYOUT_AXIS),
 }
 
-_SCORE_COLUMNS = ("epoch", "step", "group_id", "sample_index", "label", "q",
-                  "s", "w")
-_ScoreRow = namedtuple("_ScoreRow", _SCORE_COLUMNS)
-
 
 @dataclass(frozen=True)
 class RunSummary:
@@ -86,41 +86,6 @@ class RunSummary:
     @property
     def single_seed(self) -> bool:
         return len(self.seed_accuracy) == 1
-
-
-def _write_scores(path, steps) -> None:
-    """One CSV row per sample of each scored ``_Step``.  Every field is an
-    integer or a float repr, which the csv module would never quote, so
-    rows are formatted directly, in its default dialect (comma, CRLF)."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(_SCORE_COLUMNS)
-        for st in steps:
-            head = f"{st.epoch},{st.step},"
-            fh.write("".join(
-                f"{head}{gid},{sample},{label},{qi!r},{si!r},{wi!r}\r\n"
-                for gid, sample, label, qi, si, wi in zip(
-                    st.ns.group_ids.tolist(), st.indices.tolist(),
-                    st.labels.tolist(), st.ns.raw.tolist(),
-                    st.ns.score.tolist(), st.weights.tolist())))
-
-
-def _read_scores(path) -> list[_ScoreRow]:
-    """Rows named by ``_SCORE_COLUMNS``: five integers, then q, s, w."""
-    return [_ScoreRow(*row) for row in _read_table(
-        path, _SCORE_COLUMNS, (int,) * 5 + (float,) * 3, "score log")]
-
-
-@contextmanager
-def _replacing(path: Path):
-    """Yield a temporary path beside ``path`` to write, then rename it onto
-    ``path``: an artifact is either complete or absent, and a write that
-    raises leaves no temporary file behind."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def run_experiment(config: ExperimentConfig, echo=print) -> RunSummary:
@@ -139,8 +104,8 @@ def run_experiment(config: ExperimentConfig, echo=print) -> RunSummary:
         finals.append((seed, final_acc))
         echo(f"seed {seed}: final test accuracy {final_acc:.4f}")
 
-    with _replacing(run_dir / "aggregate.csv") as tmp:
-        _write_aggregate(tmp, config.seeds, per_seed_records)
+    _write_aggregate(run_dir / "aggregate.csv", config.seeds,
+                     per_seed_records)
     accs = np.array([a for _, a in finals])
     std = float(accs.std(ddof=1)) if accs.size > 1 else 0.0
     summary = RunSummary(
@@ -168,32 +133,28 @@ def _train_seed(config: ExperimentConfig, seed: int, run_dir: Path):
     scored_steps = []
     _, records = train(train_for(config, seed), train_set, test_set,
                        model, score_sink=scored_steps.append)
-    with _replacing(run_dir / f"metrics_{seed}.csv") as tmp:
-        write_metrics_csv(tmp, records)
+    write_metrics_csv(run_dir / f"metrics_{seed}.csv", records)
     with _replacing(run_dir / f"checkpoint_{seed}.bin") as tmp:
         save_checkpoint(model, tmp)
     if scored_steps:
-        with _replacing(run_dir / f"scores_{seed}.csv") as tmp:
-            _write_scores(tmp, scored_steps)
+        _write_scores(run_dir / f"scores_{seed}.csv", scored_steps)
     return records
 
 
 def _write_aggregate(path, seeds, per_seed_records) -> None:
     """Mean and sample std (n-1) of loss/accuracy per (epoch, split)."""
-    keys = [(r.epoch, r.split) for r in per_seed_records[seeds[0]]]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "split", "mean_loss_mean", "mean_loss_std",
-                         "accuracy_mean", "accuracy_std", "seed_count"])
-        for i, (epoch, split) in enumerate(keys):
-            losses = np.array([per_seed_records[s][i].mean_loss
-                               for s in seeds])
-            accs = np.array([per_seed_records[s][i].accuracy for s in seeds])
-            loss_std = float(losses.std(ddof=1)) if len(seeds) > 1 else 0.0
-            acc_std = float(accs.std(ddof=1)) if len(seeds) > 1 else 0.0
-            writer.writerow([epoch, split, repr(float(losses.mean())),
-                             repr(loss_std), repr(float(accs.mean())),
-                             repr(acc_std), len(seeds)])
+    def mean_std(values) -> tuple[float, float]:
+        values = np.array(values)
+        return (float(values.mean()),
+                float(values.std(ddof=1)) if len(seeds) > 1 else 0.0)
+
+    rows = []
+    for i, r in enumerate(per_seed_records[seeds[0]]):
+        same = [per_seed_records[s][i] for s in seeds]
+        rows.append((r.epoch, r.split, *mean_std([x.mean_loss for x in same]),
+                     *mean_std([x.accuracy for x in same]), len(seeds)))
+    _write_table(path, ("epoch", "split", "mean_loss_mean", "mean_loss_std",
+                        "accuracy_mean", "accuracy_std", "seed_count"), rows)
 
 
 def sweep(config: ExperimentConfig, axis: str, values=None,
@@ -219,12 +180,9 @@ def sweep(config: ExperimentConfig, axis: str, values=None,
 
     table = Path(config.output_dir) / f"sweep_{axis}.csv"
     table.parent.mkdir(parents=True, exist_ok=True)
-    with _replacing(table) as tmp, open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "value", "accuracy_mean", "accuracy_std"])
-        for value, summary in results:
-            writer.writerow([axis, value, repr(summary.mean_accuracy),
-                             repr(summary.std_accuracy)])
+    _write_table(table, ("axis", "value", "accuracy_mean", "accuracy_std"),
+                 ((axis, value, summary.mean_accuracy, summary.std_accuracy)
+                  for value, summary in results))
     echo(f"sweep table written to {table}")
     return results
 
@@ -261,15 +219,14 @@ def analyze_run(run_dir, echo=print) -> None:
             stats = ns_distribution(
                 [r.s for r in final], [r.label for r in final],
                 train_set.class_count)
-            with _replacing(run_dir / f"box_stats_{seed}.csv") as tmp:
-                write_box_stats(tmp, stats)
+            write_box_stats(run_dir / f"box_stats_{seed}.csv", stats)
 
         report = correlation_report(records, train_set.label_counts())
-        with _replacing(run_dir / f"scatter_count_{seed}.csv") as count, \
-                _replacing(run_dir / f"scatter_accuracy_{seed}.csv") as acc:
-            write_correlation_scatter(report, count, acc)
-        with _replacing(run_dir / f"fits_{seed}.csv") as tmp:
-            write_fits(tmp, report.fits)
+        write_scatter(run_dir / f"scatter_count_{seed}.csv", zip(
+            report.class_ids, report.counts, report.mean_scores))
+        write_scatter(run_dir / f"scatter_accuracy_{seed}.csv", zip(
+            report.class_ids, report.accuracies, report.mean_scores))
+        write_fits(run_dir / f"fits_{seed}.csv", report.fits)
         echo(f"seed {seed}: analysis artifacts written to {run_dir}")
 
 

@@ -71,14 +71,19 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.seeds:
-            raise ConfigError("experiment.seeds must be non-empty")
+            raise ConfigError("experiment.seeds: must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(
                 f"experiment.seeds: {self.seeds} repeats a seed, whose "
                 "runs would overwrite each other's artifacts"
             )
         if not self.label:
-            raise ConfigError("experiment.label must be non-empty")
+            raise ConfigError("experiment.label: must be non-empty")
+        # Checked with or without a conv stage, so that a bad value is
+        # never accepted and written back out.
+        if self.conv_channels < 1:
+            raise ConfigError(f"model.conv_channels: must be positive, "
+                              f"got {self.conv_channels}")
         # The model checks run here, before a run writes anything.  A
         # file-backed image has no shape until its file is read, so it
         # gets a stand-in that the kernel fits, and the kernel-vs-image

@@ -76,30 +76,28 @@ class DataSettings:
             raise ConfigError(
                 f"dataset.kind: {self.kind!r} not in {DATASET_KINDS}"
             )
-        count_modes = [self.class_counts is not None,
-                       self.n_max is not None
-                       or self.imbalance_factor is not None,
-                       self.balanced_count is not None]
-        if sum(count_modes) > 1:
-            raise ConfigError(
-                "dataset: choose one of class_counts, "
-                "n_max/imbalance_factor, balanced_count"
-            )
         if (self.n_max is None) != (self.imbalance_factor is None):
+            lone = "n_max" if self.imbalance_factor is None \
+                else "imbalance_factor"
             raise ConfigError(
-                "dataset: n_max and imbalance_factor go together"
+                f"dataset.{lone}: n_max and imbalance_factor go together"
             )
-        if self.kind == "idx_files":
-            missing = [k for k in ("train_images", "train_labels",
-                                   "test_images", "test_labels")
-                       if getattr(self, k) is None]
-            if missing:
-                raise ConfigError(f"dataset: idx_files needs {missing}")
-        if self.kind == "cifar_binary":
-            missing = [k for k in ("train_path", "test_path")
-                       if getattr(self, k) is None]
-            if missing:
-                raise ConfigError(f"dataset: cifar_binary needs {missing}")
+        modes = [name for name in ("class_counts", "n_max", "balanced_count")
+                 if getattr(self, name) is not None]
+        if len(modes) > 1:
+            raise ConfigError(
+                f"dataset.{modes[1]}: choose one of class_counts, "
+                f"n_max/imbalance_factor, balanced_count; {modes[0]} is "
+                "set too"
+            )
+        needed = {"idx_files": ("train_images", "train_labels",
+                                "test_images", "test_labels"),
+                  "cifar_binary": ("train_path", "test_path")}
+        missing = [k for k in needed.get(self.kind, ())
+                   if getattr(self, k) is None]
+        if missing:
+            raise ConfigError(
+                f"dataset.{missing[0]}: {self.kind} needs {missing}")
         if self.variant not in CIFAR_VARIANTS:
             raise ConfigError(
                 f"dataset.variant: {self.variant!r} not in {CIFAR_VARIANTS}"
@@ -112,24 +110,24 @@ class DataSettings:
             raise ConfigError(
                 f"dataset.classes: need at least two, got {self.classes}"
             )
-        if min(self.image_shape) < 1:
-            raise ConfigError(f"dataset: bad image shape {self.image_shape}")
+        for name, least in (("height", 2), ("width", 2), ("channels", 1),
+                            ("balanced_count", 1), ("n_max", 1)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ConfigError(
+                    f"dataset.{name}: need at least {least}, got {value}")
         if (self.imbalance_factor is not None
                 and not 1.0 <= self.imbalance_factor < math.inf):
             raise ConfigError(
                 f"dataset.imbalance_factor: must be finite and at least 1, "
                 f"got {self.imbalance_factor}"
             )
-        counts = self.train_counts()
-        if len(counts) != self.classes:
+        if self.class_counts is not None and (
+                len(self.class_counts) != self.classes
+                or min(self.class_counts) < 1):
             raise ConfigError(
-                f"dataset.class_counts: {len(counts)} values "
-                f"for {self.classes} classes"
-            )
-        if min(counts) < 1:
-            raise ConfigError(
-                f"dataset: per-class train counts must be positive, "
-                f"got {counts}"
+                f"dataset.class_counts: need {self.classes} positive "
+                f"counts, one per class, got {self.class_counts}"
             )
         if not 0.0 <= self.noise_std < math.inf:
             raise ConfigError(

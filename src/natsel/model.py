@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,15 +81,7 @@ class ClassifierConfig:
                               f"larger than the {h}x{w} input")
 
     def to_json(self) -> str:
-        payload = {
-            "input_shape": list(self.input_shape),
-            "hidden": list(self.hidden),
-            "class_count": self.class_count,
-            "init_seed": self.init_seed,
-            "conv": None if self.conv is None
-            else {"kernel": self.conv.kernel, "channels": self.conv.channels},
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        return json.dumps(asdict(self), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "ClassifierConfig":
@@ -453,23 +445,19 @@ def save_checkpoint(model: Classifier, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Classifier:
-    blob = Path(path).read_bytes()
-    try:
-        magic_end = blob.index(b"\n")
-        config_end = blob.index(b"\n", magic_end + 1)
-        count_end = blob.index(b"\n", config_end + 1)
-    except ValueError:
-        raise FormatError(f"{path}: truncated checkpoint header") from None
-    if blob[:magic_end].decode("ascii", "replace") != _CHECKPOINT_MAGIC:
+    parts = Path(path).read_bytes().split(b"\n", 3)
+    if len(parts) < 4:
+        raise FormatError(f"{path}: truncated checkpoint header")
+    magic, config_line, count_line, block = parts
+    if magic.decode("ascii", "replace") != _CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic")
-    config_line = blob[magic_end + 1:config_end].decode("ascii")
-    count_line = blob[config_end + 1:count_end].decode("ascii")
+    config_line = config_line.decode("ascii")
+    count_line = count_line.decode("ascii")
     if not config_line.startswith("config ") or not count_line.startswith("params "):
         raise FormatError(f"{path}: malformed checkpoint header")
     config = ClassifierConfig.from_json(config_line[len("config "):])
     count = int(count_line[len("params "):])
 
-    block = blob[count_end + 1:]
     if len(block) != count * 8:
         raise FormatError(
             f"{path}: parameter block is {len(block)} bytes, expected {count * 8}"

@@ -8,7 +8,10 @@ loop degenerates to exactly the plain weighted-ERM loop.
 Metrics are written as CSV with one row per (epoch, split).  Wall-clock
 columns (``seconds``, ``ns_seconds``) are physically nondeterministic;
 ``deterministic_csv_bytes`` strips them so reruns can be compared
-byte-for-byte on everything else.
+byte-for-byte on everything else.  Every CSV the package writes goes
+through ``_write_table`` (or, for the per-sample score log,
+``_write_scores``): one cell format, and a file that is either complete
+or absent.
 """
 
 from __future__ import annotations
@@ -16,8 +19,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import time
+from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -237,6 +244,34 @@ class _Step(NamedTuple):
     ns_seconds: float = 0.0
 
 
+_SCORE_COLUMNS = ("epoch", "step", "group_id", "sample_index", "label", "q",
+                  "s", "w")
+_ScoreRow = namedtuple("_ScoreRow", _SCORE_COLUMNS)
+
+
+def _write_scores(path, steps) -> None:
+    """One CSV row per sample of each scored ``_Step``, written complete
+    or not at all.  Every field is an integer or a float repr, which the
+    csv module would never quote, so rows are formatted directly, in its
+    default dialect (comma, CRLF)."""
+    with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
+        fh.write(",".join(_SCORE_COLUMNS) + "\r\n")
+        for st in steps:
+            head = f"{st.epoch},{st.step},"
+            fh.write("".join(
+                f"{head}{gid},{sample},{label},{qi!r},{si!r},{wi!r}\r\n"
+                for gid, sample, label, qi, si, wi in zip(
+                    st.ns.group_ids.tolist(), st.indices.tolist(),
+                    st.labels.tolist(), st.ns.raw.tolist(),
+                    st.ns.score.tolist(), st.weights.tolist())))
+
+
+def _read_scores(path) -> list[_ScoreRow]:
+    """Rows named by ``_SCORE_COLUMNS``: five integers, then q, s, w."""
+    return [_ScoreRow(*row) for row in _read_table(
+        path, _SCORE_COLUMNS, (int,) * 5 + (float,) * 3, "score log")]
+
+
 def _train_record(steps: list[_Step], class_count: int,
                   epoch_start: float) -> MetricsRecord:
     """The epoch's train row; ``seconds`` runs from ``epoch_start`` until
@@ -414,42 +449,64 @@ def _spearman(xs: np.ndarray, ys: np.ndarray) -> float:
     return float((rxc @ ryc) / denom)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
-def _format_vector(values) -> str:
-    if values is None:
-        return ""
-    return ";".join(_format_float(v) for v in values)
-
-
 def _parse_vector(text: str):
     if text == "":
         return None
     return tuple(float(tok) for tok in text.split(";"))
 
 
-# MetricsRecord field type -> (write, read) of its CSV cell.
-_CELL_TEXT = {
-    "int": (str, int),
-    "str": (str, str),
-    "float": (_format_float, float),
-    "tuple[float, ...]": (_format_vector, lambda t: _parse_vector(t) or ()),
-    "tuple[float, ...] | None": (_format_vector, _parse_vector),
+# MetricsRecord field type -> the reader of its CSV cell.
+_CELL_READERS = {
+    "int": int,
+    "str": str,
+    "float": float,
+    "tuple[float, ...]": lambda t: _parse_vector(t) or (),
+    "tuple[float, ...] | None": _parse_vector,
 }
 _METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
-_METRICS_CELLS = tuple(_CELL_TEXT[f.type] for f in fields(MetricsRecord))
+_METRICS_READERS = tuple(_CELL_READERS[f.type] for f in fields(MetricsRecord))
+
+
+@contextmanager
+def _replacing(path):
+    """Yield a temporary path beside ``path`` to write, then rename it onto
+    ``path``: an artifact is either complete or absent, and a write that
+    raises leaves no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _cell(value) -> str:
+    """A CSV cell: None is empty, a tuple its floats' reprs joined by
+    ``;``, a float its repr, anything else its str."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ";".join(repr(float(v)) for v in value)
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def _write_table(path, columns, rows) -> None:
+    """A CSV headed by ``columns``, one line per row of ``rows``, every
+    cell formatted by ``_cell``; written complete or not at all."""
+    with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_cell(value) for value in row] for row in rows)
 
 
 def write_metrics_csv(path, records) -> None:
     """One row per record, columns exactly the record fields."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_METRICS_COLUMNS)
-        for r in records:
-            writer.writerow([write(getattr(r, name)) for name, (write, _)
-                             in zip(_METRICS_COLUMNS, _METRICS_CELLS)])
+    _write_table(path, _METRICS_COLUMNS,
+                 ([getattr(r, name) for name in _METRICS_COLUMNS]
+                  for r in records))
 
 
 def _read_table(path, columns, readers, what) -> list[tuple]:
@@ -475,9 +532,8 @@ def _read_table(path, columns, readers, what) -> list[tuple]:
 
 
 def read_metrics_csv(path) -> list[MetricsRecord]:
-    readers = tuple(read for _, read in _METRICS_CELLS)
-    return [MetricsRecord(*row) for row in
-            _read_table(path, _METRICS_COLUMNS, readers, "metrics CSV")]
+    return [MetricsRecord(*row) for row in _read_table(
+        path, _METRICS_COLUMNS, _METRICS_READERS, "metrics CSV")]
 
 
 def deterministic_csv_bytes(path) -> bytes:

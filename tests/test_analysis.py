@@ -13,7 +13,6 @@ from natsel.analysis import (
     linear_correlation,
     ns_distribution,
     write_box_stats,
-    write_correlation_scatter,
     write_fits,
     write_scatter,
 )
@@ -266,18 +265,3 @@ class TestCsvExports:
         assert rows[1][1] == ""  # undefined fit stays blank
         assert "zero variance" in rows[1][4]
         assert float(rows[2][3]) == report.fits[1].r
-
-    def test_correlation_scatter_writes_both_views(self, tmp_path):
-        records = [record(0, "train", per_class_ns=(0.5, 0.4)),
-                   record(0, "test", per_class_accuracy=(0.9, 0.8))]
-        report = correlation_report(records, (20, 10))
-        count_path = tmp_path / "count.csv"
-        acc_path = tmp_path / "acc.csv"
-        write_correlation_scatter(report, count_path, acc_path)
-        with open(count_path, newline="") as fh:
-            count_rows = list(csv.reader(fh))
-        with open(acc_path, newline="") as fh:
-            acc_rows = list(csv.reader(fh))
-        assert float(count_rows[1][1]) == 20.0
-        assert float(acc_rows[1][1]) == 0.9
-        assert float(count_rows[1][2]) == float(acc_rows[1][2]) == 0.5

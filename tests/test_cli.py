@@ -1,6 +1,7 @@
 """End-to-end command line: run, sweep, analyze, exit codes."""
 
 import csv
+import dataclasses
 import weakref
 
 import numpy as np
@@ -12,8 +13,6 @@ from natsel.cli import (
     LAYOUT_AXIS,
     RHO_AXIS,
     SIGMA_AXIS,
-    _read_scores,
-    _write_scores,
     main,
     run_experiment,
     sweep,
@@ -21,7 +20,13 @@ from natsel.cli import (
 from natsel.config import parse_config
 from natsel.errors import ConfigError, TrainingDiverged
 from natsel.nscore import NSResult
-from natsel.trainer import _Step, deterministic_csv_bytes, read_metrics_csv
+from natsel.trainer import (
+    _read_scores,
+    _Step,
+    _write_scores,
+    deterministic_csv_bytes,
+    read_metrics_csv,
+)
 
 quiet = lambda *args, **kwargs: None
 
@@ -429,6 +434,27 @@ class TestAnalyze:
             rows = {r[0]: r for r in list(csv.reader(fh))[1:]}
         assert "zero variance" in rows["count_vs_score"][4]
 
+    def test_scatters_hold_counts_accuracies_and_scores(self, tmp_path):
+        main(["run", str(write_config(tmp_path))])
+        run_dir = tmp_path / "out" / "demo"
+        main(["analyze", str(run_dir)])
+        records = read_metrics_csv(run_dir / "metrics_1.csv")
+        scored = [r for r in records if r.split == "train"][-1]
+        tested = [r for r in records if r.split == "test"][-1]
+        views = {}
+        for view in ("count", "accuracy"):
+            with open(run_dir / f"scatter_{view}_1.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["class", "x", "y"]
+            assert [r[0] for r in rows[1:]] == ["0", "1"]
+            views[view] = rows[1:]
+        # class sizes are written as floats, like every other x
+        assert [r[1] for r in views["count"]] == ["8.0", "8.0"]
+        assert tuple(float(r[1]) for r in views["accuracy"]) == \
+            tested.per_class_accuracy
+        for rows in views.values():
+            assert tuple(float(r[2]) for r in rows) == scored.per_class_ns
+
     @pytest.mark.parametrize("name,row,problem", [
         ("metrics_1.csv", "0,train,0.5", "3 cells, expected 10"),
         ("metrics_1.csv", "1,test,x,0.5,0.5;0.5,,1.0,0,0,0.0",
@@ -478,13 +504,21 @@ class TestAnalyze:
         main(["run", str(write_config(tmp_path))])
         run_dir = tmp_path / "out" / "demo"
         before = sorted(p.name for p in run_dir.iterdir())
+        real_report = natsel.cli.correlation_report
 
-        def write_half(path, fits):
-            with open(path, "w") as fh:
-                fh.write("partial")
-            raise OSError("disk full")
+        def report_failing_after_one_fit(*args):
+            # the fits file is opened and its first row written before
+            # the second row raises
+            report = real_report(*args)
 
-        monkeypatch.setattr(natsel.cli, "write_fits", write_half)
+            def fits():
+                yield report.fits[0]
+                raise OSError("disk full")
+
+            return dataclasses.replace(report, fits=fits())
+
+        monkeypatch.setattr(natsel.cli, "correlation_report",
+                            report_failing_after_one_fit)
         assert main(["analyze", str(run_dir)]) == 2
         # seed 1's box stats and scatters are complete; its fits, and
         # every artifact of seed 2, were never written

@@ -213,9 +213,16 @@ class TestStrictness:
         ("weighting.rho", "[weighting]\nsigma = 0.5\nrho = -1.0\n"),
         ("grouping.layout", "[grouping]\nlayout = 1x1\n[weighting]\nrho = 1\n"),
         ("train.loss", "[train]\nloss = hinge\n"),
+        ("dataset.height", "[dataset]\nheight = 1\n"),
+        ("dataset.width", "[dataset]\nwidth = 0\n"),
+        ("dataset.class_counts",
+         "[dataset]\nclasses = 2\nclass_counts = 0,5\n"),
+        ("dataset.n_max", "[dataset]\nn_max = 100\n"),
+        ("model.conv_channels", "[model]\nconv_channels = -5\n"),
     ], ids=["hidden", "kernel-too-large", "kernel-negative", "channels",
             "sigma-negative", "sigma-nan", "rho-inf", "rho-negative-weights",
-            "layout-1x1", "loss"])
+            "layout-1x1", "loss", "height-1", "width-0", "class-counts-zero",
+            "lone-n-max", "channels-without-kernel"])
     def test_value_errors_name_their_key(self, key, text):
         # A value that reads but does not fit fails with the key that
         # set it, whichever class checks it.

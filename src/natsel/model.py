@@ -215,7 +215,20 @@ class Classifier:
         return sum(p.size for p in self.parameters)
 
     def forward_batch(self, xs, tape: GradTape | None = None) -> np.ndarray:
-        """Logits [N, K] for a stack of N inputs, converted to float64."""
+        """Logits [N, K] for a stack of N inputs, converted to float64.
+
+        With a ``tape`` the whole classifier is one record.  Its forward
+        is ``logits``' arithmetic: the conv activations when a conv stage
+        is configured, then ``h W + b`` per dense layer with a ReLU
+        between layers.  It checks every conv block's product and every
+        dense layer's biased pre-activation for finiteness, so a hidden
+        -inf that the ReLU would zero still raises.  The record keeps
+        each dense layer's input and no mask: the pullback derives each
+        ReLU mask from the rectified input it feeds, ``h > 0``
+        (derivative at 0 taken as 0), the conv activations included.  It
+        returns the adjoint of every parameter, in parameter order, and
+        of no input.
+        """
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 4 or xs.shape[1:] != self.config.input_shape:
             raise ShapeError(
@@ -224,9 +237,41 @@ class Classifier:
             )
         if tape is None:
             return self.logits(xs)
-        if self.config.conv is not None:
-            return self._dense_stage(self._conv_stage(xs, tape), tape)
-        return self._dense_stage(xs.reshape(xs.shape[0], -1), tape)
+        conv = self.config.conv is not None
+        inputs = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (self._conv_act(xs, checked=True) if conv
+                   else xs.reshape(xs.shape[0], -1))
+            for i, (weight, bias) in enumerate(self._dense):
+                if i:
+                    np.maximum(out, 0.0, out=out)
+                inputs.append(out)
+                out = out.dot(weight)
+                out += bias
+                if not np.isfinite(out).all():
+                    raise NumericError(
+                        f"dense layer {i} produced non-finite values")
+
+        def pull(g: np.ndarray):
+            grads = []  # last parameter first
+            for i in range(len(self._dense) - 1, 0, -1):
+                grads += (g.sum(axis=0, keepdims=True), inputs[i].T @ g)
+                g = (g @ self._dense[i][0].T) * (inputs[i] > 0.0)
+            grads.append(g.sum(axis=0, keepdims=True))
+            head = []
+            if conv:
+                # The activations' adjoint is masked in place and spent
+                # before the first weight's adjoint is formed, so the two
+                # batch-sized arrays never coexist.
+                gact = g @ self._dense[0][0].T
+                np.multiply(gact, inputs[0] > 0.0, out=gact)
+                head.append(self._conv_grad(xs, gact))
+                del gact
+            grads.append(inputs[0].T @ g)
+            return zip(self.parameters, head + grads[::-1])
+
+        tape.record(out, pull)
+        return out
 
     def logits(self, xs: np.ndarray) -> np.ndarray:
         """Untaped logits [N, K] of an [N, H, W, C] array.
@@ -282,83 +327,30 @@ class Classifier:
             np.maximum(valid, 0.0, out=act[blk])
         return act.reshape(n, -1)
 
-    def _conv_stage(self, xs: np.ndarray, tape: GradTape) -> np.ndarray:
-        """ReLU conv activations [N, H'*W'*F] as one tape record.
+    def _conv_grad(self, xs: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Adjoint of ``[W; b]`` from the adjoint ``g`` [N, H'*W'*F] of
+        the conv pre-activations, that is, the activations' adjoint
+        already masked by the ReLU.
 
-        The pullback returns the adjoint of ``[W; b]`` only: the input
-        is data, so no adjoint is formed for it.  No patch columns or
-        ReLU masks are kept from the forward.  Per block, the mask
-        ``act > 0`` (derivative at 0 taken as 0) is derived from the
-        kept activations into one reused buffer, the columns are rebuilt
-        from the input, and the masked adjoint is scattered into a
-        zeroed [B, H', W, F] buffer, so the wrapped windows contribute
-        nothing.  One product ``cols @ gm`` per block gives the weight
-        adjoint in its first k*k*C rows and, from the ones row, the bias
-        adjoint.
+        No patch columns are kept from the forward.  Per block, the
+        columns are rebuilt from the input and ``g`` is copied into a
+        [B, H', W, F] buffer whose wrapped windows stay zero, so they
+        contribute nothing.  One product ``cols @ g`` per block gives the
+        weight adjoint in its first k*k*C rows and, from the ones row,
+        the bias adjoint.
         """
-        weight, k = self._conv_wb, self.config.conv.kernel
         n, w = xs.shape[0], xs.shape[2]
         out_h, out_w, f = self._act_shape
         step = self._block
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._conv_act(xs, checked=True)
-
-        def pull(g: np.ndarray):
-            g = g.reshape(n, out_h, out_w, f)
-            act = out.reshape(g.shape)
-            buf = np.zeros((min(n, step), out_h, w, f))
-            mask = np.empty((min(n, step), out_h, out_w, f), dtype=bool)
-            gwb = np.zeros(weight.shape)
-            for s in range(0, n, step):
-                blk, b = slice(s, s + step), min(step, n - s)
-                np.greater(act[blk], 0.0, out=mask[:b])
-                np.multiply(g[blk], mask[:b], out=buf[:b, :, :out_w])
-                gwb += _columns(xs[blk], k) @ buf[:b].reshape(-1, f)
-            return ((weight, gwb),)
-
-        tape.record(out, pull)
-        return out
-
-    def _dense_stage(self, x: np.ndarray, tape: GradTape) -> np.ndarray:
-        """Logits [N, K] of the flat activations ``x`` as one tape record.
-
-        The forward is ``logits``' arithmetic, ``h W + b`` per layer
-        with a ReLU between layers, and checks each layer's biased
-        pre-activation for finiteness, so a hidden -inf that the ReLU
-        would zero still raises.  The record keeps each layer's input;
-        the pullback derives each ReLU mask from the rectified input it
-        feeds, ``h > 0`` (derivative at 0 taken as 0).  It returns every
-        weight and bias adjoint, and an adjoint for ``x`` only when a
-        conv stage produced it; raw images get none.
-        """
-        input_adjoint = self.config.conv is not None
-        inputs = []
-        out = x
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, (weight, bias) in enumerate(self._dense):
-                if i:
-                    np.maximum(out, 0.0, out=out)
-                inputs.append(out)
-                out = out.dot(weight)
-                out += bias
-                if not np.isfinite(out).all():
-                    raise NumericError(
-                        f"dense layer {i} produced non-finite values")
-
-        def pull(g: np.ndarray):
-            pairs = []
-            for i in range(len(self._dense) - 1, -1, -1):
-                weight, bias = self._dense[i]
-                pairs += ((weight, inputs[i].T @ g),
-                          (bias, g.sum(axis=0, keepdims=True)))
-                if i:
-                    g = (g @ weight.T) * (inputs[i] > 0.0)
-                elif input_adjoint:
-                    pairs.append((x, g @ weight.T))
-            return pairs
-
-        tape.record(out, pull)
-        return out
+        g = g.reshape(n, out_h, out_w, f)
+        buf = np.zeros((min(n, step), out_h, w, f))
+        gwb = np.zeros(self._conv_wb.shape)
+        for s in range(0, n, step):
+            blk, b = slice(s, s + step), min(step, n - s)
+            buf[:b, :, :out_w] = g[blk]
+            cols = _columns(xs[blk], self.config.conv.kernel)
+            gwb += cols @ buf[:b].reshape(-1, f)
+        return gwb
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -449,20 +441,23 @@ def load_checkpoint(path: str | Path) -> Classifier:
     if len(parts) < 4:
         raise FormatError(f"{path}: truncated checkpoint header")
     magic, config_line, count_line, block = parts
-    if magic.decode("ascii", "replace") != _CHECKPOINT_MAGIC:
+    if magic != _CHECKPOINT_MAGIC.encode("ascii"):
         raise FormatError(f"{path}: bad checkpoint magic")
-    config_line = config_line.decode("ascii")
-    count_line = count_line.decode("ascii")
-    if not config_line.startswith("config ") or not count_line.startswith("params "):
-        raise FormatError(f"{path}: malformed checkpoint header")
-    config = ClassifierConfig.from_json(config_line[len("config "):])
-    count = int(count_line[len("params "):])
-
-    if len(block) != count * 8:
+    try:
+        if not (config_line.startswith(b"config ")
+                and count_line.startswith(b"params ")):
+            raise ValueError("expected 'config ' and 'params ' lines")
+        config = ClassifierConfig.from_json(
+            config_line[len(b"config "):].decode("ascii"))
+        count = int(count_line[len(b"params "):])
+        if len(block) != count * 8:
+            raise FormatError(f"{path}: parameter block is {len(block)} "
+                              f"bytes, expected {count * 8}")
+        model = Classifier(config)  # TypeError on a non-integer width
+    except (ConfigError, AttributeError, KeyError, TypeError,
+            ValueError) as err:
         raise FormatError(
-            f"{path}: parameter block is {len(block)} bytes, expected {count * 8}"
-        )
-    model = Classifier(config)
+            f"{path}: malformed checkpoint header: {err!r}") from None
     if model.num_parameters != count:
         raise FormatError(f"{path}: parameter count does not match config")
     flat = np.frombuffer(block, dtype="<f8")

@@ -1,10 +1,10 @@
 """Tape-based reverse-mode differentiation over float64 arrays.
 
 Parameters, activations and losses are plain float64 arrays.  The tape
-holds no operations of its own: the classifier's conv stage, its dense
-stack and the fused weighted loss each append one entry with
-:meth:`GradTape.record`, and check their own outputs for finiteness.
-So a taped MLP step is two entries and a conv step three.
+holds no operations of its own: the classifier (its conv stage, if any,
+and its dense stack) and the fused weighted loss each append one entry
+with :meth:`GradTape.record`, and check their own outputs for
+finiteness.  So every taped step is two entries, MLP or conv.
 
 Aliasing: arrays are passed as they are, without copies, so an output may
 share memory with an input and a gradient may be the accumulated adjoint

@@ -395,11 +395,12 @@ def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
             _check_finite(loss_value, epoch, step, "batch loss")
 
             grads = backward(tape, batch_loss)
+            # The tape holds the batch's activations; drop it before the
+            # update, the next batch's scoring and each evaluation.
+            del tape, batch_loss
             sgd_momentum_step(model.parameters, grads, velocity, lr,
                               config.momentum)
-            # The tape holds the batch's activations; drop it before the
-            # next batch is scored and before each evaluation.
-            del tape, batch_loss, grads
+            del grads
             steps.append(_Step(epoch, step, batch_idx, labels, predictions,
                                loss_value, *scored))
             if scored and score_sink is not None:

@@ -139,6 +139,17 @@ def reshape(a, shape, tape=None):
                   lambda g: ((a, g.reshape(a.shape)),))
 
 
+def conv_relu(model, xs, tape=None):
+    """The ReLU conv activations [N, H'*W'*F] of ``model`` as a record of
+    their own: ``_conv_act`` forward, and a pullback that masks the
+    adjoint by ``act > 0`` and hands it to ``_conv_grad``.  The images
+    are data, so no input adjoint is formed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        act = model._conv_act(xs, checked=True)
+    return _taped(act, tape, lambda g: (
+        (model.parameters[0], model._conv_grad(xs, g * (act > 0.0))),))
+
+
 def reference_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Per-pixel bilinear resize oracle: explicit loops, four-term blend.
 

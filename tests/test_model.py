@@ -28,6 +28,7 @@ from natsel.trainer import weighted_batch_loss
 from conftest import (
     INPUT_FORMS,
     add_row,
+    conv_relu,
     finite_difference,
     forward_one,
     loss_oracle,
@@ -186,13 +187,14 @@ def taped_step(model: Classifier, xs: np.ndarray) -> GradTape:
 
 
 def primitive_chain_gradients(model: Classifier, xs: np.ndarray):
-    """Gradients of ``taped_step``'s loss with the dense stack taped as
-    reshape or conv, then matmul/add_row per layer and a ReLU between."""
+    """Gradients of ``taped_step``'s loss with the classifier taped as
+    reshape or conv_relu, then matmul/add_row per layer and a ReLU
+    between."""
     tape = GradTape()
     tape.register(*model.parameters)
     n = len(xs)
     if model.config.conv is not None:
-        out = model._conv_stage(xs, tape)
+        out = conv_relu(model, xs, tape=tape)
     else:
         out = reshape(xs, (n, -1), tape=tape)
     for i, (weight, bias) in enumerate(model._dense):
@@ -206,15 +208,16 @@ def primitive_chain_gradients(model: Classifier, xs: np.ndarray):
 
 class TestDenseStage:
     def test_taped_mlp_step_is_two_records(self):
-        # One dense record for every layer, one loss record; the dense
-        # pullback reaches the parameters only, never the input images.
+        # One classifier record for every layer, one loss record; the
+        # classifier pullback reaches every parameter in parameter order,
+        # never the input images.
         model = Classifier(small_config(hidden=(5, 4), class_count=3,
                                         init_seed=3))
         tape = taped_step(model, np.random.default_rng(2).random((6, 2, 2, 1)))
         assert len(tape._entries) == 2
         out, pull = tape._entries[0]
         reached = [t for t, _ in pull(np.ones(out.shape))]
-        assert sorted(map(id, reached)) == sorted(map(id, model.parameters))
+        assert list(map(id, reached)) == list(map(id, model.parameters))
 
     @pytest.mark.parametrize("conv", [None, ConvSpec(kernel=2, channels=3)])
     def test_gradients_equal_the_primitive_chain(self, conv):
@@ -233,7 +236,7 @@ class TestDenseStage:
         (1, -np.inf), (3, np.nan), (3, np.inf), (3, -np.inf)])
     def test_non_finite_pre_activation_raises(self, layer, value):
         # A hidden -inf bias would leave the ReLU as finite zeros, so only
-        # the dense record's check on the biased pre-activation sees it.
+        # the classifier record's check on the biased pre-activation sees it.
         model = Classifier(small_config(hidden=(4,), class_count=3))
         model.parameters[layer][0, 1] = value
         tape = GradTape()
@@ -296,22 +299,19 @@ class TestConvStage:
                     by_offset[dy, dx],
                     planes[:, :, start:start + span].transpose(1, 0, 2))
 
-    def test_taped_step_is_three_records(self):
-        # One conv record, one dense record, one loss record.  The conv
-        # pullback reaches only the conv stage's [W; b], never the input;
-        # the dense pullback reaches the dense parameters and the conv
-        # activations.
+    def test_taped_step_is_two_records(self):
+        # One classifier record, conv stage included, and one loss
+        # record.  The classifier pullback reaches the conv stage's
+        # [W; b] first and then the dense parameters, in parameter
+        # order; never the input, and no activation adjoint leaves it.
         model = Classifier(ClassifierConfig(
             input_shape=(5, 4, 2), hidden=(3,), class_count=3, init_seed=4,
             conv=ConvSpec(kernel=2, channels=3)))
         tape = taped_step(model, np.random.default_rng(6).random((4, 5, 4, 2)))
-        assert len(tape._entries) == 3
-        (conv_out, conv_pull), (dense_out, dense_pull), _ = tape._entries
-        reached = [t for t, _ in conv_pull(np.ones(conv_out.shape))]
-        assert reached == model.parameters[:1]
-        reached = [t for t, _ in dense_pull(np.ones(dense_out.shape))]
-        assert sorted(map(id, reached)) == sorted(
-            map(id, model.parameters[1:] + [conv_out]))
+        assert len(tape._entries) == 2
+        out, pull = tape._entries[0]
+        reached = [t for t, _ in pull(np.ones(out.shape))]
+        assert list(map(id, reached)) == list(map(id, model.parameters))
 
     @pytest.mark.parametrize("conv", [None, ConvSpec(kernel=2, channels=3)],
                              ids=["mlp", "conv"])
@@ -402,11 +402,10 @@ class TestConvBlocks:
     def batch(self, a: int, c: int) -> np.ndarray:
         return self.rng.random((a * self.step + c, 32, 32, 3)) - 0.3
 
-    def taped_conv_record(self, xs: np.ndarray):
+    def taped_logits(self, xs: np.ndarray) -> np.ndarray:
         tape = GradTape()
         tape.register(*self.model.parameters)
-        logits = self.model.forward_batch(xs, tape=tape)
-        return tape._entries[0], logits
+        return self.model.forward_batch(xs, tape=tape)
 
     def test_block_is_three_images_within_budget(self):
         # float64 per image: channel planes 3 x (32*32 + 2), patch columns
@@ -420,7 +419,8 @@ class TestConvBlocks:
         xs = self.batch(a, c)
         _, pre = unblocked_conv(self.model, xs)
         act = np.maximum(pre, 0.0).reshape(xs.shape[0], -1)
-        (conv_out, _), taped = self.taped_conv_record(xs)
+        conv_out = self.model._conv_act(xs, checked=True)
+        taped = self.taped_logits(xs)
         assert relative_error(conv_out, act) <= 1e-12
         (w1, b1), (w2, b2) = self.model._dense
         ref_logits = np.maximum(act @ w1 + b1, 0.0) @ w2 + b2
@@ -429,8 +429,12 @@ class TestConvBlocks:
 
     @COUNTS
     def test_gradients_match_unblocked(self, a, c):
+        # The conv primitive's pullback: the ReLU mask of the kept
+        # activations, then the blocked ``_conv_grad``.
         xs = self.batch(a, c)
-        (conv_out, pull), _ = self.taped_conv_record(xs)
+        tape = GradTape()
+        conv_out = conv_relu(self.model, xs, tape=tape)
+        ((_, pull),) = tape._entries
         g = self.rng.standard_normal(conv_out.shape)
         cols, pre = unblocked_conv(self.model, xs)
         gm = g.reshape(pre.shape) * (pre > 0.0)
@@ -763,6 +767,32 @@ class TestCheckpoint:
         path = tmp_path / "short.bin"
         path.write_bytes(b"NSCKPT 1\n")
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("config_line,count_line", [
+        (b"config {}", b"params 10"),
+        (b"config {bad", b"params 10"),
+        (b'config {"input_shape":[2,2,1]\xff}', b"params 10"),
+        (b'config {"input_shape":[2,2,1],"hidden":[],"class_count":1,'
+         b'"init_seed":0,"conv":null}', b"params 10"),
+        (b'config {"input_shape":[2,2,1],"hidden":[1.5],"class_count":2,'
+         b'"init_seed":0,"conv":null}', b"params 10"),
+        (None, b"params x"),
+        (None, b"count 10"),
+    ], ids=["config_missing_keys", "config_not_json", "non_ascii_byte",
+            "config_invalid_value", "width_not_integer", "count_not_integer",
+            "no_params_prefix"])
+    def test_corrupt_header_names_the_file(self, tmp_path, config_line,
+                                          count_line):
+        # A damaged header line raises FormatError naming the file, not
+        # the KeyError, JSONDecodeError, UnicodeDecodeError, ConfigError,
+        # TypeError or ValueError of the parse or build that meets it.
+        path = tmp_path / "corrupt.bin"
+        if config_line is None:
+            config_line = b"config " + small_config().to_json().encode()
+        path.write_bytes(b"NSCKPT 1\n" + config_line + b"\n" + count_line
+                         + b"\n" + b"\x00" * 80)
+        with pytest.raises(FormatError, match="corrupt.bin"):
             load_checkpoint(path)
 
     def test_truncated_parameter_block(self, tmp_path):

@@ -1,6 +1,7 @@
 """Property tests over generated inputs: the config text round trip and
-its key-naming errors, the group-score invariants, the weight bounds, and
-the CSV artifacts' round trip and complete-or-absent writes.
+its key-naming errors, the group-score invariants, the weight bounds,
+the conv patch columns and streamed logits, and the CSV artifacts' round
+trip and complete-or-absent writes.
 
 The example budget is fixed and derandomized, so every run checks the
 same examples and a failure replays.
@@ -9,6 +10,7 @@ same examples and a failure replays.
 import math
 import re
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +41,9 @@ from natsel.model import (  # noqa: E402
     ClassifierConfig,
     ConvSpec,
     LossConfig,
+    _columns,
 )
+import natsel.model  # noqa: E402
 from natsel.errors import ConfigError  # noqa: E402
 from natsel.nscore import (  # noqa: E402
     LEFTOVER_GROUP_ID,
@@ -180,6 +184,86 @@ def test_weights_stay_within_bounds(cfg, scores):
     w = compute_weights(np.array(scores), cfg)
     assert w.shape == (len(scores),)
     assert np.all((lo <= w) & (w <= hi))
+
+
+def loop_columns(xs: np.ndarray, kernel: int) -> np.ndarray:
+    """Per-window reference of ``_columns``: column (i, y0, x0) for every
+    window start with x0 < W holds, in row (dy, dx, c), the value at flat
+    position (y0 + dy)*W + x0 + dx of image i's channel plane c, or 0
+    past its end; the last row is ones."""
+    n, h, w, c = xs.shape
+    planes = xs.reshape(n, h * w, c)
+    cols = np.zeros((kernel * kernel * c + 1, n * (h - kernel + 1) * w))
+    col = 0
+    for i in range(n):
+        for y0 in range(h - kernel + 1):
+            for x0 in range(w):
+                for dy in range(kernel):
+                    for dx in range(kernel):
+                        at = (y0 + dy) * w + x0 + dx
+                        if at < h * w:
+                            row = (dy * kernel + dx) * c
+                            cols[row:row + c, col] = planes[i, at]
+                col += 1
+    cols[-1] = 1.0
+    return cols
+
+
+@FIXED
+@given(count=st.integers(1, 4), height=st.integers(1, 7),
+       width=st.integers(1, 7), channels=st.integers(1, 4),
+       kernel=st.integers(1, 7), seed=st.integers(0, 2**16))
+def test_columns_equal_the_per_window_loop(count, height, width, channels,
+                                           kernel, seed):
+    hypothesis.assume(kernel <= min(height, width))
+    xs = np.random.default_rng(seed).random((count, height, width,
+                                             channels))
+    assert np.array_equal(_columns(xs, kernel), loop_columns(xs, kernel))
+
+
+@contextmanager
+def block_budget(budget: int):
+    """``natsel.model._BLOCK_BYTES`` set to ``budget`` while models are
+    built; the geometry is fixed at construction."""
+    saved = natsel.model._BLOCK_BYTES
+    natsel.model._BLOCK_BYTES = budget
+    try:
+        yield
+    finally:
+        natsel.model._BLOCK_BYTES = saved
+
+
+@FIXED
+@given(side=st.integers(3, 12), channels=st.integers(1, 3),
+       kernel=st.integers(1, 3), filters=st.integers(1, 8),
+       hidden=st.lists(st.integers(1, 16), max_size=2),
+       eights=st.integers(0, 7), tail=st.one_of(st.just(0),
+                                                st.integers(1, 7)),
+       budget=st.integers(0, 18).map(lambda e: 1 << e),
+       seed=st.integers(0, 2**16))
+def test_streamed_logits_match_the_unstreamed_forward(
+        side, channels, kernel, filters, hidden, eights, tail, budget, seed):
+    # Chunks are multiples of 8 images, so with no tail every chunk is
+    # one and the logits are bit for bit those of the unstreamed
+    # forward; with a tail, within TestConvStreaming's bound.
+    count = 8 * eights + tail
+    hypothesis.assume(count > 0)
+    with block_budget(budget):
+        model = Classifier(ClassifierConfig(
+            input_shape=(side, side, channels), hidden=tuple(hidden),
+            class_count=3, init_seed=seed,
+            conv=ConvSpec(kernel, filters)))
+    xs = np.random.default_rng(seed).random(
+        (count, side, side, channels)) - 0.3
+    (weight, bias), *rest = model._dense
+    ref = model._conv_act(xs) @ weight + bias
+    for weight, bias in rest:
+        ref = np.maximum(ref, 0.0) @ weight + bias
+    got = model.logits(xs)
+    if tail == 0:
+        assert np.array_equal(got, ref)
+    else:
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def _ints_below(bound):

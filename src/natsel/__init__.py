@@ -58,6 +58,7 @@ from .seeds import derive_seed
 from .tensor import GradTape, backward
 from .trainer import (
     MetricsRecord,
+    Run,
     TrainConfig,
     evaluate,
     sgd_momentum_step,
@@ -85,7 +86,7 @@ __all__ = [
     "Dataset", "build_splits", "longtail_counts", "inject_label_noise",
     "class_sampling_probs", "load_idx", "load_cifar_binary",
     # trainer
-    "TrainConfig", "MetricsRecord", "train", "evaluate",
+    "TrainConfig", "MetricsRecord", "Run", "train", "evaluate",
     "weighted_batch_loss", "sgd_momentum_step",
     # analysis
     "ClassScoreStats", "FitLine", "CorrelationReport", "ns_distribution",

@@ -10,7 +10,15 @@ class ShapeError(NatselError):
 
 
 class NumericError(NatselError):
-    """An operation produced or received non-finite values, or left its domain."""
+    """An operation produced or received non-finite values, or left its domain.
+
+    ``run`` is the index, on a stack's leading run axis, of the first run
+    whose values failed; 0 when the operation ran on one run.
+    """
+
+    def __init__(self, message: str, run: int = 0):
+        super().__init__(message)
+        self.run = run
 
 
 class TapeError(NatselError):
@@ -30,13 +38,17 @@ class AnalysisError(NatselError):
 
 
 class TrainingDiverged(NatselError):
-    """Training hit a non-finite loss; carries the location of the failure."""
+    """Training hit a non-finite value; carries the seed of the run that
+    diverged and the location of the failure."""
 
-    def __init__(self, epoch: int, step: int, quantity: str, value: float):
+    def __init__(self, epoch: int, step: int, quantity: str, value: float,
+                 seed: int):
         self.epoch = epoch
         self.step = step
         self.quantity = quantity
         self.value = value
+        self.seed = seed
         super().__init__(
-            f"non-finite {quantity} ({value!r}) at epoch {epoch}, step {step}"
+            f"non-finite {quantity} ({value!r}) in the run of seed {seed} "
+            f"at epoch {epoch}, step {step}"
         )

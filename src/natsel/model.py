@@ -11,13 +11,22 @@ Checkpoint byte layout (``save_checkpoint`` / ``load_checkpoint``):
 Construction order: the conv stage's weight and bias as one
 [k*k*C + 1, F] array, the bias its last row (if a conv stage is
 configured), then per dense layer weight [in, out] and bias [1, out].
+
+A stack of runs (``Classifier.stack``) is one classifier whose
+parameters carry a leading run axis [S, ...]: its taped forward takes
+[S, N, H, W, C] images and records every run's classifier as one entry.
+Each run's own ``Classifier`` keeps working on views (slices) of the
+stacked arrays, so it scores, evaluates and saves the stack's current
+values, and a run's slice of each product and batch sum has the bits of
+that run taped alone.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -85,16 +94,24 @@ class ClassifierConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ClassifierConfig":
+        """The config ``to_json`` wrote.  A count or seed that is not a
+        JSON integer raises TypeError rather than being truncated."""
         raw = json.loads(text)
         conv = raw.get("conv")
         return cls(
             input_shape=tuple(raw["input_shape"]),
             hidden=tuple(raw["hidden"]),
-            class_count=int(raw["class_count"]),
-            init_seed=int(raw["init_seed"]),
-            conv=None if conv is None else ConvSpec(int(conv["kernel"]),
-                                                    int(conv["channels"])),
+            class_count=_integer(raw["class_count"]),
+            init_seed=_integer(raw["init_seed"]),
+            conv=None if conv is None else ConvSpec(
+                _integer(conv["kernel"]), _integer(conv["channels"])),
         )
+
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -161,15 +178,14 @@ class Classifier:
         self.config = config
         h, w, c = config.input_shape
         rng = np.random.default_rng(config.init_seed)
-        self.parameters: list[np.ndarray] = []
+        parameters = []
 
         if config.conv is not None:
             k, f = config.conv.kernel, config.conv.channels
             # [W; b]: one draw gives the values of the weight's draw
             # followed by the bias's, in checkpoint order.
-            self._conv_wb = self._init_param(rng, k * k * c,
-                                             (k * k * c + 1, f))
-            self.parameters.append(self._conv_wb)
+            parameters.append(self._init_param(rng, k * k * c,
+                                               (k * k * c + 1, f)))
             # Conv geometry: the activation shape [H', W', F]; the images
             # per block, as many as keep a block's channel planes, patch
             # columns and pre-activations within _BLOCK_BYTES, and at
@@ -194,15 +210,49 @@ class Classifier:
         else:
             flat_in = h * w * c
 
-        self._dense: list[tuple[np.ndarray, np.ndarray]] = []
-        widths = list(config.hidden) + [config.class_count]
         fan_in = flat_in
-        for width in widths:
-            weight = self._init_param(rng, fan_in, (fan_in, width))
-            bias = self._init_param(rng, fan_in, (1, width))
-            self._dense.append((weight, bias))
-            self.parameters += [weight, bias]
+        for width in list(config.hidden) + [config.class_count]:
+            parameters += [self._init_param(rng, fan_in, (fan_in, width)),
+                           self._init_param(rng, fan_in, (1, width))]
             fan_in = width
+        self._bind(parameters)
+
+    def _bind(self, parameters: list[np.ndarray]) -> None:
+        """Make ``parameters``, in construction order, this classifier's
+        arrays: the conv stage's [W; b] (if configured), then each dense
+        layer's weight and bias."""
+        self.parameters = list(parameters)
+        head = self.config.conv is not None
+        if head:
+            self._conv_wb = self.parameters[0]
+        self._dense = list(zip(self.parameters[head::2],
+                               self.parameters[head + 1::2]))
+
+    @classmethod
+    def stack(cls, models) -> "Classifier":
+        """One classifier holding the parameters of ``models``, stacked
+        on a leading run axis [S, ...].
+
+        The models must share every config setting but ``init_seed``.
+        Each model's parameters become views of the stacked arrays, so an
+        in-place update of the stack updates every model, and each model
+        scores, evaluates and saves its own run.  A stack is taped only.
+        """
+        first = models[0]
+        for model in models:
+            if replace(model.config, init_seed=0) != \
+                    replace(first.config, init_seed=0):
+                raise ConfigError(
+                    f"stacked classifiers differ in more than init_seed: "
+                    f"{first.config} and {model.config}")
+        if len({id(model) for model in models}) != len(models):
+            raise ConfigError("a classifier appears twice in one stack")
+        stacked = copy.copy(first)
+        stacked._bind([np.stack(arrays)
+                       for arrays in zip(*(m.parameters for m in models))])
+        for run, model in enumerate(models):
+            model._bind([p[run] for p in stacked.parameters])
+        return stacked
 
     @staticmethod
     def _init_param(rng: np.random.Generator, fan_in: int,
@@ -228,46 +278,58 @@ class Classifier:
         (derivative at 0 taken as 0), the conv activations included.  It
         returns the adjoint of every parameter, in parameter order, and
         of no input.
+
+        A stack of S runs (``stack``) takes [S, N, H, W, C] images and
+        returns [S, N, K] logits.  Its products are ``np.matmul`` over
+        the run axis and its bias adjoints sums over the batch axis, -2,
+        so each run's slice has the bits of that run taped alone; a
+        ``NumericError`` names in ``run`` the first run that failed.
         """
         xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim != 4 or xs.shape[1:] != self.config.input_shape:
+        lead = self.parameters[-1].shape[:-2]
+        if (xs.ndim != len(lead) + 4 or xs.shape[:len(lead)] != lead
+                or xs.shape[-3:] != self.config.input_shape):
             raise ShapeError(
                 f"batch shape {xs.shape} does not match model "
                 f"input {self.config.input_shape}"
             )
         if tape is None:
+            if lead:
+                raise ShapeError("a stack of runs is taped only")
             return self.logits(xs)
         conv = self.config.conv is not None
         inputs = []
         with np.errstate(over="ignore", invalid="ignore"):
             out = (self._conv_act(xs, checked=True) if conv
-                   else xs.reshape(xs.shape[0], -1))
+                   else xs.reshape(xs.shape[:-3] + (-1,)))
             for i, (weight, bias) in enumerate(self._dense):
                 if i:
                     np.maximum(out, 0.0, out=out)
                 inputs.append(out)
-                out = out.dot(weight)
+                out = np.matmul(out, weight)
                 out += bias
                 if not np.isfinite(out).all():
                     raise NumericError(
-                        f"dense layer {i} produced non-finite values")
+                        f"dense layer {i} produced non-finite values",
+                        _first_failing_run(out))
 
         def pull(g: np.ndarray):
             grads = []  # last parameter first
             for i in range(len(self._dense) - 1, 0, -1):
-                grads += (g.sum(axis=0, keepdims=True), inputs[i].T @ g)
-                g = (g @ self._dense[i][0].T) * (inputs[i] > 0.0)
-            grads.append(g.sum(axis=0, keepdims=True))
+                grads += (g.sum(axis=-2, keepdims=True),
+                          _t(inputs[i]) @ g)
+                g = (g @ _t(self._dense[i][0])) * (inputs[i] > 0.0)
+            grads.append(g.sum(axis=-2, keepdims=True))
             head = []
             if conv:
                 # The activations' adjoint is masked in place and spent
                 # before the first weight's adjoint is formed, so the two
                 # batch-sized arrays never coexist.
-                gact = g @ self._dense[0][0].T
+                gact = g @ _t(self._dense[0][0])
                 np.multiply(gact, inputs[0] > 0.0, out=gact)
                 head.append(self._conv_grad(xs, gact))
                 del gact
-            grads.append(inputs[0].T @ g)
+            grads.append(_t(inputs[0]) @ g)
             return zip(self.parameters, head + grads[::-1])
 
         tape.record(out, pull)
@@ -303,7 +365,8 @@ class Classifier:
         return out
 
     def _conv_act(self, xs: np.ndarray, checked: bool = False) -> np.ndarray:
-        """ReLU conv activations [N, H'*W'*F] of an [N, H, W, C] array.
+        """ReLU conv activations [..., N, H'*W'*F] of an [..., N, H, W, C]
+        array, each run of a stack with its own ``[W; b]``.
 
         The batch is walked in blocks of ``_block`` images: a block's
         patch columns are built, multiplied by ``[W; b]`` over all H'*W
@@ -314,22 +377,24 @@ class Classifier:
         block's product is checked for finiteness, wrapped windows
         included.
         """
-        n, w = xs.shape[0], xs.shape[2]
+        n, _, w, _ = xs.shape[-4:]
         out_h, out_w, f = self._act_shape
         step = self._block
-        act = np.empty((n, out_h, out_w, f))
-        for s in range(0, n, step):
-            blk = slice(s, s + step)
-            pre = _columns(xs[blk], self.config.conv.kernel).T @ self._conv_wb
-            if checked and not np.isfinite(pre).all():
-                raise NumericError("conv stage produced non-finite values")
-            valid = pre.reshape(-1, out_h, w, f)[:, :, :out_w]
-            np.maximum(valid, 0.0, out=act[blk])
-        return act.reshape(n, -1)
+        act = np.empty(xs.shape[:-3] + self._act_shape)
+        for run, (x, wb, a) in enumerate(_per_run(xs, self._conv_wb, act)):
+            for s in range(0, n, step):
+                blk = slice(s, s + step)
+                pre = _columns(x[blk], self.config.conv.kernel).T @ wb
+                if checked and not np.isfinite(pre).all():
+                    raise NumericError("conv stage produced non-finite "
+                                       "values", run)
+                valid = pre.reshape(-1, out_h, w, f)[:, :, :out_w]
+                np.maximum(valid, 0.0, out=a[blk])
+        return act.reshape(xs.shape[:-3] + (-1,))
 
     def _conv_grad(self, xs: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Adjoint of ``[W; b]`` from the adjoint ``g`` [N, H'*W'*F] of
-        the conv pre-activations, that is, the activations' adjoint
+        """Adjoint of ``[W; b]`` from the adjoint ``g`` [..., N, H'*W'*F]
+        of the conv pre-activations, that is, the activations' adjoint
         already masked by the ReLU.
 
         No patch columns are kept from the forward.  Per block, the
@@ -339,18 +404,41 @@ class Classifier:
         weight adjoint in its first k*k*C rows and, from the ones row,
         the bias adjoint.
         """
-        n, w = xs.shape[0], xs.shape[2]
+        n, _, w, _ = xs.shape[-4:]
         out_h, out_w, f = self._act_shape
         step = self._block
-        g = g.reshape(n, out_h, out_w, f)
         buf = np.zeros((min(n, step), out_h, w, f))
         gwb = np.zeros(self._conv_wb.shape)
-        for s in range(0, n, step):
-            blk, b = slice(s, s + step), min(step, n - s)
-            buf[:b, :, :out_w] = g[blk]
-            cols = _columns(xs[blk], self.config.conv.kernel)
-            gwb += cols @ buf[:b].reshape(-1, f)
+        for x, gr, out in _per_run(xs, g, gwb):
+            gr = gr.reshape(n, out_h, out_w, f)
+            for s in range(0, n, step):
+                blk, b = slice(s, s + step), min(step, n - s)
+                buf[:b, :, :out_w] = gr[blk]
+                cols = _columns(x[blk], self.config.conv.kernel)
+                out += cols @ buf[:b].reshape(-1, f)
         return gwb
+
+
+def _per_run(xs: np.ndarray, *arrays: np.ndarray):
+    """Per run of a stack, or for the one run: its [N, H, W, C] images
+    and its slice of each array, whose leading run axes are those of
+    ``xs``.  The slices of a contiguous array are views."""
+    lead = len(xs.shape) - 4
+    return zip(xs.reshape((-1,) + xs.shape[-4:]),
+               *(a.reshape((-1,) + a.shape[lead:]) for a in arrays))
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix in the last two axes."""
+    return a.swapaxes(-1, -2)
+
+
+def _first_failing_run(values: np.ndarray) -> int:
+    """Index of the first run of a stack's [S, N, M] values holding a
+    non-finite value; 0 for one run's [N, M]."""
+    finite = np.isfinite(values).reshape(-1, values.shape[-2]
+                                         * values.shape[-1])
+    return int(finite.all(axis=1).argmin())
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@ Parameters, activations and losses are plain float64 arrays.  The tape
 holds no operations of its own: the classifier (its conv stage, if any,
 and its dense stack) and the fused weighted loss each append one entry
 with :meth:`GradTape.record`, and check their own outputs for
-finiteness.  So every taped step is two entries, MLP or conv.
+finiteness.  So every taped step is two entries, MLP or conv, for one
+run or for a stack of runs whose arrays carry a leading run axis; the
+loss entry's output, the root, is then the 0-d sum of the runs' losses.
 
 Aliasing: arrays are passed as they are, without copies, so an output may
 share memory with an input and a gradient may be the accumulated adjoint
@@ -54,13 +56,17 @@ class GradTape:
         self._entries.append((output, pull))
 
 
-def backward(tape: GradTape, root: np.ndarray) -> list[np.ndarray]:
+def backward(tape: GradTape, root: np.ndarray | None = None
+             ) -> list[np.ndarray]:
     """Gradients of the scalar ``root``, one per registered parameter, in
-    registration order.
+    registration order.  ``root`` defaults to the output of the tape's
+    last record, such as the 0-d sum that a stack's loss records.
 
     Parameters not reachable from ``root`` get zero gradients.  Adjoints are
     accumulated additively, so a value used twice sums both contributions.
     """
+    if root is None:
+        root = tape._entries[-1][0] if tape._entries else np.zeros(())
     if root.shape != ():
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
     if not any(output is root for output, _ in tape._entries):

@@ -5,6 +5,15 @@ score-to-weight map, weighted mean loss on the tape, backprop, SGD with
 momentum.  With rho == 0 the scoring stage is skipped outright, so the
 loop degenerates to exactly the plain weighted-ERM loop.
 
+``train`` takes a list of runs that differ only in their seed and
+trains them in lockstep: parameters, velocity, batch images, labels and
+weights carry a leading run axis [S, ...], so every step is one
+classifier record, one loss record, one ``backward`` and one
+``sgd_momentum_step`` for all of them.  Scoring and evaluation run per
+run, on each run's own ``Classifier``, whose parameters are views of the
+stacked arrays.  A single run is a stack of one.  Every run's bytes are
+those of the run trained alone.
+
 Metrics are written as CSV with one row per (epoch, split).  Wall-clock
 columns (``seconds``, ``ns_seconds``) are physically nondeterministic;
 ``deterministic_csv_bytes`` strips them so reruns can be compared
@@ -23,9 +32,9 @@ import os
 import time
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +48,7 @@ from .weighting import WeightingConfig, compute_weights
 
 __all__ = [
     "TrainConfig",
+    "Run",
     "MetricsRecord",
     "EvalResult",
     "weighted_batch_loss",
@@ -145,33 +155,43 @@ class EvalResult:
 def weighted_batch_loss(logits: np.ndarray, labels, weights,
                         loss_cfg: LossConfig = LossConfig(), *,
                         tape: GradTape) -> np.ndarray:
-    """(1/B) * sum_i w_i * loss_i of [B, K] logits, as a 0-d array.
+    """(1/B) * sum_i w_i * loss_i of each run's [B, K] logits.
 
-    The whole batch is one tape record whose pullback is the closed-form
-    logit gradient of :func:`natsel.model.sample_losses`, scaled by
-    w_i / B.  Weights enter as constants (no gradient flows into them),
-    which is what keeps the scoring stage outside the optimization.
+    ``logits`` are one run's [B, K] or a stack's [S, B, K], with labels
+    and weights of shape [B] or [S, B]; the result has the leading
+    shape: a 0-d array for one run, [S] for a stack.  The whole stack is
+    one tape record whose pullback is the closed-form logit gradient of
+    :func:`natsel.model.sample_losses`, scaled by w_i / B.  Its output,
+    the root ``backward`` starts from, is the returned loss for one run
+    and the 0-d sum of the runs' losses for a stack: runs share no
+    parameter, so each run's gradient is that of its own loss.  Weights
+    enter as constants (no gradient flows into them), which is what
+    keeps the scoring stage outside the optimization.
     """
     w = np.asarray(weights, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be [B, K], got shape {logits.shape}")
-    b = logits.shape[0]
+    if logits.ndim not in (2, 3):
+        raise ShapeError(f"logits must be [B, K] or [S, B, K], got shape "
+                         f"{logits.shape}")
+    b = logits.shape[-2]
     if b == 0:
         raise ShapeError("empty batch")
-    if w.shape != (b,) or labels.shape != (b,):
+    if w.shape != logits.shape[:-1] or labels.shape != logits.shape[:-1]:
         raise ShapeError(
             f"{b} rows of logits but {labels.shape} labels and "
             f"{w.shape} weights"
         )
-    losses, dlogits = sample_losses(logits, labels, loss_cfg, grad=True)
-    out = np.array(float(np.sum(w * losses)) / b)
-    row_scale = (w / b)[:, np.newaxis]
+    losses, dlogits = sample_losses(logits.reshape(-1, logits.shape[-1]),
+                                    labels.reshape(-1), loss_cfg, grad=True)
+    out = np.array(np.sum(w * losses.reshape(w.shape), axis=-1) / b)
+    root = out if out.ndim == 0 else np.array(out.sum())
+    dlogits = dlogits.reshape(logits.shape)
+    row_scale = (w / b)[..., np.newaxis]
 
     def pull(g: np.ndarray):
         return ((logits, dlogits * (row_scale * g)),)
 
-    tape.record(out, pull)
+    tape.record(root, pull)
     return out
 
 
@@ -244,19 +264,36 @@ class _Step(NamedTuple):
     ns_seconds: float = 0.0
 
 
+class Run(NamedTuple):
+    """One training run: its settings, its splits and its model.
+
+    ``score_sink``, if given, is called with the ``_Step`` record of each
+    of the run's scored steps (see ``train``).
+    """
+
+    config: TrainConfig
+    train_set: Dataset
+    test_set: Dataset
+    model: Classifier
+    score_sink: Callable[[_Step], object] | None = None
+
+
 _SCORE_COLUMNS = ("epoch", "step", "group_id", "sample_index", "label", "q",
                   "s", "w")
 _ScoreRow = namedtuple("_ScoreRow", _SCORE_COLUMNS)
 
 
-def _write_scores(path, steps) -> None:
-    """One CSV row per sample of each scored ``_Step``, written complete
-    or not at all.  Every field is an integer or a float repr, which the
-    csv module would never quote, so rows are formatted directly, in its
-    default dialect (comma, CRLF)."""
+@contextmanager
+def _score_log(path):
+    """Yield a sink that appends one CSV row per sample of a scored
+    ``_Step`` to the score log at ``path``; the log is renamed into place
+    when the block ends and removed if it raises.  Every field is an
+    integer or a float repr, which the csv module would never quote, so
+    rows are formatted directly, in its default dialect (comma, CRLF)."""
     with _replacing(path) as tmp, open(tmp, "w", newline="") as fh:
         fh.write(",".join(_SCORE_COLUMNS) + "\r\n")
-        for st in steps:
+
+        def write(st: _Step) -> None:
             head = f"{st.epoch},{st.step},"
             fh.write("".join(
                 f"{head}{gid},{sample},{label},{qi!r},{si!r},{wi!r}\r\n"
@@ -264,6 +301,8 @@ def _write_scores(path, steps) -> None:
                     st.ns.group_ids.tolist(), st.indices.tolist(),
                     st.labels.tolist(), st.ns.raw.tolist(),
                     st.ns.score.tolist(), st.weights.tolist())))
+
+        yield write
 
 
 def _read_scores(path) -> list[_ScoreRow]:
@@ -307,13 +346,14 @@ def _train_record(steps: list[_Step], class_count: int,
 
 
 def _taped_step(model, images, labels, weights, loss_cfg):
-    """Tape one batch: forward, weighted loss, and the predictions."""
+    """Tape one batch of one run or of a stack: forward, weighted loss,
+    and the predictions.  The loss is the run's, or each run's."""
     tape = GradTape()
     tape.register(*model.parameters)
     logits = model.forward_batch(images, tape=tape)
     batch_loss = weighted_batch_loss(logits, labels, weights, loss_cfg,
                                      tape=tape)
-    return tape, batch_loss, np.argmax(logits, axis=1)
+    return tape, batch_loss, np.argmax(logits, axis=-1)
 
 
 def _check_splits(model: Classifier, train_set: Dataset,
@@ -337,89 +377,149 @@ def _check_splits(model: Classifier, train_set: Dataset,
             )
 
 
-def _check_finite(value: float, epoch: int, step: int, quantity: str):
+def _check_finite(value: float, epoch: int, step: int, quantity: str,
+                  seed: int):
     if not np.isfinite(value):
-        raise TrainingDiverged(epoch, step, quantity, value)
+        raise TrainingDiverged(epoch, step, quantity, value, seed)
 
 
-def train(config: TrainConfig, train_set: Dataset, test_set: Dataset,
-          model: Classifier, score_sink=None
-          ) -> tuple[Classifier, list[MetricsRecord]]:
-    """Run the full loop; returns the trained model and per-epoch records.
+def _gather(splits, indices: np.ndarray) -> np.ndarray:
+    """``splits[s][indices[s]]`` for every run s, on a leading run axis.
+
+    Each run's rows are taken straight into the stacked batch.  The
+    indices come from ``epoch_indices`` and always lie in range, so
+    ``mode="clip"`` changes none of them; it only spares the copy that
+    ``np.take`` makes into ``out`` under its default mode.
+    """
+    out = np.empty(indices.shape + splits[0].shape[1:], splits[0].dtype)
+    for split, idx, rows in zip(splits, indices, out):
+        np.take(split, idx, axis=0, out=rows, mode="clip")
+    return out
+
+
+def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
+    """Train ``runs`` in lockstep; returns each run's per-epoch records.
+
+    The runs must share every ``TrainConfig`` setting but the seed,
+    every model setting but the init seed, and the length of their
+    train splits.  Their models are stacked (``Classifier.stack``): each
+    run's model then holds views of the stacked parameters, so it ends
+    trained, as a single run's model always has.  Each step scores and
+    weights every run on its own model and takes one taped step for
+    all of them.  A single run is a stack of one.
 
     Competition scoring runs only when rho != 0; with rho == 0 every
     sample's weight is the sigma constant and no composite is ever built,
     so the rho == 0 loop is the NS-disabled loop.
 
-    ``score_sink``, if given, is called with the ``_Step`` record of each
-    scored step once the step's update is done and its tape released, so
-    nothing the sink does can perturb training.  The record's labels,
-    predictions and scores also make the epoch's train row; a sink that
-    writes to them changes that row.
+    A run's ``score_sink``, if given, is called with the ``_Step`` record
+    of each scored step once the step's update is done and its tape
+    released, so nothing the sink does can perturb training.  It runs
+    inside the epoch's timer.  The record's labels, predictions and
+    scores also make the epoch's train row; a sink that writes to them
+    changes that row.
+
+    Each run's train row times its share of the stack's epoch: the wall
+    time from the epoch's start until every run's aggregates are
+    computed, divided by the number of runs.  A non-finite value raises
+    ``TrainingDiverged`` naming the seed of the run it belongs to.
     """
-    _check_splits(model, train_set, test_set)
+    if not runs:
+        raise ConfigError("train needs at least one run")
+    config = runs[0].config
+    for run in runs:
+        if replace(run.config, seed=0) != replace(config, seed=0):
+            raise ConfigError("runs trained together must share every "
+                              "train setting but the seed")
+        _check_splits(run.model, run.train_set, run.test_set)
+        if len(run.train_set) != len(runs[0].train_set):
+            raise ConfigError("runs trained together need train splits of "
+                              "one length")
+    model = Classifier.stack([run.model for run in runs])
     scoring = config.weighting.rho != 0.0
     velocity = [np.zeros_like(p) for p in model.parameters]
-    records: list[MetricsRecord] = []
+    records: list[list[MetricsRecord]] = [[] for _ in runs]
     step = 0
 
     for epoch in range(config.epochs):
         epoch_start = time.perf_counter()
         lr = config.lr_at(epoch)
-        order = epoch_indices(train_set.labels, train_set.class_count,
-                              config.sampler, epoch, config.epochs,
-                              config.seed)
-        steps: list[_Step] = []
+        orders = np.stack([
+            epoch_indices(run.train_set.labels, run.train_set.class_count,
+                          config.sampler, epoch, config.epochs,
+                          run.config.seed) for run in runs])
+        steps: list[list[_Step]] = [[] for _ in runs]
 
-        for lo in range(0, order.shape[0], config.batch_size):
-            batch_idx = order[lo:lo + config.batch_size]
-            images = train_set.images[batch_idx]
-            labels = train_set.labels[batch_idx]
+        for lo in range(0, orders.shape[1], config.batch_size):
+            batch_idx = orders[:, lo:lo + config.batch_size]
+            images = _gather([run.train_set.images for run in runs],
+                             batch_idx)
+            labels = _gather([run.train_set.labels for run in runs],
+                             batch_idx)
 
-            scored = ()
+            scored = [()] * len(runs)
             if scoring:
-                ns_start = time.perf_counter()
-                result = batch_ns_scores(images, labels, model, config.layout)
-                weights = compute_weights(result.score, config.weighting)
-                scored = (result, weights, time.perf_counter() - ns_start)
+                for r, run in enumerate(runs):
+                    ns_start = time.perf_counter()
+                    try:
+                        result = batch_ns_scores(images[r], labels[r],
+                                                 run.model, config.layout)
+                    except NumericError as err:
+                        raise TrainingDiverged(
+                            epoch, step, str(err), float("nan"),
+                            run.config.seed) from err
+                    scored[r] = (result,
+                                 compute_weights(result.score,
+                                                 config.weighting),
+                                 time.perf_counter() - ns_start)
+                weights = np.stack([w for _, w, _ in scored])
             else:
-                weights = np.full(labels.shape[0], config.weighting.sigma)
+                weights = np.full(labels.shape, config.weighting.sigma)
 
             try:
                 tape, batch_loss, predictions = _taped_step(
                     model, images, labels, weights, config.loss)
             except NumericError as err:
-                raise TrainingDiverged(epoch, step, str(err),
-                                       float("nan")) from err
-            loss_value = batch_loss.item()
-            _check_finite(loss_value, epoch, step, "batch loss")
+                raise TrainingDiverged(epoch, step, str(err), float("nan"),
+                                       runs[err.run].config.seed) from err
+            losses = batch_loss.tolist()
+            for run, value in zip(runs, losses):
+                _check_finite(value, epoch, step, "batch loss",
+                              run.config.seed)
 
-            grads = backward(tape, batch_loss)
+            grads = backward(tape)
             # The tape holds the batch's activations; drop it before the
             # update, the next batch's scoring and each evaluation.
             del tape, batch_loss
             sgd_momentum_step(model.parameters, grads, velocity, lr,
                               config.momentum)
             del grads
-            steps.append(_Step(epoch, step, batch_idx, labels, predictions,
-                               loss_value, *scored))
-            if scored and score_sink is not None:
-                score_sink(steps[-1])
+            for r, run in enumerate(runs):
+                steps[r].append(_Step(epoch, step, batch_idx[r], labels[r],
+                                      predictions[r], losses[r], *scored[r]))
+                if scored[r] and run.score_sink is not None:
+                    run.score_sink(steps[r][-1])
             step += 1
 
-        records.append(_train_record(steps, train_set.class_count,
-                                     epoch_start))
+        rows = [_train_record(run_steps, run.train_set.class_count,
+                              epoch_start)
+                for run_steps, run in zip(steps, runs)]
+        share = (time.perf_counter() - epoch_start) / len(runs)
+        for run_records, row in zip(records, rows):
+            run_records.append(replace(row, seconds=share))
 
-        eval_start = time.perf_counter()
-        result = evaluate(model, test_set, config.loss)
-        records.append(MetricsRecord(
-            epoch=epoch, split="test", mean_loss=result.mean_loss,
-            accuracy=result.accuracy,
-            per_class_accuracy=result.per_class_accuracy,
-            per_class_ns=None, seconds=time.perf_counter() - eval_start,
-            train_forward_passes=0, ns_forward_passes=0, ns_seconds=0.0,
-        ))
-    return model, records
+        for run, run_records in zip(runs, records):
+            eval_start = time.perf_counter()
+            result = evaluate(run.model, run.test_set, config.loss)
+            run_records.append(MetricsRecord(
+                epoch=epoch, split="test", mean_loss=result.mean_loss,
+                accuracy=result.accuracy,
+                per_class_accuracy=result.per_class_accuracy,
+                per_class_ns=None, seconds=time.perf_counter() - eval_start,
+                train_forward_passes=0, ns_forward_passes=0,
+                ns_seconds=0.0,
+            ))
+    return records
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:

@@ -15,7 +15,12 @@ from natsel.data import (
 from natsel.errors import ConfigError, FormatError, ShapeError
 from natsel.model import LossConfig, sample_losses
 from natsel.tensor import GradTape, backward
-from natsel.trainer import _METRICS_COLUMNS, _TIMING_COLUMNS, _spearman
+from natsel.trainer import (
+    _METRICS_COLUMNS,
+    _TIMING_COLUMNS,
+    _score_log,
+    _spearman,
+)
 
 
 def finite_difference(build, params, step=1e-6):
@@ -360,7 +365,8 @@ def train_erm(config, train_set, test_set, model):
             tape, batch_loss, predictions = _taped_step(
                 model, images, labels, np.ones(labels.shape[0]), config.loss)
             loss_value = batch_loss.item()
-            _check_finite(loss_value, epoch, step, "batch loss")
+            _check_finite(loss_value, epoch, step, "batch loss",
+                          config.seed)
             grads = backward(tape, batch_loss)
             sgd_momentum_step(model.parameters, grads, velocity, lr,
                               config.momentum)
@@ -379,6 +385,14 @@ def train_erm(config, train_set, test_set, model):
             train_forward_passes=0, ns_forward_passes=0, ns_seconds=0.0,
         ))
     return model, records
+
+
+def write_scores(path, steps) -> None:
+    """The score log of ``steps`` through the library's streaming log,
+    written complete or not at all."""
+    with _score_log(path) as write:
+        for st in steps:
+            write(st)
 
 
 def save_idx(path, array: np.ndarray) -> None:

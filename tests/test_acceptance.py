@@ -39,6 +39,7 @@ from natsel.model import Classifier, ClassifierConfig, LossConfig
 from natsel.nscore import batch_ns_scores
 from natsel.tensor import GradTape
 from natsel.trainer import (
+    Run,
     deterministic_csv_bytes,
     read_metrics_csv,
     train,
@@ -72,7 +73,8 @@ def _run_arm(config, seed):
     model = Classifier(classifier_for(config, seed,
                                       image_shape=train_set.image_shape,
                                       class_count=train_set.class_count))
-    _, records = train(train_for(config, seed), train_set, test_set, model)
+    (records,) = train([Run(train_for(config, seed), train_set, test_set,
+                            model)])
     return records
 
 
@@ -132,8 +134,8 @@ def test_criterion_03_plain_training_equivalence(capsys):
     model_a = Classifier(classifier_for(config, seed,
                                         image_shape=train_set.image_shape,
                                         class_count=train_set.class_count))
-    _, records_a = train(train_for(config, seed), train_set, test_set,
-                         model_a)
+    (records_a,) = train([Run(train_for(config, seed), train_set, test_set,
+                              model_a)])
     model_b = Classifier(classifier_for(config, seed,
                                         image_shape=train_set.image_shape,
                                         class_count=train_set.class_count))
@@ -272,7 +274,8 @@ def test_criterion_09_scoring_overhead(capsys, tmp_path):
     model = Classifier(classifier_for(config, seed,
                                       image_shape=train_set.image_shape,
                                       class_count=train_set.class_count))
-    _, records = train(train_for(config, seed), train_set, test_set, model)
+    (records,) = train([Run(train_for(config, seed), train_set, test_set,
+                            model)])
     write_metrics_csv(tmp_path / "metrics.csv", records)
     records = read_metrics_csv(tmp_path / "metrics.csv")
 

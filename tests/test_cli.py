@@ -2,7 +2,9 @@
 
 import csv
 import dataclasses
+import struct
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,18 +19,21 @@ from natsel.cli import (
     run_experiment,
     sweep,
 )
-from natsel.config import parse_config
+from natsel.config import parse_config, set_keys
 from natsel.errors import ConfigError, TrainingDiverged
 from natsel.nscore import NSResult
 from natsel.trainer import (
     _read_scores,
     _Step,
-    _write_scores,
     deterministic_csv_bytes,
     read_metrics_csv,
 )
 
+from conftest import save_idx, write_scores
+
 quiet = lambda *args, **kwargs: None
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASE = """
 [experiment]
@@ -172,7 +177,7 @@ class TestRun:
             steps.append(_Step(step // 2, step, idx, labels[idx],
                                np.zeros(6, dtype=np.int64), 1.0, ns,
                                rng.random(6) * 1e-20, 0.0))
-        _write_scores(tmp_path / "fast.csv", steps)
+        write_scores(tmp_path / "fast.csv", steps)
         with open(tmp_path / "plain.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "step", "group_id", "sample_index",
@@ -190,15 +195,17 @@ class TestRun:
 
     def test_failed_training_leaves_no_artifacts_of_that_seed(
             self, tmp_path, monkeypatch):
+        # With no room for a second split, every seed is a stack of one.
         real_train = natsel.cli.train
         calls = []
 
         def train_fails_second_seed(*args, **kwargs):
             calls.append(1)
             if len(calls) == 2:
-                raise TrainingDiverged(1, 3, "batch loss", float("nan"))
+                raise TrainingDiverged(1, 3, "batch loss", float("nan"), 2)
             return real_train(*args, **kwargs)
 
+        monkeypatch.setattr(natsel.cli, "_STACK_BYTES", 0)
         monkeypatch.setattr(natsel.cli, "train", train_fails_second_seed)
         assert main(["run", str(write_config(tmp_path))]) == 2
         run_dir = tmp_path / "out" / "demo"
@@ -237,6 +244,8 @@ class TestRun:
                                                    monkeypatch):
         # Weak references to every seed's datasets and model: when the
         # next seed's data is requested, nothing of the last one is alive.
+        # With no room for a second split, every seed is a stack of one.
+        monkeypatch.setattr(natsel.cli, "_STACK_BYTES", 0)
         built = []
         alive_at_request = []
         build_datasets = natsel.cli.datasets_for
@@ -261,6 +270,126 @@ class TestRun:
         assert alive_at_request == [[], [False] * 3, [False] * 6]
         assert [line.split(":")[0] for line in lines] == \
             ["seed 1", "seed 2", "seed 3", "demo"]
+
+
+class TestLockstep:
+    """A config's seeds train as stacks: every seed of an MLP config
+    whose splits fit ``_STACK_BYTES`` in one ``train`` call, a conv
+    model's seeds one call each."""
+
+    def counted_train(self, monkeypatch):
+        calls = []
+        real_train = natsel.cli.train
+
+        def train(runs):
+            calls.append([run.config.seed for run in runs])
+            return real_train(runs)
+
+        monkeypatch.setattr(natsel.cli, "train", train)
+        return calls
+
+    def test_mlp_seeds_stack_and_conv_seeds_do_not(self, tmp_path,
+                                                   monkeypatch):
+        calls = self.counted_train(monkeypatch)
+        seeds = "seeds = 1,2,3"
+        mlp = parse_config(write_config(tmp_path).read_text().replace(
+            "seeds = 1,2", seeds))
+        conv = parse_config(write_config(tmp_path).read_text().replace(
+            "seeds = 1,2", seeds).replace("hidden = 8",
+                                          "hidden = 8\nconv_kernel = 2"))
+        run_experiment(mlp, echo=quiet)
+        assert calls == [[1, 2, 3]]
+        run_experiment(dataclasses.replace(conv, label="conv"), echo=quiet)
+        assert calls[1:] == [[1], [2], [3]]
+
+    def test_a_stack_is_released_before_the_next(self, tmp_path,
+                                                 monkeypatch):
+        # Room for two of the 2 kB train splits: seeds 1 and 2 are one
+        # stack, alive together, and both are gone when seed 3's data is
+        # requested.
+        monkeypatch.setattr(natsel.cli, "_STACK_BYTES", 2 * 16 * 4 * 4 * 8)
+        calls = self.counted_train(monkeypatch)
+        built = []
+        alive_at_request = []
+        build_datasets = natsel.cli.datasets_for
+
+        def datasets_for(config, seed):
+            alive_at_request.append([ref() is not None for ref in built])
+            pair = build_datasets(config, seed)
+            built.extend(weakref.ref(ds) for ds in pair)
+            return pair
+
+        def classifier(cfg):
+            model = natsel.model.Classifier(cfg)
+            built.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(natsel.cli, "datasets_for", datasets_for)
+        monkeypatch.setattr(natsel.cli, "Classifier", classifier)
+        lines = []
+        config = parse_config(write_config(tmp_path).read_text().replace(
+            "seeds = 1,2", "seeds = 1,2,3"))
+        run_experiment(config, echo=lines.append)
+        assert calls == [[1, 2], [3]]
+        assert alive_at_request == [[], [True] * 3, [False] * 6]
+        assert [line.split(":")[0] for line in lines] == \
+            ["seed 1", "seed 2", "seed 3", "demo"]
+
+    def test_divergence_in_a_stack_leaves_no_artifact_of_it(
+            self, tmp_path, monkeypatch):
+        # A NaN in seed 2's train images: the run raises naming seed 2,
+        # and no seed of the stack keeps a metrics, checkpoint or score
+        # file, finished or temporary.
+        build_datasets = natsel.cli.datasets_for
+
+        def datasets_for(config, seed):
+            train_set, test_set = build_datasets(config, seed)
+            if seed == 2:
+                train_set.images[3, 1, 2, 0] = np.nan
+            return train_set, test_set
+
+        monkeypatch.setattr(natsel.cli, "datasets_for", datasets_for)
+        calls = self.counted_train(monkeypatch)
+        config = parse_config(write_config(tmp_path).read_text().replace(
+            "seeds = 1,2", "seeds = 1,2,3"))
+        with pytest.raises(TrainingDiverged, match="seed 2") as info:
+            run_experiment(config, echo=quiet)
+        assert info.value.seed == 2
+        assert calls == [[1, 2, 3]]
+        run_dir = tmp_path / "out" / "demo"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["config.ini"]
+
+    @pytest.mark.parametrize("name", ["reference", "labelnoise_nsws",
+                                      "longtail_nslf"])
+    def test_stacked_seeds_write_the_bytes_of_seeds_run_alone(
+            self, tmp_path, monkeypatch, name):
+        # Every artifact of the three shipped seeds trained as one stack
+        # against the same seeds trained one at a time, two epochs each:
+        # metrics without their wall-clock columns, checkpoints, score
+        # logs and the aggregate.
+        calls = self.counted_train(monkeypatch)
+        config = set_keys(parse_config((CONFIGS / f"{name}.ini").read_text()),
+                          {"train.epochs": "2"})
+        dirs = {}
+        for mode, budget in (("stacked", natsel.cli._STACK_BYTES),
+                             ("alone", 0)):
+            monkeypatch.setattr(natsel.cli, "_STACK_BYTES", budget)
+            dirs[mode] = tmp_path / mode / config.label
+            run_experiment(dataclasses.replace(
+                config, output_dir=str(tmp_path / mode)), echo=quiet)
+        seeds = list(config.seeds)
+        assert calls == [seeds] + [[seed] for seed in seeds]
+        names = sorted(p.name for p in dirs["alone"].iterdir())
+        assert names == sorted(p.name for p in dirs["stacked"].iterdir())
+        # each seed's metrics, checkpoint and score log, the aggregate,
+        # and config.ini, which names its own output directory
+        names.remove("config.ini")
+        assert len(names) == 3 * 3 + 1
+        for artifact in names:
+            read = (deterministic_csv_bytes if artifact.startswith("metrics_")
+                    else lambda path: path.read_bytes())
+            assert read(dirs["stacked"] / artifact) == \
+                read(dirs["alone"] / artifact), artifact
 
 
 class TestExitCodes:
@@ -322,6 +451,24 @@ class TestExitCodes:
                             .replace("seeds = 1,2", "seeds = 1")
                             .replace("rho = 1.0", "rho = 0.0"))
         assert main(["run", str(cfg_path)]) == 2
+
+    def test_empty_train_split_exits_one(self, tmp_path, capsys):
+        # An IDX train split with no images: the run stops at train's
+        # split check, not at sizing the stack by the split's bytes.
+        (tmp_path / "train_images").write_bytes(
+            struct.pack(">4i", 0x803, 0, 4, 4))
+        (tmp_path / "train_labels").write_bytes(struct.pack(">2i", 0x801, 0))
+        save_idx(tmp_path / "test_images", np.zeros((4, 4, 4)))
+        save_idx(tmp_path / "test_labels", np.array([0, 1, 0, 1]))
+        cfg_path = tmp_path / "empty.ini"
+        cfg_path.write_text(
+            f"[experiment]\noutput_dir = {tmp_path / 'out'}\n"
+            "[dataset]\nkind = idx_files\nclasses = 2\n" + "".join(
+                f"{name} = {tmp_path / name}\n" for name in (
+                    "train_images", "train_labels", "test_images",
+                    "test_labels")))
+        assert main(["run", str(cfg_path)]) == 1
+        assert "empty train split" in capsys.readouterr().err
 
     def test_analyze_missing_dir_exits_one(self, tmp_path):
         assert main(["analyze", str(tmp_path / "not_a_run")]) == 1

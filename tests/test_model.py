@@ -5,6 +5,7 @@ Loss values and gradients go through the fused batch loss,
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,6 +244,26 @@ class TestDenseStage:
         tape.register(*model.parameters)
         with pytest.raises(NumericError):
             model.forward_batch(np.ones((2, 2, 2, 1)), tape=tape)
+
+    @pytest.mark.parametrize("conv", [None, ConvSpec(kernel=2, channels=3)],
+                             ids=["mlp", "conv"])
+    def test_non_finite_run_of_a_stack_is_named(self, conv):
+        # Three runs of one shape; the middle one holds an infinite
+        # weight, and the error names its index on the run axis.
+        cfg = ClassifierConfig(input_shape=(3, 3, 1), hidden=(4,),
+                               class_count=3, init_seed=0, conv=conv)
+        models = [Classifier(replace(cfg, init_seed=s)) for s in range(3)]
+        models[1].parameters[0][0, 0] = np.inf
+        stack = Classifier.stack(models)
+        tape = GradTape()
+        tape.register(*stack.parameters)
+        with pytest.raises(NumericError) as info:
+            stack.forward_batch(np.ones((3, 2, 3, 3, 1)), tape=tape)
+        assert info.value.run == 1
+        with pytest.raises(ShapeError):
+            stack.forward_batch(np.ones((2, 2, 3, 3, 1)), tape=tape)
+        with pytest.raises(ShapeError, match="taped only"):
+            stack.forward_batch(np.ones((3, 2, 3, 3, 1)))
 
 
 class TestConvStage:
@@ -777,10 +798,15 @@ class TestCheckpoint:
          b'"init_seed":0,"conv":null}', b"params 10"),
         (b'config {"input_shape":[2,2,1],"hidden":[1.5],"class_count":2,'
          b'"init_seed":0,"conv":null}', b"params 10"),
+        (b'config {"input_shape":[2,2,1],"hidden":[],"class_count":2,'
+         b'"init_seed":0.5,"conv":null}', b"params 10"),
+        (b'config {"input_shape":[2,2,1],"hidden":[],"class_count":2.0,'
+         b'"init_seed":0,"conv":null}', b"params 10"),
         (None, b"params x"),
         (None, b"count 10"),
     ], ids=["config_missing_keys", "config_not_json", "non_ascii_byte",
-            "config_invalid_value", "width_not_integer", "count_not_integer",
+            "config_invalid_value", "width_not_integer", "seed_not_integer",
+            "class_count_not_integer", "count_not_integer",
             "no_params_prefix"])
     def test_corrupt_header_names_the_file(self, tmp_path, config_line,
                                           count_line):

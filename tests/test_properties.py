@@ -50,17 +50,20 @@ from natsel.nscore import (  # noqa: E402
     NSResult,
     batch_ns_scores,
 )
+from natsel.tensor import GradTape, backward  # noqa: E402
 from natsel.trainer import (  # noqa: E402
     MetricsRecord,
     TrainConfig,
     _read_scores,
     _Step,
-    _write_scores,
     _write_table,
     read_metrics_csv,
+    weighted_batch_loss,
     write_metrics_csv,
 )
 from natsel.weighting import WeightingConfig, compute_weights  # noqa: E402
+
+from conftest import write_scores  # noqa: E402
 
 FIXED = settings(max_examples=100, derandomize=True, database=None,
                  deadline=None)
@@ -266,6 +269,47 @@ def test_streamed_logits_match_the_unstreamed_forward(
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@settings(FIXED, max_examples=300)
+@given(runs=st.integers(1, 4), batch=st.sampled_from((1, 7, 8, 31, 32)),
+       hidden=st.lists(st.integers(1, 12), max_size=2),
+       classes=st.integers(2, 6), side=st.integers(2, 5),
+       channels=st.integers(1, 2), conv=st.booleans(),
+       kind=st.sampled_from(LOSS_KINDS), seed=st.integers(0, 2**16))
+def test_a_stack_gives_each_run_the_bits_of_the_run_taped_alone(
+        runs, batch, hidden, classes, side, channels, conv, kind, seed):
+    # One classifier record and one loss record for S runs against each
+    # run's own two records: logits, per-run weighted loss and every
+    # parameter gradient, bit for bit.
+    rng = np.random.default_rng(seed)
+    configs = [ClassifierConfig(
+        input_shape=(side, side, channels), hidden=tuple(hidden),
+        class_count=classes, init_seed=seed + run,
+        conv=ConvSpec(2, 3) if conv else None) for run in range(runs)]
+    stack = Classifier.stack([Classifier(cfg) for cfg in configs])
+    xs = rng.normal(size=(runs, batch, side, side, channels))
+    labels = rng.integers(0, classes, size=(runs, batch))
+    weights = rng.random((runs, batch)) * 3.0
+    loss_cfg = LossConfig(kind=kind, smoothing_epsilon=0.1)
+    tape = GradTape()
+    tape.register(*stack.parameters)
+    logits = stack.forward_batch(xs, tape=tape)
+    losses = weighted_batch_loss(logits, labels, weights, loss_cfg,
+                                 tape=tape)
+    grads = backward(tape)
+    assert len(tape._entries) == 2 and losses.shape == (runs,)
+    for run, cfg in enumerate(configs):
+        alone = Classifier(cfg)
+        tape = GradTape()
+        tape.register(*alone.parameters)
+        z = alone.forward_batch(xs[run], tape=tape)
+        loss = weighted_batch_loss(z, labels[run], weights[run], loss_cfg,
+                                   tape=tape)
+        assert np.array_equal(logits[run], z)
+        assert repr(losses[run].item()) == repr(loss.item())
+        for got, want in zip(grads, backward(tape, loss), strict=True):
+            assert np.array_equal(got[run], want)
+
+
 def _ints_below(bound):
     """Integer texts below ``bound``, near it."""
     return st.integers(min(bound, 0) - 4, bound - 1).map(str)
@@ -431,7 +475,7 @@ def test_score_log_reads_back_the_steps_that_wrote_it(steps):
         st_.weights.tolist())]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scores.csv"
-        _write_scores(path, steps)
+        write_scores(path, steps)
         assert repr([tuple(row) for row in _read_scores(path)]) == \
             repr(expected)
 
@@ -456,7 +500,7 @@ _WRITERS = {
     "table": (lambda path, rows: _write_table(path, ("a", "b"), rows),
               ("x", 1.0)),
     "metrics": (write_metrics_csv, _RECORD),
-    "scores": (_write_scores, _STEP),
+    "scores": (write_scores, _STEP),
     "aggregate": (lambda path, rows: _write_aggregate(path, (7,),
                                                       {7: rows}), _RECORD),
     "box_stats": (write_box_stats, ClassScoreStats.empty(0)),

@@ -1,5 +1,5 @@
 """Where the library keeps its file-writing policy, and the names the
-benchmark tracer wraps.
+benchmark tracer wraps and the counts it takes.
 
 Every CSV goes through ``natsel.trainer``'s table writer, which owns the
 cell format and the write-then-rename that keeps an artifact complete or
@@ -7,7 +7,8 @@ absent.  So no other module may import ``csv`` or call ``os.replace``.
 
 ``perfbench/tracer.py`` rebinds library attributes from outside and
 counts ``GradTape._entries``; a name it cannot find blanks that layer's
-metrics, so each one must resolve.
+metrics, so each one must resolve.  Its composite and tape-record counts
+must also agree with what a run of stacked seeds writes.
 """
 
 import ast
@@ -17,7 +18,10 @@ from pathlib import Path
 import pytest
 
 import natsel
+from natsel.cli import run_experiment
+from natsel.config import parse_config, set_keys
 from natsel.tensor import GradTape
+from natsel.trainer import read_metrics_csv
 
 SOURCES = sorted(Path(natsel.__file__).parent.glob("*.py"))
 WRITER = "trainer.py"
@@ -75,3 +79,27 @@ def test_every_name_the_tracer_wraps_resolves():
                if getattr(tracer._resolve(owner), attr, None) is None]
     assert missing == []
     assert isinstance(GradTape()._entries, list)
+
+
+def test_the_tracer_counts_a_stacked_run_as_its_csvs_do(tmp_path):
+    # Two epochs of the reference config's three seeds, one stack: one
+    # backward per stacked step, two tape records each, and one traced
+    # scoring call per seed per step, whose composites the CSVs count.
+    root = Path(__file__).resolve().parents[1]
+    config = set_keys(
+        parse_config((root / "configs" / "reference.ini").read_text()),
+        {"train.epochs": "2", "experiment.output_dir": str(tmp_path)})
+    tracer = _tracer_module().Tracer(run_id="stacked")
+    tracer.install()
+    try:
+        run_experiment(config, echo=lambda *args, **kwargs: None)
+    finally:
+        tracer.uninstall()
+    composites = sum(
+        r.ns_forward_passes for seed in config.seeds
+        for r in read_metrics_csv(tmp_path / config.label
+                                  / f"metrics_{seed}.csv"))
+    assert tracer.missing == []
+    assert tracer.composites == composites > 0
+    assert tracer.steps == 2 * 32
+    assert tracer.tape_records / tracer.steps == 2

@@ -26,6 +26,7 @@ from natsel.nscore import NSResult
 from natsel.tensor import GradTape, backward
 from natsel.trainer import (
     MetricsRecord,
+    Run,
     TrainConfig,
     _ranks,
     _Step,
@@ -261,7 +262,7 @@ class TestTrainLoop:
         model_b = fresh_model(train_set)
         assert params_hash(model_a) == params_hash(model_b)
 
-        _, records_a = train(cfg, train_set, test_set, model_a)
+        (records_a,) = train([Run(cfg, train_set, test_set, model_a)])
         _, records_b = train_erm(cfg, train_set, test_set, model_b)
 
         assert params_hash(model_a) == params_hash(model_b)
@@ -278,7 +279,7 @@ class TestTrainLoop:
         assert abs(before - math.log(2)) <= 1e-12
         cfg = base_config(batch_size=16, epochs=1, learning_rate=0.5,
                           momentum=0.0)
-        train(cfg, train_set, test_set, model)
+        train([Run(cfg, train_set, test_set, model)])
         after = evaluate(model, train_set).mean_loss
         assert after < before
 
@@ -288,7 +289,8 @@ class TestTrainLoop:
         train_set, test_set = toy_sets(per_class=(10, 10))
         cfg = base_config(
             weighting=WeightingConfig(1.0, 0.5))
-        _, records = train(cfg, train_set, test_set, fresh_model(train_set))
+        (records,) = train([Run(cfg, train_set, test_set,
+                                fresh_model(train_set))])
         train_rows = [r for r in records if r.split == "train"]
         for row in train_rows:
             assert row.train_forward_passes == 20
@@ -298,8 +300,8 @@ class TestTrainLoop:
 
     def test_no_scoring_when_rho_zero(self):
         train_set, test_set = toy_sets()
-        _, records = train(base_config(), train_set, test_set,
-                           fresh_model(train_set))
+        (records,) = train([Run(base_config(), train_set, test_set,
+                                fresh_model(train_set))])
         for row in records:
             assert row.ns_forward_passes == 0
             assert row.per_class_ns is None
@@ -309,10 +311,10 @@ class TestTrainLoop:
         train_set, test_set = toy_sets()
         uniform = fresh_model(train_set)
         weighted = fresh_model(train_set)
-        train(base_config(epochs=1), train_set, test_set, uniform)
-        train(base_config(
+        train([Run(base_config(epochs=1), train_set, test_set, uniform)])
+        train([Run(base_config(
             epochs=1, weighting=WeightingConfig(1.0, 1.0)),
-            train_set, test_set, weighted)
+            train_set, test_set, weighted)])
         assert params_hash(uniform) != params_hash(weighted)
 
     def test_deterministic_rerun(self):
@@ -322,8 +324,8 @@ class TestTrainLoop:
             sampler="cbs")
         model_a = fresh_model(train_set)
         model_b = fresh_model(train_set)
-        _, records_a = train(cfg, train_set, test_set, model_a)
-        _, records_b = train(cfg, train_set, test_set, model_b)
+        (records_a,) = train([Run(cfg, train_set, test_set, model_a)])
+        (records_b,) = train([Run(cfg, train_set, test_set, model_b)])
         assert params_hash(model_a) == params_hash(model_b)
         assert [deterministic_key(r) for r in records_a] == \
             [deterministic_key(r) for r in records_b]
@@ -333,7 +335,8 @@ class TestTrainLoop:
         # home of the run's length.
         train_set, test_set = toy_sets(per_class=(12, 4))
         cfg = base_config(epochs=4, sampler="pbs")
-        _, records = train(cfg, train_set, test_set, fresh_model(train_set))
+        (records,) = train([Run(cfg, train_set, test_set,
+                                fresh_model(train_set))])
         assert [r.epoch for r in records if r.split == "train"] == \
             [0, 1, 2, 3]
 
@@ -345,7 +348,7 @@ class TestTrainLoop:
         cfg = base_config(batch_size=4, epochs=1, learning_rate=1e250,
                           momentum=0.0, layout=GridLayout(1, 2))
         with pytest.raises(TrainingDiverged) as info:
-            train(cfg, train_set, test_set, model)
+            train([Run(cfg, train_set, test_set, model)])
         assert info.value.epoch == 0
         assert info.value.step >= 1
         assert info.value.quantity
@@ -356,7 +359,7 @@ class TestTrainLoop:
             weighting=WeightingConfig(1.0, -1.0))
         plain = fresh_model(train_set)
         observed = fresh_model(train_set)
-        _, plain_records = train(cfg, train_set, test_set, plain)
+        (plain_records,) = train([Run(cfg, train_set, test_set, plain)])
 
         steps = []
 
@@ -364,8 +367,7 @@ class TestTrainLoop:
             steps.append(record)
             record.weights[:] = 0.0  # must not leak back into training
 
-        _, records = train(cfg, train_set, test_set, observed,
-                           score_sink=sink)
+        (records,) = train([Run(cfg, train_set, test_set, observed, sink)])
         assert params_hash(observed) == params_hash(plain)
         assert [deterministic_key(r) for r in records] == \
             [deterministic_key(r) for r in plain_records]
@@ -384,7 +386,7 @@ class TestTrainLoop:
         tapes, live_at = [], []
         real_backward = natsel.trainer.backward
 
-        def recording_backward(tape, root):
+        def recording_backward(tape, root=None):
             tapes.append(weakref.ref(tape))
             return real_backward(tape, root)
 
@@ -400,7 +402,7 @@ class TestTrainLoop:
                 name, getattr(natsel.trainer, name)))
         train_set, test_set = toy_sets()
         cfg = base_config(weighting=WeightingConfig(1.0, 0.5))
-        train(cfg, train_set, test_set, fresh_model(train_set))
+        train([Run(cfg, train_set, test_set, fresh_model(train_set))])
         # 20 samples in batches of 8: three steps and scorings per epoch
         assert len(tapes) == 6
         assert [phase for phase, _ in live_at].count("batch_ns_scores") == 6
@@ -412,10 +414,11 @@ class TestTrainLoop:
         wrong = Classifier(ClassifierConfig(
             input_shape=(5, 5, 1), hidden=(), class_count=2, init_seed=0))
         with pytest.raises(ConfigError):
-            train(base_config(), train_set, test_set, wrong)
+            train([Run(base_config(), train_set, test_set, wrong)])
         empty = subset(train_set, [])
         with pytest.raises(ConfigError):
-            train(base_config(), empty, test_set, fresh_model(train_set))
+            train([Run(base_config(), empty, test_set,
+                       fresh_model(train_set))])
 
     @pytest.mark.parametrize("split,fault", [
         ("test", "9x9 images"), ("test", "label K"), ("train", "label K"),
@@ -437,9 +440,133 @@ class TestTrainLoop:
                               clean_labels=labels, class_count=bad.class_count)
         seen = []
         with pytest.raises(ConfigError, match=split):
-            train(base_config(weighting=WeightingConfig(1.0, 0.5)),
-                  sets["train"], sets["test"], model, score_sink=seen.append)
+            train([Run(base_config(weighting=WeightingConfig(1.0, 0.5)),
+                       sets["train"], sets["test"], model, seen.append)])
         assert seen == []
+
+
+class TestLockstep:
+    """Three runs trained as one stack against each run trained alone.
+    The runs differ in seed only: their own data, init and epoch order."""
+
+    SEEDS = (11, 12, 13)
+
+    def runs(self, cfg, sinks=(None, None, None), hidden=(6,)):
+        runs = []
+        for seed, sink in zip(self.SEEDS, sinks):
+            train_set, test_set = toy_sets(seed=seed)
+            runs.append(Run(replace(cfg, seed=seed), train_set, test_set,
+                            fresh_model(train_set, hidden, init_seed=seed),
+                            sink))
+        return runs
+
+    @pytest.mark.parametrize("weighting,sampler", [
+        (WeightingConfig(1.0, 0.0), "instance_uniform"),
+        (WeightingConfig(0.7, 1.0), "instance_uniform"),
+        (WeightingConfig(2.5, -1.0), "cbs"),
+    ], ids=["plain", "ns_ws", "ns_lf_cbs"])
+    def test_each_run_of_a_stack_has_the_bits_of_the_run_alone(
+            self, weighting, sampler):
+        cfg = base_config(epochs=3, weighting=weighting, sampler=sampler)
+        logs = [[], [], []]
+        stacked = self.runs(cfg, [log.append for log in logs])
+        stacked_records = train(stacked)
+        for run, records, log in zip(stacked, stacked_records, logs):
+            alone_log = []
+            alone = self.runs(cfg, [alone_log.append] * 3)[
+                self.SEEDS.index(run.config.seed)]
+            (alone_records,) = train([alone])
+            assert params_hash(run.model) == params_hash(alone.model)
+            assert [deterministic_key(r) for r in records] == \
+                [deterministic_key(r) for r in alone_records]
+            assert len(log) == len(alone_log)
+            for got, want in zip(log, alone_log):
+                assert (got.epoch, got.step, got.loss) == \
+                    (want.epoch, want.step, want.loss)
+                for name in ("indices", "labels", "predictions", "weights"):
+                    assert np.array_equal(getattr(got, name),
+                                          getattr(want, name))
+                assert np.array_equal(got.ns.score, want.ns.score)
+
+    def test_rho_zero_stack_matches_erm_bitwise(self):
+        cfg = base_config(epochs=3)
+        stacked = self.runs(cfg)
+        for run, records in zip(stacked, train(stacked)):
+            reference = fresh_model(run.train_set, init_seed=run.config.seed)
+            _, erm_records = train_erm(run.config, run.train_set,
+                                       run.test_set, reference)
+            assert params_hash(run.model) == params_hash(reference)
+            assert [deterministic_key(r) for r in records] == \
+                [deterministic_key(r) for r in erm_records]
+
+    def test_models_end_as_views_of_one_trained_stack(self):
+        stacked = self.runs(base_config(epochs=1))
+        before = [params_hash(run.model) for run in stacked]
+        per_run = train(stacked)
+        for run, records, start in zip(stacked, per_run, before):
+            assert params_hash(run.model) != start
+            assert all(p.base is not None for p in run.model.parameters)
+            assert evaluate(run.model, run.test_set).accuracy == \
+                records[-1].accuracy
+        first, second = (run.model.parameters[0] for run in stacked[:2])
+        assert first.base is second.base
+
+    def test_train_rows_time_equal_shares_of_the_epoch(self):
+        # Each run's share of the stack's epoch, so the rows of all runs
+        # add up to no more than the wall time of the call.
+        runs = self.runs(base_config(
+            epochs=2, weighting=WeightingConfig(1.0, 0.5)))
+        started = time.perf_counter()
+        per_run = train(runs)
+        wall = time.perf_counter() - started
+        for epoch in (0, 2):
+            rows = [records[epoch] for records in per_run]
+            assert {row.split for row in rows} == {"train"}
+            assert len({row.seconds for row in rows}) == 1
+            assert all(row.ns_seconds < row.seconds for row in rows)
+        assert sum(r.seconds for records in per_run for r in records) < wall
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0], ids=["taped", "scored"])
+    def test_divergence_names_the_seed_of_its_run(self, rho):
+        # A NaN pixel in the second run's data: the taped forward meets
+        # it at rho = 0, the composite scoring first otherwise.
+        stacked = self.runs(base_config(
+            weighting=WeightingConfig(1.0, rho)))
+        images = stacked[1].train_set.images.copy()
+        images[:] = np.nan
+        stacked[1] = stacked[1]._replace(train_set=Dataset(
+            images=images, labels=stacked[1].train_set.labels,
+            clean_labels=stacked[1].train_set.clean_labels,
+            class_count=stacked[1].train_set.class_count))
+        with pytest.raises(TrainingDiverged) as info:
+            train(stacked)
+        assert info.value.seed == 12
+        assert "seed 12" in str(info.value)
+        assert (info.value.epoch, info.value.step) == (0, 0)
+
+    def test_runs_must_share_all_but_their_seeds(self):
+        cfg = base_config()
+        with pytest.raises(ConfigError, match="at least one run"):
+            train([])
+        runs = self.runs(cfg)
+        runs[2] = runs[2]._replace(config=replace(runs[2].config,
+                                                  learning_rate=0.25))
+        with pytest.raises(ConfigError, match="but the seed"):
+            train(runs)
+        runs = self.runs(cfg)
+        runs[1] = runs[1]._replace(
+            train_set=subset(runs[1].train_set, range(12)))
+        with pytest.raises(ConfigError, match="one length"):
+            train(runs)
+        runs = self.runs(cfg)
+        runs[0] = runs[0]._replace(model=fresh_model(runs[0].train_set,
+                                                     hidden=(5,)))
+        with pytest.raises(ConfigError, match="init_seed"):
+            train(runs)
+        runs = self.runs(cfg)
+        runs[2] = runs[2]._replace(model=runs[0].model)
+        with pytest.raises(ConfigError, match="twice"):
+            train(runs)
 
 
 class TestConvTraining:
@@ -462,7 +589,8 @@ class TestConvTraining:
     def test_rho_zero_matches_erm_bitwise(self):
         cfg = self.conv_config(1.0, 0.0)
         model_a, model_b = self.conv_model(), self.conv_model()
-        _, records_a = train(cfg, self.train_set, self.test_set, model_a)
+        (records_a,) = train([Run(cfg, self.train_set, self.test_set,
+                                  model_a)])
         _, records_b = train_erm(cfg, self.train_set, self.test_set, model_b)
         assert params_hash(model_a) == params_hash(model_b)
         assert params_hash(model_a) != params_hash(self.conv_model())
@@ -474,7 +602,8 @@ class TestConvTraining:
         blobs = []
         for name in ("a.bin", "b.bin"):
             model = self.conv_model()
-            _, records = train(cfg, self.train_set, self.test_set, model)
+            (records,) = train([Run(cfg, self.train_set, self.test_set,
+                                    model)])
             assert records[0].ns_forward_passes > 0
             save_checkpoint(model, tmp_path / name)
             blobs.append((tmp_path / name).read_bytes())
@@ -745,7 +874,8 @@ class TestMetricsIO:
         train_set, test_set = toy_sets()
         cfg = base_config(
             weighting=WeightingConfig(1.0, 1.0))
-        _, records = train(cfg, train_set, test_set, fresh_model(train_set))
+        (records,) = train([Run(cfg, train_set, test_set,
+                                fresh_model(train_set))])
         return records
 
     def test_round_trip(self, tmp_path):
@@ -802,8 +932,8 @@ class TestMetricsIO:
             weighting=WeightingConfig(0.7, 1.0))
         paths = []
         for run in range(2):
-            _, records = train(cfg, train_set, test_set,
-                               fresh_model(train_set))
+            (records,) = train([Run(cfg, train_set, test_set,
+                                    fresh_model(train_set))])
             path = tmp_path / f"metrics_{run}.csv"
             write_metrics_csv(path, records)
             paths.append(path)

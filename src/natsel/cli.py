@@ -37,10 +37,8 @@ from .config import (
     parse_config,
     serialize_config,
     set_keys,
-    train_for,
 )
-from .errors import AnalysisError, ConfigError, FormatError, NatselError, \
-    NumericError, TrainingDiverged
+from .errors import ConfigError, FormatError, NatselError
 from .model import Classifier, save_checkpoint
 from .trainer import (
     Run,
@@ -137,7 +135,7 @@ def _run_for(config: ExperimentConfig, seed: int) -> Run:
     model = Classifier(classifier_for(
         config, seed, image_shape=train_set.image_shape,
         class_count=train_set.class_count))
-    return Run(train_for(config, seed), train_set, test_set, model)
+    return Run(config.train, seed, train_set, test_set, model)
 
 
 def _train_stack(config: ExperimentConfig, seeds, run_dir: Path):
@@ -145,30 +143,30 @@ def _train_stack(config: ExperimentConfig, seeds, run_dir: Path):
     metrics, checkpoint and score log; returns (seed, records) pairs.
 
     The stack holds one seed for a conv model, else as many as keep
-    their train splits within ``_STACK_BYTES``.  Score rows stream into
-    each seed's temporary log as they are scored, and the logs are
-    renamed into place only once every seed of the stack has its
-    metrics and checkpoint, so a stack that fails leaves no artifact of
-    any of its seeds.  Only the metrics records outlive the call: the
-    stack's datasets and models are released before the next stack's
-    data is built.
+    their train splits within ``_STACK_BYTES``.  Every artifact of every
+    seed is written to its temporary file first, the score logs as
+    their rows are scored, and all of them are renamed into place
+    together once the whole stack has written; a stack whose training
+    or any write fails leaves no artifact of any of its seeds.  Only
+    the metrics records outlive the call: the stack's datasets and
+    models are released before the next stack's data is built.
     """
     runs = [_run_for(config, seeds[0])]
     size = 1 if config.conv_kernel else max(
         1, _STACK_BYTES // max(1, runs[0].train_set.images.nbytes))
     runs += [_run_for(config, seed) for seed in seeds[1:size]]
-    with ExitStack() as logs:
+    with ExitStack() as pending:
+        def temporary(name: str) -> Path:
+            return pending.enter_context(_replacing(run_dir / name))
+
         if config.train.weighting.rho != 0.0:
-            runs = [run._replace(score_sink=logs.enter_context(_score_log(
-                run_dir / f"scores_{run.config.seed}.csv"))) for run in runs]
+            runs = [run._replace(score_sink=pending.enter_context(_score_log(
+                run_dir / f"scores_{run.seed}.csv"))) for run in runs]
         per_run = train(runs)
         for run, records in zip(runs, per_run):
-            seed = run.config.seed
-            write_metrics_csv(run_dir / f"metrics_{seed}.csv", records)
-            with _replacing(run_dir / f"checkpoint_{seed}.bin") as tmp:
-                save_checkpoint(run.model, tmp)
-    return [(run.config.seed, records)
-            for run, records in zip(runs, per_run)]
+            write_metrics_csv(temporary(f"metrics_{run.seed}.csv"), records)
+            save_checkpoint(run.model, temporary(f"checkpoint_{run.seed}.bin"))
+    return [(run.seed, records) for run, records in zip(runs, per_run)]
 
 
 def _write_aggregate(path, seeds, per_seed_records) -> None:
@@ -317,8 +315,7 @@ def main(argv=None) -> int:
     except (ConfigError, FormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (TrainingDiverged, NumericError, AnalysisError, NatselError,
-            OSError) as err:
+    except (NatselError, OSError) as err:
         print(f"aborted: {err}", file=sys.stderr)
         return 2
     return 0

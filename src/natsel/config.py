@@ -48,7 +48,6 @@ __all__ = [
     "set_keys",
     "apply_overrides",
     "classifier_for",
-    "train_for",
     "datasets_for",
 ]
 
@@ -294,10 +293,6 @@ def classifier_for(config: ExperimentConfig, run_seed: int,
         init_seed=derive_seed(run_seed, "init"),
         conv=conv,
     )
-
-
-def train_for(config: ExperimentConfig, run_seed: int) -> TrainConfig:
-    return replace(config.train, seed=run_seed)
 
 
 def datasets_for(config: ExperimentConfig, run_seed: int

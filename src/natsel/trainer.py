@@ -19,7 +19,7 @@ columns (``seconds``, ``ns_seconds``) are physically nondeterministic;
 ``deterministic_csv_bytes`` strips them so reruns can be compared
 byte-for-byte on everything else.  Every CSV the package writes goes
 through ``_write_table`` (or, for the per-sample score log,
-``_write_scores``): one cell format, and a file that is either complete
+``_score_log``): one cell format, and a file that is either complete
 or absent.
 """
 
@@ -67,7 +67,8 @@ _EVAL_CHUNK = 256
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything the loop needs besides the dataset and the model."""
+    """Everything the loop needs besides the seed, the splits and the
+    model."""
 
     batch_size: int
     epochs: int
@@ -78,7 +79,6 @@ class TrainConfig:
     weighting: WeightingConfig = WeightingConfig(1.0, 0.0)
     sampler: str = "instance_uniform"
     loss: LossConfig = LossConfig()
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate < math.inf:
@@ -265,13 +265,15 @@ class _Step(NamedTuple):
 
 
 class Run(NamedTuple):
-    """One training run: its settings, its splits and its model.
+    """One training run: its settings, its seed, its splits and its model.
 
+    The seed orders the run's epochs and names the run when it diverges.
     ``score_sink``, if given, is called with the ``_Step`` record of each
     of the run's scored steps (see ``train``).
     """
 
     config: TrainConfig
+    seed: int
     train_set: Dataset
     test_set: Dataset
     model: Classifier
@@ -400,13 +402,13 @@ def _gather(splits, indices: np.ndarray) -> np.ndarray:
 def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
     """Train ``runs`` in lockstep; returns each run's per-epoch records.
 
-    The runs must share every ``TrainConfig`` setting but the seed,
-    every model setting but the init seed, and the length of their
-    train splits.  Their models are stacked (``Classifier.stack``): each
-    run's model then holds views of the stacked parameters, so it ends
-    trained, as a single run's model always has.  Each step scores and
-    weights every run on its own model and takes one taped step for
-    all of them.  A single run is a stack of one.
+    The runs must share their ``TrainConfig``, every model setting but
+    the init seed, and the length of their train splits.  Their models
+    are stacked (``Classifier.stack``): each run's model then holds
+    views of the stacked parameters, so it ends trained, as a single
+    run's model always has.  Each step scores and weights every run on
+    its own model and takes one taped step for all of them.  A single
+    run is a stack of one.
 
     Competition scoring runs only when rho != 0; with rho == 0 every
     sample's weight is the sigma constant and no composite is ever built,
@@ -428,9 +430,9 @@ def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
         raise ConfigError("train needs at least one run")
     config = runs[0].config
     for run in runs:
-        if replace(run.config, seed=0) != replace(config, seed=0):
+        if run.config != config:
             raise ConfigError("runs trained together must share every "
-                              "train setting but the seed")
+                              "train setting")
         _check_splits(run.model, run.train_set, run.test_set)
         if len(run.train_set) != len(runs[0].train_set):
             raise ConfigError("runs trained together need train splits of "
@@ -447,7 +449,7 @@ def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
         orders = np.stack([
             epoch_indices(run.train_set.labels, run.train_set.class_count,
                           config.sampler, epoch, config.epochs,
-                          run.config.seed) for run in runs])
+                          run.seed) for run in runs])
         steps: list[list[_Step]] = [[] for _ in runs]
 
         for lo in range(0, orders.shape[1], config.batch_size):
@@ -467,7 +469,7 @@ def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
                     except NumericError as err:
                         raise TrainingDiverged(
                             epoch, step, str(err), float("nan"),
-                            run.config.seed) from err
+                            run.seed) from err
                     scored[r] = (result,
                                  compute_weights(result.score,
                                                  config.weighting),
@@ -481,11 +483,10 @@ def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
                     model, images, labels, weights, config.loss)
             except NumericError as err:
                 raise TrainingDiverged(epoch, step, str(err), float("nan"),
-                                       runs[err.run].config.seed) from err
+                                       runs[err.run].seed) from err
             losses = batch_loss.tolist()
             for run, value in zip(runs, losses):
-                _check_finite(value, epoch, step, "batch loss",
-                              run.config.seed)
+                _check_finite(value, epoch, step, "batch loss", run.seed)
 
             grads = backward(tape)
             # The tape holds the batch's activations; drop it before the

@@ -324,7 +324,7 @@ def reference_splits(settings, seed):
     return subset(full, train_idx), subset(full, test_idx)
 
 
-def train_erm(config, train_set, test_set, model):
+def train_erm(config, seed, train_set, test_set, model):
     """Plain uniform-weight reference loop with no scoring code at all.
 
     Written independently of ``train`` so the rho == 0 equivalence can be
@@ -355,8 +355,7 @@ def train_erm(config, train_set, test_set, model):
         epoch_start = time.perf_counter()
         lr = config.lr_at(epoch)
         order = epoch_indices(train_set.labels, train_set.class_count,
-                              config.sampler, epoch, config.epochs,
-                              config.seed)
+                              config.sampler, epoch, config.epochs, seed)
         steps = []
         for lo in range(0, order.shape[0], config.batch_size):
             batch_idx = order[lo:lo + config.batch_size]
@@ -365,8 +364,7 @@ def train_erm(config, train_set, test_set, model):
             tape, batch_loss, predictions = _taped_step(
                 model, images, labels, np.ones(labels.shape[0]), config.loss)
             loss_value = batch_loss.item()
-            _check_finite(loss_value, epoch, step, "batch loss",
-                          config.seed)
+            _check_finite(loss_value, epoch, step, "batch loss", seed)
             grads = backward(tape, batch_loss)
             sgd_momentum_step(model.parameters, grads, velocity, lr,
                               config.momentum)

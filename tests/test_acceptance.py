@@ -31,7 +31,6 @@ from natsel.config import (
     classifier_for,
     datasets_for,
     parse_config,
-    train_for,
 )
 from natsel.data import DataSettings, build_splits
 from natsel.imageops import GridLayout, bilinear_resize
@@ -73,7 +72,7 @@ def _run_arm(config, seed):
     model = Classifier(classifier_for(config, seed,
                                       image_shape=train_set.image_shape,
                                       class_count=train_set.class_count))
-    (records,) = train([Run(train_for(config, seed), train_set, test_set,
+    (records,) = train([Run(config.train, seed, train_set, test_set,
                             model)])
     return records
 
@@ -134,12 +133,12 @@ def test_criterion_03_plain_training_equivalence(capsys):
     model_a = Classifier(classifier_for(config, seed,
                                         image_shape=train_set.image_shape,
                                         class_count=train_set.class_count))
-    (records_a,) = train([Run(train_for(config, seed), train_set, test_set,
+    (records_a,) = train([Run(config.train, seed, train_set, test_set,
                               model_a)])
     model_b = Classifier(classifier_for(config, seed,
                                         image_shape=train_set.image_shape,
                                         class_count=train_set.class_count))
-    _, records_b = train_erm(train_for(config, seed), train_set, test_set,
+    _, records_b = train_erm(config.train, seed, train_set, test_set,
                              model_b)
     elapsed = time.perf_counter() - started
 
@@ -274,7 +273,7 @@ def test_criterion_09_scoring_overhead(capsys, tmp_path):
     model = Classifier(classifier_for(config, seed,
                                       image_shape=train_set.image_shape,
                                       class_count=train_set.class_count))
-    (records,) = train([Run(train_for(config, seed), train_set, test_set,
+    (records,) = train([Run(config.train, seed, train_set, test_set,
                             model)])
     write_metrics_csv(tmp_path / "metrics.csv", records)
     records = read_metrics_csv(tmp_path / "metrics.csv")

@@ -223,8 +223,36 @@ class TestRun:
         monkeypatch.setattr(natsel.cli, "save_checkpoint", save_half)
         assert main(["run", str(write_config(tmp_path))]) == 2
         run_dir = tmp_path / "out" / "demo"
-        assert sorted(p.name for p in run_dir.iterdir()) == [
-            "config.ini", "metrics_1.csv"]
+        assert sorted(p.name for p in run_dir.iterdir()) == ["config.ini"]
+
+    @pytest.mark.parametrize("writer", ["write_metrics_csv",
+                                        "save_checkpoint"])
+    def test_failed_write_of_the_second_seed_leaves_no_artifact_of_the_stack(
+            self, tmp_path, monkeypatch, writer):
+        # Seeds 1 and 2 train as one stack.  Seed 2's write raises once
+        # its file is written, after seed 1 has written everything.
+        real = getattr(natsel.cli, writer)
+        calls = []
+
+        def fails_second(*args):
+            calls.append(args)
+            real(*args)
+            if len(calls) == 2:
+                raise OSError("disk full")
+
+        monkeypatch.setattr(natsel.cli, writer, fails_second)
+        assert main(["run", str(write_config(tmp_path))]) == 2
+        assert len(calls) == 2
+        run_dir = tmp_path / "out" / "demo"
+        assert sorted(p.name for p in run_dir.iterdir()) == ["config.ini"]
+
+    def test_run_for_stamps_run_seed(self, tmp_path):
+        config = parse_config(write_config(tmp_path).read_text())
+        run = natsel.cli._run_for(config, 99)
+        assert run.seed == 99
+        assert run.config == config.train
+        assert run.model.config.init_seed == natsel.cli.classifier_for(
+            config, 99).init_seed
 
     def test_single_seed_flag(self, tmp_path):
         cfg_path = write_config(tmp_path)
@@ -282,7 +310,7 @@ class TestLockstep:
         real_train = natsel.cli.train
 
         def train(runs):
-            calls.append([run.config.seed for run in runs])
+            calls.append([run.seed for run in runs])
             return real_train(runs)
 
         monkeypatch.setattr(natsel.cli, "train", train)

@@ -12,7 +12,6 @@ from natsel.config import (
     datasets_for,
     parse_config,
     serialize_config,
-    train_for,
 )
 from natsel.data import build_splits
 from natsel.errors import ConfigError
@@ -392,13 +391,6 @@ class TestRunDerivation:
                                    class_count=2)
         assert model_cfg.input_shape == (4, 4, 3)
         assert model_cfg.class_count == 2
-
-    def test_train_for_stamps_run_seed(self):
-        cfg = parse_config(FULL_TEXT)
-        t = train_for(cfg, 99)
-        assert t.seed == 99
-        assert t.batch_size == cfg.train.batch_size
-        assert t.weighting == cfg.train.weighting
 
     def test_datasets_for_synthetic(self):
         cfg = parse_config("[dataset]\nclasses = 3\nbalanced_count = 6\n"

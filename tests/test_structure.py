@@ -9,9 +9,14 @@ absent.  So no other module may import ``csv`` or call ``os.replace``.
 counts ``GradTape._entries``; a name it cannot find blanks that layer's
 metrics, so each one must resolve.  Its composite and tape-record counts
 must also agree with what a run of stacked seeds writes.
+
+Every setting of ``ExperimentConfig`` has one home, the ``config._SCHEMA``
+key that sets it, so no field can be left half-wired with a placeholder.
 """
 
 import ast
+import collections
+import dataclasses
 import types
 from pathlib import Path
 
@@ -19,9 +24,9 @@ import pytest
 
 import natsel
 from natsel.cli import run_experiment
-from natsel.config import parse_config, set_keys
+from natsel.config import _SCHEMA, ExperimentConfig, parse_config, set_keys
 from natsel.tensor import GradTape
-from natsel.trainer import read_metrics_csv
+from natsel.trainer import TrainConfig, read_metrics_csv
 
 SOURCES = sorted(Path(natsel.__file__).parent.glob("*.py"))
 WRITER = "trainer.py"
@@ -61,6 +66,41 @@ def test_the_check_sees_each_form():
     assert len(_violations(ast.parse(text))) == 4
     assert _violations(ast.parse(
         "import os\n'a'.replace('a', 'b')\nos.path.join('a')\n")) == []
+
+
+# Dataclass fields that one key sets as a whole.
+WHOLE = {"train.layout"}
+
+
+def _leaf_paths(obj, prefix=""):
+    """The dotted path of every field of ``obj``, recursing into nested
+    dataclasses other than those in ``WHOLE``."""
+    for f in dataclasses.fields(obj):
+        path = prefix + f.name
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value) and path not in WHOLE:
+            yield from _leaf_paths(value, path + ".")
+        else:
+            yield path
+
+
+def _homeless(config) -> list[str]:
+    """Leaf fields of ``config`` that no key, or more than one, sets."""
+    homes = collections.Counter(key.path for key in _SCHEMA.values())
+    return [path for path in _leaf_paths(config) if homes[path] != 1]
+
+
+def test_every_config_field_is_set_by_one_key():
+    assert _homeless(ExperimentConfig()) == []
+
+
+def test_the_key_check_sees_a_nested_field_without_a_key():
+    extra = dataclasses.make_dataclass(
+        "Extra", [("seed", int, 0)], bases=(TrainConfig,), frozen=True)
+    config = ExperimentConfig(train=extra(
+        **{f.name: getattr(ExperimentConfig().train, f.name)
+           for f in dataclasses.fields(TrainConfig)}))
+    assert _homeless(config) == ["train.seed"]
 
 
 def _tracer_module():

@@ -72,10 +72,13 @@ def fresh_model(train_set, hidden=(6,), init_seed=1):
         class_count=train_set.class_count, init_seed=init_seed))
 
 
+SEED = 11
+
+
 def base_config(**overrides):
     base = dict(batch_size=8, epochs=2, learning_rate=0.5, momentum=0.9,
                 layout=GridLayout(2, 2),
-                weighting=WeightingConfig(1.0, 0.0), seed=11)
+                weighting=WeightingConfig(1.0, 0.0))
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -262,8 +265,8 @@ class TestTrainLoop:
         model_b = fresh_model(train_set)
         assert params_hash(model_a) == params_hash(model_b)
 
-        (records_a,) = train([Run(cfg, train_set, test_set, model_a)])
-        _, records_b = train_erm(cfg, train_set, test_set, model_b)
+        (records_a,) = train([Run(cfg, SEED, train_set, test_set, model_a)])
+        _, records_b = train_erm(cfg, SEED, train_set, test_set, model_b)
 
         assert params_hash(model_a) == params_hash(model_b)
         keys_a = [deterministic_key(r) for r in records_a]
@@ -279,7 +282,7 @@ class TestTrainLoop:
         assert abs(before - math.log(2)) <= 1e-12
         cfg = base_config(batch_size=16, epochs=1, learning_rate=0.5,
                           momentum=0.0)
-        train([Run(cfg, train_set, test_set, model)])
+        train([Run(cfg, SEED, train_set, test_set, model)])
         after = evaluate(model, train_set).mean_loss
         assert after < before
 
@@ -289,7 +292,7 @@ class TestTrainLoop:
         train_set, test_set = toy_sets(per_class=(10, 10))
         cfg = base_config(
             weighting=WeightingConfig(1.0, 0.5))
-        (records,) = train([Run(cfg, train_set, test_set,
+        (records,) = train([Run(cfg, SEED, train_set, test_set,
                                 fresh_model(train_set))])
         train_rows = [r for r in records if r.split == "train"]
         for row in train_rows:
@@ -300,7 +303,7 @@ class TestTrainLoop:
 
     def test_no_scoring_when_rho_zero(self):
         train_set, test_set = toy_sets()
-        (records,) = train([Run(base_config(), train_set, test_set,
+        (records,) = train([Run(base_config(), SEED, train_set, test_set,
                                 fresh_model(train_set))])
         for row in records:
             assert row.ns_forward_passes == 0
@@ -311,9 +314,9 @@ class TestTrainLoop:
         train_set, test_set = toy_sets()
         uniform = fresh_model(train_set)
         weighted = fresh_model(train_set)
-        train([Run(base_config(epochs=1), train_set, test_set, uniform)])
+        train([Run(base_config(epochs=1), SEED, train_set, test_set, uniform)])
         train([Run(base_config(
-            epochs=1, weighting=WeightingConfig(1.0, 1.0)),
+            epochs=1, weighting=WeightingConfig(1.0, 1.0)), SEED,
             train_set, test_set, weighted)])
         assert params_hash(uniform) != params_hash(weighted)
 
@@ -324,8 +327,8 @@ class TestTrainLoop:
             sampler="cbs")
         model_a = fresh_model(train_set)
         model_b = fresh_model(train_set)
-        (records_a,) = train([Run(cfg, train_set, test_set, model_a)])
-        (records_b,) = train([Run(cfg, train_set, test_set, model_b)])
+        (records_a,) = train([Run(cfg, SEED, train_set, test_set, model_a)])
+        (records_b,) = train([Run(cfg, SEED, train_set, test_set, model_b)])
         assert params_hash(model_a) == params_hash(model_b)
         assert [deterministic_key(r) for r in records_a] == \
             [deterministic_key(r) for r in records_b]
@@ -335,7 +338,7 @@ class TestTrainLoop:
         # home of the run's length.
         train_set, test_set = toy_sets(per_class=(12, 4))
         cfg = base_config(epochs=4, sampler="pbs")
-        (records,) = train([Run(cfg, train_set, test_set,
+        (records,) = train([Run(cfg, SEED, train_set, test_set,
                                 fresh_model(train_set))])
         assert [r.epoch for r in records if r.split == "train"] == \
             [0, 1, 2, 3]
@@ -348,7 +351,7 @@ class TestTrainLoop:
         cfg = base_config(batch_size=4, epochs=1, learning_rate=1e250,
                           momentum=0.0, layout=GridLayout(1, 2))
         with pytest.raises(TrainingDiverged) as info:
-            train([Run(cfg, train_set, test_set, model)])
+            train([Run(cfg, SEED, train_set, test_set, model)])
         assert info.value.epoch == 0
         assert info.value.step >= 1
         assert info.value.quantity
@@ -359,7 +362,7 @@ class TestTrainLoop:
             weighting=WeightingConfig(1.0, -1.0))
         plain = fresh_model(train_set)
         observed = fresh_model(train_set)
-        (plain_records,) = train([Run(cfg, train_set, test_set, plain)])
+        (plain_records,) = train([Run(cfg, SEED, train_set, test_set, plain)])
 
         steps = []
 
@@ -367,7 +370,8 @@ class TestTrainLoop:
             steps.append(record)
             record.weights[:] = 0.0  # must not leak back into training
 
-        (records,) = train([Run(cfg, train_set, test_set, observed, sink)])
+        (records,) = train([Run(cfg, SEED, train_set, test_set, observed,
+                                sink)])
         assert params_hash(observed) == params_hash(plain)
         assert [deterministic_key(r) for r in records] == \
             [deterministic_key(r) for r in plain_records]
@@ -402,7 +406,7 @@ class TestTrainLoop:
                 name, getattr(natsel.trainer, name)))
         train_set, test_set = toy_sets()
         cfg = base_config(weighting=WeightingConfig(1.0, 0.5))
-        train([Run(cfg, train_set, test_set, fresh_model(train_set))])
+        train([Run(cfg, SEED, train_set, test_set, fresh_model(train_set))])
         # 20 samples in batches of 8: three steps and scorings per epoch
         assert len(tapes) == 6
         assert [phase for phase, _ in live_at].count("batch_ns_scores") == 6
@@ -414,10 +418,10 @@ class TestTrainLoop:
         wrong = Classifier(ClassifierConfig(
             input_shape=(5, 5, 1), hidden=(), class_count=2, init_seed=0))
         with pytest.raises(ConfigError):
-            train([Run(base_config(), train_set, test_set, wrong)])
+            train([Run(base_config(), SEED, train_set, test_set, wrong)])
         empty = subset(train_set, [])
         with pytest.raises(ConfigError):
-            train([Run(base_config(), empty, test_set,
+            train([Run(base_config(), SEED, empty, test_set,
                        fresh_model(train_set))])
 
     @pytest.mark.parametrize("split,fault", [
@@ -440,7 +444,7 @@ class TestTrainLoop:
                               clean_labels=labels, class_count=bad.class_count)
         seen = []
         with pytest.raises(ConfigError, match=split):
-            train([Run(base_config(weighting=WeightingConfig(1.0, 0.5)),
+            train([Run(base_config(weighting=WeightingConfig(1.0, 0.5)), SEED,
                        sets["train"], sets["test"], model, seen.append)])
         assert seen == []
 
@@ -455,7 +459,7 @@ class TestLockstep:
         runs = []
         for seed, sink in zip(self.SEEDS, sinks):
             train_set, test_set = toy_sets(seed=seed)
-            runs.append(Run(replace(cfg, seed=seed), train_set, test_set,
+            runs.append(Run(cfg, seed, train_set, test_set,
                             fresh_model(train_set, hidden, init_seed=seed),
                             sink))
         return runs
@@ -474,7 +478,7 @@ class TestLockstep:
         for run, records, log in zip(stacked, stacked_records, logs):
             alone_log = []
             alone = self.runs(cfg, [alone_log.append] * 3)[
-                self.SEEDS.index(run.config.seed)]
+                self.SEEDS.index(run.seed)]
             (alone_records,) = train([alone])
             assert params_hash(run.model) == params_hash(alone.model)
             assert [deterministic_key(r) for r in records] == \
@@ -492,8 +496,8 @@ class TestLockstep:
         cfg = base_config(epochs=3)
         stacked = self.runs(cfg)
         for run, records in zip(stacked, train(stacked)):
-            reference = fresh_model(run.train_set, init_seed=run.config.seed)
-            _, erm_records = train_erm(run.config, run.train_set,
+            reference = fresh_model(run.train_set, init_seed=run.seed)
+            _, erm_records = train_erm(run.config, run.seed, run.train_set,
                                        run.test_set, reference)
             assert params_hash(run.model) == params_hash(reference)
             assert [deterministic_key(r) for r in records] == \
@@ -551,7 +555,7 @@ class TestLockstep:
         runs = self.runs(cfg)
         runs[2] = runs[2]._replace(config=replace(runs[2].config,
                                                   learning_rate=0.25))
-        with pytest.raises(ConfigError, match="but the seed"):
+        with pytest.raises(ConfigError, match="every train setting"):
             train(runs)
         runs = self.runs(cfg)
         runs[1] = runs[1]._replace(
@@ -589,9 +593,10 @@ class TestConvTraining:
     def test_rho_zero_matches_erm_bitwise(self):
         cfg = self.conv_config(1.0, 0.0)
         model_a, model_b = self.conv_model(), self.conv_model()
-        (records_a,) = train([Run(cfg, self.train_set, self.test_set,
+        (records_a,) = train([Run(cfg, SEED, self.train_set, self.test_set,
                                   model_a)])
-        _, records_b = train_erm(cfg, self.train_set, self.test_set, model_b)
+        _, records_b = train_erm(cfg, SEED, self.train_set, self.test_set,
+                                 model_b)
         assert params_hash(model_a) == params_hash(model_b)
         assert params_hash(model_a) != params_hash(self.conv_model())
         assert [deterministic_key(r) for r in records_a] == \
@@ -602,7 +607,7 @@ class TestConvTraining:
         blobs = []
         for name in ("a.bin", "b.bin"):
             model = self.conv_model()
-            (records,) = train([Run(cfg, self.train_set, self.test_set,
+            (records,) = train([Run(cfg, SEED, self.train_set, self.test_set,
                                     model)])
             assert records[0].ns_forward_passes > 0
             save_checkpoint(model, tmp_path / name)
@@ -874,7 +879,7 @@ class TestMetricsIO:
         train_set, test_set = toy_sets()
         cfg = base_config(
             weighting=WeightingConfig(1.0, 1.0))
-        (records,) = train([Run(cfg, train_set, test_set,
+        (records,) = train([Run(cfg, SEED, train_set, test_set,
                                 fresh_model(train_set))])
         return records
 
@@ -932,7 +937,7 @@ class TestMetricsIO:
             weighting=WeightingConfig(0.7, 1.0))
         paths = []
         for run in range(2):
-            (records,) = train([Run(cfg, train_set, test_set,
+            (records,) = train([Run(cfg, SEED, train_set, test_set,
                                     fresh_model(train_set))])
             path = tmp_path / f"metrics_{run}.csv"
             write_metrics_csv(path, records)

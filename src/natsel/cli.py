@@ -1,9 +1,9 @@
 """Experiment runner: run / sweep / analyze subcommands.
 
 ``run`` executes one config over its seed list and writes per-seed
-artifacts plus a cross-seed aggregate.  The seeds of an MLP config train
-in lockstep, as one stack, while their train splits fit
-``_STACK_BYTES``; a conv model's seeds train one at a time.  ``sweep``
+artifacts plus a cross-seed aggregate, whose final test row is the
+run's summary.  A config's seeds train in lockstep, in stacks of as
+many as keep their train splits within ``_STACK_BYTES``.  ``sweep``
 repeats a run along one axis (sigma, rho, or layout) and tabulates
 final accuracies.  ``analyze`` post-processes an existing run directory
 into plotting-ready CSVs.
@@ -68,10 +68,11 @@ SIGMA_AXIS = (0.0, 0.1, 0.5, 0.8, 1.0, 1.5, 1.8)
 RHO_AXIS = (0.0, 0.1, 0.5, 0.8, 1.0, 1.5, 1.8)
 LAYOUT_AXIS = ("1x2", "2x2", "2x4", "4x2", "4x4")
 
-# The train splits one stack of seeds may hold at once: a stack has as
-# many seeds as keep their splits within it, and at least one.  The
-# shipped MLP configs' splits, 512 kB at most, stack 16 seeds; an
-# MNIST-sized split (376 MB) trains alone.
+# The train splits one stack of seeds may hold at once, whatever the
+# model: a stack has as many seeds as keep their splits within it, and
+# at least one.  The shipped configs' splits, 512 kB at most, stack 16
+# seeds; a 409-image 32x32x3 split (10 MB) or an MNIST-sized one
+# (376 MB) trains alone.
 _STACK_BYTES = 8 << 20
 
 # Sweep axis -> (the INI key it sets, its default grid).
@@ -114,19 +115,17 @@ def run_experiment(config: ExperimentConfig, echo=print) -> RunSummary:
             finals.append((seed, final_acc))
             echo(f"seed {seed}: final test accuracy {final_acc:.4f}")
 
-    _write_aggregate(run_dir / "aggregate.csv", config.seeds,
-                     per_seed_records)
-    accs = np.array([a for _, a in finals])
-    std = float(accs.std(ddof=1)) if accs.size > 1 else 0.0
-    summary = RunSummary(
-        label=config.label, run_dir=str(run_dir),
-        seed_accuracy=tuple(finals), mean_accuracy=float(accs.mean()),
-        std_accuracy=std,
-    )
+    rows = _write_aggregate(run_dir / "aggregate.csv", config.seeds,
+                            per_seed_records)
+    # the last row is the final epoch's test row
+    mean, std = rows[-1][4:6]
+    summary = RunSummary(label=config.label, run_dir=str(run_dir),
+                         seed_accuracy=tuple(finals), mean_accuracy=mean,
+                         std_accuracy=std)
     flag = " [single seed]" if summary.single_seed else ""
     echo(f"{config.label}: final test accuracy "
          f"{summary.mean_accuracy:.4f} +/- {summary.std_accuracy:.4f} "
-         f"over {accs.size} seed(s){flag}")
+         f"over {len(finals)} seed(s){flag}")
     return summary
 
 
@@ -142,8 +141,8 @@ def _train_stack(config: ExperimentConfig, seeds, run_dir: Path):
     """Train the first of ``seeds`` in lockstep and write each one's
     metrics, checkpoint and score log; returns (seed, records) pairs.
 
-    The stack holds one seed for a conv model, else as many as keep
-    their train splits within ``_STACK_BYTES``.  Every artifact of every
+    The stack holds as many seeds as keep their train splits within
+    ``_STACK_BYTES``, and at least one.  Every artifact of every
     seed is written to its temporary file first, the score logs as
     their rows are scored, and all of them are renamed into place
     together once the whole stack has written; a stack whose training
@@ -152,8 +151,7 @@ def _train_stack(config: ExperimentConfig, seeds, run_dir: Path):
     models are released before the next stack's data is built.
     """
     runs = [_run_for(config, seeds[0])]
-    size = 1 if config.conv_kernel else max(
-        1, _STACK_BYTES // max(1, runs[0].train_set.images.nbytes))
+    size = max(1, _STACK_BYTES // max(1, runs[0].train_set.images.nbytes))
     runs += [_run_for(config, seed) for seed in seeds[1:size]]
     with ExitStack() as pending:
         def temporary(name: str) -> Path:
@@ -169,8 +167,9 @@ def _train_stack(config: ExperimentConfig, seeds, run_dir: Path):
     return [(run.seed, records) for run, records in zip(runs, per_run)]
 
 
-def _write_aggregate(path, seeds, per_seed_records) -> None:
-    """Mean and sample std (n-1) of loss/accuracy per (epoch, split)."""
+def _write_aggregate(path, seeds, per_seed_records) -> list[tuple]:
+    """Write and return the mean and sample std (n-1) of loss/accuracy
+    per (epoch, split); the std of a single seed is 0."""
     def mean_std(values) -> tuple[float, float]:
         values = np.array(values)
         return (float(values.mean()),
@@ -183,6 +182,7 @@ def _write_aggregate(path, seeds, per_seed_records) -> None:
                      *mean_std([x.accuracy for x in same]), len(seeds)))
     _write_table(path, ("epoch", "split", "mean_loss_mean", "mean_loss_std",
                         "accuracy_mean", "accuracy_std", "seed_count"), rows)
+    return rows
 
 
 def sweep(config: ExperimentConfig, axis: str, values=None,

@@ -14,7 +14,9 @@ run, on each run's own ``Classifier``, whose parameters are views of the
 stacked arrays.  A single run is a stack of one.  Every run's bytes are
 those of the run trained alone.
 
-Metrics are written as CSV with one row per (epoch, split).  Wall-clock
+Metrics are written as CSV with one row per (epoch, split), built by
+``_train_record`` (train rows) and ``evaluate`` (test rows), whose
+per-class means all come from ``_class_means``.  Wall-clock
 columns (``seconds``, ``ns_seconds``) are physically nondeterministic;
 ``deterministic_csv_bytes`` strips them so reruns can be compared
 byte-for-byte on everything else.  Every CSV the package writes goes
@@ -50,7 +52,6 @@ __all__ = [
     "TrainConfig",
     "Run",
     "MetricsRecord",
-    "EvalResult",
     "weighted_batch_loss",
     "sgd_momentum_step",
     "train",
@@ -127,7 +128,8 @@ class MetricsRecord:
     """One (epoch, split) measurement row.
 
     The fields, in order, are the metrics CSV columns.  Forward-pass
-    counters are in per-image units and populated on train rows only;
+    counters are in per-image units and populated on train rows only,
+    so they and ``ns_seconds`` default to a test row's 0;
     ``per_class_ns`` is None when no scoring ran (test rows, or rho == 0).
     ``seconds``/``ns_seconds`` are wall-clock and therefore excluded from
     determinism comparisons.
@@ -140,16 +142,9 @@ class MetricsRecord:
     per_class_accuracy: tuple[float, ...]
     per_class_ns: tuple[float, ...] | None
     seconds: float
-    train_forward_passes: int
-    ns_forward_passes: int
-    ns_seconds: float
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    mean_loss: float
-    accuracy: float
-    per_class_accuracy: tuple[float, ...]
+    train_forward_passes: int = 0
+    ns_forward_passes: int = 0
+    ns_seconds: float = 0.0
 
 
 def weighted_batch_loss(logits: np.ndarray, labels, weights,
@@ -211,24 +206,27 @@ def sgd_momentum_step(params, grads, velocity, learning_rate: float,
         p -= learning_rate * v
 
 
-def _accuracy_stats(predictions: np.ndarray, labels: np.ndarray,
-                    class_count: int) -> tuple[float, tuple[float, ...]]:
-    correct = predictions == labels
-    overall = float(correct.mean())
-    per_class = []
-    for k in range(class_count):
-        mask = labels == k
-        per_class.append(float(correct[mask].mean()) if mask.any() else 0.0)
-    return overall, tuple(per_class)
+def _class_means(labels: np.ndarray, values: np.ndarray,
+                 class_count: int) -> tuple[float, ...]:
+    """The mean of ``values`` over each class's samples, 0.0 for a class
+    with none.  The sum of 0/1 values is exact, so an accuracy is the
+    correctly rounded fraction."""
+    sums = np.bincount(labels, weights=values, minlength=class_count)
+    counts = np.bincount(labels, minlength=class_count)
+    return tuple(float(t / n) if n else 0.0 for t, n in zip(sums, counts))
 
 
 def evaluate(model: Classifier, dataset: Dataset,
-             loss_cfg: LossConfig = LossConfig()) -> EvalResult:
-    """Mean loss and accuracies; argmax prediction, no weighting.
+             loss_cfg: LossConfig = LossConfig(),
+             epoch: int = 0) -> MetricsRecord:
+    """The test row of ``epoch``: mean loss and accuracies of ``model``
+    on ``dataset``, argmax prediction, no weighting.  Its ``seconds`` is
+    this call's wall time.
 
     np.argmax resolves ties toward the smallest class index, which is the
     documented tie rule.
     """
+    started = time.perf_counter()
     if len(dataset) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
     loss_sum = 0.0
@@ -240,10 +238,14 @@ def evaluate(model: Classifier, dataset: Dataset,
         labels = dataset.labels[start:stop]
         loss_sum += float(sample_losses(logits, labels, loss_cfg).sum())
         predictions[start:stop] = np.argmax(logits, axis=1)
-    overall, per_class = _accuracy_stats(predictions, dataset.labels,
-                                         dataset.class_count)
-    return EvalResult(mean_loss=loss_sum / len(dataset), accuracy=overall,
-                      per_class_accuracy=per_class)
+    correct = predictions == dataset.labels
+    return MetricsRecord(
+        epoch=epoch, split="test", mean_loss=loss_sum / len(dataset),
+        accuracy=float(correct.mean()),
+        per_class_accuracy=_class_means(dataset.labels, correct,
+                                        dataset.class_count),
+        per_class_ns=None, seconds=time.perf_counter() - started,
+    )
 
 
 class _Step(NamedTuple):
@@ -313,36 +315,31 @@ def _read_scores(path) -> list[_ScoreRow]:
         path, _SCORE_COLUMNS, (int,) * 5 + (float,) * 3, "score log")]
 
 
-def _train_record(steps: list[_Step], class_count: int,
-                  epoch_start: float) -> MetricsRecord:
-    """The epoch's train row; ``seconds`` runs from ``epoch_start`` until
-    the aggregates are computed, so their cost counts as training time.
+def _train_record(steps: list[_Step], class_count: int) -> MetricsRecord:
+    """The epoch's train row of one run's ``steps``.  Its ``seconds`` is
+    0.0: the caller times the epoch and sets it.
 
     Losses and scoring times are summed step by step, and the per-class
     score sums in step order, which is the order the metrics have always
     been accumulated in, so every float keeps its bits.
     """
     labels = np.concatenate([s.labels for s in steps])
-    predictions = np.concatenate([s.predictions for s in steps])
-    accuracy, per_class = _accuracy_stats(predictions, labels, class_count)
+    correct = np.concatenate([s.predictions for s in steps]) == labels
     loss_sum = ns_seconds = 0.0
     for s in steps:
         loss_sum += s.loss * s.labels.shape[0]
         ns_seconds += s.ns_seconds
     per_class_ns, composites = None, 0
     if steps[0].ns is not None:
-        scores = np.concatenate([s.ns.score for s in steps])
-        sums = np.bincount(labels, weights=scores, minlength=class_count)
-        counts = np.bincount(labels, minlength=class_count)
-        per_class_ns = tuple(float(t) / n if n else 0.0
-                             for t, n in zip(sums, counts))
+        per_class_ns = _class_means(
+            labels, np.concatenate([s.ns.score for s in steps]), class_count)
         composites = sum(s.ns.group_count for s in steps)
-    seconds = time.perf_counter() - epoch_start
     return MetricsRecord(
         epoch=steps[0].epoch, split="train",
-        mean_loss=loss_sum / labels.shape[0], accuracy=accuracy,
-        per_class_accuracy=per_class, per_class_ns=per_class_ns,
-        seconds=seconds, train_forward_passes=labels.shape[0],
+        mean_loss=loss_sum / labels.shape[0], accuracy=float(correct.mean()),
+        per_class_accuracy=_class_means(labels, correct, class_count),
+        per_class_ns=per_class_ns, seconds=0.0,
+        train_forward_passes=labels.shape[0],
         ns_forward_passes=composites, ns_seconds=ns_seconds,
     )
 
@@ -502,24 +499,15 @@ def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
                     run.score_sink(steps[r][-1])
             step += 1
 
-        rows = [_train_record(run_steps, run.train_set.class_count,
-                              epoch_start)
+        rows = [_train_record(run_steps, run.train_set.class_count)
                 for run_steps, run in zip(steps, runs)]
         share = (time.perf_counter() - epoch_start) / len(runs)
         for run_records, row in zip(records, rows):
             run_records.append(replace(row, seconds=share))
 
         for run, run_records in zip(runs, records):
-            eval_start = time.perf_counter()
-            result = evaluate(run.model, run.test_set, config.loss)
-            run_records.append(MetricsRecord(
-                epoch=epoch, split="test", mean_loss=result.mean_loss,
-                accuracy=result.accuracy,
-                per_class_accuracy=result.per_class_accuracy,
-                per_class_ns=None, seconds=time.perf_counter() - eval_start,
-                train_forward_passes=0, ns_forward_passes=0,
-                ns_seconds=0.0,
-            ))
+            run_records.append(evaluate(run.model, run.test_set,
+                                        config.loss, epoch))
     return records
 
 

@@ -2,7 +2,7 @@
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -337,7 +337,6 @@ def train_erm(config, seed, train_set, test_set, model):
     from natsel.data import epoch_indices
     from natsel.errors import ConfigError
     from natsel.trainer import (
-        MetricsRecord,
         _check_finite,
         _Step,
         _taped_step,
@@ -371,17 +370,10 @@ def train_erm(config, seed, train_set, test_set, model):
             steps.append(_Step(epoch, step, batch_idx, labels, predictions,
                                loss_value))
             step += 1
-        records.append(_train_record(steps, train_set.class_count,
-                                     epoch_start))
-        eval_start = time.perf_counter()
-        result = evaluate(model, test_set, config.loss)
-        records.append(MetricsRecord(
-            epoch=epoch, split="test", mean_loss=result.mean_loss,
-            accuracy=result.accuracy,
-            per_class_accuracy=result.per_class_accuracy,
-            per_class_ns=None, seconds=time.perf_counter() - eval_start,
-            train_forward_passes=0, ns_forward_passes=0, ns_seconds=0.0,
-        ))
+        row = _train_record(steps, train_set.class_count)
+        records.append(replace(row,
+                               seconds=time.perf_counter() - epoch_start))
+        records.append(evaluate(model, test_set, config.loss, epoch))
     return model, records
 
 

@@ -301,9 +301,9 @@ class TestRun:
 
 
 class TestLockstep:
-    """A config's seeds train as stacks: every seed of an MLP config
-    whose splits fit ``_STACK_BYTES`` in one ``train`` call, a conv
-    model's seeds one call each."""
+    """A config's seeds train as stacks: as many seeds per ``train``
+    call as keep their splits within ``_STACK_BYTES``, whatever the
+    model."""
 
     def counted_train(self, monkeypatch):
         calls = []
@@ -316,8 +316,25 @@ class TestLockstep:
         monkeypatch.setattr(natsel.cli, "train", train)
         return calls
 
-    def test_mlp_seeds_stack_and_conv_seeds_do_not(self, tmp_path,
-                                                   monkeypatch):
+    def assert_same_artifacts(self, stacked: Path, alone: Path):
+        """Each of three seeds' metrics (without their wall-clock
+        columns), checkpoint and score log, and the aggregate, are equal
+        in the two run directories."""
+        names = sorted(p.name for p in alone.iterdir())
+        assert names == sorted(p.name for p in stacked.iterdir())
+        # config.ini names its own output directory
+        names.remove("config.ini")
+        assert len(names) == 3 * 3 + 1
+        for artifact in names:
+            read = (deterministic_csv_bytes if artifact.startswith("metrics_")
+                    else lambda path: path.read_bytes())
+            assert read(stacked / artifact) == read(alone / artifact), \
+                artifact
+
+    def test_mlp_and_conv_seeds_stack_alike(self, tmp_path, monkeypatch):
+        # The 1 kB splits of the tiny configs fit the budget whatever the
+        # model, so each config's three seeds are one stack, and the conv
+        # stack writes the bytes of its seeds trained one at a time.
         calls = self.counted_train(monkeypatch)
         seeds = "seeds = 1,2,3"
         mlp = parse_config(write_config(tmp_path).read_text().replace(
@@ -326,9 +343,14 @@ class TestLockstep:
             "seeds = 1,2", seeds).replace("hidden = 8",
                                           "hidden = 8\nconv_kernel = 2"))
         run_experiment(mlp, echo=quiet)
-        assert calls == [[1, 2, 3]]
         run_experiment(dataclasses.replace(conv, label="conv"), echo=quiet)
-        assert calls[1:] == [[1], [2], [3]]
+        assert calls == [[1, 2, 3], [1, 2, 3]]
+        monkeypatch.setattr(natsel.cli, "_STACK_BYTES", 0)
+        run_experiment(dataclasses.replace(conv, label="conv_alone"),
+                       echo=quiet)
+        assert calls[2:] == [[1], [2], [3]]
+        out = tmp_path / "out"
+        self.assert_same_artifacts(out / "conv", out / "conv_alone")
 
     def test_a_stack_is_released_before_the_next(self, tmp_path,
                                                  monkeypatch):
@@ -407,17 +429,7 @@ class TestLockstep:
                 config, output_dir=str(tmp_path / mode)), echo=quiet)
         seeds = list(config.seeds)
         assert calls == [seeds] + [[seed] for seed in seeds]
-        names = sorted(p.name for p in dirs["alone"].iterdir())
-        assert names == sorted(p.name for p in dirs["stacked"].iterdir())
-        # each seed's metrics, checkpoint and score log, the aggregate,
-        # and config.ini, which names its own output directory
-        names.remove("config.ini")
-        assert len(names) == 3 * 3 + 1
-        for artifact in names:
-            read = (deterministic_csv_bytes if artifact.startswith("metrics_")
-                    else lambda path: path.read_bytes())
-            assert read(dirs["stacked"] / artifact) == \
-                read(dirs["alone"] / artifact), artifact
+        self.assert_same_artifacts(dirs["stacked"], dirs["alone"])
 
 
 class TestExitCodes:

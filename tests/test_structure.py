@@ -5,6 +5,10 @@ Every CSV goes through ``natsel.trainer``'s table writer, which owns the
 cell format and the write-then-rename that keeps an artifact complete or
 absent.  So no other module may import ``csv`` or call ``os.replace``.
 
+A metrics row is built in one place per split: ``_train_record`` builds
+the train row, ``evaluate`` the test row and ``read_metrics_csv`` reads
+rows back, so no other function may construct a ``MetricsRecord``.
+
 ``perfbench/tracer.py`` rebinds library attributes from outside and
 counts ``GradTape._entries``; a name it cannot find blanks that layer's
 metrics, so each one must resolve.  Its composite and tape-record counts
@@ -66,6 +70,48 @@ def test_the_check_sees_each_form():
     assert len(_violations(ast.parse(text))) == 4
     assert _violations(ast.parse(
         "import os\n'a'.replace('a', 'b')\nos.path.join('a')\n")) == []
+
+
+ROW_BUILDERS = {"_train_record", "evaluate", "read_metrics_csv"}
+
+
+def _row_constructions(tree: ast.AST) -> list[str]:
+    """Every ``MetricsRecord(...)`` call outside ``ROW_BUILDERS``, named
+    by its enclosing function (``<module>`` at the top level) and
+    line."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name == "MetricsRecord" and where not in ROW_BUILDERS:
+                found.append(f"{where}, line {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_row_builders_construct_metrics_records():
+    bad = {path.name: _row_constructions(ast.parse(path.read_text()))
+           for path in SOURCES}
+    assert not {name: v for name, v in bad.items() if v}
+
+
+def test_the_row_check_sees_a_constructor_call_elsewhere():
+    text = ("def evaluate():\n    return MetricsRecord(0)\n"
+            "def train():\n    rows.append(trainer.MetricsRecord(1))\n"
+            "    def inner():\n        MetricsRecord(2)\n"
+            "ROW = MetricsRecord(3)\n")
+    assert _row_constructions(ast.parse(text)) == [
+        "train, line 4", "inner, line 6", "<module>, line 7"]
+    assert _row_constructions(ast.parse(
+        "def train():\n    replace(row, seconds=1.0)\n")) == []
 
 
 # Dataclass fields that one key sets as a whole.

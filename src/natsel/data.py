@@ -163,7 +163,8 @@ class DataSettings:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled image stack; ``clean_labels`` keeps pre-noise labels."""
+    """Labeled image stack; ``clean_labels`` keeps pre-noise labels.
+    Both label arrays lie in [0, class_count)."""
 
     images: np.ndarray       # [N, H, W, C] float64 in [0, 1]
     labels: np.ndarray       # [N] int64 training labels (possibly noised)
@@ -174,6 +175,12 @@ class Dataset:
         n = self.images.shape[0]
         if self.labels.shape != (n,) or self.clean_labels.shape != (n,):
             raise ConfigError("label arrays must match the image count")
+        for name in ("labels", "clean_labels"):
+            values = getattr(self, name)
+            if n and (values.min() < 0 or values.max() >= self.class_count):
+                raise ConfigError(
+                    f"{name} must lie in [0, {self.class_count}), got "
+                    f"[{values.min()}, {values.max()}]")
 
     def __len__(self) -> int:
         return self.images.shape[0]

@@ -63,8 +63,6 @@ __all__ = [
 
 _TIMING_COLUMNS = ("seconds", "ns_seconds")
 
-_EVAL_CHUNK = 256
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -220,8 +218,9 @@ def evaluate(model: Classifier, dataset: Dataset,
              loss_cfg: LossConfig = LossConfig(),
              epoch: int = 0) -> MetricsRecord:
     """The test row of ``epoch``: mean loss and accuracies of ``model``
-    on ``dataset``, argmax prediction, no weighting.  Its ``seconds`` is
-    this call's wall time.
+    on ``dataset`` in one forward pass, argmax prediction, no weighting.
+    A conv model streams its activations in ``Classifier.logits``'s
+    chunks of whole images.  Its ``seconds`` is this call's wall time.
 
     np.argmax resolves ties toward the smallest class index, which is the
     documented tie rule.
@@ -229,16 +228,9 @@ def evaluate(model: Classifier, dataset: Dataset,
     started = time.perf_counter()
     if len(dataset) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
-    loss_sum = 0.0
-    predictions = np.empty(len(dataset), dtype=np.int64)
-    for start in range(0, len(dataset), _EVAL_CHUNK):
-        stop = min(start + _EVAL_CHUNK, len(dataset))
-        images = dataset.images[start:stop]
-        logits = model.forward_batch(images)
-        labels = dataset.labels[start:stop]
-        loss_sum += float(sample_losses(logits, labels, loss_cfg).sum())
-        predictions[start:stop] = np.argmax(logits, axis=1)
-    correct = predictions == dataset.labels
+    logits = model.forward_batch(dataset.images)
+    loss_sum = float(sample_losses(logits, dataset.labels, loss_cfg).sum())
+    correct = np.argmax(logits, axis=1) == dataset.labels
     return MetricsRecord(
         epoch=epoch, split="test", mean_loss=loss_sum / len(dataset),
         accuracy=float(correct.mean()),
@@ -344,22 +336,12 @@ def _train_record(steps: list[_Step], class_count: int) -> MetricsRecord:
     )
 
 
-def _taped_step(model, images, labels, weights, loss_cfg):
-    """Tape one batch of one run or of a stack: forward, weighted loss,
-    and the predictions.  The loss is the run's, or each run's."""
-    tape = GradTape()
-    tape.register(*model.parameters)
-    logits = model.forward_batch(images, tape=tape)
-    batch_loss = weighted_batch_loss(logits, labels, weights, loss_cfg,
-                                     tape=tape)
-    return tape, batch_loss, np.argmax(logits, axis=-1)
-
-
 def _check_splits(model: Classifier, train_set: Dataset,
                   test_set: Dataset) -> None:
-    """Both splits fit the model: non-empty, its input shape, and labels
-    in [0, class_count).  Checked once, so a bad split fails before the
-    first step rather than at its first batch or evaluation."""
+    """Both splits fit the model: non-empty, its input shape, and no
+    more classes than it has (``Dataset`` keeps labels in its range).
+    Checked once, so a bad split fails before the first step rather than
+    at its first batch or evaluation."""
     k = model.config.class_count
     for name, split in (("train", train_set), ("test", test_set)):
         if len(split) == 0:
@@ -369,17 +351,11 @@ def _check_splits(model: Classifier, train_set: Dataset,
                 f"{name} images {split.image_shape} do not match model "
                 f"input {model.config.input_shape}"
             )
-        if split.labels.min() < 0 or split.labels.max() >= k:
+        if split.class_count > k:
             raise ConfigError(
-                f"{name} labels must lie in [0, {k}), got "
-                f"[{split.labels.min()}, {split.labels.max()}]"
+                f"{name} split has {split.class_count} classes, more than "
+                f"the model's {k}"
             )
-
-
-def _check_finite(value: float, epoch: int, step: int, quantity: str,
-                  seed: int):
-    if not np.isfinite(value):
-        raise TrainingDiverged(epoch, step, quantity, value, seed)
 
 
 def _gather(splits, indices: np.ndarray) -> np.ndarray:
@@ -475,20 +451,27 @@ def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
             else:
                 weights = np.full(labels.shape, config.weighting.sigma)
 
+            tape = GradTape()
+            tape.register(*model.parameters)
             try:
-                tape, batch_loss, predictions = _taped_step(
-                    model, images, labels, weights, config.loss)
+                logits = model.forward_batch(images, tape=tape)
+                batch_loss = weighted_batch_loss(logits, labels, weights,
+                                                 config.loss, tape=tape)
             except NumericError as err:
                 raise TrainingDiverged(epoch, step, str(err), float("nan"),
                                        runs[err.run].seed) from err
+            predictions = np.argmax(logits, axis=-1)
             losses = batch_loss.tolist()
             for run, value in zip(runs, losses):
-                _check_finite(value, epoch, step, "batch loss", run.seed)
+                if not np.isfinite(value):
+                    raise TrainingDiverged(epoch, step, "batch loss", value,
+                                           run.seed)
 
             grads = backward(tape)
-            # The tape holds the batch's activations; drop it before the
-            # update, the next batch's scoring and each evaluation.
-            del tape, batch_loss
+            # The tape holds the batch's activations; drop it, with the
+            # logits and the loss, before the update, the next batch's
+            # scoring and each evaluation.
+            del tape, logits, batch_loss
             sgd_momentum_step(model.parameters, grads, velocity, lr,
                               config.momentum)
             del grads

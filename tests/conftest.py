@@ -335,14 +335,13 @@ def train_erm(config, seed, train_set, test_set, model):
     import time
 
     from natsel.data import epoch_indices
-    from natsel.errors import ConfigError
+    from natsel.errors import ConfigError, TrainingDiverged
     from natsel.trainer import (
-        _check_finite,
         _Step,
-        _taped_step,
         _train_record,
         evaluate,
         sgd_momentum_step,
+        weighted_batch_loss,
     )
 
     if len(train_set) == 0:
@@ -360,10 +359,17 @@ def train_erm(config, seed, train_set, test_set, model):
             batch_idx = order[lo:lo + config.batch_size]
             images = train_set.images[batch_idx]
             labels = train_set.labels[batch_idx]
-            tape, batch_loss, predictions = _taped_step(
-                model, images, labels, np.ones(labels.shape[0]), config.loss)
+            tape = GradTape()
+            tape.register(*model.parameters)
+            logits = model.forward_batch(images, tape=tape)
+            batch_loss = weighted_batch_loss(
+                logits, labels, np.ones(labels.shape[0]), config.loss,
+                tape=tape)
+            predictions = np.argmax(logits, axis=-1)
             loss_value = batch_loss.item()
-            _check_finite(loss_value, epoch, step, "batch loss", seed)
+            if not np.isfinite(loss_value):
+                raise TrainingDiverged(epoch, step, "batch loss", loss_value,
+                                       seed)
             grads = backward(tape, batch_loss)
             sgd_momentum_step(model.parameters, grads, velocity, lr,
                               config.momentum)

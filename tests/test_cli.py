@@ -432,6 +432,73 @@ class TestLockstep:
         self.assert_same_artifacts(dirs["stacked"], dirs["alone"])
 
 
+class TestCifarRun:
+    """``natsel run`` on CIFAR binary batches: one record is the label
+    byte(s), then 3072 channel-planar pixels."""
+
+    CONFIG = """
+[experiment]
+label = cifar
+output_dir = {out}
+seeds = 5
+
+[dataset]
+kind = cifar_binary
+variant = {variant}
+train_path = {train}
+test_path = {test}
+
+[model]
+hidden = 4
+
+[train]
+batch_size = 4
+epochs = 1
+learning_rate = 0.1
+
+[grouping]
+layout = 1x2
+
+[weighting]
+sigma = 0.7
+rho = 1.0
+"""
+
+    @staticmethod
+    def write_batch(path, labels, label_bytes):
+        rng = np.random.default_rng(len(labels))
+        path.write_bytes(b"".join(
+            bytes([0] * (label_bytes - 1) + [label])
+            + rng.integers(0, 256, 3072, dtype=np.uint8).tobytes()
+            for label in labels))
+
+    @pytest.mark.parametrize("variant,label_bytes,classes", [
+        ("cifar10", 1, 10), ("cifar100", 2, 100)])
+    def test_one_epoch_writes_every_artifact(self, tmp_path, variant,
+                                             label_bytes, classes):
+        top = classes - 1
+        self.write_batch(tmp_path / "train.bin", [0, 3, top, 3, 1, top, 0, 2],
+                         label_bytes)
+        self.write_batch(tmp_path / "test.bin", [top, 0, 3, 1], label_bytes)
+        cfg_path = tmp_path / "cifar.ini"
+        cfg_path.write_text(self.CONFIG.format(
+            out=tmp_path / "out", variant=variant,
+            train=tmp_path / "train.bin", test=tmp_path / "test.bin"))
+        assert parse_config(cfg_path.read_text()).data.kind == "cifar_binary"
+        assert main(["run", str(cfg_path)]) == 0
+        run_dir = tmp_path / "out" / "cifar"
+        assert sorted(path.name for path in run_dir.iterdir()) == [
+            "aggregate.csv", "checkpoint_5.bin", "config.ini",
+            "metrics_5.csv", "scores_5.csv"]
+        model = natsel.model.load_checkpoint(run_dir / "checkpoint_5.bin")
+        assert model.config.class_count == classes
+        assert tuple(model.config.input_shape) == (32, 32, 3)
+        records = read_metrics_csv(run_dir / "metrics_5.csv")
+        assert [r.split for r in records] == ["train", "test"]
+        assert all(len(r.per_class_accuracy) == classes for r in records)
+        assert len(_read_scores(run_dir / "scores_5.csv")) == 8
+
+
 class TestExitCodes:
     def test_bad_config_exits_one(self, tmp_path):
         path = tmp_path / "bad.ini"

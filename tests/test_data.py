@@ -496,3 +496,25 @@ class TestDatasetType:
             Dataset(images=np.zeros((3, 2, 2, 1)),
                     labels=np.zeros(2, dtype=np.int64),
                     clean_labels=np.zeros(3, dtype=np.int64), class_count=2)
+
+    @pytest.mark.parametrize("field,value", [
+        ("labels", 2), ("labels", -1), ("clean_labels", 2),
+        ("clean_labels", -1)],
+        ids=["label K", "label -1", "clean label K", "clean label -1"])
+    def test_label_outside_the_class_range_is_rejected(self, field, value):
+        # With the range checked where a split is built, no loop or
+        # metric ever sees a label that is not a class of the split.
+        arrays = dict(labels=np.array([0, 1, 1]),
+                      clean_labels=np.array([0, 1, 1]))
+        arrays[field][-1] = value
+        with pytest.raises(ConfigError, match=rf"{field} must lie in "
+                                              rf"\[0, 2\), got \[{min(0, value)}"):
+            Dataset(images=np.zeros((3, 2, 2, 1)), class_count=2, **arrays)
+
+    def test_labels_past_the_class_count_are_rejected(self):
+        # Such a split once reached evaluate, whose per-class accuracies
+        # then counted a class the split does not have.
+        labels = np.array([0, 1, 2, 2])
+        with pytest.raises(ConfigError, match=r"\[0, 2\), got \[0, 2\]"):
+            Dataset(images=np.zeros((4, 2, 2, 1)), labels=labels,
+                    clean_labels=labels, class_count=2)

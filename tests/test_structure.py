@@ -16,6 +16,12 @@ must also agree with what a run of stacked seeds writes.
 
 Every setting of ``ExperimentConfig`` has one home, the ``config._SCHEMA``
 key that sets it, so no field can be left half-wired with a placeholder.
+
+The criterion-3 reference loop, ``tests/conftest.py::train_erm``, takes
+its step from ``natsel.trainer``'s public API only.  It shares the row
+builders ``_Step`` and ``_train_record`` on purpose, so both loops'
+rows are built alike; any other private name would lend it the
+subject's own step.
 """
 
 import ast
@@ -27,6 +33,7 @@ from pathlib import Path
 import pytest
 
 import natsel
+import natsel.trainer
 from natsel.cli import run_experiment
 from natsel.config import _SCHEMA, ExperimentConfig, parse_config, set_keys
 from natsel.tensor import GradTape
@@ -112,6 +119,57 @@ def test_the_row_check_sees_a_constructor_call_elsewhere():
         "train, line 4", "inner, line 6", "<module>, line 7"]
     assert _row_constructions(ast.parse(
         "def train():\n    replace(row, seconds=1.0)\n")) == []
+
+
+ORACLE = Path(__file__).resolve().parent / "conftest.py"
+ORACLE_SHARED = {"_Step", "_train_record"}
+
+
+def _oracle_trainer_names(tree: ast.Module) -> set[str]:
+    """The ``natsel.trainer`` names that ``train_erm`` uses: those it
+    imports itself, those it reads of the module's imports from there,
+    and ``natsel.trainer.<name>`` attributes."""
+    imported = {alias.asname or alias.name: alias.name
+                for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "natsel.trainer"
+                for alias in node.names}
+    (loop,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "train_erm"]
+    used = set()
+    for node in ast.walk(loop):
+        if isinstance(node, ast.ImportFrom) and node.module == "natsel.trainer":
+            used |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name) and node.id in imported:
+            used.add(imported[node.id])
+        elif (isinstance(node, ast.Attribute)
+              and ast.unparse(node.value) == "natsel.trainer"):
+            used.add(node.attr)
+    return used
+
+
+def _oracle_private_names(tree: ast.Module) -> list[str]:
+    return sorted(_oracle_trainer_names(tree)
+                  - set(natsel.trainer.__all__) - ORACLE_SHARED)
+
+
+def test_the_reference_loop_uses_public_trainer_names_and_the_row_builders():
+    tree = ast.parse(ORACLE.read_text())
+    assert ORACLE_SHARED <= _oracle_trainer_names(tree)
+    assert _oracle_private_names(tree) == []
+
+
+def test_the_oracle_check_sees_a_private_name_each_way():
+    text = ("from natsel.trainer import _check_finite, _Step, evaluate\n"
+            "def train_erm():\n"
+            "    from natsel.trainer import _taped_step, _train_record\n"
+            "    _check_finite(_Step, evaluate)\n"
+            "    natsel.trainer._gather()\n"
+            "def other():\n"
+            "    from natsel.trainer import _replacing\n")
+    assert _oracle_private_names(ast.parse(text)) == [
+        "_check_finite", "_gather", "_taped_step"]
 
 
 # Dataclass fields that one key sets as a whole.

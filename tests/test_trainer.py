@@ -31,7 +31,6 @@ from natsel.trainer import (
     _class_means,
     _ranks,
     _Step,
-    _taped_step,
     _train_record,
     deterministic_csv_bytes,
     evaluate,
@@ -426,23 +425,19 @@ class TestTrainLoop:
                        fresh_model(train_set))])
 
     @pytest.mark.parametrize("split,fault", [
-        ("test", "9x9 images"), ("test", "label K"), ("train", "label K"),
-        ("train", "label -1")])
+        ("test", "9x9 images"), ("test", "K+1 classes"),
+        ("train", "K+1 classes")])
     def test_bad_split_fails_before_the_first_step(self, split, fault):
         # Without the up-front check, a bad test split would raise only at
-        # the first evaluation, and a bad train label at its batch.
+        # the first evaluation.  A label out of a split's own range never
+        # gets here: Dataset rejects it (test_data, TestDatasetType).
         sets = dict(zip(("train", "test"), toy_sets()))
         model = fresh_model(sets["train"])
         bad = sets[split]
         if fault == "9x9 images":
-            images = np.zeros((len(bad), 9, 9, 1))
-            labels = bad.labels
+            sets[split] = replace(bad, images=np.zeros((len(bad), 9, 9, 1)))
         else:
-            images = bad.images
-            labels = bad.labels.copy()
-            labels[-1] = bad.class_count if fault == "label K" else -1
-        sets[split] = Dataset(images=images, labels=labels,
-                              clean_labels=labels, class_count=bad.class_count)
+            sets[split] = replace(bad, class_count=bad.class_count + 1)
         seen = []
         with pytest.raises(ConfigError, match=split):
             train([Run(base_config(weighting=WeightingConfig(1.0, 0.5)), SEED,
@@ -682,6 +677,15 @@ class TestConvMemory:
                           class_count=10)
         assert traced_peak_mb(lambda: evaluate(self.model, dataset)) < 24.0
 
+    def taped_step(self, images, labels):
+        """The tape and the loss of one unweighted step, as ``train``
+        records them."""
+        tape = GradTape()
+        tape.register(*self.model.parameters)
+        logits = self.model.forward_batch(images, tape=tape)
+        return tape, weighted_batch_loss(logits, labels, np.ones(len(labels)),
+                                         tape=tape)
+
     def test_taped_step_32_images(self):
         # forward and loss: about 10.9 MB with full-batch patch rows and
         # 3.1 MB with blocks; with backward, 13.9 MB and 7.3 MB
@@ -689,12 +693,10 @@ class TestConvMemory:
         labels = self.rng.integers(0, 10, 32)
 
         def taped():
-            return _taped_step(self.model, images, labels, np.ones(32),
-                               LossConfig())
+            return self.taped_step(images, labels)
 
         def with_backward():
-            tape, loss, _ = taped()
-            backward(tape, loss)
+            backward(*taped())
 
         assert traced_peak_mb(taped) < 7.0
         assert traced_peak_mb(with_backward) < 11.0
@@ -705,9 +707,7 @@ class TestConvMemory:
         # N = 32) is formed: about 2.8 MB, and 4.6 MB when the adjoint is
         # handed on to a separate conv record.
         images = self.rng.random((32, 32, 32, 3))
-        tape, loss, _ = _taped_step(self.model, images,
-                                    self.rng.integers(0, 10, 32),
-                                    np.ones(32), LossConfig())
+        tape, loss = self.taped_step(images, self.rng.integers(0, 10, 32))
         activation_mb = 32 * 30 * 30 * 8 * 8 / 1e6
         assert traced_peak_mb(lambda: backward(tape, loss)) \
             < 2 * activation_mb
@@ -722,6 +722,13 @@ class TestConvMemory:
         # about 12.5 MB with the activations of the whole split, 2.9 MB
         # with one 32-image chunk of them at a time
         dataset = self.cifar_set(200)
+        assert traced_peak_mb(lambda: evaluate(self.model, dataset)) < 4.0
+
+    def test_evaluate_600_images_streams_conv_activations(self):
+        # one pass over a split larger than the old 256-image evaluation
+        # pieces: about 3.0 MB, and 35.6 MB with the whole split's
+        # activations
+        dataset = self.cifar_set(600)
         assert traced_peak_mb(lambda: evaluate(self.model, dataset)) < 4.0
 
     def test_duality_check_1000_images(self):
@@ -772,6 +779,26 @@ class TestEvaluate:
         train_set, _ = toy_sets()
         with pytest.raises(ConfigError):
             evaluate(fresh_model(train_set), subset(train_set, []))
+
+    def test_600_images_in_one_pass_match_256_image_pieces(self):
+        # Only the loss's summation order may differ from summing
+        # 256-image pieces, so the accuracies keep their bits and the
+        # mean loss moves by rounding at most.
+        train_set, _ = toy_sets(per_class=(200, 250, 150), noise=0.3)
+        model = fresh_model(train_set)
+        loss_sum, predictions = 0.0, []
+        for lo in range(0, len(train_set), 256):
+            logits = model.forward_batch(train_set.images[lo:lo + 256])
+            loss_sum += float(sample_losses(
+                logits, train_set.labels[lo:lo + 256], LossConfig()).sum())
+            predictions.append(np.argmax(logits, axis=1))
+        correct = np.concatenate(predictions) == train_set.labels
+        row = evaluate(model, train_set)
+        assert row.accuracy == float(correct.mean())
+        assert row.per_class_accuracy == _class_means(train_set.labels,
+                                                      correct, 3)
+        assert abs(row.mean_loss - loss_sum / 600) <= \
+            1e-12 * abs(loss_sum / 600)
 
     def test_returns_the_last_test_row_of_train(self):
         train_set, test_set = toy_sets(per_class=(12, 5))

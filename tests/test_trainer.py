@@ -426,18 +426,25 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("split,fault", [
         ("test", "9x9 images"), ("test", "K+1 classes"),
-        ("train", "K+1 classes")])
+        ("train", "K+1 classes"), ("test", "label K"), ("train", "label K")])
     def test_bad_split_fails_before_the_first_step(self, split, fault):
         # Without the up-front check, a bad test split would raise only at
-        # the first evaluation.  A label out of a split's own range never
-        # gets here: Dataset rejects it (test_data, TestDatasetType).
+        # the first evaluation, and a train label K at its batch.  A label
+        # out of a split's own range never gets here: Dataset rejects it
+        # (test_data, TestDatasetType); "label K" is a split of K+1 classes
+        # that holds label K, one past the model's last class.
         sets = dict(zip(("train", "test"), toy_sets()))
         model = fresh_model(sets["train"])
         bad = sets[split]
         if fault == "9x9 images":
             sets[split] = replace(bad, images=np.zeros((len(bad), 9, 9, 1)))
-        else:
+        elif fault == "K+1 classes":
             sets[split] = replace(bad, class_count=bad.class_count + 1)
+        else:
+            labels = bad.labels.copy()
+            labels[-1] = bad.class_count
+            sets[split] = replace(bad, labels=labels, clean_labels=labels,
+                                  class_count=bad.class_count + 1)
         seen = []
         with pytest.raises(ConfigError, match=split):
             train([Run(base_config(weighting=WeightingConfig(1.0, 0.5)), SEED,

@@ -444,8 +444,10 @@ def _first_failing_run(values: np.ndarray) -> int:
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax of [N, K] logits, max-subtracted for stability.
 
-    Computed as exp(z - max - logsumexp).  This is the one finiteness
-    check on the untaped paths: non-finite logits raise NumericError.
+    Computed as exp(z - max - logsumexp).  This is the library's one
+    posterior, read by the loss, evaluation and composite scoring, and
+    the one finiteness check on the untaped paths: non-finite logits
+    raise NumericError.
     """
     if logits.ndim != 2 or logits.shape[1] < 1:
         raise ShapeError(f"softmax expects [N, K] logits, got {logits.shape}")

@@ -4,8 +4,9 @@ A mini-batch is partitioned into contiguous groups of m samples.  Each
 group is stitched into one composite image, resized back to the model's
 native input resolution, and pushed through the classifier without a
 tape.  The posterior probability of each member's true class is its raw
-score q_i; normalizing the raw scores within the group gives the
-competition score s_i = q_i / sum_j q_j.
+score q_i, read from ``natsel.model.softmax_rows`` of the composite
+logits, the library's one posterior; normalizing the raw scores within
+the group gives the competition score s_i = q_i / sum_j q_j.
 
 Scoring is strictly detached: no tape records, no parameter writes, no
 optimizer state.
@@ -18,9 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, ShapeError
 from .imageops import GridLayout, _stitch_resize
-from .model import Classifier
+from .model import Classifier, softmax_rows
 
 __all__ = [
     "NSResult",
@@ -60,7 +61,9 @@ def batch_ns_scores(images: np.ndarray, labels: np.ndarray, model: Classifier,
     [B] integer array, assumed already shuffled, so contiguous runs of m
     are an unbiased grouping.  When m does not divide B the trailing
     remainder competes with nobody.  All groups are stitched and resized
-    as one array and pushed through a single untaped forward.
+    as one array and pushed through a single untaped forward; each
+    member's q is its label's column of ``softmax_rows`` at its group's
+    row, so non-finite composite logits raise its NumericError.
     """
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4:
@@ -75,24 +78,19 @@ def batch_ns_scores(images: np.ndarray, labels: np.ndarray, model: Classifier,
         raise ConfigError("batch must be non-empty")
     g = batch // m
     n = g * m
+    ids = _group_ids(batch, m)
     if g:
         h0, w0, _ = model.config.input_shape
         members = images[:n].reshape((g, m) + images.shape[1:])
-        z = model.logits(_stitch_resize(members, layout, (h0, w0)))
-        if not np.isfinite(z).all():
-            raise NumericError("composite logits are non-finite")
-        k = z.shape[1]
+        p = softmax_rows(model.logits(_stitch_resize(members, layout,
+                                                     (h0, w0))))
         member_labels = np.asarray(labels[:n], dtype=np.int64)
         # As unsigned integers negative labels wrap past any class count,
         # so one maximum checks both ends of the range.
-        if np.maximum.reduce(member_labels.view(np.uint64)) >= k:
+        if np.maximum.reduce(member_labels.view(np.uint64)) >= p.shape[1]:
             raise ConfigError("label out of range for the model's class count")
-        # softmax_rows' arithmetic, exponentiated at the m gathered labels
-        # only, so every q keeps the bits of the full [G, K] posterior.
-        shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
-        shifted -= np.log(np.add.reduce(np.exp(shifted), axis=1,
-                                        keepdims=True))
-        raw = np.exp(shifted.take(_label_offsets(g, m, k) + member_labels))
+        # A member's group id is its composite's row of the posterior.
+        raw = p[ids[:n], member_labels]
         np.maximum(raw, _DEGENERATE_FLOOR, out=raw)
         np.minimum(raw, _CEILING, out=raw)
         q = raw.reshape(g, m)
@@ -103,17 +101,7 @@ def batch_ns_scores(images: np.ndarray, labels: np.ndarray, model: Classifier,
         neutral = np.full(batch - n, 1.0 / m)
         raw = np.concatenate((raw, neutral))
         score = np.concatenate((score, neutral))
-    return NSResult(raw=raw, score=score, group_ids=_group_ids(batch, m),
-                    group_count=g)
-
-
-@lru_cache(maxsize=64)
-def _label_offsets(g: int, m: int, k: int) -> np.ndarray:
-    """Read-only flat offset [g*m] of each member's row in a [g, k]
-    array: adding the labels gives the flat index of each label logit."""
-    offsets = np.repeat(np.arange(g) * k, m)
-    offsets.setflags(write=False)
-    return offsets
+    return NSResult(raw=raw, score=score, group_ids=ids, group_count=g)
 
 
 @lru_cache(maxsize=64)

@@ -221,13 +221,14 @@ def evaluate(model: Classifier, dataset: Dataset,
     on ``dataset`` in one forward pass, argmax prediction, no weighting.
     A conv model streams its activations in ``Classifier.logits``'s
     chunks of whole images.  Its ``seconds`` is this call's wall time.
+    ``dataset`` must pass the check ``train`` makes of a test split
+    (``_check_split``), before any forward pass.
 
     np.argmax resolves ties toward the smallest class index, which is the
     documented tie rule.
     """
     started = time.perf_counter()
-    if len(dataset) == 0:
-        raise ConfigError("cannot evaluate on an empty dataset")
+    _check_split(model, "test", dataset)
     logits = model.forward_batch(dataset.images)
     loss_sum = float(sample_losses(logits, dataset.labels, loss_cfg).sum())
     correct = np.argmax(logits, axis=1) == dataset.labels
@@ -336,26 +337,23 @@ def _train_record(steps: list[_Step], class_count: int) -> MetricsRecord:
     )
 
 
-def _check_splits(model: Classifier, train_set: Dataset,
-                  test_set: Dataset) -> None:
-    """Both splits fit the model: non-empty, its input shape, and no
-    more classes than it has (``Dataset`` keeps labels in its range).
-    Checked once, so a bad split fails before the first step rather than
-    at its first batch or evaluation."""
-    k = model.config.class_count
-    for name, split in (("train", train_set), ("test", test_set)):
-        if len(split) == 0:
-            raise ConfigError(f"cannot use an empty {name} split")
-        if split.image_shape != tuple(model.config.input_shape):
-            raise ConfigError(
-                f"{name} images {split.image_shape} do not match model "
-                f"input {model.config.input_shape}"
-            )
-        if split.class_count > k:
-            raise ConfigError(
-                f"{name} split has {split.class_count} classes, more than "
-                f"the model's {k}"
-            )
+def _check_split(model: Classifier, name: str, split: Dataset) -> None:
+    """The ``name`` split fits the model: non-empty, its input shape, and
+    no more classes than it has (``Dataset`` keeps labels in its range).
+    ``train`` checks both splits once, so a bad split fails before the
+    first step rather than at its first batch or evaluation."""
+    if len(split) == 0:
+        raise ConfigError(f"cannot use an empty {name} split")
+    if split.image_shape != tuple(model.config.input_shape):
+        raise ConfigError(
+            f"{name} images {split.image_shape} do not match model "
+            f"input {model.config.input_shape}"
+        )
+    if split.class_count > model.config.class_count:
+        raise ConfigError(
+            f"{name} split has {split.class_count} classes, more than "
+            f"the model's {model.config.class_count}"
+        )
 
 
 def _gather(splits, indices: np.ndarray) -> np.ndarray:
@@ -396,8 +394,10 @@ def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
 
     Each run's train row times its share of the stack's epoch: the wall
     time from the epoch's start until every run's aggregates are
-    computed, divided by the number of runs.  A non-finite value raises
-    ``TrainingDiverged`` naming the seed of the run it belongs to.
+    computed, divided by the number of runs.  A non-finite value, in a
+    step or in an epoch's evaluation, raises ``TrainingDiverged`` naming
+    the seed of the run it belongs to; evaluation reports the epoch's
+    last step.
     """
     if not runs:
         raise ConfigError("train needs at least one run")
@@ -406,7 +406,8 @@ def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
         if run.config != config:
             raise ConfigError("runs trained together must share every "
                               "train setting")
-        _check_splits(run.model, run.train_set, run.test_set)
+        _check_split(run.model, "train", run.train_set)
+        _check_split(run.model, "test", run.test_set)
         if len(run.train_set) != len(runs[0].train_set):
             raise ConfigError("runs trained together need train splits of "
                               "one length")
@@ -489,8 +490,12 @@ def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
             run_records.append(replace(row, seconds=share))
 
         for run, run_records in zip(runs, records):
-            run_records.append(evaluate(run.model, run.test_set,
-                                        config.loss, epoch))
+            try:
+                row = evaluate(run.model, run.test_set, config.loss, epoch)
+            except NumericError as err:
+                raise TrainingDiverged(epoch, step - 1, str(err),
+                                       float("nan"), run.seed) from err
+            run_records.append(row)
     return records
 
 

@@ -411,6 +411,30 @@ class TestIdxFormat:
         with pytest.raises(FormatError):
             load_idx(path)
 
+    @pytest.mark.parametrize("blob,problem", [
+        (struct.pack(">ii", 0x00000803, 2), "truncated IDX dimension block"),
+        (struct.pack(">ii", 0x00000801, -1), "negative IDX dimension")],
+        ids=["short dimension block", "negative dimension"])
+    def test_bad_dimension_block(self, tmp_path, blob, problem):
+        path = tmp_path / "dims.idx"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=problem):
+            load_idx(path)
+
+    @pytest.mark.parametrize("images,labels,problem", [
+        (np.zeros((2, 3, 3)), np.zeros((2, 3, 3)),
+         "l.idx does not hold labels"),
+        (np.array([0, 1]), np.array([0, 1]), "i.idx does not hold images"),
+        (np.zeros((3, 3, 3)), np.array([0, 1]), "3 images but 2 labels")],
+        ids=["images as labels", "labels as images", "count mismatch"])
+    def test_dataset_from_mismatched_files(self, tmp_path, images, labels,
+                                           problem):
+        img_path, lab_path = tmp_path / "i.idx", tmp_path / "l.idx"
+        save_idx(img_path, images)
+        save_idx(lab_path, labels)
+        with pytest.raises(FormatError, match=problem):
+            dataset_from_idx(img_path, lab_path, class_count=2)
+
     def test_save_rejects_out_of_range(self, tmp_path):
         with pytest.raises(FormatError):
             save_idx(tmp_path / "x.idx", np.array([[[1.5]]]))

@@ -20,6 +20,7 @@ from natsel.model import (
     LossConfig,
     _columns,
     load_checkpoint,
+    sample_losses,
     save_checkpoint,
     softmax_rows,
 )
@@ -391,6 +392,10 @@ class TestConvStage:
             ClassifierConfig(input_shape=(2, 2, 1), hidden=(), class_count=2,
                              init_seed=0, conv=ConvSpec(kernel=3, channels=1))
 
+    def test_channels_must_be_positive(self):
+        with pytest.raises(ConfigError, match="conv_channels"):
+            ConvSpec(3, 0)
+
 
 def unblocked_conv(model: Classifier, xs: np.ndarray):
     """Unblocked reference of the conv stage: the full patch matrix
@@ -622,10 +627,14 @@ class TestPerSampleLoss:
                                 tape=GradTape())
 
     def test_requires_vector(self):
-        # One logit vector per row: the batch is [B, K], never flat.
+        # One logit vector per row: the batch is [B, K], never flat; and
+        # one label per row: [N], not [N, 1].
         with pytest.raises(ShapeError):
             weighted_batch_loss(np.array([0.5, 0.5]), [0], [1.0], LossConfig(),
                                 tape=GradTape())
+        with pytest.raises(ShapeError, match=r"\(2, 1\) labels for 2 rows"):
+            sample_losses(np.zeros((2, 3)), np.zeros((2, 1), dtype=np.int64),
+                          LossConfig())
 
     def test_loss_config_validation(self):
         with pytest.raises(ConfigError):

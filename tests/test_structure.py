@@ -5,6 +5,10 @@ Every CSV goes through ``natsel.trainer``'s table writer, which owns the
 cell format and the write-then-rename that keeps an artifact complete or
 absent.  So no other module may import ``csv`` or call ``os.replace``.
 
+The posterior has one home, ``natsel.model.softmax_rows``: scoring, the
+loss and evaluation all read it, so no module but ``model.py`` may
+reach for ``np.exp``.
+
 A metrics row is built in one place per split: ``_train_record`` builds
 the train row, ``evaluate`` the test row and ``read_metrics_csv`` reads
 rows back, so no other function may construct a ``MetricsRecord``.
@@ -77,6 +81,40 @@ def test_the_check_sees_each_form():
     assert len(_violations(ast.parse(text))) == 4
     assert _violations(ast.parse(
         "import os\n'a'.replace('a', 'b')\nos.path.join('a')\n")) == []
+
+
+POSTERIOR = "model.py"
+
+
+def _exp_uses(tree: ast.AST) -> list[str]:
+    """Every reach for numpy's ``exp``: imported by name, or read as an
+    attribute of ``np`` or ``numpy``, called or not."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "numpy" and any(a.name == "exp"
+                                              for a in node.names):
+                found.append("from numpy import exp")
+        elif (isinstance(node, ast.Attribute) and node.attr == "exp"
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ("np", "numpy")):
+            found.append(f"{node.value.id}.exp on line {node.lineno}")
+    return found
+
+
+def test_only_the_model_module_exponentiates():
+    assert POSTERIOR in [path.name for path in SOURCES]
+    bad = {path.name: _exp_uses(ast.parse(path.read_text()))
+           for path in SOURCES if path.name != POSTERIOR}
+    assert not {name: v for name, v in bad.items() if v}
+
+
+def test_the_exp_check_sees_each_form():
+    text = ("import numpy as np\nimport numpy\nfrom numpy import exp\n"
+            "np.exp(1.0)\nnumpy.exp(2.0)\nf = np.exp\n")
+    assert len(_exp_uses(ast.parse(text))) == 4
+    assert _exp_uses(ast.parse(
+        "np.expm1(1.0)\nmath.exp(1.0)\nnp.log(1.0)\nx.exp()\n")) == []
 
 
 ROW_BUILDERS = {"_train_record", "evaluate", "read_metrics_csv"}

@@ -124,6 +124,10 @@ class TestBackward:
         with pytest.raises(ShapeError):
             backward(tape, out)
 
+    def test_register_takes_arrays_only(self):
+        with pytest.raises(TypeError, match="parameters must be arrays"):
+            GradTape().register(1.0)
+
     def test_root_must_be_on_tape(self):
         p = np.array([1.0])
         tape = GradTape()

@@ -5,12 +5,14 @@ import time
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import natsel.model
 import natsel.trainer
+from natsel.config import classifier_for, datasets_for, parse_config, set_keys
 from natsel.data import Dataset, DataSettings, build_splits
 from natsel.errors import ConfigError, ShapeError, TrainingDiverged
 from natsel.imageops import GridLayout
@@ -73,6 +75,7 @@ def fresh_model(train_set, hidden=(6,), init_seed=1):
 
 
 SEED = 11
+REFERENCE = Path(__file__).resolve().parents[1] / "configs" / "reference.ini"
 
 
 def base_config(**overrides):
@@ -426,13 +429,17 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("split,fault", [
         ("test", "9x9 images"), ("test", "K+1 classes"),
-        ("train", "K+1 classes"), ("test", "label K"), ("train", "label K")])
-    def test_bad_split_fails_before_the_first_step(self, split, fault):
+        ("train", "K+1 classes"), ("test", "label K"), ("train", "label K"),
+        ("test", "empty")])
+    def test_bad_split_fails_before_the_first_step(self, split, fault,
+                                                   monkeypatch):
         # Without the up-front check, a bad test split would raise only at
         # the first evaluation, and a train label K at its batch.  A label
         # out of a split's own range never gets here: Dataset rejects it
         # (test_data, TestDatasetType); "label K" is a split of K+1 classes
-        # that holds label K, one past the model's last class.
+        # that holds label K, one past the model's last class.  evaluate
+        # makes the same check of a test split before its forward pass:
+        # it once returned K+1 per-class accuracies for such a split.
         sets = dict(zip(("train", "test"), toy_sets()))
         model = fresh_model(sets["train"])
         bad = sets[split]
@@ -440,16 +447,49 @@ class TestTrainLoop:
             sets[split] = replace(bad, images=np.zeros((len(bad), 9, 9, 1)))
         elif fault == "K+1 classes":
             sets[split] = replace(bad, class_count=bad.class_count + 1)
+        elif fault == "empty":
+            sets[split] = subset(bad, [])
         else:
             labels = bad.labels.copy()
             labels[-1] = bad.class_count
             sets[split] = replace(bad, labels=labels, clean_labels=labels,
                                   class_count=bad.class_count + 1)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward pass before the split check")
+
+        monkeypatch.setattr(Classifier, "forward_batch", no_forward)
         seen = []
-        with pytest.raises(ConfigError, match=split):
+        with pytest.raises(ConfigError, match=split) as trained:
             train([Run(base_config(weighting=WeightingConfig(1.0, 0.5)), SEED,
                        sets["train"], sets["test"], model, seen.append)])
         assert seen == []
+        if split == "test":
+            with pytest.raises(ConfigError) as evaluated:
+                evaluate(model, sets["test"])
+            assert str(evaluated.value) == str(trained.value)
+
+    @pytest.mark.parametrize("keys,quantity", [
+        ({"weighting.sigma": "1e307", "weighting.rho": "0"}, "batch loss"),
+        ({"train.batch_size": "1000", "train.learning_rate": "1e200"},
+         "softmax of non-finite logits")], ids=["batch loss", "evaluated"])
+    def test_reference_overflow_names_its_seed(self, keys, quantity):
+        # sigma = 1e307 weights the first batch's finite losses past the
+        # float range.  A rate of 1e200 on an epoch of one batch (the
+        # split's 1,000 samples) overflows the parameters at that step,
+        # which the epoch's evaluation meets first.  numpy warns of each
+        # overflow on the way; the finiteness checks are the subject.
+        config = set_keys(parse_config(REFERENCE.read_text()), keys)
+        seed = config.seeds[0]
+        train_set, test_set = datasets_for(config, seed)
+        model = Classifier(classifier_for(
+            config, seed, image_shape=train_set.image_shape,
+            class_count=train_set.class_count))
+        with pytest.raises(TrainingDiverged) as info, \
+                np.errstate(over="ignore", invalid="ignore"):
+            train([Run(config.train, seed, train_set, test_set, model)])
+        assert (info.value.seed, info.value.epoch, info.value.step,
+                info.value.quantity) == (seed, 0, 0, quantity)
 
 
 class TestLockstep:
@@ -533,23 +573,26 @@ class TestLockstep:
             assert all(row.ns_seconds < row.seconds for row in rows)
         assert sum(r.seconds for records in per_run for r in records) < wall
 
-    @pytest.mark.parametrize("rho", [0.0, 1.0], ids=["taped", "scored"])
-    def test_divergence_names_the_seed_of_its_run(self, rho):
+    @pytest.mark.parametrize("rho,split,where", [
+        (0.0, "train_set", (0, 0)), (1.0, "train_set", (0, 0)),
+        (0.0, "test_set", (0, 2))], ids=["taped", "scored", "evaluated"])
+    def test_divergence_names_the_seed_of_its_run(self, rho, split, where):
         # A NaN pixel in the second run's data: the taped forward meets
-        # it at rho = 0, the composite scoring first otherwise.
+        # it at rho = 0, the composite scoring first otherwise, and the
+        # evaluation after the epoch's last step (20 samples, batches of
+        # 8: steps 0-2) if it is in the test split.
         stacked = self.runs(base_config(
             weighting=WeightingConfig(1.0, rho)))
-        images = stacked[1].train_set.images.copy()
+        bad = getattr(stacked[1], split)
+        images = bad.images.copy()
         images[:] = np.nan
-        stacked[1] = stacked[1]._replace(train_set=Dataset(
-            images=images, labels=stacked[1].train_set.labels,
-            clean_labels=stacked[1].train_set.clean_labels,
-            class_count=stacked[1].train_set.class_count))
+        stacked[1] = stacked[1]._replace(**{split: replace(bad,
+                                                           images=images)})
         with pytest.raises(TrainingDiverged) as info:
             train(stacked)
         assert info.value.seed == 12
         assert "seed 12" in str(info.value)
-        assert (info.value.epoch, info.value.step) == (0, 0)
+        assert (info.value.epoch, info.value.step) == where
 
     def test_runs_must_share_all_but_their_seeds(self):
         cfg = base_config()
@@ -1007,6 +1050,11 @@ class TestMetricsIO:
         header = stripped[0].decode().splitlines()[0]
         assert "seconds" not in header
         assert "mean_loss" in header
+
+    def test_deterministic_bytes_of_an_empty_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        assert deterministic_csv_bytes(path) == b""
 
     def test_deterministic_key_excludes_timing(self):
         base = dict(epoch=0, split="train", mean_loss=1.0, accuracy=0.5,

@@ -5,20 +5,21 @@ Checkpoint byte layout (``save_checkpoint`` / ``load_checkpoint``):
     "NSCKPT 1\\n"                 ASCII magic + format version
     "config <compact json>\\n"    echo of the ClassifierConfig
     "params <count>\\n"           total number of float64 values
-    <count * 8 bytes>             little-endian float64 parameter block,
-                                  arrays in construction order, row-major
+    <count * 8 bytes>             ``Classifier.vector``, little-endian
 
-Construction order: the conv stage's weight and bias as one
+The block is ``Classifier.vector``: the parameter arrays in
+construction order, row-major, of which ``Classifier.parameters`` are
+views.  The order: the conv stage's weight and bias as one
 [k*k*C + 1, F] array, the bias its last row (if a conv stage is
 configured), then per dense layer weight [in, out] and bias [1, out].
 
-A stack of runs (``Classifier.stack``) is one classifier whose
-parameters carry a leading run axis [S, ...]: its taped forward takes
-[S, N, H, W, C] images and records every run's classifier as one entry.
-Each run's own ``Classifier`` keeps working on views (slices) of the
-stacked arrays, so it scores, evaluates and saves the stack's current
-values, and a run's slice of each product and batch sum has the bits of
-that run taped alone.
+A stack of runs (``Classifier.stack``) is one classifier whose vector
+[S, P] carries a leading run axis, as do its parameters [S, ...]: its
+taped forward takes [S, N, H, W, C] images and records every run's
+classifier as one entry.  Each run's own ``Classifier`` keeps its row of
+the stack's vector, so it scores, evaluates and saves the stack's
+current values, and a run's slice of each product and batch sum has the
+bits of that run taped alone.
 """
 
 from __future__ import annotations
@@ -170,22 +171,22 @@ def _columns(xs: np.ndarray, kernel: int) -> np.ndarray:
 class Classifier:
     """MLP classifier with an optional leading convolution stage.
 
-    Weights initialize uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)] from
-    the config seed, so identical configs always start identically.
+    Its parameters are one float64 ``vector`` [P], the checkpoint's
+    block; ``parameters`` are views of it in construction order.  Weights
+    initialize uniformly in [-1/sqrt(fan_in), +1/sqrt(fan_in)] from the
+    config seed, so identical configs always start identically.
     """
 
     def __init__(self, config: ClassifierConfig):
         self.config = config
         h, w, c = config.input_shape
-        rng = np.random.default_rng(config.init_seed)
-        parameters = []
+        layout = []  # (fan_in, shape) of each parameter, in order
 
         if config.conv is not None:
             k, f = config.conv.kernel, config.conv.channels
             # [W; b]: one draw gives the values of the weight's draw
             # followed by the bias's, in checkpoint order.
-            parameters.append(self._init_param(rng, k * k * c,
-                                               (k * k * c + 1, f)))
+            layout.append((k * k * c, (k * k * c + 1, f)))
             # Conv geometry: the activation shape [H', W', F]; the images
             # per block, as many as keep a block's channel planes, patch
             # columns and pre-activations within _BLOCK_BYTES, and at
@@ -212,16 +213,22 @@ class Classifier:
 
         fan_in = flat_in
         for width in list(config.hidden) + [config.class_count]:
-            parameters += [self._init_param(rng, fan_in, (fan_in, width)),
-                           self._init_param(rng, fan_in, (1, width))]
+            layout += [(fan_in, (fan_in, width)), (fan_in, (1, width))]
             fan_in = width
-        self._bind(parameters)
+        fan_ins, self._shapes = zip(*layout)
+        rng = np.random.default_rng(config.init_seed)
+        self._bind(np.concatenate([
+            rng.uniform(-b, b, math.prod(shape))
+            for b, shape in zip(1.0 / np.sqrt(fan_ins), self._shapes)]))
 
-    def _bind(self, parameters: list[np.ndarray]) -> None:
-        """Make ``parameters``, in construction order, this classifier's
-        arrays: the conv stage's [W; b] (if configured), then each dense
-        layer's weight and bias."""
-        self.parameters = list(parameters)
+    def _bind(self, vector: np.ndarray) -> None:
+        """Store ``vector`` [..., P] and make ``parameters`` views of it,
+        each with the vector's leading run axes."""
+        self.vector = vector
+        ends = np.cumsum([math.prod(shape) for shape in self._shapes])
+        self.parameters = [
+            part.reshape(vector.shape[:-1] + shape) for part, shape in
+            zip(np.split(vector, ends[:-1], axis=-1), self._shapes)]
         head = self.config.conv is not None
         if head:
             self._conv_wb = self.parameters[0]
@@ -230,11 +237,11 @@ class Classifier:
 
     @classmethod
     def stack(cls, models) -> "Classifier":
-        """One classifier holding the parameters of ``models``, stacked
-        on a leading run axis [S, ...].
+        """One classifier whose vector [S, P] stacks the vectors of
+        ``models``, one row per run, and whose parameters are [S, ...].
 
         The models must share every config setting but ``init_seed``.
-        Each model's parameters become views of the stacked arrays, so an
+        Each model's vector becomes its row of the stack's, so an
         in-place update of the stack updates every model, and each model
         scores, evaluates and saves its own run.  A stack is taped only.
         """
@@ -248,21 +255,10 @@ class Classifier:
         if len({id(model) for model in models}) != len(models):
             raise ConfigError("a classifier appears twice in one stack")
         stacked = copy.copy(first)
-        stacked._bind([np.stack(arrays)
-                       for arrays in zip(*(m.parameters for m in models))])
-        for run, model in enumerate(models):
-            model._bind([p[run] for p in stacked.parameters])
+        stacked._bind(np.stack([model.vector for model in models]))
+        for model, row in zip(models, stacked.vector):
+            model._bind(row)
         return stacked
-
-    @staticmethod
-    def _init_param(rng: np.random.Generator, fan_in: int,
-                    shape: tuple[int, ...]) -> np.ndarray:
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    @property
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters)
 
     def forward_batch(self, xs, tape: GradTape | None = None) -> np.ndarray:
         """Logits [N, K] for a stack of N inputs, converted to float64.
@@ -286,7 +282,7 @@ class Classifier:
         ``NumericError`` names in ``run`` the first run that failed.
         """
         xs = np.asarray(xs, dtype=np.float64)
-        lead = self.parameters[-1].shape[:-2]
+        lead = self.vector.shape[:-1]
         if (xs.ndim != len(lead) + 4 or xs.shape[:len(lead)] != lead
                 or xs.shape[-3:] != self.config.input_shape):
             raise ShapeError(
@@ -514,15 +510,16 @@ def sample_losses(logits: np.ndarray, labels: np.ndarray, cfg: LossConfig,
 
 
 def save_checkpoint(model: Classifier, path: str | Path) -> None:
+    """The header, then ``model.vector``.  A stack has no checkpoint."""
+    if model.vector.ndim != 1:
+        raise ShapeError("a stack has no checkpoint: each run's own model "
+                         "saves its checkpoint")
     header = (
         f"{_CHECKPOINT_MAGIC}\n"
         f"config {model.config.to_json()}\n"
-        f"params {model.num_parameters}\n"
+        f"params {model.vector.size}\n"
     ).encode("ascii")
-    block = b"".join(
-        np.ascontiguousarray(p, dtype="<f8").tobytes()
-        for p in model.parameters
-    )
+    block = np.ascontiguousarray(model.vector, dtype="<f8").tobytes()
     Path(path).write_bytes(header + block)
 
 
@@ -548,11 +545,7 @@ def load_checkpoint(path: str | Path) -> Classifier:
             ValueError) as err:
         raise FormatError(
             f"{path}: malformed checkpoint header: {err!r}") from None
-    if model.num_parameters != count:
+    if model.vector.size != count:
         raise FormatError(f"{path}: parameter count does not match config")
-    flat = np.frombuffer(block, dtype="<f8")
-    cursor = 0
-    for p in model.parameters:
-        p[...] = flat[cursor:cursor + p.size].reshape(p.shape)
-        cursor += p.size
+    model.vector[...] = np.frombuffer(block, dtype="<f8")
     return model

@@ -214,6 +214,7 @@ def _class_means(labels: np.ndarray, values: np.ndarray,
     return tuple(float(t / n) if n else 0.0 for t, n in zip(sums, counts))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(model: Classifier, dataset: Dataset,
              loss_cfg: LossConfig = LossConfig(),
              epoch: int = 0) -> MetricsRecord:
@@ -370,6 +371,7 @@ def _gather(splits, indices: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
     """Train ``runs`` in lockstep; returns each run's per-epoch records.
 

@@ -577,6 +577,18 @@ class TestExitCodes:
         assert main(["run", str(cfg_path)]) == 1
         assert "empty train split" in capsys.readouterr().err
 
+    def test_overflow_exits_two_with_only_the_abort_line(self, tmp_path,
+                                                         capsys):
+        # sigma = 1e307 weights the first batch's losses past the float
+        # range.  The library's check reports it, and numpy warns of
+        # nothing (the suite raises every RuntimeWarning).
+        assert main(["run", str(CONFIGS / "reference.ini"), "--sigma",
+                     "1e307", "--rho", "0", "--seeds", "2024", "--output",
+                     str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("aborted: non-finite batch loss (inf)")
+        assert err.count("\n") == 1
+
     def test_analyze_missing_dir_exits_one(self, tmp_path):
         assert main(["analyze", str(tmp_path / "not_a_run")]) == 1
 

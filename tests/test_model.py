@@ -765,6 +765,38 @@ class TestInitialization:
         with pytest.raises(ConfigError):
             small_config(hidden=(0,))
 
+    @pytest.mark.parametrize("conv", [None, ConvSpec(kernel=2, channels=3)],
+                             ids=["mlp", "conv"])
+    def test_parameters_are_views_of_the_vector(self, conv):
+        model = Classifier(ClassifierConfig(
+            input_shape=(4, 4, 2), hidden=(6,), class_count=3, init_seed=5,
+            conv=conv))
+        assert np.array_equal(model.vector, np.concatenate(
+            [p.ravel() for p in model.parameters]))
+        assert all(np.shares_memory(p, model.vector)
+                   for p in model.parameters)
+        model.parameters[-1][0, 1] = 7.0  # the last bias [1, 3]
+        assert model.vector[-2] == 7.0
+        model.vector[0] = -3.0
+        assert model.parameters[0][0, 0] == -3.0
+
+    def test_each_run_keeps_its_row_of_a_stack(self):
+        models = [Classifier(small_config(hidden=(3,), init_seed=seed))
+                  for seed in range(3)]
+        before = [model.vector.copy() for model in models]
+        stack = Classifier.stack(models)
+        assert stack.vector.shape == (3, before[0].size)
+        assert stack.parameters[0].shape == (3, 4, 3)
+        for run, (model, start) in enumerate(zip(models, before)):
+            assert model.vector.base is stack.vector
+            assert np.shares_memory(model.vector, stack.vector[run])
+            assert np.array_equal(model.vector, start)
+        for p in stack.parameters:  # in place, as the update is
+            p -= 0.5
+        for model, start in zip(models, before):
+            assert np.array_equal(np.concatenate(
+                [p.ravel() for p in model.parameters]), start - 0.5)
+
     def test_config_json_round_trip(self):
         cfg = ClassifierConfig(input_shape=(6, 6, 3), hidden=(16, 8),
                                class_count=10, init_seed=99,
@@ -786,6 +818,24 @@ class TestCheckpoint:
         assert loaded.config == cfg
         for ours, theirs in zip(model.parameters, loaded.parameters):
             assert np.array_equal(ours, theirs)
+            assert np.shares_memory(theirs, loaded.vector)
+        # The documented block: each array little-endian, row-major, in
+        # construction order.
+        assert path.read_bytes().split(b"\n", 3)[3] == b"".join(
+            np.ascontiguousarray(p, "<f8").tobytes()
+            for p in model.parameters)
+
+    def test_a_stack_has_no_checkpoint(self, tmp_path):
+        # Its header would name one run's config and its block hold every
+        # run's values, which no load could read back.
+        models = [Classifier(small_config(init_seed=seed))
+                  for seed in (0, 1)]
+        path = tmp_path / "stack.bin"
+        with pytest.raises(ShapeError, match="each run's own model"):
+            save_checkpoint(Classifier.stack(models), path)
+        assert not path.exists()
+        save_checkpoint(models[1], path)
+        assert np.array_equal(load_checkpoint(path).vector, models[1].vector)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"

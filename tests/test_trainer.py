@@ -14,7 +14,12 @@ import natsel.model
 import natsel.trainer
 from natsel.config import classifier_for, datasets_for, parse_config, set_keys
 from natsel.data import Dataset, DataSettings, build_splits
-from natsel.errors import ConfigError, ShapeError, TrainingDiverged
+from natsel.errors import (
+    ConfigError,
+    NumericError,
+    ShapeError,
+    TrainingDiverged,
+)
 from natsel.imageops import GridLayout
 from natsel.model import (
     Classifier,
@@ -477,16 +482,16 @@ class TestTrainLoop:
         # sigma = 1e307 weights the first batch's finite losses past the
         # float range.  A rate of 1e200 on an epoch of one batch (the
         # split's 1,000 samples) overflows the parameters at that step,
-        # which the epoch's evaluation meets first.  numpy warns of each
-        # overflow on the way; the finiteness checks are the subject.
+        # which the epoch's evaluation meets first.  The library's
+        # finiteness checks report each overflow, and numpy warns of none:
+        # the suite raises every RuntimeWarning.
         config = set_keys(parse_config(REFERENCE.read_text()), keys)
         seed = config.seeds[0]
         train_set, test_set = datasets_for(config, seed)
         model = Classifier(classifier_for(
             config, seed, image_shape=train_set.image_shape,
             class_count=train_set.class_count))
-        with pytest.raises(TrainingDiverged) as info, \
-                np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDiverged) as info:
             train([Run(config.train, seed, train_set, test_set, model)])
         assert (info.value.seed, info.value.epoch, info.value.step,
                 info.value.quantity) == (seed, 0, 0, quantity)
@@ -829,6 +834,15 @@ class TestEvaluate:
         train_set, _ = toy_sets()
         with pytest.raises(ConfigError):
             evaluate(fresh_model(train_set), subset(train_set, []))
+
+    def test_overflowing_weights_raise_without_a_numpy_warning(self):
+        # The logits overflow; softmax_rows reports it, and numpy warns
+        # of nothing on the way (the suite raises every RuntimeWarning).
+        train_set, _ = toy_sets()
+        model = fresh_model(train_set)
+        model.vector *= 1e300
+        with pytest.raises(NumericError, match="non-finite logits"):
+            evaluate(model, train_set)
 
     def test_600_images_in_one_pass_match_256_image_pieces(self):
         # Only the loss's summation order may differ from summing

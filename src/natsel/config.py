@@ -78,11 +78,11 @@ class ExperimentConfig:
             )
         if not self.label:
             raise ConfigError("experiment.label: must be non-empty")
-        # Checked with or without a conv stage, so that a bad value is
-        # never accepted and written back out.
-        if self.conv_channels < 1:
-            raise ConfigError(f"model.conv_channels: must be positive, "
-                              f"got {self.conv_channels}")
+        # ConvSpec checks the channels with or without a conv stage, so
+        # a bad value is never accepted and written back out.  Its kernel
+        # is a stand-in here; classifier_for below checks the real one.
+        ConvSpec(kernel=max(1, self.conv_kernel),
+                 channels=self.conv_channels)
         # The model checks run here, before a run writes anything.  A
         # file-backed image has no shape until its file is read, so it
         # gets a stand-in that the kernel fits, and the kernel-vs-image

@@ -14,12 +14,12 @@ views.  The order: the conv stage's weight and bias as one
 configured), then per dense layer weight [in, out] and bias [1, out].
 
 A stack of runs (``Classifier.stack``) is one classifier whose vector
-[S, P] carries a leading run axis, as do its parameters [S, ...]: its
-taped forward takes [S, N, H, W, C] images and records every run's
-classifier as one entry.  Each run's own ``Classifier`` keeps its row of
-the stack's vector, so it scores, evaluates and saves the stack's
-current values, and a run's slice of each product and batch sum has the
-bits of that run taped alone.
+[S, P] carries a leading run axis, as do its parameters [S, ...] and
+its gradient [S, P]: its taped forward takes [S, N, H, W, C] images
+and records every run's classifier as one entry.  Each run's own
+``Classifier`` keeps its row of the stack's vector, so it scores,
+evaluates and saves the stack's current values, and a run's slice of
+each product and batch sum has the bits of that run taped alone.
 """
 
 from __future__ import annotations
@@ -215,20 +215,26 @@ class Classifier:
         for width in list(config.hidden) + [config.class_count]:
             layout += [(fan_in, (fan_in, width)), (fan_in, (1, width))]
             fan_in = width
-        fan_ins, self._shapes = zip(*layout)
+        fan_ins, shapes = zip(*layout)
+        ends = np.cumsum([math.prod(shape) for shape in shapes]).tolist()
+        self._spans = [(slice(start, end), shape) for start, end, shape
+                       in zip([0] + ends, ends, shapes)]
         rng = np.random.default_rng(config.init_seed)
         self._bind(np.concatenate([
             rng.uniform(-b, b, math.prod(shape))
-            for b, shape in zip(1.0 / np.sqrt(fan_ins), self._shapes)]))
+            for b, shape in zip(1.0 / np.sqrt(fan_ins), shapes)]))
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of ``flat`` [..., P], laid out like ``vector``, one per
+        parameter in order, each with ``flat``'s leading run axes."""
+        lead = flat.shape[:-1]
+        return [flat[..., span].reshape(lead + shape)
+                for span, shape in self._spans]
 
     def _bind(self, vector: np.ndarray) -> None:
-        """Store ``vector`` [..., P] and make ``parameters`` views of it,
-        each with the vector's leading run axes."""
+        """Store ``vector`` [..., P] and make ``parameters`` views of it."""
         self.vector = vector
-        ends = np.cumsum([math.prod(shape) for shape in self._shapes])
-        self.parameters = [
-            part.reshape(vector.shape[:-1] + shape) for part, shape in
-            zip(np.split(vector, ends[:-1], axis=-1), self._shapes)]
+        self.parameters = self.views(vector)
         head = self.config.conv is not None
         if head:
             self._conv_wb = self.parameters[0]
@@ -272,8 +278,9 @@ class Classifier:
         each dense layer's input and no mask: the pullback derives each
         ReLU mask from the rectified input it feeds, ``h > 0``
         (derivative at 0 taken as 0), the conv activations included.  It
-        returns the adjoint of every parameter, in parameter order, and
-        of no input.
+        returns the adjoint of ``vector`` and of no input: one fresh
+        array laid out like ``vector``, into whose ``views`` each
+        parameter's adjoint is written.
 
         A stack of S runs (``stack``) takes [S, N, H, W, C] images and
         returns [S, N, K] logits.  Its products are ``np.matmul`` over
@@ -310,23 +317,28 @@ class Classifier:
                         _first_failing_run(out))
 
         def pull(g: np.ndarray):
-            grads = []  # last parameter first
+            outs = [g]  # each dense layer's output adjoint, last first
             for i in range(len(self._dense) - 1, 0, -1):
-                grads += (g.sum(axis=-2, keepdims=True),
-                          _t(inputs[i]) @ g)
                 g = (g @ _t(self._dense[i][0])) * (inputs[i] > 0.0)
-            grads.append(g.sum(axis=-2, keepdims=True))
-            head = []
+                outs.append(g)
             if conv:
                 # The activations' adjoint is masked in place and spent
-                # before the first weight's adjoint is formed, so the two
-                # batch-sized arrays never coexist.
+                # before the gradient is allocated, so it never coexists
+                # with the first weight's adjoint: at N = 32 on 32x32
+                # images both are batch-sized.
                 gact = g @ _t(self._dense[0][0])
                 np.multiply(gact, inputs[0] > 0.0, out=gact)
-                head.append(self._conv_grad(xs, gact))
+                head = self._conv_grad(xs, gact)
                 del gact
-            grads.append(_t(inputs[0]) @ g)
-            return zip(self.parameters, head + grads[::-1])
+            grad = np.empty(self.vector.shape)
+            views = self.views(grad)
+            if conv:
+                views[0][...] = head
+            for x, gy, gw, gb in zip(inputs, outs[::-1], views[conv::2],
+                                     views[conv + 1::2]):
+                np.matmul(_t(x), gy, out=gw)
+                np.sum(gy, axis=-2, keepdims=True, out=gb)
+            return ((self.vector, grad),)
 
         tape.record(out, pull)
         return out

@@ -9,11 +9,13 @@ run or for a stack of runs whose arrays carry a leading run axis; the
 loss entry's output, the root, is then the 0-d sum of the runs' losses.
 
 Aliasing: arrays are passed as they are, without copies, so an output may
-share memory with an input and a gradient may be the accumulated adjoint
-itself.  This is safe because no record, pullback or caller writes to an
-array it was given; the optimizer's in-place parameter update
-(:func:`natsel.trainer.sgd_momentum_step`) is the one exception, and
-parameters are arrays of their own.
+share memory with an input, and a gradient is the accumulated adjoint
+itself when it has its parameter's shape.  This is safe because no
+record, pullback or caller writes to an array it was given, but for the
+optimizer step (:func:`natsel.trainer.sgd_momentum_step`), in two ways:
+it updates the parameter vector, an array of its own, in place, and it
+writes into the gradient once :func:`backward` has spent it, a fresh
+array from the classifier's pullback.
 
 :func:`backward` replays the entries in exact reverse order,
 accumulating adjoints additively.  Entries and adjoints are keyed by
@@ -64,6 +66,8 @@ def backward(tape: GradTape, root: np.ndarray | None = None
 
     Parameters not reachable from ``root`` get zero gradients.  Adjoints are
     accumulated additively, so a value used twice sums both contributions.
+    A gradient is its accumulated adjoint itself when the shapes match,
+    and otherwise a read-only broadcast of it.
     """
     if root is None:
         root = tape._entries[-1][0] if tape._entries else np.zeros(())
@@ -87,6 +91,8 @@ def backward(tape: GradTape, root: np.ndarray | None = None
     grads = []
     for p in tape._parameters:
         acc = adjoints.get(id(p))
-        grads.append(np.zeros(p.shape) if acc is None
+        if acc is None:
+            acc = np.zeros(p.shape)
+        grads.append(acc if acc.shape == p.shape
                      else np.broadcast_to(acc, p.shape))
     return grads

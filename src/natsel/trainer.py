@@ -6,13 +6,15 @@ momentum.  With rho == 0 the scoring stage is skipped outright, so the
 loop degenerates to exactly the plain weighted-ERM loop.
 
 ``train`` takes a list of runs that differ only in their seed and
-trains them in lockstep: parameters, velocity, batch images, labels and
-weights carry a leading run axis [S, ...], so every step is one
+trains them in lockstep: batch images, labels and weights carry a
+leading run axis [S, ...], and the stack's parameter ``vector``, its
+gradient and its velocity are [S, P] arrays, so every step is one
 classifier record, one loss record, one ``backward`` and one
-``sgd_momentum_step`` for all of them.  Scoring and evaluation run per
-run, on each run's own ``Classifier``, whose parameters are views of the
-stacked arrays.  A single run is a stack of one.  Every run's bytes are
-those of the run trained alone.
+``sgd_momentum_step`` of whole vectors for all of them.  The parameter
+layout stays in ``natsel.model``: the loop never reads a parameter
+view.  Scoring and evaluation run per run, on each run's own
+``Classifier``, whose vector is a row of the stack's.  A single run is
+a stack of one.  Every run's bytes are those of the run trained alone.
 
 Metrics are written as CSV with one row per (epoch, split), built by
 ``_train_record`` (train rows) and ``evaluate`` (test rows), whose
@@ -188,20 +190,25 @@ def weighted_batch_loss(logits: np.ndarray, labels, weights,
     return out
 
 
-def sgd_momentum_step(params, grads, velocity, learning_rate: float,
+def sgd_momentum_step(vector: np.ndarray, grad: np.ndarray,
+                      velocity: np.ndarray, learning_rate: float,
                       momentum: float) -> None:
-    """v <- mu*v + g; theta <- theta - eta*v, in place on the parameters."""
-    if not len(params) == len(grads) == len(velocity):
-        raise ShapeError("params, grads, and velocity lengths differ")
-    for p, g, v in zip(params, grads, velocity):
-        if g.shape != p.shape or v.shape != p.shape:
-            raise ShapeError(
-                f"shape mismatch in update: param {p.shape}, "
-                f"grad {g.shape}, velocity {v.shape}"
-            )
-        v *= momentum
-        v += g
-        p -= learning_rate * v
+    """v <- mu*v + g; theta <- theta - eta*v, in place on a classifier's
+    whole parameter ``vector`` ([P], or [S, P] for a stack) and its
+    ``velocity`` of the same shape.
+
+    ``grad``, laid out like ``vector``, is spent: it receives eta*v,
+    so the step allocates nothing.
+    """
+    if grad.shape != vector.shape or velocity.shape != vector.shape:
+        raise ShapeError(
+            f"shape mismatch in update: vector {vector.shape}, "
+            f"grad {grad.shape}, velocity {velocity.shape}"
+        )
+    velocity *= momentum
+    velocity += grad
+    np.multiply(velocity, learning_rate, out=grad)
+    vector -= grad
 
 
 def _class_means(labels: np.ndarray, values: np.ndarray,
@@ -377,11 +384,12 @@ def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
 
     The runs must share their ``TrainConfig``, every model setting but
     the init seed, and the length of their train splits.  Their models
-    are stacked (``Classifier.stack``): each run's model then holds
-    views of the stacked parameters, so it ends trained, as a single
-    run's model always has.  Each step scores and weights every run on
-    its own model and takes one taped step for all of them.  A single
-    run is a stack of one.
+    are stacked (``Classifier.stack``): each run's model then holds its
+    row of the stacked vector, so it ends trained, as a single run's
+    model always has.  Each epoch gathers every run's labels in its
+    epoch order once; each step slices them, scores and weights every
+    run on its own model and takes one taped step for all of them.  A
+    single run is a stack of one.
 
     Competition scoring runs only when rho != 0; with rho == 0 every
     sample's weight is the sigma constant and no composite is ever built,
@@ -415,7 +423,7 @@ def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
                               "one length")
     model = Classifier.stack([run.model for run in runs])
     scoring = config.weighting.rho != 0.0
-    velocity = [np.zeros_like(p) for p in model.parameters]
+    velocity = np.zeros_like(model.vector)
     records: list[list[MetricsRecord]] = [[] for _ in runs]
     step = 0
 
@@ -426,14 +434,16 @@ def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
             epoch_indices(run.train_set.labels, run.train_set.class_count,
                           config.sampler, epoch, config.epochs,
                           run.seed) for run in runs])
+        epoch_labels = _gather([run.train_set.labels for run in runs],
+                               orders)
         steps: list[list[_Step]] = [[] for _ in runs]
 
         for lo in range(0, orders.shape[1], config.batch_size):
-            batch_idx = orders[:, lo:lo + config.batch_size]
+            batch = slice(lo, lo + config.batch_size)
+            batch_idx = orders[:, batch]
             images = _gather([run.train_set.images for run in runs],
                              batch_idx)
-            labels = _gather([run.train_set.labels for run in runs],
-                             batch_idx)
+            labels = epoch_labels[:, batch]
 
             scored = [()] * len(runs)
             if scoring:
@@ -455,7 +465,7 @@ def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
                 weights = np.full(labels.shape, config.weighting.sigma)
 
             tape = GradTape()
-            tape.register(*model.parameters)
+            tape.register(model.vector)
             try:
                 logits = model.forward_batch(images, tape=tape)
                 batch_loss = weighted_batch_loss(logits, labels, weights,
@@ -466,18 +476,18 @@ def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
             predictions = np.argmax(logits, axis=-1)
             losses = batch_loss.tolist()
             for run, value in zip(runs, losses):
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise TrainingDiverged(epoch, step, "batch loss", value,
                                            run.seed)
 
-            grads = backward(tape)
+            (grad,) = backward(tape)
             # The tape holds the batch's activations; drop it, with the
             # logits and the loss, before the update, the next batch's
             # scoring and each evaluation.
             del tape, logits, batch_loss
-            sgd_momentum_step(model.parameters, grads, velocity, lr,
+            sgd_momentum_step(model.vector, grad, velocity, lr,
                               config.momentum)
-            del grads
+            del grad
             for r, run in enumerate(runs):
                 steps[r].append(_Step(epoch, step, batch_idx[r], labels[r],
                                       predictions[r], losses[r], *scored[r]))

@@ -53,6 +53,14 @@ def taped_gradients(build, params):
     return backward(tape, build(params, tape))
 
 
+def taped_parameter_gradients(build, model):
+    """Tape-route gradients of ``build(params, tape) -> 0-d array`` for
+    each of ``model``'s parameters: the classifier's pullback reaches
+    its vector, whose gradient is read back through ``model.views``."""
+    (grad,) = taped_gradients(build, [model.vector])
+    return model.views(grad)
+
+
 # Other spellings of an integer-valued float64 array, equal to it in
 # value: the inputs forward_batch and bilinear_resize convert to float64.
 INPUT_FORMS = {
@@ -346,7 +354,7 @@ def train_erm(config, seed, train_set, test_set, model):
 
     if len(train_set) == 0:
         raise ConfigError("cannot train on an empty dataset")
-    velocity = [np.zeros_like(p) for p in model.parameters]
+    velocity = np.zeros_like(model.vector)
     records = []
     step = 0
     for epoch in range(config.epochs):
@@ -360,7 +368,7 @@ def train_erm(config, seed, train_set, test_set, model):
             images = train_set.images[batch_idx]
             labels = train_set.labels[batch_idx]
             tape = GradTape()
-            tape.register(*model.parameters)
+            tape.register(model.vector)
             logits = model.forward_batch(images, tape=tape)
             batch_loss = weighted_batch_loss(
                 logits, labels, np.ones(labels.shape[0]), config.loss,
@@ -370,8 +378,8 @@ def train_erm(config, seed, train_set, test_set, model):
             if not np.isfinite(loss_value):
                 raise TrainingDiverged(epoch, step, "batch loss", loss_value,
                                        seed)
-            grads = backward(tape, batch_loss)
-            sgd_momentum_step(model.parameters, grads, velocity, lr,
+            (grad,) = backward(tape, batch_loss)
+            sgd_momentum_step(model.vector, grad, velocity, lr,
                               config.momentum)
             steps.append(_Step(epoch, step, batch_idx, labels, predictions,
                                loss_value))

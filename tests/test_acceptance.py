@@ -22,7 +22,7 @@ from conftest import (
     max_relative_error,
     params_hash,
     reference_resize,
-    taped_gradients,
+    taped_parameter_gradients,
     train_erm,
 )
 from natsel.cli import LAYOUT_AXIS, RHO_AXIS, SIGMA_AXIS, run_experiment, sweep
@@ -172,7 +172,7 @@ def test_criterion_04_weighted_gradient_fidelity(capsys):
                 return weighted_batch_loss(logits, labels, weights, loss_cfg,
                                            tape=tape)
 
-            analytic = taped_gradients(batch_loss, model.parameters)
+            analytic = taped_parameter_gradients(batch_loss, model)
             numeric = finite_difference(
                 lambda params: float(batch_loss(params, GradTape())),
                 model.parameters, step=1e-6)

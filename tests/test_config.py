@@ -16,7 +16,7 @@ from natsel.config import (
 from natsel.data import build_splits
 from natsel.errors import ConfigError
 from natsel.imageops import GridLayout
-from natsel.model import LOSS_KINDS
+from natsel.model import LOSS_KINDS, ConvSpec
 from natsel.seeds import derive_seed
 
 from conftest import save_idx
@@ -229,6 +229,15 @@ class TestStrictness:
             parse_config(text)
         if key == "train.loss":
             assert str(LOSS_KINDS) in str(err.value)
+
+    def test_channels_without_a_conv_stage_fail_as_the_conv_spec_does(self):
+        # One guard: the message of a bad channel count parsed without a
+        # conv stage is ConvSpec's own.
+        with pytest.raises(ConfigError) as spec:
+            ConvSpec(kernel=3, channels=0)
+        with pytest.raises(ConfigError) as parsed:
+            parse_config("[model]\nconv_kernel = 0\nconv_channels = 0\n")
+        assert str(parsed.value) == str(spec.value)
 
     def test_one_member_groups_fail_before_epoch_0_when_scoring(self):
         # A 1x1 layout leaves nobody to compete with; with rho != 0 the

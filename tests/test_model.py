@@ -40,6 +40,7 @@ from conftest import (
     reshape,
     softmax_vector,
     taped_gradients,
+    taped_parameter_gradients,
 )
 
 
@@ -151,7 +152,7 @@ class TestForward:
         model = Classifier(cfg)
         xs = np.random.default_rng(12).random((6, 4, 3, 2))
         tape = GradTape()
-        tape.register(*model.parameters)
+        tape.register(model.vector)
         taped = model.forward_batch(xs, tape=tape)
         assert np.array_equal(taped, model.forward_batch(xs))
         assert np.array_equal(taped, model.logits(xs))
@@ -181,7 +182,7 @@ class TestForward:
 def taped_step(model: Classifier, xs: np.ndarray) -> GradTape:
     """The tape of one taped forward and cross-entropy loss of ``xs``."""
     tape = GradTape()
-    tape.register(*model.parameters)
+    tape.register(model.vector)
     logits = model.forward_batch(xs, tape=tape)
     weighted_batch_loss(logits, np.arange(len(xs)) % logits.shape[1],
                         np.ones(len(xs)), LossConfig(), tape=tape)
@@ -191,7 +192,7 @@ def taped_step(model: Classifier, xs: np.ndarray) -> GradTape:
 def primitive_chain_gradients(model: Classifier, xs: np.ndarray):
     """Gradients of ``taped_step``'s loss with the classifier taped as
     reshape or conv_relu, then matmul/add_row per layer and a ReLU
-    between."""
+    between: one per parameter, each reached through its own view."""
     tape = GradTape()
     tape.register(*model.parameters)
     n = len(xs)
@@ -211,15 +212,16 @@ def primitive_chain_gradients(model: Classifier, xs: np.ndarray):
 class TestDenseStage:
     def test_taped_mlp_step_is_two_records(self):
         # One classifier record for every layer, one loss record; the
-        # classifier pullback reaches every parameter in parameter order,
-        # never the input images.
+        # classifier pullback reaches the parameter vector, with one
+        # gradient laid out like it, never the input images.
         model = Classifier(small_config(hidden=(5, 4), class_count=3,
                                         init_seed=3))
         tape = taped_step(model, np.random.default_rng(2).random((6, 2, 2, 1)))
         assert len(tape._entries) == 2
         out, pull = tape._entries[0]
-        reached = [t for t, _ in pull(np.ones(out.shape))]
-        assert list(map(id, reached)) == list(map(id, model.parameters))
+        ((reached, grad),) = pull(np.ones(out.shape))
+        assert reached is model.vector
+        assert grad.shape == model.vector.shape and grad.flags.c_contiguous
 
     @pytest.mark.parametrize("conv", [None, ConvSpec(kernel=2, channels=3)])
     def test_gradients_equal_the_primitive_chain(self, conv):
@@ -229,9 +231,9 @@ class TestDenseStage:
             init_seed=12, conv=conv))
         xs = np.random.default_rng(13).normal(size=(7, 5, 4, 2))
         tape = taped_step(model, xs)
-        got = backward(tape, tape._entries[-1][0])
-        for g, want in zip(got, primitive_chain_gradients(model, xs),
-                           strict=True):
+        (grad,) = backward(tape, tape._entries[-1][0])
+        for g, want in zip(model.views(grad),
+                           primitive_chain_gradients(model, xs), strict=True):
             assert np.array_equal(g, want)
 
     @pytest.mark.parametrize("layer,value", [
@@ -242,7 +244,7 @@ class TestDenseStage:
         model = Classifier(small_config(hidden=(4,), class_count=3))
         model.parameters[layer][0, 1] = value
         tape = GradTape()
-        tape.register(*model.parameters)
+        tape.register(model.vector)
         with pytest.raises(NumericError):
             model.forward_batch(np.ones((2, 2, 2, 1)), tape=tape)
 
@@ -257,7 +259,7 @@ class TestDenseStage:
         models[1].parameters[0][0, 0] = np.inf
         stack = Classifier.stack(models)
         tape = GradTape()
-        tape.register(*stack.parameters)
+        tape.register(stack.vector)
         with pytest.raises(NumericError) as info:
             stack.forward_batch(np.ones((3, 2, 3, 3, 1)), tape=tape)
         assert info.value.run == 1
@@ -323,17 +325,18 @@ class TestConvStage:
 
     def test_taped_step_is_two_records(self):
         # One classifier record, conv stage included, and one loss
-        # record.  The classifier pullback reaches the conv stage's
-        # [W; b] first and then the dense parameters, in parameter
-        # order; never the input, and no activation adjoint leaves it.
+        # record.  The classifier pullback reaches the parameter vector,
+        # whose first view is the conv stage's [W; b]; never the input,
+        # and no activation adjoint leaves it.
         model = Classifier(ClassifierConfig(
             input_shape=(5, 4, 2), hidden=(3,), class_count=3, init_seed=4,
             conv=ConvSpec(kernel=2, channels=3)))
         tape = taped_step(model, np.random.default_rng(6).random((4, 5, 4, 2)))
         assert len(tape._entries) == 2
         out, pull = tape._entries[0]
-        reached = [t for t, _ in pull(np.ones(out.shape))]
-        assert list(map(id, reached)) == list(map(id, model.parameters))
+        ((reached, grad),) = pull(np.ones(out.shape))
+        assert reached is model.vector
+        assert grad.shape == model.vector.shape
 
     @pytest.mark.parametrize("conv", [None, ConvSpec(kernel=2, channels=3)],
                              ids=["mlp", "conv"])
@@ -359,7 +362,7 @@ class TestConvStage:
             conv=ConvSpec(kernel=2, channels=2)))
         model.parameters[0][:-1] = -1e308
         tape = GradTape()
-        tape.register(*model.parameters)
+        tape.register(model.vector)
         with pytest.raises(NumericError):
             model.forward_batch(np.ones((2, 3, 4, 2)), tape=tape)
         # The same with only the last image of a multi-block batch
@@ -369,7 +372,7 @@ class TestConvStage:
         xs = np.zeros((2 * model._block + 1, 32, 32, 3))
         xs[-1] = 1.0
         tape = GradTape()
-        tape.register(*model.parameters)
+        tape.register(model.vector)
         with pytest.raises(NumericError):
             model.forward_batch(xs, tape=tape)
 
@@ -383,7 +386,7 @@ class TestConvStage:
         for value in (np.nan, np.inf, -np.inf):
             model.parameters[0][-1, -1] = value
             tape = GradTape()
-            tape.register(*model.parameters)
+            tape.register(model.vector)
             with pytest.raises(NumericError):
                 model.forward_batch(xs, tape=tape)
 
@@ -430,7 +433,7 @@ class TestConvBlocks:
 
     def taped_logits(self, xs: np.ndarray) -> np.ndarray:
         tape = GradTape()
-        tape.register(*self.model.parameters)
+        tape.register(self.model.vector)
         return self.model.forward_batch(xs, tape=tape)
 
     def test_block_is_three_images_within_budget(self):
@@ -695,7 +698,7 @@ class TestLossGradients:
             p = softmax_vector(manual_forward(model, x))
             return loss_oracle(p, y, LossConfig())
 
-        analytic = taped_gradients(taped, model.parameters)
+        analytic = taped_parameter_gradients(taped, model)
         numeric = finite_difference(plain, model.parameters)
         assert max_relative_error(analytic, numeric) <= 1e-5
 
@@ -729,7 +732,7 @@ class TestLossGradients:
                                     int(y), cfg)
                     for x, y, w in zip(xs, labels, weights)) / 3
 
-            analytic = taped_gradients(taped, model.parameters)
+            analytic = taped_parameter_gradients(taped, model)
             numeric = finite_difference(plain, model.parameters)
             worst = max(worst, max_relative_error(analytic, numeric))
         assert worst <= 1e-5

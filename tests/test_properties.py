@@ -291,23 +291,27 @@ def test_a_stack_gives_each_run_the_bits_of_the_run_taped_alone(
     weights = rng.random((runs, batch)) * 3.0
     loss_cfg = LossConfig(kind=kind, smoothing_epsilon=0.1)
     tape = GradTape()
-    tape.register(*stack.parameters)
+    tape.register(stack.vector)
     logits = stack.forward_batch(xs, tape=tape)
     losses = weighted_batch_loss(logits, labels, weights, loss_cfg,
                                  tape=tape)
-    grads = backward(tape)
+    (grad,) = backward(tape)
     assert len(tape._entries) == 2 and losses.shape == (runs,)
+    assert grad.shape == stack.vector.shape
     for run, cfg in enumerate(configs):
         alone = Classifier(cfg)
         tape = GradTape()
-        tape.register(*alone.parameters)
+        tape.register(alone.vector)
         z = alone.forward_batch(xs[run], tape=tape)
         loss = weighted_batch_loss(z, labels[run], weights[run], loss_cfg,
                                    tape=tape)
         assert np.array_equal(logits[run], z)
         assert repr(losses[run].item()) == repr(loss.item())
-        for got, want in zip(grads, backward(tape, loss), strict=True):
-            assert np.array_equal(got[run], want)
+        (want,) = backward(tape, loss)
+        assert np.array_equal(grad[run], want)
+        for got, part in zip(stack.views(grad), alone.views(want),
+                             strict=True):
+            assert np.array_equal(got[run], part)
 
 
 def _ints_below(bound):

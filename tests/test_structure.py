@@ -18,6 +18,10 @@ counts ``GradTape._entries``; a name it cannot find blanks that layer's
 metrics, so each one must resolve.  Its composite and tape-record counts
 must also agree with what a run of stacked seeds writes.
 
+The parameter layout lives in ``natsel.model``: the training loop
+steps a classifier's whole ``vector`` with one gradient and one
+velocity, so ``natsel/trainer.py`` never reads ``.parameters``.
+
 Every setting of ``ExperimentConfig`` has one home, the ``config._SCHEMA``
 key that sets it, so no field can be left half-wired with a placeholder.
 
@@ -208,6 +212,31 @@ def test_the_oracle_check_sees_a_private_name_each_way():
             "    from natsel.trainer import _replacing\n")
     assert _oracle_private_names(ast.parse(text)) == [
         "_check_finite", "_gather", "_taped_step"]
+
+
+LOOP = "trainer.py"
+
+
+def _parameter_reads(tree: ast.AST) -> list[str]:
+    """Every ``<expr>.parameters`` attribute, read or written."""
+    return [f"{ast.unparse(node)} on line {node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "parameters"]
+
+
+def test_the_training_loop_never_reads_the_parameter_views():
+    (path,) = [path for path in SOURCES if path.name == LOOP]
+    assert _parameter_reads(ast.parse(path.read_text())) == []
+
+
+def test_the_parameter_check_sees_each_read():
+    text = ("velocity = [np.zeros_like(p) for p in model.parameters]\n"
+            "tape.register(*runs[0].model.parameters)\n"
+            "params = getattr(model, 'vector')\n")
+    assert _parameter_reads(ast.parse(text)) == [
+        "model.parameters on line 1", "runs[0].model.parameters on line 2"]
+    assert _parameter_reads(ast.parse(
+        "tape.register(model.vector)\nparameters = 1\n")) == []
 
 
 # Dataclass fields that one key sets as a whole.

@@ -184,7 +184,7 @@ class TestWeightedBatchLoss:
         train_set, _ = toy_sets(noise=0.3)
         model = fresh_model(train_set)
         tape = GradTape()
-        tape.register(*model.parameters)
+        tape.register(model.vector)
         logits = model.forward_batch(train_set.images, tape=tape)
         taped = weighted_batch_loss(logits, train_set.labels,
                                     np.ones(len(train_set)), cfg,
@@ -201,13 +201,12 @@ class TestWeightedBatchLoss:
 class TestSgdMomentumStep:
     def test_zero_momentum_is_plain_descent(self):
         p = np.array([1.0, -2.0])
-        v = [np.zeros(2)]
-        sgd_momentum_step([p], [np.array([0.5, 0.5])], v, 0.1, 0.0)
+        sgd_momentum_step(p, np.array([0.5, 0.5]), np.zeros(2), 0.1, 0.0)
         assert np.max(np.abs(p - [0.95, -2.05])) <= 1e-15
 
     def test_zero_gradient_keeps_parameters(self):
         p = np.array([1.0, 2.0])
-        sgd_momentum_step([p], [np.array([0.0, 0.0])], [np.zeros(2)], 0.1, 0.9)
+        sgd_momentum_step(p, np.array([0.0, 0.0]), np.zeros(2), 0.1, 0.9)
         assert p.tolist() == [1.0, 2.0]
 
     def test_two_step_hand_recurrence(self):
@@ -215,27 +214,60 @@ class TestSgdMomentumStep:
         #   v1 = 1.0        t1 = 1.0 - 0.1*1.0   = 0.9
         #   v2 = 0.9 + 0.9  t2 = 0.9 - 0.1*1.8   = 0.72
         p = np.array(1.0)
-        v = [np.zeros(())]
-        sgd_momentum_step([p], [p.copy()], v, 0.1, 0.9)
+        v = np.zeros(())
+        sgd_momentum_step(p, p.copy(), v, 0.1, 0.9)
         assert abs(p.item() - 0.9) <= 1e-15
-        sgd_momentum_step([p], [p.copy()], v, 0.1, 0.9)
+        sgd_momentum_step(p, p.copy(), v, 0.1, 0.9)
         assert abs(p.item() - 0.72) <= 1e-15
 
     def test_velocity_updated_in_place(self):
+        # The gradient is spent: it ends holding eta*v.
         p = np.array([0.0])
-        v = [np.array([1.0])]
-        sgd_momentum_step([p], [np.array([1.0])], v, 1.0, 0.5)
-        assert v[0].tolist() == [1.5]
+        v = np.array([1.0])
+        g = np.array([1.0])
+        sgd_momentum_step(p, g, v, 1.0, 0.5)
+        assert v.tolist() == [1.5]
         assert p.tolist() == [-1.5]
+        assert g.tolist() == [1.5]
 
     def test_shape_validation(self):
         p = np.array([1.0, 2.0])
         with pytest.raises(ShapeError):
-            sgd_momentum_step([p], [np.array([1.0])], [np.zeros(2)], 0.1, 0.0)
+            sgd_momentum_step(p, np.array([1.0]), np.zeros(2), 0.1, 0.0)
         with pytest.raises(ShapeError):
-            sgd_momentum_step([p], [np.array([1.0, 1.0])], [np.zeros(3)], 0.1, 0.0)
+            sgd_momentum_step(p, np.array([1.0, 1.0]), np.zeros(3), 0.1, 0.0)
         with pytest.raises(ShapeError):
-            sgd_momentum_step([p], [], [np.zeros(2)], 0.1, 0.0)
+            sgd_momentum_step(p, np.array([]), np.zeros(2), 0.1, 0.0)
+        with pytest.raises(ShapeError):
+            sgd_momentum_step(p, np.ones((1, 2)), np.zeros((1, 2)), 0.1, 0.0)
+        assert p.tolist() == [1.0, 2.0]
+
+    def test_stacked_update_is_each_run_alone(self):
+        # One [S, P] update of three runs gives each run the bits of its
+        # own [P] update.
+        rng = np.random.default_rng(31)
+        vector, grad, velocity = (rng.normal(size=(3, 50)) for _ in range(3))
+        alone = [(vector[r].copy(), grad[r].copy(), velocity[r].copy())
+                 for r in range(3)]
+        sgd_momentum_step(vector, grad, velocity, 0.05, 0.9)
+        for r, (p, g, v) in enumerate(alone):
+            sgd_momentum_step(p, g, v, 0.05, 0.9)
+            assert np.array_equal(vector[r], p)
+            assert np.array_equal(velocity[r], v)
+
+    def test_update_allocates_no_parameter_sized_temporary(self):
+        # The conv_longtail classifier (32x32x3, 3x3 kernel, 8 channels,
+        # hidden 32) has 230,986 parameters, 1.8 MB; eta*v goes into the
+        # spent gradient instead of a temporary that size.
+        model = Classifier(ClassifierConfig(
+            input_shape=(32, 32, 3), hidden=(32,), class_count=10,
+            init_seed=3, conv=ConvSpec(kernel=3, channels=8)))
+        grad = np.random.default_rng(5).normal(size=model.vector.shape)
+        velocity = np.zeros_like(model.vector)
+        parameter_mb = model.vector.nbytes / 1e6
+        assert parameter_mb > 1.8
+        assert traced_peak_mb(lambda: sgd_momentum_step(
+            model.vector, grad, velocity, 0.01, 0.9)) < 0.1 * parameter_mb
 
 
 class TestTrainConfig:
@@ -736,7 +768,7 @@ class TestConvMemory:
         """The tape and the loss of one unweighted step, as ``train``
         records them."""
         tape = GradTape()
-        tape.register(*self.model.parameters)
+        tape.register(self.model.vector)
         logits = self.model.forward_batch(images, tape=tape)
         return tape, weighted_batch_loss(logits, labels, np.ones(len(labels)),
                                          tape=tape)
@@ -758,9 +790,8 @@ class TestConvMemory:
 
     def test_backward_holds_fewer_than_two_activation_adjoints(self):
         # The conv activations' adjoint [N, H'W'F] is masked in place and
-        # spent before the first dense weight's gradient (as large at
-        # N = 32) is formed: about 2.8 MB, and 4.6 MB when the adjoint is
-        # handed on to a separate conv record.
+        # spent before the model's gradient, which holds the first dense
+        # weight's (as large at N = 32), is allocated: about 3.4 MB.
         images = self.rng.random((32, 32, 32, 3))
         tape, loss = self.taped_step(images, self.rng.integers(0, 10, 32))
         activation_mb = 32 * 30 * 30 * 8 * 8 / 1e6

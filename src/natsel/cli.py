@@ -204,6 +204,9 @@ def sweep(config: ExperimentConfig, axis: str, values=None,
         tag = value.replace(".", "p")
         subs.append((value, set_keys(config, {
             key: value, "experiment.label": f"{config.label}_{axis}_{tag}"})))
+    if len({sub.label for _, sub in subs}) != len(subs):
+        raise ConfigError(f"sweep values {values} repeat a run label, whose "
+                          "runs would overwrite each other's artifacts")
     results = [(value, run_experiment(sub, echo=echo)) for value, sub in subs]
 
     table = Path(config.output_dir) / f"sweep_{axis}.csv"

@@ -164,11 +164,11 @@ class DataSettings:
 @dataclass(frozen=True)
 class Dataset:
     """Labeled image stack; ``clean_labels`` keeps pre-noise labels.
-    Both label arrays lie in [0, class_count)."""
+    Both label arrays are integers in [0, class_count)."""
 
     images: np.ndarray       # [N, H, W, C] float64 in [0, 1]
-    labels: np.ndarray       # [N] int64 training labels (possibly noised)
-    clean_labels: np.ndarray  # [N] int64 original labels
+    labels: np.ndarray       # [N] integer training labels (possibly noised)
+    clean_labels: np.ndarray  # [N] integer original labels
     class_count: int
 
     def __post_init__(self):
@@ -177,6 +177,9 @@ class Dataset:
             raise ConfigError("label arrays must match the image count")
         for name in ("labels", "clean_labels"):
             values = getattr(self, name)
+            if values.dtype.kind not in "iu":
+                raise ConfigError(f"{name} must be integers, got dtype "
+                                  f"{values.dtype}")
             if n and (values.min() < 0 or values.max() >= self.class_count):
                 raise ConfigError(
                     f"{name} must lie in [0, {self.class_count}), got "

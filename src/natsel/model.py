@@ -1,5 +1,8 @@
 """Small configurable classifier: optional single conv stage plus an MLP.
 
+The taped step, scoring and evaluation run one dense stack,
+``Classifier._dense_stack``; only the taped forward keeps its inputs.
+
 Checkpoint byte layout (``save_checkpoint`` / ``load_checkpoint``):
 
     "NSCKPT 1\\n"                 ASCII magic + format version
@@ -198,9 +201,9 @@ class Classifier:
             # the chunking: with OpenBLAS, a product whose row count is
             # a multiple of 4 and at least 8 gives each row the same bits
             # as the product over the whole batch, while 1-4, 6, 9 or 18
-            # rows may not.  Only a final partial chunk can then differ
-            # in the last bits (200 test images stream as six 32-image
-            # chunks and one of 8).
+            # rows may not.  Only a final chunk of another size can then
+            # differ, in the last bits of every dense layer (200 test
+            # images stream as six 32-image chunks and one of 8).
             out_h, out_w = h - k + 1, w - k + 1
             self._act_shape = (out_h, out_w, f)
             flat_in = out_h * out_w * f
@@ -270,17 +273,15 @@ class Classifier:
         """Logits [N, K] for a stack of N inputs, converted to float64.
 
         With a ``tape`` the whole classifier is one record.  Its forward
-        is ``logits``' arithmetic: the conv activations when a conv stage
-        is configured, then ``h W + b`` per dense layer with a ReLU
-        between layers.  It checks every conv block's product and every
-        dense layer's biased pre-activation for finiteness, so a hidden
-        -inf that the ReLU would zero still raises.  The record keeps
-        each dense layer's input and no mask: the pullback derives each
-        ReLU mask from the rectified input it feeds, ``h > 0``
-        (derivative at 0 taken as 0), the conv activations included.  It
-        returns the adjoint of ``vector`` and of no input: one fresh
-        array laid out like ``vector``, into whose ``views`` each
-        parameter's adjoint is written.
+        is ``logits``' one dense stack, ``_dense_stack``, run on the conv
+        activations or the flattened input, with every conv block's
+        product and every dense layer's biased pre-activation checked for
+        finiteness.  The record keeps each dense layer's input and no
+        mask: the pullback derives each ReLU mask from the rectified input
+        it feeds, ``h > 0`` (derivative at 0 taken as 0), the conv
+        activations included.  It returns the adjoint of ``vector`` and
+        of no input: one fresh array laid out like ``vector``, into whose
+        ``views`` each parameter's adjoint is written.
 
         A stack of S runs (``stack``) takes [S, N, H, W, C] images and
         returns [S, N, K] logits.  Its products are ``np.matmul`` over
@@ -303,18 +304,9 @@ class Classifier:
         conv = self.config.conv is not None
         inputs = []
         with np.errstate(over="ignore", invalid="ignore"):
-            out = (self._conv_act(xs, checked=True) if conv
-                   else xs.reshape(xs.shape[:-3] + (-1,)))
-            for i, (weight, bias) in enumerate(self._dense):
-                if i:
-                    np.maximum(out, 0.0, out=out)
-                inputs.append(out)
-                out = np.matmul(out, weight)
-                out += bias
-                if not np.isfinite(out).all():
-                    raise NumericError(
-                        f"dense layer {i} produced non-finite values",
-                        _first_failing_run(out))
+            out = self._dense_stack(
+                self._conv_act(xs, checked=True) if conv
+                else xs.reshape(xs.shape[:-3] + (-1,)), inputs)
 
         def pull(g: np.ndarray):
             outs = [g]  # each dense layer's output adjoint, last first
@@ -346,31 +338,39 @@ class Classifier:
     def logits(self, xs: np.ndarray) -> np.ndarray:
         """Untaped logits [N, K] of an [N, H, W, C] array.
 
-        The same arithmetic as the taped ``forward_batch``, on plain
-        arrays and without per-operation finiteness checks:
-        :func:`softmax_rows` checks the logits once.  Products use
-        ``ndarray.dot``, the same BLAS call as ``@`` with less overhead
-        on the small operands of scoring.  A conv model's input is
-        walked in chunks of ``_chunk`` whole images: each chunk's conv
-        activations are multiplied by the first dense weight into their
-        output rows and dropped, so no more than one chunk of
-        activations is ever alive.
+        ``forward_batch``'s arithmetic, ``_dense_stack``, without its
+        finiteness checks: :func:`softmax_rows` checks the logits once.
+        A conv model's input is walked in chunks of ``_chunk`` whole
+        images, each chunk's activations run through the whole dense
+        stack into its output rows, so one chunk's are alive at a time.
         """
-        (weight, bias), *rest = self._dense
         if self.config.conv is None:
-            out = xs.reshape(xs.shape[0], -1).dot(weight)
-        else:
-            step = self._chunk
-            out = np.empty((xs.shape[0], weight.shape[1]))
-            for s in range(0, xs.shape[0], step):
-                np.matmul(self._conv_act(xs[s:s + step]), weight,
-                          out=out[s:s + step])
-        out += bias
-        for weight, bias in rest:
-            np.maximum(out, 0.0, out=out)
-            out = out.dot(weight)
-            out += bias
+            return self._dense_stack(xs.reshape(xs.shape[0], -1))
+        step = self._chunk
+        out = np.empty((xs.shape[0], self.config.class_count))
+        for s in range(0, xs.shape[0], step):
+            out[s:s + step] = self._dense_stack(self._conv_act(xs[s:s + step]))
         return out
+
+    def _dense_stack(self, h: np.ndarray, inputs=None) -> np.ndarray:
+        """``h W + b`` per dense layer of ``h`` [..., N, D], each hidden
+        output rectified in place.  A 2-D product is ``ndarray.dot`` and a
+        stack's ``np.matmul``, the same BLAS call, the first with less
+        overhead on scoring's small operands.  Only the taped forward
+        passes a list ``inputs``: each layer's input is appended to it and
+        each biased pre-activation checked for finiteness, so a hidden
+        -inf that the ReLU would zero still raises."""
+        for i, (weight, bias) in enumerate(self._dense):
+            if i:
+                np.maximum(h, 0.0, out=h)
+            if inputs is not None:
+                inputs.append(h)
+            h = h.dot(weight) if h.ndim == 2 else np.matmul(h, weight)
+            h += bias
+            if inputs is not None and not np.isfinite(h).all():
+                raise NumericError(f"dense layer {i} produced non-finite "
+                                   f"values", _first_failing_run(h))
+        return h
 
     def _conv_act(self, xs: np.ndarray, checked: bool = False) -> np.ndarray:
         """ReLU conv activations [..., N, H'*W'*F] of an [..., N, H, W, C]

@@ -661,6 +661,18 @@ class TestSweep:
             sweep(config, "sigma", values=("0.5", "1.0"), echo=quiet)
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("axis,values", [
+        ("sigma", ("0.5", "0.5")), ("layout", ("2x2", "1x2", "2x2"))],
+        ids=["sigma", "layout"])
+    def test_repeated_value_raises_before_any_run(self, tmp_path, axis,
+                                                  values):
+        # A repeated value once trained twice into one run directory, and
+        # the table listed it twice.
+        config = parse_config(write_config(tmp_path).read_text())
+        with pytest.raises(ConfigError, match="repeat a run label"):
+            sweep(config, axis, values=values, echo=quiet)
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_axis(self, tmp_path):
         config = parse_config(write_config(tmp_path).read_text())
         with pytest.raises(ConfigError, match="axis"):

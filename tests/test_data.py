@@ -535,6 +535,18 @@ class TestDatasetType:
                                               rf"\[0, 2\), got \[{min(0, value)}"):
             Dataset(images=np.zeros((3, 2, 2, 1)), class_count=2, **arrays)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    @pytest.mark.parametrize("field", ["labels", "clean_labels"])
+    def test_non_integer_labels_are_rejected(self, field, dtype):
+        # Float labels once trained a whole epoch before a bare TypeError
+        # at its end, and bool labels reached evaluate's bare IndexError.
+        arrays = dict(labels=np.array([0, 1, 1]),
+                      clean_labels=np.array([0, 1, 1]))
+        arrays[field] = arrays[field].astype(dtype)
+        with pytest.raises(ConfigError, match=rf"^{field} must be integers, "
+                                              rf"got dtype {np.dtype(dtype)}"):
+            Dataset(images=np.zeros((3, 2, 2, 1)), class_count=2, **arrays)
+
     def test_labels_past_the_class_count_are_rejected(self):
         # Such a split once reached evaluate, whose per-class accuracies
         # then counted a class the split does not have.

@@ -476,10 +476,11 @@ class TestConvBlocks:
 
 class TestConvStreaming:
     """The untaped forward walks its input in chunks of ``_chunk``
-    whole images and multiplies each chunk's conv activations by the
-    first dense weight; at 32x32x3 with a 3x3 kernel and 8 channels a
+    whole images and runs each chunk's conv activations through the
+    whole dense stack; at 32x32x3 with a 3x3 kernel and 8 channels a
     chunk is S = 32 images.  Inputs of 1, S-1, S, S+1 and 3S+5 images
-    are checked against the unstreamed forward."""
+    are checked against the unstreamed forward, and inputs that chunk
+    into multiples of 8 images keep its bits in every dense layer."""
 
     def setup_method(self):
         self.model = Classifier(CIFAR_CONV)

@@ -313,6 +313,19 @@ class TestTrainLoop:
         keys_b = [deterministic_key(r) for r in records_b]
         assert keys_a == keys_b
 
+    def test_int32_labels_train_as_int64_labels_do(self):
+        train_set, test_set = toy_sets()
+        narrow = [replace(split, labels=split.labels.astype(np.int32),
+                          clean_labels=split.clean_labels.astype(np.int32))
+                  for split in (train_set, test_set)]
+        cfg = base_config(weighting=WeightingConfig(1.0, 0.5))
+        model_a, model_b = fresh_model(train_set), fresh_model(train_set)
+        (records_a,) = train([Run(cfg, SEED, train_set, test_set, model_a)])
+        (records_b,) = train([Run(cfg, SEED, *narrow, model_b)])
+        assert params_hash(model_a) == params_hash(model_b)
+        assert ([deterministic_key(r) for r in records_a]
+                == [deterministic_key(r) for r in records_b])
+
     def test_single_step_reduces_loss_from_constant_head(self):
         train_set, test_set = toy_sets(per_class=(8, 8), noise=0.0)
         model = fresh_model(train_set, hidden=())

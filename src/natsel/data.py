@@ -164,7 +164,8 @@ class DataSettings:
 @dataclass(frozen=True)
 class Dataset:
     """Labeled image stack; ``clean_labels`` keeps pre-noise labels.
-    Both label arrays are integers in [0, class_count)."""
+    The images are a float64 [N, H, W, C] array of finite values in
+    [0, 1], and both label arrays are integers in [0, class_count)."""
 
     images: np.ndarray       # [N, H, W, C] float64 in [0, 1]
     labels: np.ndarray       # [N] integer training labels (possibly noised)
@@ -172,7 +173,17 @@ class Dataset:
     class_count: int
 
     def __post_init__(self):
-        n = self.images.shape[0]
+        images = self.images
+        if images.dtype != np.float64 or images.ndim != 4:
+            raise ConfigError(f"images must be a float64 [N, H, W, C] "
+                              f"array, got {images.dtype} of shape "
+                              f"{images.shape}")
+        # NaN fails both comparisons, so one min and one max suffice.
+        if images.size and not (images.min() >= 0.0
+                                and images.max() <= 1.0):
+            raise ConfigError(f"images must be finite and lie in [0, 1], "
+                              f"got [{images.min()}, {images.max()}]")
+        n = images.shape[0]
         if self.labels.shape != (n,) or self.clean_labels.shape != (n,):
             raise ConfigError("label arrays must match the image count")
         for name in ("labels", "clean_labels"):
@@ -259,19 +270,20 @@ def build_splits(settings: DataSettings, seed: int
         raise ConfigError(f"cannot synthesize dataset kind {settings.kind!r}")
     split_counts = (settings.train_counts(),
                     (settings.test_per_class,) * settings.classes)
-    splits = []
-    for counts in split_counts:
-        labels = np.repeat(np.arange(settings.classes, dtype=np.int64),
-                           counts)
-        images = np.empty((labels.shape[0],) + settings.image_shape)
-        splits.append(Dataset(images=images, labels=labels,
-                              clean_labels=labels.copy(),
-                              class_count=settings.classes))
+    images = [np.empty((sum(counts),) + settings.image_shape)
+              for counts in split_counts]
     ends = [np.cumsum(counts) for counts in split_counts]
     for k in range(settings.classes):
         _fill_class(settings, seed, k, *(
-            ds.images[end[k] - counts[k]:end[k]]
-            for ds, counts, end in zip(splits, split_counts, ends)))
+            split[end[k] - counts[k]:end[k]]
+            for split, counts, end in zip(images, split_counts, ends)))
+    splits = []
+    for counts, split in zip(split_counts, images):
+        labels = np.repeat(np.arange(settings.classes, dtype=np.int64),
+                           counts)
+        splits.append(Dataset(images=split, labels=labels,
+                              clean_labels=labels.copy(),
+                              class_count=settings.classes))
     train, test = splits
     return train, test
 

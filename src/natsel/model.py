@@ -1,7 +1,8 @@
 """Small configurable classifier: optional single conv stage plus an MLP.
 
 The taped step, scoring and evaluation run one dense stack,
-``Classifier._dense_stack``; only the taped forward keeps its inputs.
+``Classifier._dense_stack`` (only the taped forward keeps its inputs),
+and the conv forward and its pullback one block walk, ``_blocks``.
 
 Checkpoint byte layout (``save_checkpoint`` / ``load_checkpoint``):
 
@@ -372,32 +373,42 @@ class Classifier:
                                    f"values", _first_failing_run(h))
         return h
 
+    def _blocks(self, xs: np.ndarray, *arrays: np.ndarray):
+        """The conv stage's one walk: each run of an [..., N, H, W, C]
+        input in blocks of ``_block`` images.  Per block: the run's index,
+        the block's slice, its patch columns (``_columns``) and each
+        array's slice for the run, whose leading run axes are ``xs``'s.
+        A caller drops the columns before the next block's are built."""
+        lead = xs.ndim - 4
+        runs = zip(xs.reshape((-1,) + xs.shape[-4:]),
+                   *(a.reshape((-1,) + a.shape[lead:]) for a in arrays))
+        for run, (x, *parts) in enumerate(runs):
+            for s in range(0, x.shape[0], self._block):
+                blk = slice(s, s + self._block)
+                yield (run, blk, _columns(x[blk], self.config.conv.kernel),
+                       *parts)
+
     def _conv_act(self, xs: np.ndarray, checked: bool = False) -> np.ndarray:
         """ReLU conv activations [..., N, H'*W'*F] of an [..., N, H, W, C]
         array, each run of a stack with its own ``[W; b]``.
 
-        The batch is walked in blocks of ``_block`` images: a block's
-        patch columns are built, multiplied by ``[W; b]`` over all H'*W
-        window starts (the columns' ones row carries the bias) and
-        rectified while they are in cache, then dropped.  Only the
-        valid windows (x0 < W') are kept: one rectifying pass compacts
-        them into the output.  When ``checked`` (the taped path), each
-        block's product is checked for finiteness, wrapped windows
-        included.
+        One loop over ``_blocks``: each block's columns times ``[W; b]``
+        over all H'*W window starts (the ones row carries the bias),
+        rectified while in cache into the output at the valid windows
+        (x0 < W') only.  When ``checked`` (the taped path), each block's
+        product is checked for finiteness, wrapped windows included.
         """
-        n, _, w, _ = xs.shape[-4:]
+        w = xs.shape[-2]
         out_h, out_w, f = self._act_shape
-        step = self._block
         act = np.empty(xs.shape[:-3] + self._act_shape)
-        for run, (x, wb, a) in enumerate(_per_run(xs, self._conv_wb, act)):
-            for s in range(0, n, step):
-                blk = slice(s, s + step)
-                pre = _columns(x[blk], self.config.conv.kernel).T @ wb
-                if checked and not np.isfinite(pre).all():
-                    raise NumericError("conv stage produced non-finite "
-                                       "values", run)
-                valid = pre.reshape(-1, out_h, w, f)[:, :, :out_w]
-                np.maximum(valid, 0.0, out=a[blk])
+        for run, blk, cols, wb, a in self._blocks(xs, self._conv_wb, act):
+            pre = cols.T @ wb
+            del cols
+            if checked and not np.isfinite(pre).all():
+                raise NumericError("conv stage produced non-finite values",
+                                   run)
+            valid = pre.reshape(-1, out_h, w, f)[:, :, :out_w]
+            np.maximum(valid, 0.0, out=a[blk])
         return act.reshape(xs.shape[:-3] + (-1,))
 
     def _conv_grad(self, xs: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -405,35 +416,23 @@ class Classifier:
         of the conv pre-activations, that is, the activations' adjoint
         already masked by the ReLU.
 
-        No patch columns are kept from the forward.  Per block, the
-        columns are rebuilt from the input and ``g`` is copied into a
-        [B, H', W, F] buffer whose wrapped windows stay zero, so they
-        contribute nothing.  One product ``cols @ g`` per block gives the
-        weight adjoint in its first k*k*C rows and, from the ones row,
-        the bias adjoint.
+        One loop over ``_blocks``, which rebuilds each block's columns
+        from the input: ``g`` is copied into a [B, H', W, F] buffer whose
+        wrapped windows stay zero, and one product ``cols @ g`` gives the
+        weight adjoint in its first k*k*C rows and the bias adjoint in
+        its ones row.
         """
         n, _, w, _ = xs.shape[-4:]
         out_h, out_w, f = self._act_shape
-        step = self._block
-        buf = np.zeros((min(n, step), out_h, w, f))
+        buf = np.zeros((min(n, self._block), out_h, w, f))
         gwb = np.zeros(self._conv_wb.shape)
-        for x, gr, out in _per_run(xs, g, gwb):
-            gr = gr.reshape(n, out_h, out_w, f)
-            for s in range(0, n, step):
-                blk, b = slice(s, s + step), min(step, n - s)
-                buf[:b, :, :out_w] = gr[blk]
-                cols = _columns(x[blk], self.config.conv.kernel)
-                out += cols @ buf[:b].reshape(-1, f)
+        g = g.reshape(g.shape[:-1] + self._act_shape)
+        for _, blk, cols, gr, out in self._blocks(xs, g, gwb):
+            gb = gr[blk]
+            buf[:len(gb), :, :out_w] = gb
+            out += cols @ buf[:len(gb)].reshape(-1, f)
+            del cols
         return gwb
-
-
-def _per_run(xs: np.ndarray, *arrays: np.ndarray):
-    """Per run of a stack, or for the one run: its [N, H, W, C] images
-    and its slice of each array, whose leading run axes are those of
-    ``xs``.  The slices of a contiguous array are views."""
-    lead = len(xs.shape) - 4
-    return zip(xs.reshape((-1,) + xs.shape[-4:]),
-               *(a.reshape((-1,) + a.shape[lead:]) for a in arrays))
 
 
 def _t(a: np.ndarray) -> np.ndarray:

@@ -515,6 +515,27 @@ class TestDatasetType:
         assert len(sub) == 3
         assert sub.labels.tolist() == [ds.labels[0], ds.labels[5], ds.labels[9]]
 
+    BAD_IMAGES = {
+        "uint8 0-255": lambda x: (x * 255.0).astype(np.uint8),
+        "float32": lambda x: x.astype(np.float32),
+        "float64 x 255": lambda x: x * 255.0,
+        "3-D": lambda x: x[..., 0],
+        "NaN": lambda x: np.where(x == x.max(), np.nan, x),
+        "+inf": lambda x: np.where(x == x.max(), np.inf, x),
+        "negative": lambda x: x - 0.5,
+    }
+
+    @pytest.mark.parametrize("kind", BAD_IMAGES)
+    def test_images_outside_the_contract_are_rejected(self, kind):
+        # A uint8 split in 0-255 once trained two epochs without an
+        # error, to a test loss of 13.8; a bad image array must fail
+        # where it is built, as bad labels do.
+        ds = synthetic()
+        with pytest.raises(ConfigError, match=r"^images must be "):
+            Dataset(images=self.BAD_IMAGES[kind](ds.images),
+                    labels=ds.labels, clean_labels=ds.clean_labels,
+                    class_count=ds.class_count)
+
     def test_label_shape_validated(self):
         with pytest.raises(ConfigError):
             Dataset(images=np.zeros((3, 2, 2, 1)),

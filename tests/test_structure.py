@@ -18,6 +18,11 @@ counts ``GradTape._entries``; a name it cannot find blanks that layer's
 metrics, so each one must resolve.  Its composite and tape-record counts
 must also agree with what a run of stacked seeds writes.
 
+The conv stage walks its input run by run and block by block in one
+place, ``Classifier._blocks``: the conv forward and its pullback each
+loop over that walk, so no other code in ``natsel/model.py`` loops over
+``self._block``.
+
 The parameter layout lives in ``natsel.model``: the training loop
 steps a classifier's whole ``vector`` with one gradient and one
 velocity, so ``natsel/trainer.py`` never reads ``.parameters``.
@@ -237,6 +242,73 @@ def test_the_parameter_check_sees_each_read():
         "model.parameters on line 1", "runs[0].model.parameters on line 2"]
     assert _parameter_reads(ast.parse(
         "tape.register(model.vector)\nparameters = 1\n")) == []
+
+
+WALKER = "model.py"
+
+
+def _block_loops(tree: ast.AST) -> list[str]:
+    """Every ``for`` loop or comprehension whose iterable reads
+    ``self._block``, directly or through a name a function binds to it,
+    named by its enclosing class and method and the line of its
+    iterable.  A loop in a nested function counts for its method."""
+    found = []
+
+    def is_block(node, aliases):
+        return (isinstance(node, ast.Attribute) and node.attr == "_block"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self") or (
+            isinstance(node, ast.Name) and node.id in aliases)
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{where}.{child.name}" if where else child.name
+                walked = list(ast.walk(child))
+                aliases = {target.id for n in walked
+                           if isinstance(n, ast.Assign)
+                           and is_block(n.value, ())
+                           for target in n.targets
+                           if isinstance(target, ast.Name)}
+                found.extend(
+                    f"{name}, line {n.iter.lineno}" for n in walked
+                    if isinstance(n, (ast.For, ast.AsyncFor,
+                                      ast.comprehension))
+                    and any(is_block(m, aliases) for m in ast.walk(n.iter)))
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_block_walker_loops_over_the_conv_block():
+    (path,) = [path for path in SOURCES if path.name == WALKER]
+    loops = _block_loops(ast.parse(path.read_text()))
+    assert [loop.split(",")[0] for loop in loops] == ["Classifier._blocks"]
+
+
+def test_the_block_check_sees_a_second_loop():
+    text = ("class Classifier:\n"
+            "    def _blocks(self, xs):\n"
+            "        for s in range(0, len(xs), self._block):\n"
+            "            yield s\n"
+            "    def _conv_act(self, xs):\n"
+            "        step = self._block\n"
+            "        for s in range(0, len(xs), step):\n"
+            "            pass\n"
+            "    def _conv_grad(self, xs):\n"
+            "        def pull():\n"
+            "            return [s for s in range(0, 9, self._block)]\n")
+    assert _block_loops(ast.parse(text)) == [
+        "Classifier._blocks, line 3", "Classifier._conv_act, line 7",
+        "Classifier._conv_grad, line 11"]
+    assert _block_loops(ast.parse(
+        "class C:\n    def f(self, xs):\n"
+        "        buf = np.zeros(min(len(xs), self._block))\n"
+        "        for blk in self._blocks(xs):\n            buf += blk\n"
+        "        for s in range(0, 9, other._block):\n            pass\n"
+        )) == []
 
 
 # Dataclass fields that one key sets as a whole.

@@ -37,6 +37,7 @@ from natsel.trainer import (
     TrainConfig,
     _class_means,
     _ranks,
+    _spearman,
     _Step,
     _train_record,
     deterministic_csv_bytes,
@@ -623,6 +624,25 @@ class TestLockstep:
             assert all(row.ns_seconds < row.seconds for row in rows)
         assert sum(r.seconds for records in per_run for r in records) < wall
 
+    def test_the_score_sink_runs_inside_the_epoch_timer(self):
+        # Work that train does outside its epoch timer and outside
+        # evaluate would show in a traced span of the epoch loop but not
+        # in the row's seconds, which the benchmark's traced check
+        # compares.  So a sink's time must land in the row.
+        pause, seen = 0.01, []
+
+        def sink(step):
+            seen.append(step.epoch)
+            time.sleep(pause)
+
+        (run,) = self.runs(base_config(
+            weighting=WeightingConfig(1.0, 0.5)), [sink])
+        rows = [row for row in train([run])[0] if row.split == "train"]
+        assert [row.epoch for row in rows] == [0, 1]
+        for row in rows:
+            assert seen.count(row.epoch) == 3
+            assert row.seconds >= pause * seen.count(row.epoch)
+
     @pytest.mark.parametrize("rho,split,where", [
         (0.0, "train_set", (0, 0)), (1.0, "train_set", (0, 0)),
         (0.0, "test_set", (0, 2))], ids=["taped", "scored", "evaluated"])
@@ -630,14 +650,11 @@ class TestLockstep:
         # A NaN pixel in the second run's data: the taped forward meets
         # it at rho = 0, the composite scoring first otherwise, and the
         # evaluation after the epoch's last step (20 samples, batches of
-        # 8: steps 0-2) if it is in the test split.
+        # 8: steps 0-2) if it is in the test split.  A Dataset rejects
+        # NaN images, so the NaN goes into the built split in place.
         stacked = self.runs(base_config(
             weighting=WeightingConfig(1.0, rho)))
-        bad = getattr(stacked[1], split)
-        images = bad.images.copy()
-        images[:] = np.nan
-        stacked[1] = stacked[1]._replace(**{split: replace(bad,
-                                                           images=images)})
+        getattr(stacked[1], split).images[:] = np.nan
         with pytest.raises(TrainingDiverged) as info:
             train(stacked)
         assert info.value.seed == 12
@@ -739,6 +756,15 @@ class TestRanks:
     def test_ties_share_their_mean_rank(self):
         values = np.array([3.0, 1.0, 3.0, 2.0, 3.0, 1.0])
         assert _ranks(values).tolist() == [5.0, 1.5, 5.0, 3.0, 5.0, 1.5]
+
+    @pytest.mark.parametrize("constant", ["xs", "ys"])
+    def test_spearman_of_constant_ranks_is_undefined(self, constant):
+        # Every rank tied on one side: the correlation has no
+        # denominator, and a number would hide that.
+        values = {"xs": np.arange(4.0), "ys": np.arange(4.0)[::-1]}
+        values[constant] = np.full(4, 0.5)
+        with pytest.raises(ConfigError, match="constant ranks"):
+            _spearman(values["xs"], values["ys"])
 
 
 def traced_peak_mb(fn) -> float:

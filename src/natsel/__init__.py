@@ -39,7 +39,6 @@ from .errors import (
     NatselError,
     NumericError,
     ShapeError,
-    TapeError,
     TrainingDiverged,
 )
 from .imageops import GridLayout, bilinear_resize
@@ -96,6 +95,6 @@ __all__ = [
     "apply_overrides", "run_experiment", "sweep", "main",
     "SIGMA_AXIS", "RHO_AXIS", "LAYOUT_AXIS",
     # seeds + errors
-    "derive_seed", "NatselError", "ShapeError", "NumericError", "TapeError",
+    "derive_seed", "NatselError", "ShapeError", "NumericError",
     "ConfigError", "FormatError", "AnalysisError", "TrainingDiverged",
 ]

@@ -99,11 +99,13 @@ class RunSummary:
 
 
 def run_experiment(config: ExperimentConfig, echo=print) -> RunSummary:
-    """Train every seed, write artifacts, aggregate across seeds."""
+    """Train every seed, write artifacts, aggregate across seeds, and
+    write ``config.ini`` last, so only a finished run has one."""
     run_dir = Path(config.output_dir) / config.label
     run_dir.mkdir(parents=True, exist_ok=True)
-    with _replacing(run_dir / "config.ini") as tmp:
-        tmp.write_text(serialize_config(config))
+    # a rerun first drops the summary files of the run it replaces
+    for name in ("config.ini", "aggregate.csv"):
+        (run_dir / name).unlink(missing_ok=True)
 
     per_seed_records = {}
     finals = []
@@ -117,6 +119,8 @@ def run_experiment(config: ExperimentConfig, echo=print) -> RunSummary:
 
     rows = _write_aggregate(run_dir / "aggregate.csv", config.seeds,
                             per_seed_records)
+    with _replacing(run_dir / "config.ini") as tmp:
+        tmp.write_text(serialize_config(config))
     # the last row is the final epoch's test row
     mean, std = rows[-1][4:6]
     summary = RunSummary(label=config.label, run_dir=str(run_dir),

@@ -21,10 +21,6 @@ class NumericError(NatselError):
         self.run = run
 
 
-class TapeError(NatselError):
-    """Invalid use of a gradient tape (e.g. backward from a foreign tensor)."""
-
-
 class ConfigError(NatselError):
     """A configuration value violates its contract."""
 

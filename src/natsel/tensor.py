@@ -6,7 +6,7 @@ and its dense stack) and the fused weighted loss each append one entry
 with :meth:`GradTape.record`, and check their own outputs for
 finiteness.  So every taped step is two entries, MLP or conv, for one
 run or for a stack of runs whose arrays carry a leading run axis; the
-loss entry's output, the root, is then the 0-d sum of the runs' losses.
+loss entry, the last, outputs the root: the 0-d sum of the runs' losses.
 
 Aliasing: arrays are passed as they are, without copies, so an output may
 share memory with an input, and a gradient is the accumulated adjoint
@@ -17,8 +17,8 @@ it updates the parameter vector, an array of its own, in place, and it
 writes into the gradient once :func:`backward` has spent it, a fresh
 array from the classifier's pullback.
 
-:func:`backward` replays the entries in exact reverse order,
-accumulating adjoints additively.  Entries and adjoints are keyed by
+:func:`backward` replays the entries in exact reverse order from the
+root, accumulating adjoints additively.  Entries and adjoints are keyed by
 array identity, and the tape keeps every recorded array alive, so no
 identity is reused while it replays.
 """
@@ -29,7 +29,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ShapeError, TapeError
+from .errors import ShapeError
 
 __all__ = ["GradTape", "backward"]
 
@@ -58,23 +58,21 @@ class GradTape:
         self._entries.append((output, pull))
 
 
-def backward(tape: GradTape, root: np.ndarray | None = None
-             ) -> list[np.ndarray]:
-    """Gradients of the scalar ``root``, one per registered parameter, in
-    registration order.  ``root`` defaults to the output of the tape's
-    last record, such as the 0-d sum that a stack's loss records.
+def backward(tape: GradTape) -> list[np.ndarray]:
+    """Gradients of the output of the tape's last record, the root, one
+    per registered parameter, in registration order.
 
-    Parameters not reachable from ``root`` get zero gradients.  Adjoints are
-    accumulated additively, so a value used twice sums both contributions.
-    A gradient is its accumulated adjoint itself when the shapes match,
-    and otherwise a read-only broadcast of it.
+    Parameters not reachable from the root get zero gradients.  Adjoints
+    are accumulated additively, so a value used twice sums both
+    contributions.  A gradient is its accumulated adjoint itself when the
+    shapes match, and otherwise a read-only broadcast of it.  A tape with
+    no record, or whose last output is not 0-d, raises ``ShapeError``.
     """
-    if root is None:
-        root = tape._entries[-1][0] if tape._entries else np.zeros(())
+    if not tape._entries:
+        raise ShapeError("backward needs a recorded root; the tape is empty")
+    root = tape._entries[-1][0]
     if root.shape != ():
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
-    if not any(output is root for output, _ in tape._entries):
-        raise TapeError("root was not produced on this tape")
 
     adjoints: dict[int, np.ndarray] = {id(root): np.ones((), dtype=np.float64)}
     for output, pull in reversed(tape._entries):

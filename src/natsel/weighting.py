@@ -58,12 +58,6 @@ class WeightingConfig:
             return "ns_lf"
         return "uniform"
 
-    @property
-    def bounds(self) -> tuple[float, float]:
-        """Closed interval containing every weight this config can emit."""
-        lo, hi = sorted((self.sigma, self.sigma + self.rho))
-        return lo, hi
-
 
 def compute_weights(scores, cfg: WeightingConfig) -> np.ndarray:
     """w_i = sigma + rho * s_i for scores strictly inside (0, 1).

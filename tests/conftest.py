@@ -47,10 +47,13 @@ def finite_difference(build, params, step=1e-6):
 
 
 def taped_gradients(build, params):
-    """Tape-route gradients of ``build(params, tape) -> 0-d array``."""
+    """Tape-route gradients of ``build(params, tape) -> 0-d array``, which
+    must be the output of the tape's last record."""
     tape = GradTape()
     tape.register(*params)
-    return backward(tape, build(params, tape))
+    root = build(params, tape)
+    assert tape._entries[-1][0] is root
+    return backward(tape)
 
 
 def taped_parameter_gradients(build, model):
@@ -378,7 +381,7 @@ def train_erm(config, seed, train_set, test_set, model):
             if not np.isfinite(loss_value):
                 raise TrainingDiverged(epoch, step, "batch loss", loss_value,
                                        seed)
-            (grad,) = backward(tape, batch_loss)
+            (grad,) = backward(tape)
             sgd_momentum_step(model.vector, grad, velocity, lr,
                               config.momentum)
             steps.append(_Step(epoch, step, batch_idx, labels, predictions,

@@ -210,8 +210,7 @@ class TestRun:
         assert main(["run", str(write_config(tmp_path))]) == 2
         run_dir = tmp_path / "out" / "demo"
         assert sorted(p.name for p in run_dir.iterdir()) == [
-            "checkpoint_1.bin", "config.ini", "metrics_1.csv",
-            "scores_1.csv"]
+            "checkpoint_1.bin", "metrics_1.csv", "scores_1.csv"]
 
     def test_interrupted_write_leaves_no_partial_artifact(
             self, tmp_path, monkeypatch):
@@ -223,7 +222,7 @@ class TestRun:
         monkeypatch.setattr(natsel.cli, "save_checkpoint", save_half)
         assert main(["run", str(write_config(tmp_path))]) == 2
         run_dir = tmp_path / "out" / "demo"
-        assert sorted(p.name for p in run_dir.iterdir()) == ["config.ini"]
+        assert sorted(p.name for p in run_dir.iterdir()) == []
 
     @pytest.mark.parametrize("writer", ["write_metrics_csv",
                                         "save_checkpoint"])
@@ -244,7 +243,20 @@ class TestRun:
         assert main(["run", str(write_config(tmp_path))]) == 2
         assert len(calls) == 2
         run_dir = tmp_path / "out" / "demo"
-        assert sorted(p.name for p in run_dir.iterdir()) == ["config.ini"]
+        assert sorted(p.name for p in run_dir.iterdir()) == []
+
+    def test_aborted_rerun_leaves_no_config_or_aggregate(self, tmp_path):
+        # A rerun into a finished run's directory that aborts must not
+        # pass for a complete run: the old config.ini and aggregate.csv
+        # go before it trains, and its own config.ini is written last.
+        cfg_path = write_config(tmp_path)
+        assert main(["run", str(cfg_path)]) == 0
+        assert main(["run", str(cfg_path), "--sigma", "1e307",
+                     "--rho", "0"]) == 2
+        run_dir = tmp_path / "out" / "demo"
+        assert not (run_dir / "config.ini").exists()
+        assert not (run_dir / "aggregate.csv").exists()
+        assert main(["analyze", str(run_dir)]) == 1
 
     def test_run_for_stamps_run_seed(self, tmp_path):
         config = parse_config(write_config(tmp_path).read_text())
@@ -407,7 +419,7 @@ class TestLockstep:
         assert info.value.seed == 2
         assert calls == [[1, 2, 3]]
         run_dir = tmp_path / "out" / "demo"
-        assert sorted(p.name for p in run_dir.iterdir()) == ["config.ini"]
+        assert sorted(p.name for p in run_dir.iterdir()) == []
 
     @pytest.mark.parametrize("name", ["reference", "labelnoise_nsws",
                                       "longtail_nslf"])

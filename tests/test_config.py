@@ -167,7 +167,7 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="sigma must be at least 1.0"):
             parse_config(text)
         edge = parse_config(text.replace("sigma = 0.5", "sigma = 1.0"))
-        assert edge.train.weighting.bounds == (0.0, 1.0)
+        assert edge.train.weighting.sigma + edge.train.weighting.rho == 0.0
         with pytest.raises(ConfigError):
             apply_overrides(parse_config(FULL_TEXT), sigma=0.5)
 

@@ -204,9 +204,9 @@ def primitive_chain_gradients(model: Classifier, xs: np.ndarray):
         if i:
             out = relu(out, tape=tape)
         out = add_row(matmul(out, weight, tape=tape), bias, tape=tape)
-    loss = weighted_batch_loss(out, np.arange(n) % out.shape[1], np.ones(n),
-                               LossConfig(), tape=tape)
-    return backward(tape, loss)
+    weighted_batch_loss(out, np.arange(n) % out.shape[1], np.ones(n),
+                        LossConfig(), tape=tape)
+    return backward(tape)
 
 
 class TestDenseStage:
@@ -231,7 +231,7 @@ class TestDenseStage:
             init_seed=12, conv=conv))
         xs = np.random.default_rng(13).normal(size=(7, 5, 4, 2))
         tape = taped_step(model, xs)
-        (grad,) = backward(tape, tape._entries[-1][0])
+        (grad,) = backward(tape)
         for g, want in zip(model.views(grad),
                            primitive_chain_gradients(model, xs), strict=True):
             assert np.array_equal(g, want)
@@ -657,8 +657,8 @@ class TestLossGradients:
             y = int(rng.integers(6))
             tape = GradTape()
             tape.register(z)
-            loss = weighted_batch_loss(z, [y], [1.0], LossConfig(), tape=tape)
-            grad = backward(tape, loss)[0][0]
+            weighted_batch_loss(z, [y], [1.0], LossConfig(), tape=tape)
+            grad = backward(tape)[0][0]
             one_hot = np.zeros(6)
             one_hot[y] = 1.0
             expected = softmax_vector(z[0]) - one_hot

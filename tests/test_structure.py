@@ -364,14 +364,22 @@ def test_every_name_the_tracer_wraps_resolves():
     assert isinstance(GradTape()._entries, list)
 
 
-def test_the_tracer_counts_a_stacked_run_as_its_csvs_do(tmp_path):
-    # Two epochs of the reference config's three seeds, one stack: one
-    # backward per stacked step, two tape records each, and one traced
-    # scoring call per seed per step, whose composites the CSVs count.
+@pytest.mark.parametrize("keys", [
+    {},
+    {"dataset.channels": "3", "model.conv_kernel": "3",
+     "grouping.layout": "1x2", "experiment.seeds": "2024,2025"},
+], ids=["mlp", "conv"])
+def test_the_tracer_counts_a_stacked_run_as_its_csvs_do(tmp_path, keys):
+    # Two epochs of the reference config's seeds (its three for the MLP,
+    # two of 8x8x3 images through a 3x3 conv in 1x2 groups), one stack:
+    # one backward per stacked step, two tape records each, and one
+    # traced scoring call per seed per step, whose composites the CSVs
+    # count.
     root = Path(__file__).resolve().parents[1]
     config = set_keys(
         parse_config((root / "configs" / "reference.ini").read_text()),
-        {"train.epochs": "2", "experiment.output_dir": str(tmp_path)})
+        {"train.epochs": "2", "experiment.output_dir": str(tmp_path),
+         **keys})
     tracer = _tracer_module().Tracer(run_id="stacked")
     tracer.install()
     try:

@@ -61,6 +61,7 @@ from conftest import (
     params_hash,
     softmax_vector,
     subset,
+    taped_gradients,
     train_erm,
 )
 
@@ -165,9 +166,7 @@ class TestWeightedBatchLoss:
                 total += weights[i] * loss_oracle(p, y, cfg)
             return total / 3.0
 
-        tape = GradTape()
-        tape.register(z)
-        analytic = backward(tape, taped([z], tape))
+        analytic = taped_gradients(taped, [z])
         numeric = finite_difference(plain, [z])
         assert max_relative_error(analytic, numeric) <= 1e-5
 
@@ -444,9 +443,9 @@ class TestTrainLoop:
         tapes, live_at = [], []
         real_backward = natsel.trainer.backward
 
-        def recording_backward(tape, root=None):
+        def recording_backward(tape):
             tapes.append(weakref.ref(tape))
-            return real_backward(tape, root)
+            return real_backward(tape)
 
         def checking(phase, original):
             def wrapper(*args, **kwargs):
@@ -804,13 +803,12 @@ class TestConvMemory:
         assert traced_peak_mb(lambda: evaluate(self.model, dataset)) < 24.0
 
     def taped_step(self, images, labels):
-        """The tape and the loss of one unweighted step, as ``train``
-        records them."""
+        """The tape of one unweighted step, as ``train`` records it."""
         tape = GradTape()
         tape.register(self.model.vector)
         logits = self.model.forward_batch(images, tape=tape)
-        return tape, weighted_batch_loss(logits, labels, np.ones(len(labels)),
-                                         tape=tape)
+        weighted_batch_loss(logits, labels, np.ones(len(labels)), tape=tape)
+        return tape
 
     def test_taped_step_32_images(self):
         # forward and loss: about 10.9 MB with full-batch patch rows and
@@ -822,7 +820,7 @@ class TestConvMemory:
             return self.taped_step(images, labels)
 
         def with_backward():
-            backward(*taped())
+            backward(taped())
 
         assert traced_peak_mb(taped) < 7.0
         assert traced_peak_mb(with_backward) < 11.0
@@ -830,12 +828,11 @@ class TestConvMemory:
     def test_backward_holds_fewer_than_two_activation_adjoints(self):
         # The conv activations' adjoint [N, H'W'F] is masked in place and
         # spent before the model's gradient, which holds the first dense
-        # weight's (as large at N = 32), is allocated: about 3.4 MB.
+        # weight's (as large at N = 32), is allocated: about 2.8 MB.
         images = self.rng.random((32, 32, 32, 3))
-        tape, loss = self.taped_step(images, self.rng.integers(0, 10, 32))
+        tape = self.taped_step(images, self.rng.integers(0, 10, 32))
         activation_mb = 32 * 30 * 30 * 8 * 8 / 1e6
-        assert traced_peak_mb(lambda: backward(tape, loss)) \
-            < 2 * activation_mb
+        assert traced_peak_mb(lambda: backward(tape)) < 2 * activation_mb
 
     def cifar_set(self, n: int) -> Dataset:
         return Dataset(images=self.rng.random((n, 32, 32, 3)),

@@ -24,11 +24,6 @@ class TestWeightingConfig:
         w = compute_weights([1.0 - 1e-12, 1e-12], edge)
         assert np.all(w >= 0.0)
 
-    def test_bounds(self):
-        assert WeightingConfig(0.7, 1.0).bounds == (0.7, 1.7)
-        assert WeightingConfig(1.0, -0.4).bounds == (0.6, 1.0)
-        assert WeightingConfig(2.0, 0.0).bounds == (2.0, 2.0)
-
 
 class TestComputeWeights:
     def test_affine_map_example(self):
@@ -70,7 +65,7 @@ class TestComputeWeights:
         for sigma, rho in ((0.7, 1.0), (1.5, -1.0), (0.0, 1.0)):
             cfg = WeightingConfig(sigma, rho)
             w = compute_weights(scores, cfg)
-            lo, hi = cfg.bounds
+            lo, hi = sorted((sigma, sigma + rho))
             assert w.min() >= lo - 1e-15
             assert w.max() <= hi + 1e-15
 

@@ -138,7 +138,7 @@ def _run_for(config: ExperimentConfig, seed: int) -> Run:
     model = Classifier(classifier_for(
         config, seed, image_shape=train_set.image_shape,
         class_count=train_set.class_count))
-    return Run(config.train, seed, train_set, test_set, model)
+    return Run(seed, train_set, test_set, model)
 
 
 def _train_stack(config: ExperimentConfig, seeds, run_dir: Path):
@@ -164,7 +164,7 @@ def _train_stack(config: ExperimentConfig, seeds, run_dir: Path):
         if config.train.weighting.rho != 0.0:
             runs = [run._replace(score_sink=pending.enter_context(_score_log(
                 run_dir / f"scores_{run.seed}.csv"))) for run in runs]
-        per_run = train(runs)
+        per_run = train(config.train, runs)
         for run, records in zip(runs, per_run):
             write_metrics_csv(temporary(f"metrics_{run.seed}.csv"), records)
             save_checkpoint(run.model, temporary(f"checkpoint_{run.seed}.bin"))

@@ -3,10 +3,11 @@
 Parameters, activations and losses are plain float64 arrays.  The tape
 holds no operations of its own: the classifier (its conv stage, if any,
 and its dense stack) and the fused weighted loss each append one entry
-with :meth:`GradTape.record`, and check their own outputs for
-finiteness.  So every taped step is two entries, MLP or conv, for one
-run or for a stack of runs whose arrays carry a leading run axis; the
-loss entry, the last, outputs the root: the 0-d sum of the runs' losses.
+with :meth:`GradTape.record`.  The classifier checks its outputs for
+finiteness, the loss its input logits (in ``softmax_rows``) and ``train``
+each run's loss.  So every taped step is two entries, MLP or conv, for one
+run or for a stack of runs whose arrays carry a leading run axis; the loss
+entry, the last, outputs the root: the 0-d sum of the runs' losses.
 
 Aliasing: arrays are passed as they are, without copies, so an output may
 share memory with an input, and a gradient is the accumulated adjoint

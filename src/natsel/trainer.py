@@ -5,16 +5,16 @@ score-to-weight map, weighted mean loss on the tape, backprop, SGD with
 momentum.  With rho == 0 the scoring stage is skipped outright, so the
 loop degenerates to exactly the plain weighted-ERM loop.
 
-``train`` takes a list of runs that differ only in their seed and
-trains them in lockstep: batch images, labels and weights carry a
-leading run axis [S, ...], and the stack's parameter ``vector``, its
-gradient and its velocity are [S, P] arrays, so every step is one
-classifier record, one loss record, one ``backward`` and one
+``train`` takes one ``TrainConfig`` and runs that differ only in seed,
+splits and model, and trains them in lockstep: batch images, labels and
+weights carry a leading run axis [S, ...], and the stack's parameter
+``vector``, its gradient and its velocity are [S, P] arrays, so every
+step is one classifier record, one loss record, one ``backward`` and one
 ``sgd_momentum_step`` of whole vectors for all of them.  The parameter
-layout stays in ``natsel.model``: the loop never reads a parameter
-view.  Scoring and evaluation run per run, on each run's own
-``Classifier``, whose vector is a row of the stack's.  A single run is
-a stack of one.  Every run's bytes are those of the run trained alone.
+layout stays in ``natsel.model``: the loop never reads a parameter view.
+Scoring and evaluation run per run, on each run's own ``Classifier``,
+whose vector is a row of the stack's.  A single run is a stack of one.
+Every run's bytes are those of the run trained alone.
 
 Metrics are written as CSV with one row per (epoch, split), built by
 ``_train_record`` (train rows) and ``evaluate`` (test rows), whose
@@ -69,12 +69,12 @@ _TIMING_COLUMNS = ("seconds", "ns_seconds")
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything the loop needs besides the seed, the splits and the
-    model."""
+    model: the settings every run of a stack shares."""
 
     batch_size: int
     epochs: int
     learning_rate: float
-    momentum: float = 0.0
+    momentum: float
     decay_milestones: tuple[tuple[int, float], ...] = ()
     layout: GridLayout = GridLayout(2, 2)
     weighting: WeightingConfig = WeightingConfig(1.0, 0.0)
@@ -268,14 +268,14 @@ class _Step(NamedTuple):
 
 
 class Run(NamedTuple):
-    """One training run: its settings, its seed, its splits and its model.
+    """One run of a stack: its seed, its splits and its model.
 
-    The seed orders the run's epochs and names the run when it diverges.
+    Its settings are those of the stack, ``train``'s ``config``.  The
+    seed orders the run's epochs and names the run when it diverges.
     ``score_sink``, if given, is called with the ``_Step`` record of each
     of the run's scored steps (see ``train``).
     """
 
-    config: TrainConfig
     seed: int
     train_set: Dataset
     test_set: Dataset
@@ -379,17 +379,19 @@ def _gather(splits, indices: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
-    """Train ``runs`` in lockstep; returns each run's per-epoch records.
+def train(config: TrainConfig,
+          runs: Sequence[Run]) -> list[list[MetricsRecord]]:
+    """Train ``runs`` in lockstep under ``config``; returns each run's
+    per-epoch records.
 
-    The runs must share their ``TrainConfig``, every model setting but
-    the init seed, and the length of their train splits.  Their models
-    are stacked (``Classifier.stack``): each run's model then holds its
-    row of the stacked vector, so it ends trained, as a single run's
-    model always has.  Each epoch gathers every run's labels in its
-    epoch order once; each step slices them, scores and weights every
-    run on its own model and takes one taped step for all of them.  A
-    single run is a stack of one.
+    The runs must share every model setting but the init seed, and the
+    length of their train splits.  Their models are stacked
+    (``Classifier.stack``): each run's model then holds its row of the
+    stacked vector, so it ends trained, as a single run's model always
+    has.  Each epoch gathers every run's labels in its epoch order once;
+    each step slices them, scores and weights every run on its own model
+    and takes one taped step for all of them.  A single run is a stack
+    of one.
 
     Competition scoring runs only when rho != 0; with rho == 0 every
     sample's weight is the sigma constant and no composite is ever built,
@@ -411,11 +413,7 @@ def train(runs: Sequence[Run]) -> list[list[MetricsRecord]]:
     """
     if not runs:
         raise ConfigError("train needs at least one run")
-    config = runs[0].config
     for run in runs:
-        if run.config != config:
-            raise ConfigError("runs trained together must share every "
-                              "train setting")
         _check_split(run.model, "train", run.train_set)
         _check_split(run.model, "test", run.test_set)
         if len(run.train_set) != len(runs[0].train_set):

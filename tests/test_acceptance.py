@@ -72,8 +72,7 @@ def _run_arm(config, seed):
     model = Classifier(classifier_for(config, seed,
                                       image_shape=train_set.image_shape,
                                       class_count=train_set.class_count))
-    (records,) = train([Run(config.train, seed, train_set, test_set,
-                            model)])
+    (records,) = train(config.train, [Run(seed, train_set, test_set, model)])
     return records
 
 
@@ -133,8 +132,8 @@ def test_criterion_03_plain_training_equivalence(capsys):
     model_a = Classifier(classifier_for(config, seed,
                                         image_shape=train_set.image_shape,
                                         class_count=train_set.class_count))
-    (records_a,) = train([Run(config.train, seed, train_set, test_set,
-                              model_a)])
+    (records_a,) = train(config.train, [Run(seed, train_set, test_set,
+                                            model_a)])
     model_b = Classifier(classifier_for(config, seed,
                                         image_shape=train_set.image_shape,
                                         class_count=train_set.class_count))
@@ -273,8 +272,7 @@ def test_criterion_09_scoring_overhead(capsys, tmp_path):
     model = Classifier(classifier_for(config, seed,
                                       image_shape=train_set.image_shape,
                                       class_count=train_set.class_count))
-    (records,) = train([Run(config.train, seed, train_set, test_set,
-                            model)])
+    (records,) = train(config.train, [Run(seed, train_set, test_set, model)])
     write_metrics_csv(tmp_path / "metrics.csv", records)
     records = read_metrics_csv(tmp_path / "metrics.csv")
 

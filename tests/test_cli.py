@@ -262,7 +262,6 @@ class TestRun:
         config = parse_config(write_config(tmp_path).read_text())
         run = natsel.cli._run_for(config, 99)
         assert run.seed == 99
-        assert run.config == config.train
         assert run.model.config.init_seed == natsel.cli.classifier_for(
             config, 99).init_seed
 
@@ -321,9 +320,9 @@ class TestLockstep:
         calls = []
         real_train = natsel.cli.train
 
-        def train(runs):
+        def train(config, runs):
             calls.append([run.seed for run in runs])
-            return real_train(runs)
+            return real_train(config, runs)
 
         monkeypatch.setattr(natsel.cli, "train", train)
         return calls

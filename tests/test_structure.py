@@ -30,6 +30,9 @@ velocity, so ``natsel/trainer.py`` never reads ``.parameters``.
 Every setting of ``ExperimentConfig`` has one home, the ``config._SCHEMA``
 key that sets it, so no field can be left half-wired with a placeholder.
 
+A stack's training settings are ``train``'s argument, one
+``TrainConfig``, so no field of ``natsel.trainer.Run`` holds one.
+
 The criterion-3 reference loop, ``tests/conftest.py::train_erm``, takes
 its step from ``natsel.trainer``'s public API only.  It shares the row
 builders ``_Step`` and ``_train_record`` on purpose, so both loops'
@@ -41,6 +44,7 @@ import ast
 import collections
 import dataclasses
 import types
+import typing
 from pathlib import Path
 
 import pytest
@@ -50,7 +54,7 @@ import natsel.trainer
 from natsel.cli import run_experiment
 from natsel.config import _SCHEMA, ExperimentConfig, parse_config, set_keys
 from natsel.tensor import GradTape
-from natsel.trainer import TrainConfig, read_metrics_csv
+from natsel.trainer import Run, TrainConfig, read_metrics_csv
 
 SOURCES = sorted(Path(natsel.__file__).parent.glob("*.py"))
 WRITER = "trainer.py"
@@ -344,6 +348,32 @@ def test_the_key_check_sees_a_nested_field_without_a_key():
         **{f.name: getattr(ExperimentConfig().train, f.name)
            for f in dataclasses.fields(TrainConfig)}))
     assert _homeless(config) == ["train.seed"]
+
+
+def _holds(hint, kind) -> bool:
+    """Whether the type ``hint`` is ``kind`` or has it among its
+    arguments, at any depth (``kind | None``, ``tuple[kind, ...]``)."""
+    return hint is kind or any(_holds(arg, kind)
+                               for arg in typing.get_args(hint))
+
+
+def _settings_fields(run_type) -> list[str]:
+    """Fields of the named tuple ``run_type`` whose type holds a
+    ``TrainConfig``."""
+    hints = typing.get_type_hints(run_type)
+    return [name for name in run_type._fields
+            if _holds(hints[name], TrainConfig)]
+
+
+def test_no_run_field_holds_the_stack_settings():
+    assert _settings_fields(Run) == []
+
+
+def test_the_settings_check_sees_a_field_that_holds_them():
+    old = typing.NamedTuple("Old", [
+        ("config", TrainConfig), ("seed", int),
+        ("plans", tuple[TrainConfig, ...] | None)])
+    assert _settings_fields(old) == ["config", "plans"]
 
 
 def _tracer_module():

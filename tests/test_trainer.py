@@ -305,7 +305,7 @@ class TestTrainLoop:
         model_b = fresh_model(train_set)
         assert params_hash(model_a) == params_hash(model_b)
 
-        (records_a,) = train([Run(cfg, SEED, train_set, test_set, model_a)])
+        (records_a,) = train(cfg, [Run(SEED, train_set, test_set, model_a)])
         _, records_b = train_erm(cfg, SEED, train_set, test_set, model_b)
 
         assert params_hash(model_a) == params_hash(model_b)
@@ -320,8 +320,8 @@ class TestTrainLoop:
                   for split in (train_set, test_set)]
         cfg = base_config(weighting=WeightingConfig(1.0, 0.5))
         model_a, model_b = fresh_model(train_set), fresh_model(train_set)
-        (records_a,) = train([Run(cfg, SEED, train_set, test_set, model_a)])
-        (records_b,) = train([Run(cfg, SEED, *narrow, model_b)])
+        (records_a,) = train(cfg, [Run(SEED, train_set, test_set, model_a)])
+        (records_b,) = train(cfg, [Run(SEED, *narrow, model_b)])
         assert params_hash(model_a) == params_hash(model_b)
         assert ([deterministic_key(r) for r in records_a]
                 == [deterministic_key(r) for r in records_b])
@@ -335,7 +335,7 @@ class TestTrainLoop:
         assert abs(before - math.log(2)) <= 1e-12
         cfg = base_config(batch_size=16, epochs=1, learning_rate=0.5,
                           momentum=0.0)
-        train([Run(cfg, SEED, train_set, test_set, model)])
+        train(cfg, [Run(SEED, train_set, test_set, model)])
         after = evaluate(model, train_set).mean_loss
         assert after < before
 
@@ -345,8 +345,8 @@ class TestTrainLoop:
         train_set, test_set = toy_sets(per_class=(10, 10))
         cfg = base_config(
             weighting=WeightingConfig(1.0, 0.5))
-        (records,) = train([Run(cfg, SEED, train_set, test_set,
-                                fresh_model(train_set))])
+        (records,) = train(cfg, [Run(SEED, train_set, test_set,
+                                     fresh_model(train_set))])
         train_rows = [r for r in records if r.split == "train"]
         for row in train_rows:
             assert row.train_forward_passes == 20
@@ -356,8 +356,8 @@ class TestTrainLoop:
 
     def test_no_scoring_when_rho_zero(self):
         train_set, test_set = toy_sets()
-        (records,) = train([Run(base_config(), SEED, train_set, test_set,
-                                fresh_model(train_set))])
+        (records,) = train(base_config(), [Run(SEED, train_set, test_set,
+                                               fresh_model(train_set))])
         for row in records:
             assert row.ns_forward_passes == 0
             assert row.per_class_ns is None
@@ -367,10 +367,9 @@ class TestTrainLoop:
         train_set, test_set = toy_sets()
         uniform = fresh_model(train_set)
         weighted = fresh_model(train_set)
-        train([Run(base_config(epochs=1), SEED, train_set, test_set, uniform)])
-        train([Run(base_config(
-            epochs=1, weighting=WeightingConfig(1.0, 1.0)), SEED,
-            train_set, test_set, weighted)])
+        train(base_config(epochs=1), [Run(SEED, train_set, test_set, uniform)])
+        train(base_config(epochs=1, weighting=WeightingConfig(1.0, 1.0)),
+              [Run(SEED, train_set, test_set, weighted)])
         assert params_hash(uniform) != params_hash(weighted)
 
     def test_deterministic_rerun(self):
@@ -380,8 +379,8 @@ class TestTrainLoop:
             sampler="cbs")
         model_a = fresh_model(train_set)
         model_b = fresh_model(train_set)
-        (records_a,) = train([Run(cfg, SEED, train_set, test_set, model_a)])
-        (records_b,) = train([Run(cfg, SEED, train_set, test_set, model_b)])
+        (records_a,) = train(cfg, [Run(SEED, train_set, test_set, model_a)])
+        (records_b,) = train(cfg, [Run(SEED, train_set, test_set, model_b)])
         assert params_hash(model_a) == params_hash(model_b)
         assert [deterministic_key(r) for r in records_a] == \
             [deterministic_key(r) for r in records_b]
@@ -391,8 +390,8 @@ class TestTrainLoop:
         # home of the run's length.
         train_set, test_set = toy_sets(per_class=(12, 4))
         cfg = base_config(epochs=4, sampler="pbs")
-        (records,) = train([Run(cfg, SEED, train_set, test_set,
-                                fresh_model(train_set))])
+        (records,) = train(cfg, [Run(SEED, train_set, test_set,
+                                     fresh_model(train_set))])
         assert [r.epoch for r in records if r.split == "train"] == \
             [0, 1, 2, 3]
 
@@ -404,7 +403,7 @@ class TestTrainLoop:
         cfg = base_config(batch_size=4, epochs=1, learning_rate=1e250,
                           momentum=0.0, layout=GridLayout(1, 2))
         with pytest.raises(TrainingDiverged) as info:
-            train([Run(cfg, SEED, train_set, test_set, model)])
+            train(cfg, [Run(SEED, train_set, test_set, model)])
         assert info.value.epoch == 0
         assert info.value.step >= 1
         assert info.value.quantity
@@ -415,7 +414,7 @@ class TestTrainLoop:
             weighting=WeightingConfig(1.0, -1.0))
         plain = fresh_model(train_set)
         observed = fresh_model(train_set)
-        (plain_records,) = train([Run(cfg, SEED, train_set, test_set, plain)])
+        (plain_records,) = train(cfg, [Run(SEED, train_set, test_set, plain)])
 
         steps = []
 
@@ -423,8 +422,8 @@ class TestTrainLoop:
             steps.append(record)
             record.weights[:] = 0.0  # must not leak back into training
 
-        (records,) = train([Run(cfg, SEED, train_set, test_set, observed,
-                                sink)])
+        (records,) = train(cfg, [Run(SEED, train_set, test_set, observed,
+                                     sink)])
         assert params_hash(observed) == params_hash(plain)
         assert [deterministic_key(r) for r in records] == \
             [deterministic_key(r) for r in plain_records]
@@ -459,7 +458,7 @@ class TestTrainLoop:
                 name, getattr(natsel.trainer, name)))
         train_set, test_set = toy_sets()
         cfg = base_config(weighting=WeightingConfig(1.0, 0.5))
-        train([Run(cfg, SEED, train_set, test_set, fresh_model(train_set))])
+        train(cfg, [Run(SEED, train_set, test_set, fresh_model(train_set))])
         # 20 samples in batches of 8: three steps and scorings per epoch
         assert len(tapes) == 6
         assert [phase for phase, _ in live_at].count("batch_ns_scores") == 6
@@ -471,11 +470,11 @@ class TestTrainLoop:
         wrong = Classifier(ClassifierConfig(
             input_shape=(5, 5, 1), hidden=(), class_count=2, init_seed=0))
         with pytest.raises(ConfigError):
-            train([Run(base_config(), SEED, train_set, test_set, wrong)])
+            train(base_config(), [Run(SEED, train_set, test_set, wrong)])
         empty = subset(train_set, [])
         with pytest.raises(ConfigError):
-            train([Run(base_config(), SEED, empty, test_set,
-                       fresh_model(train_set))])
+            train(base_config(), [Run(SEED, empty, test_set,
+                                      fresh_model(train_set))])
 
     @pytest.mark.parametrize("split,fault", [
         ("test", "9x9 images"), ("test", "K+1 classes"),
@@ -511,8 +510,8 @@ class TestTrainLoop:
         monkeypatch.setattr(Classifier, "forward_batch", no_forward)
         seen = []
         with pytest.raises(ConfigError, match=split) as trained:
-            train([Run(base_config(weighting=WeightingConfig(1.0, 0.5)), SEED,
-                       sets["train"], sets["test"], model, seen.append)])
+            train(base_config(weighting=WeightingConfig(1.0, 0.5)), [Run(
+                SEED, sets["train"], sets["test"], model, seen.append)])
         assert seen == []
         if split == "test":
             with pytest.raises(ConfigError) as evaluated:
@@ -537,7 +536,7 @@ class TestTrainLoop:
             config, seed, image_shape=train_set.image_shape,
             class_count=train_set.class_count))
         with pytest.raises(TrainingDiverged) as info:
-            train([Run(config.train, seed, train_set, test_set, model)])
+            train(config.train, [Run(seed, train_set, test_set, model)])
         assert (info.value.seed, info.value.epoch, info.value.step,
                 info.value.quantity) == (seed, 0, 0, quantity)
 
@@ -548,11 +547,11 @@ class TestLockstep:
 
     SEEDS = (11, 12, 13)
 
-    def runs(self, cfg, sinks=(None, None, None), hidden=(6,)):
+    def runs(self, sinks=(None, None, None), hidden=(6,)):
         runs = []
         for seed, sink in zip(self.SEEDS, sinks):
             train_set, test_set = toy_sets(seed=seed)
-            runs.append(Run(cfg, seed, train_set, test_set,
+            runs.append(Run(seed, train_set, test_set,
                             fresh_model(train_set, hidden, init_seed=seed),
                             sink))
         return runs
@@ -566,13 +565,13 @@ class TestLockstep:
             self, weighting, sampler):
         cfg = base_config(epochs=3, weighting=weighting, sampler=sampler)
         logs = [[], [], []]
-        stacked = self.runs(cfg, [log.append for log in logs])
-        stacked_records = train(stacked)
+        stacked = self.runs([log.append for log in logs])
+        stacked_records = train(cfg, stacked)
         for run, records, log in zip(stacked, stacked_records, logs):
             alone_log = []
-            alone = self.runs(cfg, [alone_log.append] * 3)[
+            alone = self.runs([alone_log.append] * 3)[
                 self.SEEDS.index(run.seed)]
-            (alone_records,) = train([alone])
+            (alone_records,) = train(cfg, [alone])
             assert params_hash(run.model) == params_hash(alone.model)
             assert [deterministic_key(r) for r in records] == \
                 [deterministic_key(r) for r in alone_records]
@@ -587,19 +586,19 @@ class TestLockstep:
 
     def test_rho_zero_stack_matches_erm_bitwise(self):
         cfg = base_config(epochs=3)
-        stacked = self.runs(cfg)
-        for run, records in zip(stacked, train(stacked)):
+        stacked = self.runs()
+        for run, records in zip(stacked, train(cfg, stacked)):
             reference = fresh_model(run.train_set, init_seed=run.seed)
-            _, erm_records = train_erm(run.config, run.seed, run.train_set,
+            _, erm_records = train_erm(cfg, run.seed, run.train_set,
                                        run.test_set, reference)
             assert params_hash(run.model) == params_hash(reference)
             assert [deterministic_key(r) for r in records] == \
                 [deterministic_key(r) for r in erm_records]
 
     def test_models_end_as_views_of_one_trained_stack(self):
-        stacked = self.runs(base_config(epochs=1))
+        stacked = self.runs()
         before = [params_hash(run.model) for run in stacked]
-        per_run = train(stacked)
+        per_run = train(base_config(epochs=1), stacked)
         for run, records, start in zip(stacked, per_run, before):
             assert params_hash(run.model) != start
             assert all(p.base is not None for p in run.model.parameters)
@@ -611,10 +610,10 @@ class TestLockstep:
     def test_train_rows_time_equal_shares_of_the_epoch(self):
         # Each run's share of the stack's epoch, so the rows of all runs
         # add up to no more than the wall time of the call.
-        runs = self.runs(base_config(
-            epochs=2, weighting=WeightingConfig(1.0, 0.5)))
+        cfg = base_config(epochs=2, weighting=WeightingConfig(1.0, 0.5))
+        runs = self.runs()
         started = time.perf_counter()
-        per_run = train(runs)
+        per_run = train(cfg, runs)
         wall = time.perf_counter() - started
         for epoch in (0, 2):
             rows = [records[epoch] for records in per_run]
@@ -634,9 +633,9 @@ class TestLockstep:
             seen.append(step.epoch)
             time.sleep(pause)
 
-        (run,) = self.runs(base_config(
-            weighting=WeightingConfig(1.0, 0.5)), [sink])
-        rows = [row for row in train([run])[0] if row.split == "train"]
+        (run,) = self.runs([sink])
+        cfg = base_config(weighting=WeightingConfig(1.0, 0.5))
+        rows = [row for row in train(cfg, [run])[0] if row.split == "train"]
         assert [row.epoch for row in rows] == [0, 1]
         for row in rows:
             assert seen.count(row.epoch) == 3
@@ -651,11 +650,10 @@ class TestLockstep:
         # evaluation after the epoch's last step (20 samples, batches of
         # 8: steps 0-2) if it is in the test split.  A Dataset rejects
         # NaN images, so the NaN goes into the built split in place.
-        stacked = self.runs(base_config(
-            weighting=WeightingConfig(1.0, rho)))
+        stacked = self.runs()
         getattr(stacked[1], split).images[:] = np.nan
         with pytest.raises(TrainingDiverged) as info:
-            train(stacked)
+            train(base_config(weighting=WeightingConfig(1.0, rho)), stacked)
         assert info.value.seed == 12
         assert "seed 12" in str(info.value)
         assert (info.value.epoch, info.value.step) == where
@@ -663,26 +661,21 @@ class TestLockstep:
     def test_runs_must_share_all_but_their_seeds(self):
         cfg = base_config()
         with pytest.raises(ConfigError, match="at least one run"):
-            train([])
-        runs = self.runs(cfg)
-        runs[2] = runs[2]._replace(config=replace(runs[2].config,
-                                                  learning_rate=0.25))
-        with pytest.raises(ConfigError, match="every train setting"):
-            train(runs)
-        runs = self.runs(cfg)
+            train(cfg, [])
+        runs = self.runs()
         runs[1] = runs[1]._replace(
             train_set=subset(runs[1].train_set, range(12)))
         with pytest.raises(ConfigError, match="one length"):
-            train(runs)
-        runs = self.runs(cfg)
+            train(cfg, runs)
+        runs = self.runs()
         runs[0] = runs[0]._replace(model=fresh_model(runs[0].train_set,
                                                      hidden=(5,)))
         with pytest.raises(ConfigError, match="init_seed"):
-            train(runs)
-        runs = self.runs(cfg)
+            train(cfg, runs)
+        runs = self.runs()
         runs[2] = runs[2]._replace(model=runs[0].model)
         with pytest.raises(ConfigError, match="twice"):
-            train(runs)
+            train(cfg, runs)
 
 
 class TestConvTraining:
@@ -705,8 +698,8 @@ class TestConvTraining:
     def test_rho_zero_matches_erm_bitwise(self):
         cfg = self.conv_config(1.0, 0.0)
         model_a, model_b = self.conv_model(), self.conv_model()
-        (records_a,) = train([Run(cfg, SEED, self.train_set, self.test_set,
-                                  model_a)])
+        (records_a,) = train(cfg, [Run(SEED, self.train_set, self.test_set,
+                                       model_a)])
         _, records_b = train_erm(cfg, SEED, self.train_set, self.test_set,
                                  model_b)
         assert params_hash(model_a) == params_hash(model_b)
@@ -719,8 +712,8 @@ class TestConvTraining:
         blobs = []
         for name in ("a.bin", "b.bin"):
             model = self.conv_model()
-            (records,) = train([Run(cfg, SEED, self.train_set, self.test_set,
-                                    model)])
+            (records,) = train(cfg, [Run(SEED, self.train_set, self.test_set,
+                                         model)])
             assert records[0].ns_forward_passes > 0
             save_checkpoint(model, tmp_path / name)
             blobs.append((tmp_path / name).read_bytes())
@@ -936,7 +929,7 @@ class TestEvaluate:
         loss = LossConfig(kind="focal", focal_gamma=2.0)
         cfg = base_config(epochs=3, loss=loss)
         model = fresh_model(train_set)
-        (records,) = train([Run(cfg, SEED, train_set, test_set, model)])
+        (records,) = train(cfg, [Run(SEED, train_set, test_set, model)])
         row = evaluate(model, test_set, loss, epoch=2)
         assert row.split == "test" and row.seconds > 0.0
         assert deterministic_key(row) == deterministic_key(records[-1])
@@ -1063,8 +1056,8 @@ class TestMetricsIO:
         train_set, test_set = toy_sets()
         cfg = base_config(
             weighting=WeightingConfig(1.0, 1.0))
-        (records,) = train([Run(cfg, SEED, train_set, test_set,
-                                fresh_model(train_set))])
+        (records,) = train(cfg, [Run(SEED, train_set, test_set,
+                                     fresh_model(train_set))])
         return records
 
     def test_round_trip(self, tmp_path):
@@ -1121,8 +1114,8 @@ class TestMetricsIO:
             weighting=WeightingConfig(0.7, 1.0))
         paths = []
         for run in range(2):
-            (records,) = train([Run(cfg, SEED, train_set, test_set,
-                                    fresh_model(train_set))])
+            (records,) = train(cfg, [Run(SEED, train_set, test_set,
+                                         fresh_model(train_set))])
             path = tmp_path / f"metrics_{run}.csv"
             write_metrics_csv(path, records)
             paths.append(path)
